@@ -61,7 +61,7 @@ from .scalar_fields import (
 )
 from .verification import (
     MatrixField3,
-    VerificationReport,
+    SampledCheckReport,
     jacobi_residual,
     matrix_field_from_spec,
     reduction_identity_check,

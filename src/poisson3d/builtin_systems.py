@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import expr as ex
 from .errors import DegenerateParametersError, FamilyValidationError
 from .family import PoissonFamilySpec, StructureMatrixValue, make_family_spec, make_kappa
-from .scalar_fields import DomainBox, build_scalar_field
+from .scalar_fields import DomainBox, axis_sign, build_scalar_field
 
 BUILTIN_NAMES = ("halphen", "circle-maps", "euler-top")
 
@@ -125,21 +125,15 @@ class EulerTopParams:
         return (a2 * a3, a1 * a3, a1 * a2)
 
 
-def _octant_sign(interval: tuple[float, float]) -> int:
-    lo, hi = interval
-    if lo > 0.0:
-        return 1
-    if hi < 0.0:
-        return -1
-    raise FamilyValidationError(
-        f"axis interval [{lo}, {hi}] spans an axis plane; the top needs a fixed-sign octant"
-    )
-
-
 def euler_top_structure(params: EulerTopParams, domain: DomainBox | None = None) -> PoissonFamilySpec:
     if domain is None:
         domain = DomainBox(DEFAULT_TOP_BOX, None)
-    signs = tuple(_octant_sign(iv) for iv in domain.intervals)
+    signs = tuple(axis_sign(iv) for iv in domain.intervals)
+    if 0 in signs:
+        lo, hi = domain.intervals[signs.index(0)]
+        raise FamilyValidationError(
+            f"axis interval [{lo}, {hi}] spans an axis plane; the top needs a fixed-sign octant"
+        )
     fields = []
     for c, sigma, iv in zip(params.psi_coefficients, signs, domain.intervals):
         root = ex.call("sqrt", ex.div(ex.var("u"), ex.lit(c)))

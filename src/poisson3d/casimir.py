@@ -22,8 +22,7 @@ import numpy as np
 from . import expr as ex
 from .errors import InvalidAxisError, UndefinedAtPointError
 from .family import PoissonFamilySpec, chi, chi_expr, structure_matrix_at
-
-_EPS3 = float.fromhex("0x1.0p-52") ** (1.0 / 3.0)
+from .scalar_fields import central_difference, fd_step
 
 
 def cyclic(k: int) -> tuple[int, int, int]:
@@ -41,14 +40,20 @@ def denominator_threshold(spec: PoissonFamilySpec, i: int, j: int, x) -> float:
     return 1e-12 * (1.0 + abs(psi_i) + abs(psi_j))
 
 
-def casimir_value(spec: PoissonFamilySpec, k: int, x) -> float:
-    """C_k at a point; UndefinedAtPointError below the denominator guard."""
-    i, j, k = cyclic(k)
+def _guarded_denominator(spec: PoissonFamilySpec, i: int, j: int, k: int, x) -> float:
+    """chi_ij at x; UndefinedAtPointError when it is below the threshold."""
     denom = chi(spec, i, j, x)
     if abs(denom) <= denominator_threshold(spec, i, j, x):
         raise UndefinedAtPointError(
             f"chi_{i}{j} = {denom!r} at {tuple(float(v) for v in x)}; C_{k} undefined there"
         )
+    return denom
+
+
+def casimir_value(spec: PoissonFamilySpec, k: int, x) -> float:
+    """C_k at a point; UndefinedAtPointError below the denominator guard."""
+    i, j, k = cyclic(k)
+    denom = _guarded_denominator(spec, i, j, k, x)
     return chi(spec, j, k, x) / denom
 
 
@@ -61,11 +66,7 @@ def casimir_expr(spec: PoissonFamilySpec, k: int) -> ex.Expr:
 def casimir_gradient(spec: PoissonFamilySpec, k: int, x) -> np.ndarray:
     """Closed-form gradient -(eta chi_ij^2)^(-1) (J23, J31, J12)."""
     i, j, k = cyclic(k)
-    denom = chi(spec, i, j, x)
-    if abs(denom) <= denominator_threshold(spec, i, j, x):
-        raise UndefinedAtPointError(
-            f"chi_{i}{j} = {denom!r} at {tuple(float(v) for v in x)}; C_{k} undefined there"
-        )
+    denom = _guarded_denominator(spec, i, j, k, x)
     J = structure_matrix_at(spec, x, check_domain=False)
     eta = spec.eta_value(float(x[0]), float(x[1]), float(x[2]))
     factor = -1.0 / (eta * denom * denom)
@@ -81,18 +82,16 @@ def casimir_gradient_fd(spec: PoissonFamilySpec, k: int, x) -> np.ndarray:
     """
     i, j, _ = cyclic(k)
     denom = abs(chi(spec, i, j, x))
+    point = [float(v) for v in x]
+    c_k = lambda *p: casimir_value(spec, k, p)
     out = np.empty(3)
     for axis in (1, 2, 3):
-        xl = float(x[axis - 1])
-        h = _EPS3 * max(1.0, abs(xl))
+        xl = point[axis - 1]
+        h = fd_step(xl)
         phi_l = abs(spec.phi(axis, xl))
         if phi_l > 0.0:
             h = min(h, 1e-4 * denom / phi_l)
-        hi = [float(v) for v in x]
-        lo = [float(v) for v in x]
-        hi[axis - 1] += h
-        lo[axis - 1] -= h
-        out[axis - 1] = (casimir_value(spec, k, hi) - casimir_value(spec, k, lo)) / (2.0 * h)
+        out[axis - 1] = central_difference(c_k, point, axis - 1, h)
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -148,6 +149,8 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     kind, payload, _, name = _resolve_system(args, allow_raw=True)
     if kind == "raw":
         field, domain = payload
@@ -205,6 +208,9 @@ def _cmd_darboux(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    for flag, value in (("--t-end", args.t_end), ("--dt", args.dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
     _, spec, default_h, name = _resolve_system(args)
     if args.hamiltonian:
         h_expr = ex.parse(args.hamiltonian)

@@ -32,8 +32,8 @@ from .casimir import (
 )
 from .errors import DomainMembershipError, HypothesisViolationError
 from .family import PoissonFamilySpec, chi, structure_matrix_at
-from .scalar_fields import DomainBox, psi_inverse
-from .verification import fd_step
+from .scalar_fields import DomainBox, axis_sign, central_difference, psi_inverse
+from .verification import SampledCheckReport, sampled_check
 
 FACTOR_FLOOR = 1e-12
 
@@ -60,15 +60,6 @@ class DarbouxChart:
     def pair(self) -> tuple[int, int]:
         i, j, _ = cyclic(self.k)
         return i, j
-
-
-def _axis_sign(interval: tuple[float, float]) -> int:
-    lo, hi = interval
-    if lo > 0.0:
-        return 1
-    if hi < 0.0:
-        return -1
-    return 0
 
 
 def build_chart(
@@ -116,7 +107,7 @@ def build_chart(
         spec,
         k,
         domain,
-        tuple(_axis_sign(iv) for iv in domain.intervals),
+        tuple(axis_sign(iv) for iv in domain.intervals),
         ((0.0, 0.0),) * 3,  # replaced below once forward exists
         grad_fns,
     )
@@ -140,8 +131,7 @@ def inverse_map(chart: DarbouxChart, y) -> np.ndarray:
     i, j, k = cyclic(chart.k)
     spec = chart.spec
     y = [float(v) for v in y]
-    chi_ij = (spec.psi(i, y[i - 1]) - spec.psi(j, y[j - 1])) + spec.kappa.entry(i, j)
-    target = spec.psi(j, y[j - 1]) + spec.kappa.entry(j, k) + chi_ij * y[k - 1]
+    target = spec.psi(j, y[j - 1]) + spec.kappa.entry(j, k) + chi(spec, i, j, y) * y[k - 1]
     x = np.array(y)
     x[k - 1] = psi_inverse(spec.field(k), target)
     return x
@@ -158,16 +148,8 @@ def jacobian_forward(chart: DarbouxChart, x, scheme: str = "analytic") -> np.nda
     if scheme == "analytic":
         row = [-fn(x1, x2, x3) for fn in chart.grad_fns]
     elif scheme == "fd":
-        row = []
-        for axis in (1, 2, 3):
-            h = fd_step((x1, x2, x3)[axis - 1])
-            hi = [x1, x2, x3]
-            lo = [x1, x2, x3]
-            hi[axis - 1] += h
-            lo[axis - 1] -= h
-            c_hi = -casimir_value(chart.spec, chart.k, hi)
-            c_lo = -casimir_value(chart.spec, chart.k, lo)
-            row.append((c_hi - c_lo) / (2.0 * h))
+        y_k = lambda *p: -casimir_value(chart.spec, chart.k, p)
+        row = [central_difference(y_k, (x1, x2, x3), axis) for axis in range(3)]
     else:
         raise ValueError(f"scheme must be analytic or fd, got {scheme!r}")
     M[chart.k - 1, :] = row
@@ -200,39 +182,12 @@ def reparam_factor(chart: DarbouxChart, y) -> float:
     spec = chart.spec
     x = inverse_map(chart, y)
     x1, x2, x3 = (float(v) for v in x)
-    chi_ij = (spec.psi(i, float(y[i - 1])) - spec.psi(j, float(y[j - 1]))) + spec.kappa.entry(i, j)
-    factor = spec.eta_value(x1, x2, x3) * chi_ij * spec.phi(k, float(x[k - 1]))
+    factor = spec.eta_value(x1, x2, x3) * chi(spec, i, j, y) * spec.phi(k, float(x[k - 1]))
     if abs(factor) <= FACTOR_FLOOR:
         raise HypothesisViolationError(
             f"reparametrization factor {factor!r} vanishes at y = {tuple(float(v) for v in y)}"
         )
     return factor
-
-
-@dataclass(frozen=True)
-class CanonicalCheckReport:
-    samples: int
-    max_deviation: float
-    worst_point: tuple[float, float, float]  # y-coordinates
-    verdict: str
-    scheme: str
-    seed: int
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "max_deviation": self.max_deviation,
-            "worst_point": list(self.worst_point),
-            "verdict": self.verdict,
-            "scheme": self.scheme,
-            "seed": self.seed,
-            "tol": self.tol,
-        }
 
 
 def canonical_check(
@@ -241,23 +196,18 @@ def canonical_check(
     seed: int = 42,
     tol: float = 1e-8,
     scheme: str = "analytic",
-) -> CanonicalCheckReport:
+) -> SampledCheckReport:
     """Pushforward over factor must equal the constant canonical matrix.
 
     Sampled over the chart domain; reports the worst entrywise deviation
     of J'(y) / J_ij(x(y)) from the canonical pattern.
     """
     target = canonical_matrix(chart.k)
-    worst = -1.0
-    worst_y = (0.0, 0.0, 0.0)
-    points = chart.domain.sample(n_samples, seed)
-    for x in points:
+
+    def measure(x):
         y = forward_map(chart, x)
         P = pushforward_matrix(chart, y, scheme).as_matrix()
         factor = reparam_factor(chart, y)
-        deviation = float(np.max(np.abs(P / factor - target)))
-        if deviation > worst:
-            worst = deviation
-            worst_y = tuple(float(v) for v in y)
-    verdict = "pass" if worst <= tol else "fail"
-    return CanonicalCheckReport(len(points), worst, worst_y, verdict, scheme, seed, tol)
+        return float(np.max(np.abs(P / factor - target))), tuple(float(v) for v in y)
+
+    return sampled_check("canonical", measure, chart.domain.sample(n_samples, seed), scheme, seed, tol)

@@ -28,8 +28,8 @@ from .errors import (
     ReparametrizationBreakdownError,
     UndefinedAtPointError,
 )
-from .family import PoissonFamilySpec, structure_matrix_at
-from .verification import fd_step
+from .family import PoissonFamilySpec, chi_expr, structure_matrix_at
+from .scalar_fields import central_difference
 
 METHODS = ("rk4", "midpoint")
 
@@ -67,15 +67,7 @@ class HamiltonianField:
     def gradient(self, x1: float, x2: float, x3: float) -> tuple[float, float, float]:
         if self._grad_fns is not None:
             return tuple(fn(x1, x2, x3) for fn in self._grad_fns)
-        out = []
-        for axis in range(3):
-            h = fd_step((x1, x2, x3)[axis])
-            hi = [x1, x2, x3]
-            lo = [x1, x2, x3]
-            hi[axis] += h
-            lo[axis] -= h
-            out.append((self.value(*hi) - self.value(*lo)) / (2.0 * h))
-        return tuple(out)
+        return tuple(central_difference(self.value, (x1, x2, x3), axis) for axis in range(3))
 
 
 def as_hamiltonian(h) -> HamiltonianField:
@@ -125,21 +117,22 @@ def invariant_drift(traj: Trajectory) -> DriftReport:
     return DriftReport(dH, rel_dH, dC, dC / max(1.0, abs(float(traj.C[0]))))
 
 
+def _j_grad_h(spec: PoissonFamilySpec, H: HamiltonianField, x1: float, x2: float, x3: float) -> tuple:
+    J = structure_matrix_at(spec, (x1, x2, x3), check_domain=False)
+    g1, g2, g3 = H.gradient(x1, x2, x3)
+    return (
+        J.j12 * g2 - J.j31 * g3,
+        -J.j12 * g1 + J.j23 * g3,
+        J.j31 * g1 - J.j23 * g2,
+    )
+
+
 def hamiltonian_vector_field(spec: PoissonFamilySpec, h, x, check_domain: bool = True) -> np.ndarray:
     """J(x) grad H(x)."""
     H = as_hamiltonian(h)
     if check_domain and not spec.domain.contains(x):
         raise DomainMembershipError(f"point {tuple(float(v) for v in x)} is outside the domain")
-    x1, x2, x3 = (float(v) for v in x)
-    J = structure_matrix_at(spec, (x1, x2, x3), check_domain=False)
-    g1, g2, g3 = H.gradient(x1, x2, x3)
-    return np.array(
-        [
-            J.j12 * g2 - J.j31 * g3,
-            -J.j12 * g1 + J.j23 * g3,
-            J.j31 * g1 - J.j23 * g2,
-        ]
-    )
+    return np.array(_j_grad_h(spec, H, *(float(v) for v in x)))
 
 
 def _stepper(method: str, rhs, dt: float):
@@ -196,14 +189,7 @@ def integrate(
     dt_eff = t_end / n_steps
 
     def rhs(state):
-        x1, x2, x3 = state
-        J = structure_matrix_at(spec, (x1, x2, x3), check_domain=False)
-        g1, g2, g3 = H.gradient(x1, x2, x3)
-        return (
-            J.j12 * g2 - J.j31 * g3,
-            -J.j12 * g1 + J.j23 * g3,
-            J.j31 * g1 - J.j23 * g2,
-        )
+        return _j_grad_h(spec, H, *state)
 
     step = _stepper(method, rhs, dt_eff)
 
@@ -266,8 +252,6 @@ def _reduced_hamiltonian(chart: DarbouxChart, H: HamiltonianField):
     fld = spec.field(k)
     if H.expr is not None and fld.zeta is not None:
         # x_k(y) = zeta_k(psi_j(y_j) + kappa_jk + chi_ij(y_i, y_j) y_k)
-        from .family import chi_expr
-
         psi_j = ex.substitute(spec.field(j).psi, "u", ex.Var(f"x{j}"))
         arg = ex.add(
             ex.add(psi_j, ex.lit(spec.kappa.entry(j, k))),
@@ -285,15 +269,7 @@ def _reduced_hamiltonian(chart: DarbouxChart, H: HamiltonianField):
         return H.value(float(x[0]), float(x[1]), float(x[2]))
 
     def grad_pair(y):
-        out = []
-        for axis in (i, j):
-            h = fd_step(y[axis - 1])
-            hi = list(y)
-            lo = list(y)
-            hi[axis - 1] += h
-            lo[axis - 1] -= h
-            out.append((value(*hi) - value(*lo)) / (2.0 * h))
-        return tuple(out)
+        return tuple(central_difference(value, y, axis - 1) for axis in (i, j))
 
     return value, grad_pair
 
@@ -331,26 +307,36 @@ def integrate_reduced(
     dtau_eff = math.copysign(abs(tau_end) / n_steps, tau_end)
     value, grad_pair = _reduced_hamiltonian(chart, H)
 
-    def rhs(pair):
-        y = [0.0, 0.0, 0.0]
-        y[i - 1], y[j - 1] = pair
-        y[k - 1] = y0[k - 1]
-        gi, gj = grad_pair(y)
-        return (gj, -gi)  # dy_i/dtau = +dH/dy_j, dy_j/dtau = -dH/dy_i
-
-    step = _stepper(method, rhs, dtau_eff)
-
     def assemble(pair) -> list[float]:
         y = [0.0, 0.0, 0.0]
         y[i - 1], y[j - 1] = pair
         y[k - 1] = y0[k - 1]
         return y
 
+    def rhs(pair):
+        gi, gj = grad_pair(assemble(pair))
+        return (gj, -gi)  # dy_i/dtau = +dH/dy_j, dy_j/dtau = -dH/dy_i
+
+    step = _stepper(method, rhs, dtau_eff)
+
     def factor_at(y) -> float:
         try:
             return reparam_factor(chart, y)
         except HypothesisViolationError as exc:
             raise ReparametrizationBreakdownError(str(exc)) from None
+
+    def partial() -> Trajectory:
+        return Trajectory(
+            np.array(ts),
+            np.array(taus),
+            np.array(ys),
+            np.array(hs),
+            np.full(len(ts), -y0[k - 1]),
+            chart.k,
+            dtau_eff,
+            method,
+            coords="y",
+        )
 
     taus: list[float] = []
     ts: list[float] = []
@@ -379,25 +365,14 @@ def integrate_reduced(
                 f"reduced trajectory left the domain at tau = {(m + 1) * dtau_eff}",
                 (m + 1) * dtau_eff,
                 tuple(y),
+                partial(),
             )
         taus.append((m + 1) * dtau_eff)
         ts.append(ts[-1] + dtau_eff * 0.5 * (g_prev + g_new))
         ys.append(y)
         hs.append(value(*y))
         g_prev = g_new
-
-    casimir_constant = -y0[k - 1]
-    return Trajectory(
-        np.array(ts),
-        np.array(taus),
-        np.array(ys),
-        np.array(hs),
-        np.full(len(ts), casimir_constant),
-        chart.k,
-        dtau_eff,
-        method,
-        coords="y",
-    )
+    return partial()
 
 
 def hermite_resample(traj: Trajectory, t_values, deriv_fn) -> np.ndarray:

@@ -38,6 +38,15 @@ _AXES = (1, 2, 3)
 ENTRY_PAIRS = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
+def _skew_entry(cyclic_entries: tuple[float, float, float], i: int, j: int) -> float:
+    """Entry (i, j) of the skew 3x3 matrix whose (1,2), (2,3), (3,1) entries are given."""
+    if i == j:
+        return 0.0
+    if (j - i) % 3 == 1:  # (1, 2), (2, 3) or (3, 1)
+        return cyclic_entries[i - 1]
+    return -cyclic_entries[j - 1]
+
+
 @dataclass(frozen=True)
 class KappaMatrix:
     """Skew constants with the zero-sum closure built in.
@@ -56,12 +65,7 @@ class KappaMatrix:
     def entry(self, i: int, j: int) -> float:
         if i not in _AXES or j not in _AXES:
             raise InvalidAxisError(f"axes must be in {{1,2,3}}, got ({i}, {j})")
-        if i == j:
-            return 0.0
-        table = {(1, 2): self.k12, (2, 3): self.k23, (3, 1): self.k31}
-        if (i, j) in table:
-            return table[(i, j)]
-        return -table[(j, i)]
+        return _skew_entry((self.k12, self.k23, self.k31), i, j)
 
     def shifted(self, k1: float, k2: float, k3: float) -> "KappaMatrix":
         """Constants after replacing every psi_i by psi_i + k_i."""
@@ -273,11 +277,7 @@ def chi_expr(spec: PoissonFamilySpec, i: int, j: int, kappa_override: tuple[floa
         raise InvalidAxisError(f"need two distinct axes in {{1,2,3}}, got ({i}, {j})")
     psi_i = ex.substitute(spec.field(i).psi, "u", ex.Var(f"x{i}"))
     psi_j = ex.substitute(spec.field(j).psi, "u", ex.Var(f"x{j}"))
-    if kappa_override is None:
-        k = spec.kappa.entry(i, j)
-    else:
-        table = {(1, 2): kappa_override[0], (2, 3): kappa_override[1], (3, 1): kappa_override[2]}
-        k = table[(i, j)] if (i, j) in table else -table[(j, i)]
+    k = spec.kappa.entry(i, j) if kappa_override is None else _skew_entry(kappa_override, i, j)
     return ex.add(ex.sub(psi_i, psi_j), ex.Lit(float(k)))
 
 

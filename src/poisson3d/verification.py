@@ -19,16 +19,9 @@ from dataclasses import dataclass
 from . import expr as ex
 from .errors import DomainEvalError
 from .family import PoissonFamilySpec, entry_exprs
-from .scalar_fields import DomainBox
-
-_EPS3 = float.fromhex("0x1.0p-52") ** (1.0 / 3.0)
+from .scalar_fields import DomainBox, central_difference
 
 ENTRY_NAMES = ("j12", "j23", "j31")
-
-
-def fd_step(x: float) -> float:
-    # truncation/rounding balance for first-order central differences
-    return _EPS3 * max(1.0, abs(x))
 
 
 def _as_callable(obj, what: str):
@@ -92,12 +85,7 @@ class MatrixField3:
     def partial(self, idx: int, axis: int, x1: float, x2: float, x3: float, scheme: str) -> float:
         if scheme == "analytic":
             return self._analytic_partial(idx, axis)(x1, x2, x3)
-        point = [x1, x2, x3]
-        h = fd_step(point[axis - 1])
-        hi, lo = list(point), list(point)
-        hi[axis - 1] += h
-        lo[axis - 1] -= h
-        return (self._fns[idx](*hi) - self._fns[idx](*lo)) / (2.0 * h)
+        return central_difference(self._fns[idx], (x1, x2, x3), axis - 1)
 
 
 def matrix_field_from_spec(spec: PoissonFamilySpec) -> MatrixField3:
@@ -120,7 +108,11 @@ def jacobi_residual(field: MatrixField3, x, scheme: str = "auto") -> float:
     """The single independent 3-D Jacobi combination at a point."""
     scheme = resolve_scheme(field, scheme)
     x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
-    j12, j23, j31 = field.entries(x1, x2, x3)
+    return _jacobi_combination(field, x1, x2, x3, field.entries(x1, x2, x3), scheme)
+
+
+def _jacobi_combination(field: MatrixField3, x1: float, x2: float, x3: float, entries, scheme: str) -> float:
+    j12, j23, j31 = entries
     p = lambda idx, axis: field.partial(idx, axis, x1, x2, x3, scheme)
     r = (
         j12 * p(2, 1)
@@ -135,13 +127,27 @@ def jacobi_residual(field: MatrixField3, x, scheme: str = "auto") -> float:
     return r
 
 
+# report keys of each check kind: (worst-value key, scheme key)
+_REPORT_KEYS = {
+    "jacobi": ("max_abs_residual", "derivative_scheme"),
+    "canonical": ("max_deviation", "scheme"),
+}
+
+
 @dataclass(frozen=True)
-class VerificationReport:
+class SampledCheckReport:
+    """Worst per-point value of a sampled check and the verdict against tol.
+
+    kind "jacobi": the scale-normalized Jacobi residual, worst_point in x.
+    kind "canonical": the deviation from the canonical form, worst_point in y.
+    """
+
+    kind: str
     samples: int
-    max_abs_residual: float  # per-point residual over (1 + max |entry|)
+    worst: float
     worst_point: tuple[float, float, float]
     verdict: str  # "pass" | "fail"
-    derivative_scheme: str
+    scheme: str
     seed: int
     tol: float
 
@@ -150,15 +156,32 @@ class VerificationReport:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
+        worst_key, scheme_key = _REPORT_KEYS[self.kind]
         return {
             "samples": self.samples,
-            "max_abs_residual": self.max_abs_residual,
+            worst_key: self.worst,
             "worst_point": list(self.worst_point),
             "verdict": self.verdict,
-            "derivative_scheme": self.derivative_scheme,
+            scheme_key: self.scheme,
             "seed": self.seed,
             "tol": self.tol,
         }
+
+
+def sampled_check(kind: str, measure, points, scheme: str, seed: int, tol: float) -> SampledCheckReport:
+    """Apply measure(point) -> (value, reported point) to every sample point.
+
+    The first point with the largest value is the worst point; the verdict
+    passes when that value is at most tol.
+    """
+    worst = -1.0
+    worst_point = (0.0, 0.0, 0.0)
+    for pt in points:
+        value, where = measure(pt)
+        if value > worst:
+            worst, worst_point = value, where
+    verdict = "pass" if worst <= tol else "fail"
+    return SampledCheckReport(kind, len(points), worst, worst_point, verdict, scheme, seed, tol)
 
 
 def verify_structure(
@@ -168,7 +191,7 @@ def verify_structure(
     tol: float = 1e-6,
     seed: int = 42,
     scheme: str = "auto",
-) -> VerificationReport:
+) -> SampledCheckReport:
     """Sample the domain and report the worst scale-normalized residual.
 
     Points derive from (seed, index) alone, so the report is reproducible
@@ -177,19 +200,14 @@ def verify_structure(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     scheme = resolve_scheme(field, scheme)
-    points = domain.sample(n_samples, seed)
-    worst = -1.0
-    worst_point = tuple(float(v) for v in points[0])
-    for pt in points:
+
+    def measure(pt):
         x1, x2, x3 = float(pt[0]), float(pt[1]), float(pt[2])
         entries = field.entries(x1, x2, x3)
         scale = 1.0 + max(abs(v) for v in entries)
-        scaled = abs(jacobi_residual(field, (x1, x2, x3), scheme)) / scale
-        if scaled > worst:
-            worst = scaled
-            worst_point = (x1, x2, x3)
-    verdict = "pass" if worst <= tol else "fail"
-    return VerificationReport(len(points), worst, worst_point, verdict, scheme, seed, tol)
+        return abs(_jacobi_combination(field, x1, x2, x3, entries, scheme)) / scale, (x1, x2, x3)
+
+    return sampled_check("jacobi", measure, domain.sample(n_samples, seed), scheme, seed, tol)
 
 
 def reduction_identity_check(

@@ -165,7 +165,7 @@ def test_criterion_5_darboux_charts():
             worst_rt = max(worst_rt, float(np.max(np.abs(back - np.asarray(x, float)))))
             worst_rt = max(worst_rt, float(np.max(np.abs(forward_map(chart, back) - y))))
         rep = canonical_check(chart, 1000, seed=55, tol=1e-8)
-        worst_dev = max(worst_dev, rep.max_deviation)
+        worst_dev = max(worst_dev, rep.worst)
         assert rep.verdict == "pass", name
     ok = worst_rt <= 1e-10 and worst_dev <= 1e-8
     report(

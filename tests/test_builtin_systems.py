@@ -75,7 +75,7 @@ class TestHalphen:
         spec = halphen_structure()
         report = verify_structure(matrix_field_from_spec(spec), spec.domain, 1000, 1e-6, seed=42)
         assert report.verdict == "pass"
-        assert report.derivative_scheme == "analytic"
+        assert report.scheme == "analytic"
 
     def test_verify_fd_on_separated_box(self):
         spec = halphen_structure(default_halphen_domain(ORDERED_BOX))

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -192,6 +193,91 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         "--t-end", "1.0", "--dt", "-0.1", "--out", str(tmp_path / "x.csv"),
     )
     assert code == 2
+    for flag, value in (("--tol", "nan"), ("--tol", "-1")):
+        code, out, err = run_cli(capsys, "verify", "--system", "halphen", "--samples", "10", flag, value)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: --tol ")
+    for t_end, dt, flag in (("inf", "0.1", "--t-end"), ("1.0", "nan", "--dt")):
+        code, out, err = run_cli(
+            capsys, "simulate", "--system", "halphen", "--x0", "0.1,0.5,0.9",
+            "--t-end", t_end, "--dt", dt, "--out", str(tmp_path / "x.csv"),
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag} ")
+
+
+def test_random_argv_exit_codes(capsys, tmp_path, wide_spec_file, broken_spec_file):
+    """Changes of a valid argv exit with 0, 1 or 2 and never show a traceback.
+
+    Every single-option change is run, then random pairs of changes up to
+    200 runs in all.
+    """
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    numbers = ("nan", "inf", "-1", "0", "abc", "0.5", "2")
+    points = ("nan,1,2", "inf,0,1", "1,2", "abc", "0.5,0.5,0.9", "1,2,4", None)
+    systems = (
+        ("--system", "circle-maps"), ("--system", "euler-top"), ("--system", "bogus"),
+        ("--spec", wide_spec_file), ("--spec", broken_spec_file), ("--spec", str(bad_json)),
+        ("--spec", str(tmp_path / "missing.json")), ("--system", "euler-top", "--I", "1,1,3"),
+        ("--system", "euler-top", "--I", "nan,1,2"), (),
+    )
+    halphen = ("--system", "halphen")
+    # option -> (value in the valid argv, alternatives); None leaves the option out
+    grammar = {
+        "list": {},
+        "verify": {
+            "system": (halphen, systems), "--samples": ("3", numbers), "--tol": ("1e-6", numbers),
+            "--seed": ("7", numbers), "--scheme": ("auto", ("analytic", "fd", "exact")),
+        },
+        "casimir": {
+            "system": (halphen, systems), "--k": ("3", ("1", "2", "4", "nan", None)),
+            "--point": ("0.5,0.7,0.9", points),
+        },
+        "darboux": {
+            "system": (halphen, systems), "--k": (None, ("1", "2", "3", "0")),
+            "--check-samples": ("3", numbers), "--seed": ("7", numbers), "--point": (None, points),
+        },
+        "simulate": {
+            "system": (halphen, systems), "--x0": ("0.5,0.7,0.9", points),
+            "--t-end": ("0.5", numbers + (None,)), "--dt": ("0.1", numbers + (None,)),
+            "--method": ("rk4", ("midpoint", "euler")), "--hamiltonian": (None, ("x1*x2", "x1 +", "ln(x1)")),
+            "--reduced": (False, (True,)), "--k": (None, ("1", "2", "3")), "--seed": (None, numbers),
+            "--out": (str(tmp_path / "fuzz.csv"), (None,)),
+        },
+    }
+
+    def argv_of(command, changes):
+        argv = [command]
+        for option, (valid, _) in grammar[command].items():
+            value = changes.get(option, valid)
+            if option == "system":
+                argv += value
+            elif value is True:
+                argv.append(option)
+            elif value not in (None, False):
+                argv += [option, value]
+        return argv
+
+    cases = [argv_of(command, {}) for command in grammar]
+    for command, options in grammar.items():
+        for option, (_, alternatives) in options.items():
+            cases += [argv_of(command, {option: alt}) for alt in alternatives]
+    rng = random.Random(0)
+    commands = [c for c in grammar if len(grammar[c]) >= 2]
+    while len(cases) < 200:
+        command = rng.choice(commands)
+        options = rng.sample(sorted(grammar[command]), 2)
+        cases.append(argv_of(command, {o: rng.choice(grammar[command][o][1]) for o in options}))
+
+    for argv in cases:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
 
 
 def test_verify_fd_scheme_flag(capsys, tmp_path):

@@ -123,7 +123,7 @@ class TestCanonicalCheck:
     def test_halphen_ordered(self, halphen_ordered_chart):
         report = canonical_check(halphen_ordered_chart, 1000, seed=42)
         assert report.verdict == "pass"
-        assert report.max_deviation <= 1e-8
+        assert report.worst <= 1e-8
 
     def test_euler_top(self, top_chart):
         report = canonical_check(top_chart, 1000, seed=42)

@@ -207,6 +207,24 @@ class TestReduced:
         with pytest.raises(ReparametrizationBreakdownError):
             integrate_reduced(chart, ex.parse("x3"), y0, 0.6, 1e-3)
 
+    def test_domain_exit_carries_partial(self):
+        # H = x1 drives y2 down at unit rate with y1 and y3 fixed; x2 = y2
+        # leaves [0.6, 1.0] just after tau = 0.2
+        spec = make_flat_spec(((0.0, 0.4), (0.6, 1.0), (-1.0, 1.0)))
+        chart = build_chart(spec, k=3)
+        y0 = forward_map(chart, (0.2, 0.8, 0.5))
+        with pytest.raises(DomainExitError) as err:
+            integrate_reduced(chart, ex.parse("x1"), y0, 0.5, 0.01)
+        partial = err.value.partial
+        assert partial is not None and partial.coords == "y"
+        assert len(partial) == len(partial.tau) == len(partial.states) >= 2
+        last = partial.states[-1]
+        assert spec.domain.contains(inverse_map(chart, last))
+        assert last[0] == y0[0] and last[2] == y0[2]
+        assert 0.6 <= last[1] < 0.61
+        assert err.value.state[1] < 0.6
+        assert err.value.t == pytest.approx(partial.tau[-1] + 0.01)
+
     def test_preconditions(self, halphen):
         chart = build_chart(halphen, k=3)
         y0 = forward_map(chart, X0)

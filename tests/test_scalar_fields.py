@@ -145,6 +145,10 @@ def test_domain_box_sampling_rejects_empty():
     box = DomainBox(((0.0, 1.0),) * 3, ex.parse("x1 - x1"))  # predicate always 0
     with pytest.raises(DomainSamplingError):
         box.sample(10, seed=1)
+    # admits only x1 < 0.005: too few of the 100 * 100 draws for 100 points
+    box = DomainBox(((0.0, 1.0),) * 3, ex.parse("(0.005 - x1) + abs(0.005 - x1)"))
+    with pytest.raises(DomainSamplingError):
+        box.sample(100, seed=0)
 
 
 def test_degenerate_interval_rejected():

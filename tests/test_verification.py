@@ -73,8 +73,8 @@ class TestVerifyStructure:
             matrix_field_from_spec(halphen_unit), halphen_unit.domain, 1000, 1e-6, seed=42
         )
         assert report.verdict == "pass"
-        assert report.derivative_scheme == "analytic"
-        assert report.max_abs_residual <= 1e-9
+        assert report.scheme == "analytic"
+        assert report.worst <= 1e-9
 
     def test_halphen_fd_on_separated_box(self):
         spec = make_halphen(ORDERED_BOX)
@@ -96,7 +96,7 @@ class TestVerifyStructure:
         box = DomainBox(((1.0, 2.0),) * 3, None)
         report = verify_structure(linear_field(), box, 200, 1e-6, seed=1)
         assert report.verdict == "fail"
-        assert report.max_abs_residual >= 1.0  # |r| >= 3, scale <= 3
+        assert report.worst >= 1.0  # |r| >= 3, scale <= 3
 
     def test_zero_samples_rejected(self, halphen_unit):
         with pytest.raises(ValueError):
@@ -105,10 +105,10 @@ class TestVerifyStructure:
     def test_verdict_tracks_tolerance(self, halphen_unit):
         field = matrix_field_from_spec(halphen_unit)
         report = verify_structure(field, halphen_unit.domain, 100, 1e-6, seed=2)
-        assert report.passed is (report.max_abs_residual <= report.tol)
+        assert report.passed is (report.worst <= report.tol)
         tight = verify_structure(field, halphen_unit.domain, 100, 1e-30, seed=2)
         assert tight.verdict == "fail"
-        assert tight.max_abs_residual == report.max_abs_residual
+        assert tight.worst == report.worst
 
     def test_determinism(self, halphen_unit):
         field = matrix_field_from_spec(halphen_unit)
