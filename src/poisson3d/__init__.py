@@ -33,7 +33,6 @@ from .darboux import (
     reparam_factor,
 )
 from .dynamics import (
-    HamiltonianField,
     Trajectory,
     hamiltonian_vector_field,
     integrate,
@@ -54,6 +53,7 @@ from .family import (
 )
 from .scalar_fields import (
     DomainBox,
+    Field3,
     ScalarField1D,
     assert_nonvanishing,
     build_scalar_field,

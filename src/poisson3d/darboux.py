@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr as ex
 from .casimir import (
     casimir_expr,
     casimir_value,
@@ -32,7 +31,7 @@ from .casimir import (
 )
 from .errors import DomainMembershipError, HypothesisViolationError
 from .family import PoissonFamilySpec, chi, structure_matrix_at
-from .scalar_fields import DomainBox, axis_sign, central_difference, psi_inverse
+from .scalar_fields import DomainBox, Field3, axis_sign, psi_inverse
 from .verification import SampledCheckReport, sampled_check
 
 FACTOR_FLOOR = 1e-12
@@ -54,7 +53,7 @@ class DarbouxChart:
     domain: DomainBox
     sign_branch: tuple[int, int, int]
     image_box: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
-    grad_fns: tuple = field(repr=False, compare=False)
+    casimir: Field3 = field(repr=False, compare=False)
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -99,17 +98,13 @@ def build_chart(
             )
         sign_seen = s
 
-    grad_fns = tuple(
-        ex.compile_expr(ex.differentiate(casimir_expr(spec, k), f"x{axis}"), ("x1", "x2", "x3"))
-        for axis in (1, 2, 3)
-    )
     chart = DarbouxChart(
         spec,
         k,
         domain,
         tuple(axis_sign(iv) for iv in domain.intervals),
         ((0.0, 0.0),) * 3,  # replaced below once forward exists
-        grad_fns,
+        Field3(casimir_expr(spec, k)),
     )
     ys = np.array([forward_map(chart, x) for x in points])
     image_box = tuple((float(ys[:, a].min()), float(ys[:, a].max())) for a in range(3))
@@ -141,18 +136,12 @@ def jacobian_forward(chart: DarbouxChart, x, scheme: str = "analytic") -> np.nda
     """d y / d x at a domain point; row k is the negated Casimir gradient.
 
     analytic differentiates the Casimir ratio symbolically; fd applies
-    central differences to the forward map.
+    central differences to it.
     """
-    x1, x2, x3 = (float(v) for v in x)
-    M = np.eye(3)
-    if scheme == "analytic":
-        row = [-fn(x1, x2, x3) for fn in chart.grad_fns]
-    elif scheme == "fd":
-        y_k = lambda *p: -casimir_value(chart.spec, chart.k, p)
-        row = [central_difference(y_k, (x1, x2, x3), axis) for axis in range(3)]
-    else:
+    if scheme not in ("analytic", "fd"):
         raise ValueError(f"scheme must be analytic or fd, got {scheme!r}")
-    M[chart.k - 1, :] = row
+    M = np.eye(3)
+    M[chart.k - 1, :] = [-g for g in chart.casimir.gradient(*(float(v) for v in x), scheme)]
     return M
 
 

@@ -25,53 +25,27 @@ from .errors import (
     DomainExitError,
     DomainMembershipError,
     HypothesisViolationError,
+    OutOfRangeError,
     ReparametrizationBreakdownError,
     UndefinedAtPointError,
 )
 from .family import PoissonFamilySpec, chi_expr, structure_matrix_at
-from .scalar_fields import central_difference
+from .scalar_fields import Field3
 
 METHODS = ("rk4", "midpoint")
+MAX_STEPS = 10**6  # every step is kept in memory
 
 
-class HamiltonianField:
-    """A Hamiltonian with a gradient: symbolic, user-supplied, or fd.
-
-    H may be an expression in x1, x2, x3 or a callable; grad, when given,
-    is a triple of the same kind.  Expression Hamiltonians differentiate
-    symbolically; callables fall back to central differences.
-    """
-
-    def __init__(self, h, grad=None):
-        if isinstance(h, ex.Expr):
-            self.expr = h
-            self.value = ex.compile_expr(h, ("x1", "x2", "x3"))
-        elif callable(h):
-            self.expr = None
-            self.value = h
-        else:
-            raise TypeError(f"H must be an expression or callable, got {type(h)!r}")
-        if grad is not None:
-            fns = []
-            for g in grad:
-                fns.append(ex.compile_expr(g, ("x1", "x2", "x3")) if isinstance(g, ex.Expr) else g)
-            self._grad_fns = tuple(fns)
-        elif self.expr is not None:
-            self._grad_fns = tuple(
-                ex.compile_expr(ex.differentiate(self.expr, v), ("x1", "x2", "x3"))
-                for v in ("x1", "x2", "x3")
-            )
-        else:
-            self._grad_fns = None
-
-    def gradient(self, x1: float, x2: float, x3: float) -> tuple[float, float, float]:
-        if self._grad_fns is not None:
-            return tuple(fn(x1, x2, x3) for fn in self._grad_fns)
-        return tuple(central_difference(self.value, (x1, x2, x3), axis) for axis in range(3))
+def _step_count(span: float, step: float) -> int:
+    """round(span / step), at least 1; ValueError when that is not finite or above MAX_STEPS."""
+    ratio = span / step
+    if not (math.isfinite(ratio) and ratio <= MAX_STEPS):
+        raise ValueError(f"{span!r} / {step!r} = {ratio!r} steps; at most {MAX_STEPS} are allowed")
+    return max(1, round(ratio))
 
 
-def as_hamiltonian(h) -> HamiltonianField:
-    return h if isinstance(h, HamiltonianField) else HamiltonianField(h)
+def as_hamiltonian(h) -> Field3:
+    return h if isinstance(h, Field3) else Field3(h)
 
 
 @dataclass(frozen=True)
@@ -117,7 +91,7 @@ def invariant_drift(traj: Trajectory) -> DriftReport:
     return DriftReport(dH, rel_dH, dC, dC / max(1.0, abs(float(traj.C[0]))))
 
 
-def _j_grad_h(spec: PoissonFamilySpec, H: HamiltonianField, x1: float, x2: float, x3: float) -> tuple:
+def _j_grad_h(spec: PoissonFamilySpec, H: Field3, x1: float, x2: float, x3: float) -> tuple:
     J = structure_matrix_at(spec, (x1, x2, x3), check_domain=False)
     g1, g2, g3 = H.gradient(x1, x2, x3)
     return (
@@ -179,13 +153,13 @@ def integrate(
         raise ValueError(f"dt must be positive, got {dt!r}")
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end!r}")
+    n_steps = _step_count(t_end, dt)
     if not spec.domain.contains(x0):
         raise DomainMembershipError(f"x0 = {tuple(float(v) for v in x0)} is outside the domain")
     H = as_hamiltonian(h)
     if casimir_k == "auto":
         casimir_k = default_casimir_index(spec)
 
-    n_steps = max(1, round(t_end / dt))
     dt_eff = t_end / n_steps
 
     def rhs(state):
@@ -245,8 +219,8 @@ def integrate(
 # Reduced dynamics in Darboux coordinates
 
 
-def _reduced_hamiltonian(chart: DarbouxChart, H: HamiltonianField):
-    """H(x(y)) and its (d/dy_i, d/dy_j) gradient; symbolic when possible."""
+def _reduced_hamiltonian(chart: DarbouxChart, H: Field3) -> Field3:
+    """H(x(y)) as a field in y; symbolic when H and zeta_k are expressions."""
     spec = chart.spec
     i, j, k = cyclic(chart.k)
     fld = spec.field(k)
@@ -258,20 +232,13 @@ def _reduced_hamiltonian(chart: DarbouxChart, H: HamiltonianField):
             ex.mul(chi_expr(spec, i, j), ex.Var(f"x{k}")),
         )
         xk_of_y = ex.substitute(fld.zeta, "u", arg)
-        h_tilde = ex.substitute(H.expr, f"x{k}", xk_of_y)
-        value = ex.compile_expr(h_tilde, ("x1", "x2", "x3"))
-        d_i = ex.compile_expr(ex.differentiate(h_tilde, f"x{i}"), ("x1", "x2", "x3"))
-        d_j = ex.compile_expr(ex.differentiate(h_tilde, f"x{j}"), ("x1", "x2", "x3"))
-        return value, lambda y: (d_i(*y), d_j(*y))
+        return Field3(ex.substitute(H.expr, f"x{k}", xk_of_y))
 
     def value(y1, y2, y3):
         x = inverse_map(chart, (y1, y2, y3))
         return H.value(float(x[0]), float(x[1]), float(x[2]))
 
-    def grad_pair(y):
-        return tuple(central_difference(value, y, axis - 1) for axis in (i, j))
-
-    return value, grad_pair
+    return Field3(value)
 
 
 def integrate_reduced(
@@ -293,6 +260,7 @@ def integrate_reduced(
         raise ValueError(f"dtau must be positive, got {dtau!r}")
     if tau_end == 0.0:
         raise ValueError("tau_end must be nonzero")
+    n_steps = _step_count(abs(tau_end), dtau)
     H = as_hamiltonian(h)
     spec = chart.spec
     i, j, k = cyclic(chart.k)
@@ -303,9 +271,8 @@ def integrate_reduced(
             f"y0 = {tuple(y0)} maps to {tuple(float(v) for v in x_start)} outside the domain"
         )
 
-    n_steps = max(1, round(abs(tau_end) / dtau))
     dtau_eff = math.copysign(abs(tau_end) / n_steps, tau_end)
-    value, grad_pair = _reduced_hamiltonian(chart, H)
+    H_y = _reduced_hamiltonian(chart, H)
 
     def assemble(pair) -> list[float]:
         y = [0.0, 0.0, 0.0]
@@ -314,8 +281,9 @@ def integrate_reduced(
         return y
 
     def rhs(pair):
-        gi, gj = grad_pair(assemble(pair))
-        return (gj, -gi)  # dy_i/dtau = +dH/dy_j, dy_j/dtau = -dH/dy_i
+        y = assemble(pair)
+        gi = H_y.partial(i, *y)
+        return (H_y.partial(j, *y), -gi)  # dy_i/dtau = +dH/dy_j, dy_j/dtau = -dH/dy_i
 
     step = _stepper(method, rhs, dtau_eff)
 
@@ -323,7 +291,7 @@ def integrate_reduced(
         try:
             return reparam_factor(chart, y)
         except HypothesisViolationError as exc:
-            raise ReparametrizationBreakdownError(str(exc)) from None
+            raise ReparametrizationBreakdownError(str(exc), partial() if taus else None) from None
 
     def partial() -> Trajectory:
         return Trajectory(
@@ -349,18 +317,25 @@ def integrate_reduced(
     taus.append(0.0)
     ts.append(0.0)
     ys.append(y)
-    hs.append(value(*y))
+    hs.append(H_y.value(*y))
     for m in range(n_steps):
         try:
             pair = step(pair)
         except (DomainEvalError, UndefinedAtPointError) as exc:
             raise ReparametrizationBreakdownError(
-                f"reduced step failed at tau = {m * dtau_eff}: {exc}"
+                f"reduced step failed at tau = {m * dtau_eff}: {exc}", partial()
+            ) from None
+        except OutOfRangeError as exc:  # a stage's x(y) lies beyond the box edge
+            raise DomainExitError(
+                f"reduced step left the domain at tau = {m * dtau_eff}: {exc}", m * dtau_eff, tuple(y), partial()
             ) from None
         y = assemble(pair)
-        g_new = 1.0 / factor_at(y)  # breakdown outranks domain exit
-        x = inverse_map(chart, y)
-        if not spec.domain.contains(x):
+        try:
+            g_new = 1.0 / factor_at(y)  # breakdown outranks domain exit
+            inside = spec.domain.contains(inverse_map(chart, y))
+        except OutOfRangeError:  # x_k(y) lies beyond the box edge
+            inside = False
+        if not inside:
             raise DomainExitError(
                 f"reduced trajectory left the domain at tau = {(m + 1) * dtau_eff}",
                 (m + 1) * dtau_eff,
@@ -370,7 +345,7 @@ def integrate_reduced(
         taus.append((m + 1) * dtau_eff)
         ts.append(ts[-1] + dtau_eff * 0.5 * (g_prev + g_new))
         ys.append(y)
-        hs.append(value(*y))
+        hs.append(H_y.value(*y))
         g_prev = g_new
     return partial()
 

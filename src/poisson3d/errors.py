@@ -77,3 +77,7 @@ class DomainExitError(PoissonError):
 
 class ReparametrizationBreakdownError(PoissonError):
     """The time-reparametrization factor crossed its vanishing threshold."""
+
+    def __init__(self, message: str, partial=None):
+        super().__init__(message)
+        self.partial = partial

@@ -6,7 +6,7 @@ be continuous and nonvanishing on the axis interval, which makes psi
 strictly monotone and globally invertible there; those guarantees are what
 the Casimir and chart constructions later rely on.  All certificates here
 are sampled (grid) checks, not proofs.  The package's one central-difference
-helper lives here too.
+helper lives here too, with Field3, the one differentiable field of x.
 """
 
 from __future__ import annotations
@@ -40,6 +40,56 @@ def central_difference(f, point, axis: int, h: float | None = None) -> float:
     hi[axis] += h
     lo[axis] -= h
     return (f(*hi) - f(*lo)) / (2.0 * h)
+
+
+_XS = ("x1", "x2", "x3")
+
+
+def _compiled(obj, what: str):
+    if isinstance(obj, ex.Expr):
+        return ex.compile_expr(obj, _XS)
+    if callable(obj):
+        return obj
+    raise TypeError(f"{what} must be an expression or a callable, got {type(obj)!r}")
+
+
+class Field3:
+    """A scalar function of (x1, x2, x3) and the one place its partials are decided.
+
+    f is an expression or a callable f(x1, x2, x3); partials, when given, is
+    a (d/dx1, d/dx2, d/dx3) triple of expressions, callables or None.  Under
+    the "analytic" scheme a supplied partial wins for its axis, and the
+    expression's partial is differentiated symbolically on first use and
+    cached.  "fd" takes central differences of the value; "auto" is
+    "analytic" when symbolic() holds and "fd" otherwise.
+    """
+
+    def __init__(self, f, partials=None):
+        self.value = _compiled(f, "f")
+        self.expr = f if isinstance(f, ex.Expr) else None
+        self._partials = [
+            None if p is None else _compiled(p, f"partial d/dx{axis}")
+            for axis, p in zip((1, 2, 3), partials or (None, None, None))
+        ]
+
+    def symbolic(self) -> bool:
+        return self.expr is not None or None not in self._partials
+
+    def partial(self, axis: int, x1: float, x2: float, x3: float, scheme: str = "auto") -> float:
+        """d f / d x_axis (axis 1, 2 or 3) at a point."""
+        if scheme == "fd" or (scheme == "auto" and not self.symbolic()):
+            return central_difference(self.value, (x1, x2, x3), axis - 1)
+        if scheme not in ("analytic", "auto"):
+            raise ValueError(f"scheme must be analytic, fd or auto, got {scheme!r}")
+        fn = self._partials[axis - 1]
+        if fn is None:
+            if self.expr is None:
+                raise ValueError(f"no expression or supplied partial along x{axis}")
+            fn = self._partials[axis - 1] = ex.compile_expr(ex.differentiate(self.expr, f"x{axis}"), _XS)
+        return fn(x1, x2, x3)
+
+    def gradient(self, x1: float, x2: float, x3: float, scheme: str = "auto") -> tuple[float, float, float]:
+        return tuple(self.partial(axis, x1, x2, x3, scheme) for axis in (1, 2, 3))
 
 
 def axis_sign(interval: tuple[float, float]) -> int:

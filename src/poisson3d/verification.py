@@ -16,76 +16,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import expr as ex
 from .errors import DomainEvalError
 from .family import PoissonFamilySpec, entry_exprs
-from .scalar_fields import DomainBox, central_difference
+from .scalar_fields import DomainBox, Field3
 
 ENTRY_NAMES = ("j12", "j23", "j31")
-
-
-def _as_callable(obj, what: str):
-    if isinstance(obj, ex.Expr):
-        return ex.compile_expr(obj, ("x1", "x2", "x3")), obj
-    if callable(obj):
-        return obj, None
-    raise TypeError(f"{what} must be an expression or a callable, got {type(obj)!r}")
 
 
 class MatrixField3:
     """A 3-D skew matrix field given by its three independent entries.
 
     Entries may be expressions (enabling the analytic derivative scheme) or
-    plain callables f(x1, x2, x3).  partials, when given, maps
-    (entry_name, axis) to the function for that partial derivative and
-    takes precedence over symbolic differentiation.
+    plain callables f(x1, x2, x3); each becomes a Field3.  partials, when
+    given, maps (entry_name, axis) to the function for that partial
+    derivative and takes precedence over symbolic differentiation.
     """
 
     def __init__(self, j12, j23, j31, partials: dict | None = None):
-        self._fns = []
-        self._exprs = []
-        for name, obj in zip(ENTRY_NAMES, (j12, j23, j31)):
-            fn, tree = _as_callable(obj, name)
-            self._fns.append(fn)
-            self._exprs.append(tree)
-        self._user_partials = {}
-        for key, obj in (partials or {}).items():
-            name, axis = key
-            fn, _ = _as_callable(obj, f"partial {key}")
-            self._user_partials[(ENTRY_NAMES.index(name), int(axis))] = fn
-        self._partial_cache: dict = {}
-
-    def entry(self, idx: int, x1: float, x2: float, x3: float) -> float:
-        return self._fns[idx](x1, x2, x3)
-
-    def entries(self, x1: float, x2: float, x3: float) -> tuple[float, float, float]:
-        return tuple(fn(x1, x2, x3) for fn in self._fns)
-
-    def analytic_available(self) -> bool:
-        return all(
-            self._exprs[idx] is not None
-            or all((idx, axis) in self._user_partials for axis in (1, 2, 3))
-            for idx in range(3)
+        supplied = {name: [None, None, None] for name in ENTRY_NAMES}
+        for (name, axis), obj in (partials or {}).items():
+            supplied[name][int(axis) - 1] = obj
+        self.fields = tuple(
+            Field3(obj, supplied[name]) for name, obj in zip(ENTRY_NAMES, (j12, j23, j31))
         )
 
-    def _analytic_partial(self, idx: int, axis: int):
-        key = (idx, axis)
-        if key in self._user_partials:
-            return self._user_partials[key]
-        if key not in self._partial_cache:
-            tree = self._exprs[idx]
-            if tree is None:
-                raise ValueError(
-                    f"no expression or user partial for {ENTRY_NAMES[idx]} along x{axis}"
-                )
-            d = ex.differentiate(tree, f"x{axis}")
-            self._partial_cache[key] = ex.compile_expr(d, ("x1", "x2", "x3"))
-        return self._partial_cache[key]
+    def entries(self, x1: float, x2: float, x3: float) -> tuple[float, float, float]:
+        return tuple(f.value(x1, x2, x3) for f in self.fields)
 
-    def partial(self, idx: int, axis: int, x1: float, x2: float, x3: float, scheme: str) -> float:
-        if scheme == "analytic":
-            return self._analytic_partial(idx, axis)(x1, x2, x3)
-        return central_difference(self._fns[idx], (x1, x2, x3), axis - 1)
+    def analytic_available(self) -> bool:
+        return all(f.symbolic() for f in self.fields)
 
 
 def matrix_field_from_spec(spec: PoissonFamilySpec) -> MatrixField3:
@@ -113,7 +72,7 @@ def jacobi_residual(field: MatrixField3, x, scheme: str = "auto") -> float:
 
 def _jacobi_combination(field: MatrixField3, x1: float, x2: float, x3: float, entries, scheme: str) -> float:
     j12, j23, j31 = entries
-    p = lambda idx, axis: field.partial(idx, axis, x1, x2, x3, scheme)
+    p = lambda idx, axis: field.fields[idx].partial(axis, x1, x2, x3, scheme)
     r = (
         j12 * p(2, 1)
         - j31 * p(0, 1)

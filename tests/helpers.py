@@ -1,4 +1,4 @@
-"""Shared generators, finite-difference oracles and a CLI child-process runner for the test suite."""
+"""Shared generators, finite-difference oracles and child-process runners for the test suite."""
 
 from __future__ import annotations
 
@@ -82,11 +82,12 @@ def fd_derivative_if_trustworthy(f, x: float):
 
 
 # ---------------------------------------------------------------------------
-# CLI in a child process, independent of the caller's working directory.
+# Python (the CLI or a script) in a child process, independent of the
+# caller's working directory.
 
 
-def run_cli_subprocess(argv, env_extra=None, cwd=None):
-    """Run `python -m poisson3d *argv` in a fresh interpreter.
+def run_python_subprocess(args, env_extra=None, cwd=None):
+    """Run `python *args` in a fresh interpreter.
 
     The child gets the absolute `src` directory first on PYTHONPATH (a
     relative entry inherited from the caller would not resolve from the
@@ -101,11 +102,16 @@ def run_cli_subprocess(argv, env_extra=None, cwd=None):
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
-        [sys.executable, "-m", "poisson3d", *argv],
+        [sys.executable, *args],
         capture_output=True, cwd=str(cwd or REPO_ROOT), env=env,
     )
     assert proc.returncode == 0, (
-        f"poisson3d {' '.join(argv)} exited {proc.returncode}; "
+        f"python {' '.join(args)} exited {proc.returncode}; "
         f"stderr:\n{proc.stderr.decode(errors='replace')}"
     )
     return proc
+
+
+def run_cli_subprocess(argv, env_extra=None, cwd=None):
+    """Run `python -m poisson3d *argv` in a fresh interpreter (see run_python_subprocess)."""
+    return run_python_subprocess(["-m", "poisson3d", *argv], env_extra, cwd)

@@ -204,6 +204,15 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         )
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag} ")
+    # step counts past the cap: the first ratio overflows, the second would never finish
+    for t_end, dt in (("1e308", "1e-308"), ("0.5", "1e-300")):
+        for extra in ((), ("--reduced",)):
+            code, out, err = run_cli(
+                capsys, "simulate", "--system", "halphen", "--x0", "0.1,0.5,0.9",
+                "--t-end", t_end, "--dt", dt, *extra, "--out", str(tmp_path / "x.csv"),
+            )
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_random_argv_exit_codes(capsys, tmp_path, wide_spec_file, broken_spec_file):

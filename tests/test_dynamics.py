@@ -7,7 +7,6 @@ from poisson3d import expr as ex
 from poisson3d.casimir import casimir_expr
 from poisson3d.darboux import build_chart, forward_map, inverse_map
 from poisson3d.dynamics import (
-    HamiltonianField,
     Trajectory,
     hamiltonian_vector_field,
     hermite_resample,
@@ -21,7 +20,7 @@ from poisson3d.errors import (
     ReparametrizationBreakdownError,
 )
 from poisson3d.family import make_family_spec, make_kappa
-from poisson3d.scalar_fields import DomainBox, build_scalar_field
+from poisson3d.scalar_fields import DomainBox, Field3, build_scalar_field
 from conftest import make_euler_top, make_flat_spec, make_halphen, ORDERED_BOX, WIDE_BOX
 
 H_SUM = ex.parse("x1 + x2 + x3")
@@ -53,7 +52,7 @@ class TestVectorField:
         assert np.max(np.abs(v)) <= 1e-14
 
     def test_energy_orthogonality(self, halphen):
-        H = HamiltonianField(ex.parse("x1*x2 + x3^2"))
+        H = Field3(ex.parse("x1*x2 + x3^2"))
         for x in halphen.domain.sample(50, seed=3):
             v = hamiltonian_vector_field(halphen, H, x)
             g = np.array(H.gradient(*map(float, x)))
@@ -65,11 +64,11 @@ class TestVectorField:
             hamiltonian_vector_field(halphen, H_SUM, (9.0, 9.5, 9.9))
 
     def test_supplied_gradient_matches_fd(self, halphen):
-        H = HamiltonianField(
+        H = Field3(
             ex.parse("x1^2 + sin(x2)"),
-            grad=(ex.parse("2*x1"), ex.parse("cos(x2)"), ex.parse("0")),
+            partials=(ex.parse("2*x1"), ex.parse("cos(x2)"), ex.parse("0")),
         )
-        fd = HamiltonianField(lambda x1, x2, x3: x1**2 + math.sin(x2))
+        fd = Field3(lambda x1, x2, x3: x1**2 + math.sin(x2))
         for x in halphen.domain.sample(25, seed=9):
             a = np.array(H.gradient(*map(float, x)))
             b = np.array(fd.gradient(*map(float, x)))
@@ -204,8 +203,10 @@ class TestReduced:
         spec = make_family_spec(ex.parse("1"), fields, make_kappa(0.0, 0.0), domain)
         chart = build_chart(spec, k=3)
         y0 = forward_map(chart, (0.3, 0.7, 0.2))
-        with pytest.raises(ReparametrizationBreakdownError):
+        with pytest.raises(ReparametrizationBreakdownError) as err:
             integrate_reduced(chart, ex.parse("x3"), y0, 0.6, 1e-3)
+        partial = err.value.partial
+        assert partial is not None and partial.coords == "y" and len(partial) >= 1
 
     def test_domain_exit_carries_partial(self):
         # H = x1 drives y2 down at unit rate with y1 and y3 fixed; x2 = y2
@@ -224,6 +225,20 @@ class TestReduced:
         assert 0.6 <= last[1] < 0.61
         assert err.value.state[1] < 0.6
         assert err.value.t == pytest.approx(partial.tau[-1] + 0.01)
+
+    def test_box_edge_is_domain_exit(self):
+        # forward in tau the curved orbit reaches x3 = -4, the box edge, just
+        # after tau = 0.60; x_k(y) then has no preimage under psi_3
+        spec = make_halphen(((-4.0, 6.0),) * 3)
+        chart = build_chart(spec, k=3)
+        y0 = forward_map(chart, X0)
+        H = ex.parse("(x1^2 + x2^2 + x3^2)/2")
+        assert len(integrate_reduced(chart, H, y0, 0.60, 1e-3)) == 601
+        with pytest.raises(DomainExitError) as err:
+            integrate_reduced(chart, H, y0, 0.61, 1e-3)
+        partial = err.value.partial
+        assert partial is not None and partial.coords == "y" and len(partial) >= 601
+        assert spec.domain.contains(inverse_map(chart, partial.states[-1]))
 
     def test_preconditions(self, halphen):
         chart = build_chart(halphen, k=3)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ from poisson3d import expr as ex
 from poisson3d.errors import FieldValidationError, OutOfRangeError
 from poisson3d.scalar_fields import (
     DomainBox,
+    Field3,
     assert_nonvanishing,
     build_scalar_field,
     psi_inverse,
@@ -154,3 +156,21 @@ def test_domain_box_sampling_rejects_empty():
 def test_degenerate_interval_rejected():
     with pytest.raises(ValueError):
         DomainBox(((1.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
+
+
+def test_field3_mixed_derivative_sources():
+    f = ex.parse("x1^2 * x2 + sin(x3)")
+    # the supplied d/dx1 is deliberately not the true partial 2 x1 x2
+    mixed = Field3(f, partials=(ex.parse("7 + x2"), None, None))
+    plain = Field3(lambda x1, x2, x3: x1**2 * x2 + math.sin(x3))
+    assert mixed.symbolic() and not plain.symbolic()
+    for x1, x2, x3 in ((0.5, -1.25, 2.0), (1.5, 0.75, -0.3)):
+        for scheme in ("analytic", "auto"):
+            assert mixed.partial(1, x1, x2, x3, scheme) == 7.0 + x2
+            assert mixed.partial(2, x1, x2, x3, scheme) == pytest.approx(x1**2, rel=1e-15)
+            assert mixed.partial(3, x1, x2, x3, scheme) == pytest.approx(math.cos(x3), rel=1e-15)
+        exact = (2.0 * x1 * x2, x1**2, math.cos(x3))
+        for got in (plain.gradient(x1, x2, x3, "fd"), plain.gradient(x1, x2, x3)):
+            assert np.max(np.abs(np.subtract(got, exact))) <= 1e-6
+        with pytest.raises(ValueError):
+            plain.partial(2, x1, x2, x3, "analytic")
