@@ -39,11 +39,14 @@ def default_halphen_domain(box=DEFAULT_HALPHEN_BOX) -> DomainBox:
     return DomainBox(tuple(box), ex.parse(DIFFERENCE_PRODUCT))
 
 
-def _check_difference_predicate(domain: DomainBox, n_samples: int = 64, seed: int = 0) -> None:
+_PLANE_PROBES = 64
+
+
+def _check_difference_predicate(domain: DomainBox) -> None:
     """The domain must exclude coordinate coincidences.
 
-    Probes points on each coincidence plane x_i = x_j that the box can
-    reach; the predicate has to reject every one of them.
+    Probes _PLANE_PROBES points (seed 0) on each coincidence plane x_i = x_j
+    that the box can reach; the predicate has to reject every one of them.
     """
     from .scalar_fields import unit_uniforms
 
@@ -58,8 +61,8 @@ def _check_difference_predicate(domain: DomainBox, n_samples: int = 64, seed: in
             continue  # the box itself keeps this pair apart
         k = 3 - i - j
         klo, khi = domain.intervals[k]
-        for index in range(n_samples):
-            u, v = unit_uniforms(seed, 1000 * pair_index + index, 2)
+        for index in range(_PLANE_PROBES):
+            u, v = unit_uniforms(0, 1000 * pair_index + index, 2)
             x = [0.0, 0.0, 0.0]
             x[i] = x[j] = lo + (hi - lo) * u
             x[k] = klo + (khi - klo) * v

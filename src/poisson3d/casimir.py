@@ -34,16 +34,15 @@ def cyclic(k: int) -> tuple[int, int, int]:
     return i, j, k
 
 
-def denominator_threshold(spec: PoissonFamilySpec, i: int, j: int, x) -> float:
-    psi_i = spec.psi(i, float(x[i - 1]))
-    psi_j = spec.psi(j, float(x[j - 1]))
+def denominator_threshold(psi_i: float, psi_j: float) -> float:
+    """|chi_ij| at or below this, given psi_i and psi_j, counts as a zero."""
     return 1e-12 * (1.0 + abs(psi_i) + abs(psi_j))
 
 
 def _guarded_denominator(spec: PoissonFamilySpec, i: int, j: int, k: int, x) -> float:
     """chi_ij at x; UndefinedAtPointError when it is below the threshold."""
     denom = chi(spec, i, j, x)
-    if abs(denom) <= denominator_threshold(spec, i, j, x):
+    if abs(denom) <= denominator_threshold(*(spec.psi(a, float(x[a - 1])) for a in (i, j))):
         raise UndefinedAtPointError(
             f"chi_{i}{j} = {denom!r} at {tuple(float(v) for v in x)}; C_{k} undefined there"
         )
@@ -103,13 +102,28 @@ def annihilation_residual(spec: PoissonFamilySpec, k: int, x, gradient: np.ndarr
     return float(np.max(np.abs(J @ gradient)))
 
 
-def default_casimir_index(spec: PoissonFamilySpec, n_samples: int = 512, seed: int = 0) -> int:
-    """The k whose denominator chi stays farthest from zero over a sample."""
-    points = spec.domain.sample(n_samples, seed)
-    best_k, best_margin = 1, -1.0
-    for k in (1, 2, 3):
-        i, j, _ = cyclic(k)
-        margin = min(abs(chi(spec, i, j, x)) for x in points)
-        if margin > best_margin:
-            best_k, best_margin = k, margin
-    return best_k
+CHART_SAMPLES = 512
+
+
+def chi_table(spec: PoissonFamilySpec, points) -> list[tuple[tuple[float, float, float], tuple[float, float, float]]]:
+    """Per point, (psi_1, psi_2, psi_3) and the denominators (chi_23, chi_31, chi_12) of C_1, C_2, C_3.
+
+    Each chi is computed as chi() computes it, so values are float-identical.
+    """
+    k12, k23, k31 = spec.kappa.k12, spec.kappa.k23, spec.kappa.k31
+    table = []
+    for x in points:
+        p1, p2, p3 = (spec.psi(a, float(x[a - 1])) for a in (1, 2, 3))
+        table.append(((p1, p2, p3), ((p2 - p3) + k23, (p3 - p1) + k31, (p1 - p2) + k12)))
+    return table
+
+
+def best_casimir_index(table) -> int:
+    """The k whose denominator stays farthest from zero over a chi_table; the first k wins ties."""
+    margins = [min(abs(chis[k - 1]) for _, chis in table) for k in (1, 2, 3)]
+    return margins.index(max(margins)) + 1
+
+
+def default_casimir_index(spec: PoissonFamilySpec) -> int:
+    """best_casimir_index over CHART_SAMPLES domain points at seed 0."""
+    return best_casimir_index(chi_table(spec, spec.domain.sample(CHART_SAMPLES, seed=0)))

@@ -49,12 +49,36 @@ def _parse_point(text: str) -> tuple[float, float, float]:
     return tuple(float(p) for p in parts)
 
 
-def _load_domain(doc: dict) -> DomainBox:
-    box = doc.get("box")
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _pair(value, what: str) -> tuple[float, float]:
+    try:
+        if isinstance(value, list) and len(value) == 2:
+            return float(value[0]), float(value[1])
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{what} must be a pair of numbers, got {value!r}")
+
+
+def _expr(doc: dict, key: str, required: bool = True):
+    """The expression under key; None when an optional key is absent or empty."""
+    text = doc[key] if required else doc.get(key)
+    if not (required or text):
+        return None
+    if not isinstance(text, str):
+        raise ValueError(f"{key!r} must be an expression string, got {text!r}")
+    return ex.parse(text)
+
+
+def _load_domain(doc) -> DomainBox:
+    box = _object(doc, "domain").get("box")
     if not (isinstance(box, list) and len(box) == 3):
         raise ValueError("domain.box must be three [lo, hi] pairs")
-    predicate = ex.parse(doc["predicate"]) if doc.get("predicate") else None
-    return DomainBox(tuple((float(lo), float(hi)) for lo, hi in box), predicate)
+    return DomainBox(tuple(_pair(iv, "domain.box entry") for iv in box), _expr(doc, "predicate", required=False))
 
 
 def load_spec_file(path: str):
@@ -64,33 +88,30 @@ def load_spec_file(path: str):
     kind "raw": payload is (MatrixField3, DomainBox).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _object(json.load(fh), "the spec file")
     name = doc.get("name", os.path.basename(path))
-    hamiltonian = ex.parse(doc["hamiltonian"]) if doc.get("hamiltonian") else None
+    hamiltonian = _expr(doc, "hamiltonian", required=False)
     domain = _load_domain(doc.get("domain", {}))
     if "matrix" in doc:
-        entries = doc["matrix"]
-        field = MatrixField3(
-            ex.parse(entries["j12"]), ex.parse(entries["j23"]), ex.parse(entries["j31"])
-        )
+        entries = _object(doc["matrix"], "matrix")
+        field = MatrixField3(*(_expr(entries, key) for key in ("j12", "j23", "j31")))
         return "raw", (field, domain), hamiltonian, name
     axes = doc.get("axes")
     if not (isinstance(axes, list) and len(axes) == 3):
         raise ValueError("spec file needs either a 'matrix' object or three 'axes'")
     fields = tuple(
         build_scalar_field(
-            ex.parse(axis["phi"]),
-            ex.parse(axis["psi"]),
-            ex.parse(axis["zeta"]) if axis.get("zeta") else None,
+            _expr(_object(axis, f"axes[{n}]"), "phi"),
+            _expr(axis, "psi"),
+            _expr(axis, "zeta", required=False),
             domain.intervals[n],
         )
         for n, axis in enumerate(axes)
     )
-    kappa_doc = doc.get("kappa", [0.0, 0.0])
     spec = make_family_spec(
-        ex.parse(doc["eta"]),
+        _expr(doc, "eta"),
         fields,
-        make_kappa(float(kappa_doc[0]), float(kappa_doc[1])),
+        make_kappa(*_pair(doc.get("kappa", [0.0, 0.0]), "kappa")),
         domain,
         name,
     )

@@ -23,15 +23,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .casimir import (
+    CHART_SAMPLES,
+    best_casimir_index,
     casimir_expr,
     casimir_value,
+    chi_table,
     cyclic,
-    default_casimir_index,
     denominator_threshold,
 )
 from .errors import DomainMembershipError, HypothesisViolationError
 from .family import PoissonFamilySpec, chi, structure_matrix_at
-from .scalar_fields import DomainBox, Field3, axis_sign, psi_inverse
+from .scalar_fields import Field3, axis_sign, psi_inverse
 from .verification import SampledCheckReport, sampled_check
 
 FACTOR_FLOOR = 1e-12
@@ -50,7 +52,6 @@ def canonical_matrix(k: int) -> np.ndarray:
 class DarbouxChart:
     spec: PoissonFamilySpec
     k: int
-    domain: DomainBox
     sign_branch: tuple[int, int, int]
     image_box: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
     casimir: Field3 = field(repr=False, compare=False)
@@ -61,60 +62,52 @@ class DarbouxChart:
         return i, j
 
 
-def build_chart(
-    spec: PoissonFamilySpec,
-    k: int | None = None,
-    domain: DomainBox | None = None,
-    n_samples: int = 512,
-    seed: int = 0,
-) -> DarbouxChart:
+def build_chart(spec: PoissonFamilySpec, k: int | None = None, seed: int = 0) -> DarbouxChart:
     """Validate the chart hypothesis on a sample and assemble the chart.
 
-    k defaults to the best-conditioned Casimir index.  The hypothesis
-    chi_ij != 0 throughout the domain is certified by sampling: every
-    sampled value must clear the denominator threshold and, on a plain box
-    (no predicate carving the domain apart), must keep one sign, since a
-    sign change on a connected set forces a zero in between.
+    One pass over CHART_SAMPLES domain points at seed gives all three
+    results.  k defaults to the best-conditioned Casimir index.  The
+    hypothesis chi_ij != 0 throughout the domain is certified by sampling:
+    every sampled value must clear the denominator threshold and, on a
+    plain box (no predicate carving the domain apart), must keep one sign,
+    since a sign change on a connected set forces a zero in between.  The
+    image box spans the forward images of the same points.
     """
-    if domain is None:
-        domain = spec.domain
-    if k is None:
-        k = default_casimir_index(spec, seed=seed)
-    i, j, k = cyclic(k)
+    points = spec.domain.sample(CHART_SAMPLES, seed)
+    table = chi_table(spec, points)
+    i, j, k = cyclic(best_casimir_index(table) if k is None else k)
 
-    points = domain.sample(n_samples, seed)
+    ys = []
     sign_seen = 0.0
-    for x in points:
-        value = chi(spec, i, j, x)
-        if abs(value) <= denominator_threshold(spec, i, j, x):
+    for x, (psi, chis) in zip(points, table):
+        value = chis[k - 1]  # chi_ij, the denominator of C_k
+        if abs(value) <= denominator_threshold(psi[i - 1], psi[j - 1]):
             raise HypothesisViolationError(
                 f"chi_{i}{j} = {value!r} at {tuple(float(v) for v in x)}; chart hypothesis fails"
             )
         s = math.copysign(1.0, value)
-        if domain.predicate is None and sign_seen and s != sign_seen:
+        if spec.domain.predicate is None and sign_seen and s != sign_seen:
             raise HypothesisViolationError(
                 f"chi_{i}{j} changes sign on the box (seen near {tuple(float(v) for v in x)}); "
                 "it must vanish somewhere inside"
             )
         sign_seen = s
-
-    chart = DarbouxChart(
+        y = [float(v) for v in x]
+        y[k - 1] = -(chis[i - 1] / value)  # -C_k, as forward_map computes it
+        ys.append(y)
+    ys = np.array(ys)
+    return DarbouxChart(
         spec,
         k,
-        domain,
-        tuple(axis_sign(iv) for iv in domain.intervals),
-        ((0.0, 0.0),) * 3,  # replaced below once forward exists
+        tuple(axis_sign(iv) for iv in spec.domain.intervals),
+        tuple((float(ys[:, a].min()), float(ys[:, a].max())) for a in range(3)),
         Field3(casimir_expr(spec, k)),
     )
-    ys = np.array([forward_map(chart, x) for x in points])
-    image_box = tuple((float(ys[:, a].min()), float(ys[:, a].max())) for a in range(3))
-    object.__setattr__(chart, "image_box", image_box)
-    return chart
 
 
 def forward_map(chart: DarbouxChart, x) -> np.ndarray:
     """y(x): pass-through pair plus the negated Casimir."""
-    if not chart.domain.contains(x):
+    if not chart.spec.domain.contains(x):
         raise DomainMembershipError(f"point {tuple(float(v) for v in x)} is outside the chart domain")
     y = np.array([float(v) for v in x])
     y[chart.k - 1] = -casimir_value(chart.spec, chart.k, x)
@@ -199,4 +192,4 @@ def canonical_check(
         factor = reparam_factor(chart, y)
         return float(np.max(np.abs(P / factor - target))), tuple(float(v) for v in y)
 
-    return sampled_check("canonical", measure, chart.domain.sample(n_samples, seed), scheme, seed, tol)
+    return sampled_check("canonical", measure, chart.spec.domain.sample(n_samples, seed), scheme, seed, tol)

@@ -415,27 +415,7 @@ def _eval(e: Expr, env) -> float:
     return v
 
 
-_COMPILE_NS = {
-    "exp": math.exp,
-    "ln": _ln,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": _sqrt,
-    "_abs": abs,
-    "sign": _sign,
-    "_pow": _pow,
-    "__builtins__": {},
-}
-
-_CALL_SRC = {
-    "exp": "exp",
-    "ln": "ln",
-    "sin": "sin",
-    "cos": "cos",
-    "sqrt": "sqrt",
-    "abs": "_abs",
-    "sign": "sign",
-}
+_COMPILE_NS = {**_FN_IMPL, "_pow": _pow, "__builtins__": {}}
 
 
 def _gen(e: Expr) -> str:
@@ -446,7 +426,7 @@ def _gen(e: Expr) -> str:
     if isinstance(e, Neg):
         return f"(-{_gen(e.operand)})"
     if isinstance(e, Call):
-        return f"{_CALL_SRC[e.fn]}({_gen(e.arg)})"
+        return f"{e.fn}({_gen(e.arg)})"
     if e.op == "^":
         return f"_pow({_gen(e.left)}, {_gen(e.right)})"
     return f"({_gen(e.left)} {e.op} {_gen(e.right)})"

@@ -31,7 +31,7 @@ from .errors import (
     FamilyValidationError,
     InvalidAxisError,
 )
-from .scalar_fields import DomainBox, ScalarField1D
+from .scalar_fields import ZERO_FLOOR, DomainBox, ScalarField1D
 
 _AXES = (1, 2, 3)
 # entry (i, j) pairs in cyclic order with the complementary density axis
@@ -123,19 +123,27 @@ class PoissonFamilySpec:
         return self.field(axis).phi_fn(value)
 
 
+NONVANISHING_SAMPLES = 256
+
+
+def _check_nonvanishing(fn, domain: DomainBox, what: str) -> None:
+    """Sampled certificate: |fn| > ZERO_FLOOR at NONVANISHING_SAMPLES domain points at seed 0."""
+    for x in domain.sample(NONVANISHING_SAMPLES, seed=0):
+        if abs(fn(float(x[0]), float(x[1]), float(x[2]))) <= ZERO_FLOOR:
+            raise FamilyValidationError(f"{what} vanishes at sampled point {tuple(x)}")
+
+
 def make_family_spec(
     eta: ex.Expr | tuple[ex.Expr, ...],
     fields: tuple[ScalarField1D, ScalarField1D, ScalarField1D],
     kappa: KappaMatrix,
     domain: DomainBox,
     name: str = "",
-    n_samples: int = 256,
-    seed: int = 0,
 ) -> PoissonFamilySpec:
     """Assemble and validate a family member.
 
-    Checks that each axis interval matches the domain box and that eta is
-    nonvanishing (|eta| > 1e-12) at sampled domain points.
+    Checks that each axis interval matches the domain box and that
+    |eta| > ZERO_FLOOR at NONVANISHING_SAMPLES domain points drawn at seed 0.
     """
     chain = tuple(eta) if isinstance(eta, tuple) else (eta,)
     for e in chain:
@@ -148,10 +156,7 @@ def make_family_spec(
                 f"axis {axis} interval {fld.interval} does not match domain {domain.intervals[axis - 1]}"
             )
     spec = PoissonFamilySpec(chain, tuple(fields), kappa, domain, name)
-    for x in domain.sample(n_samples, seed):
-        v = spec.eta_value(float(x[0]), float(x[1]), float(x[2]))
-        if abs(v) <= 1e-12:
-            raise FamilyValidationError(f"eta vanishes at sampled point {tuple(x)}")
+    _check_nonvanishing(spec.eta_value, domain, "eta")
     return spec
 
 
@@ -186,11 +191,23 @@ class StructureMatrixValue:
     def entries(self) -> tuple[float, float, float]:
         return (self.j12, self.j23, self.j31)
 
-    def scale(self) -> float:
-        return 1.0 + max(abs(self.j12), abs(self.j23), abs(self.j31))
-
     def rank(self, tol: float | None = None) -> int:
-        return rank_of_entries(self.j12, self.j23, self.j31, tol)
+        """Rank classification: 0 when all entries vanish, 2 otherwise.
+
+        Exactly two near-zero entries with the third far above tolerance is
+        impossible under the chi zero-sum relation, so that pattern raises a
+        consistency alarm instead of returning a rank.
+        """
+        entries = self.entries()
+        if tol is None:
+            tol = 1e-12 * (1.0 + max(map(abs, entries)))
+        n_small = sum(abs(v) <= tol for v in entries)
+        if n_small == 2 and max(map(abs, entries)) > 100.0 * tol:
+            raise ConsistencyAlarmError(
+                f"entries {entries!r}: exactly two vanish while the third is large; "
+                "impossible for a zero-sum family member"
+            )
+        return 0 if n_small == 3 else 2
 
 
 def structure_matrix_at(spec: PoissonFamilySpec, x, check_domain: bool = True) -> StructureMatrixValue:
@@ -210,43 +227,14 @@ def structure_matrix_at(spec: PoissonFamilySpec, x, check_domain: bool = True) -
     return StructureMatrixValue(j12, j23, j31)
 
 
-def rank_of_entries(j12: float, j23: float, j31: float, tol: float | None = None) -> int:
-    """Rank classification: 0 when all entries vanish, 2 otherwise.
-
-    Exactly two near-zero entries with the third far above tolerance is
-    impossible under the chi zero-sum relation, so that pattern raises a
-    consistency alarm instead of returning a rank.
-    """
-    entries = (j12, j23, j31)
-    if tol is None:
-        tol = 1e-12 * (1.0 + max(abs(v) for v in entries))
-    small = [abs(v) <= tol for v in entries]
-    n_small = sum(small)
-    if n_small == 3:
-        return 0
-    if n_small == 2:
-        big = max(abs(v) for v in entries)
-        if big > 100.0 * tol:
-            raise ConsistencyAlarmError(
-                f"entries {entries!r}: exactly two vanish while the third is large; "
-                "impossible for a zero-sum family member"
-            )
-    return 2
-
-
 def rank_at(spec: PoissonFamilySpec, x, tol: float | None = None) -> int:
     return structure_matrix_at(spec, x).rank(tol)
 
 
-def rescale(
-    spec: PoissonFamilySpec,
-    factor: ex.Expr,
-    n_samples: int = 256,
-    seed: int = 0,
-    name: str | None = None,
-) -> PoissonFamilySpec:
-    """New spec with eta multiplied by a nonvanishing factor.
+def rescale(spec: PoissonFamilySpec, factor: ex.Expr) -> PoissonFamilySpec:
+    """New spec, same name, with eta multiplied by a nonvanishing factor.
 
+    The factor is certified on the sample make_family_spec uses for eta.
     Entry values of the result are exactly factor(x) times the original
     entries (the factor is composed onto the evaluation chain, not folded
     into a new expression).
@@ -254,17 +242,8 @@ def rescale(
     extra = ex.free_vars(factor) - {"x1", "x2", "x3"}
     if extra:
         raise FamilyValidationError(f"factor may only use x1,x2,x3; found {sorted(extra)}")
-    fn = ex.compile_expr(factor, ("x1", "x2", "x3"))
-    for x in spec.domain.sample(n_samples, seed):
-        if abs(fn(float(x[0]), float(x[1]), float(x[2]))) <= 1e-12:
-            raise FamilyValidationError(f"rescale factor vanishes at sampled point {tuple(x)}")
-    return PoissonFamilySpec(
-        spec.eta_chain + (factor,),
-        spec.fields,
-        spec.kappa,
-        spec.domain,
-        name if name is not None else spec.name,
-    )
+    _check_nonvanishing(ex.compile_expr(factor, ("x1", "x2", "x3")), spec.domain, "rescale factor")
+    return PoissonFamilySpec(spec.eta_chain + (factor,), spec.fields, spec.kappa, spec.domain, spec.name)
 
 
 # ---------------------------------------------------------------------------

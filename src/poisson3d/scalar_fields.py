@@ -22,6 +22,10 @@ from .errors import DomainEvalError, DomainSamplingError, FieldValidationError, 
 _EPS = float(np.finfo(float).eps)
 _EPS3 = _EPS ** (1.0 / 3.0)
 _GRID = 256
+# sampled nonvanishing certificates treat magnitudes at or below this as zero
+ZERO_FLOOR = 1e-12
+_MAX_SOLVE_ITER = 80
+_MAX_DRAW_FACTOR = 100  # DomainBox.sample draws at most this many candidates per point
 
 
 def fd_step(x: float) -> float:
@@ -162,10 +166,10 @@ class NonvanishingReport:
     where: float | None = None
 
 
-def assert_nonvanishing(f, interval: tuple[float, float], samples: int, threshold: float = 1e-12) -> NonvanishingReport:
+def assert_nonvanishing(f, interval: tuple[float, float], samples: int) -> NonvanishingReport:
     """Sampled certificate that f has no zero on the interval.
 
-    Fails when any sample magnitude drops to the threshold or the sign
+    Fails when any sample magnitude drops to ZERO_FLOOR or the sign
     flips between adjacent samples (a root in between by continuity).
     """
     if samples < 2:
@@ -178,7 +182,7 @@ def assert_nonvanishing(f, interval: tuple[float, float], samples: int, threshol
             v = f(float(x))
         except DomainEvalError as exc:
             return NonvanishingReport(False, f"evaluation failed: {exc}", float(x))
-        if abs(v) <= threshold:
+        if abs(v) <= ZERO_FLOOR:
             return NonvanishingReport(False, f"|f| = {abs(v):.3e} at sample", float(x))
         s = math.copysign(1.0, v)
         if prev_sign and s != prev_sign:
@@ -275,7 +279,7 @@ def psi_inverse(fld: ScalarField1D, target: float) -> float:
     return _bracketed_solve(fld.psi_fn, lo, hi, target, tol)
 
 
-def _bracketed_solve(psi, lo: float, hi: float, target: float, tol: float, max_iter: int = 80) -> float:
+def _bracketed_solve(psi, lo: float, hi: float, target: float, tol: float) -> float:
     a, b = lo, hi
     fa = psi(a) - target
     fb = psi(b) - target
@@ -287,7 +291,7 @@ def _bracketed_solve(psi, lo: float, hi: float, target: float, tol: float, max_i
         raise OutOfRangeError(f"target {target!r} not bracketed by psi on [{lo}, {hi}]")
     x_prev, f_prev = a, fa
     x_cur, f_cur = b, fb
-    for _ in range(max_iter):
+    for _ in range(_MAX_SOLVE_ITER):
         # secant proposal, bisection fallback when it leaves the bracket
         denom = f_cur - f_prev
         if denom != 0.0:
@@ -318,7 +322,7 @@ class DomainBox:
     """Axis-aligned box with an optional nonvanishing predicate.
 
     A point belongs to the domain when it lies in the box (inclusive) and
-    |predicate| exceeds 1e-12; the predicate expresses open conditions a
+    |predicate| exceeds ZERO_FLOOR; the predicate expresses open conditions a
     box cannot, such as pairwise-distinct coordinates.
     """
 
@@ -332,7 +336,7 @@ class DomainBox:
         fn = ex.compile_expr(self.predicate, ("x1", "x2", "x3")) if self.predicate is not None else None
         object.__setattr__(self, "predicate_fn", fn)
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
+    def contains(self, x) -> bool:
         for v, (lo, hi) in zip(x, self.intervals):
             if not (lo <= v <= hi):
                 return False
@@ -341,7 +345,7 @@ class DomainBox:
                 p = self.predicate_fn(float(x[0]), float(x[1]), float(x[2]))
             except DomainEvalError:
                 return False
-            if abs(p) <= tol:
+            if abs(p) <= ZERO_FLOOR:
                 return False
         return True
 
@@ -349,12 +353,12 @@ class DomainBox:
         us = unit_uniforms(seed, index, 3)
         return np.array([lo + (hi - lo) * t for (lo, hi), t in zip(self.intervals, us)])
 
-    def sample(self, n: int, seed: int, max_draw_factor: int = 100) -> np.ndarray:
+    def sample(self, n: int, seed: int) -> np.ndarray:
         """n admissible points, derived deterministically from (seed, index)."""
         if n < 1:
             raise ValueError("need n >= 1 samples")
         accepted: list[np.ndarray] = []
-        budget = max_draw_factor * n
+        budget = _MAX_DRAW_FACTOR * n
         for index in range(budget):
             x = self.point_for_index(seed, index)
             if self.contains(x):

@@ -215,6 +215,47 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def _edited(doc, path, value):
+    """A deep copy of doc with the entry at path (keys and indices) replaced."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+MALFORMED_SPECS = {
+    "top-level array": [HALPHEN_WIDE_SPEC],
+    "domain list": _edited(HALPHEN_WIDE_SPEC, ("domain",), [[0.0, 5.0]] * 3),
+    "domain null": _edited(HALPHEN_WIDE_SPEC, ("domain",), None),
+    "box entry null": _edited(HALPHEN_WIDE_SPEC, ("domain", "box", 1), None),
+    "box bound null": _edited(HALPHEN_WIDE_SPEC, ("domain", "box", 1, 0), None),
+    "kappa null": _edited(HALPHEN_WIDE_SPEC, ("kappa",), None),
+    "kappa short": _edited(HALPHEN_WIDE_SPEC, ("kappa",), [1]),
+    "axes entry string": _edited(HALPHEN_WIDE_SPEC, ("axes", 1), "u"),
+    "axes entry list": _edited(HALPHEN_WIDE_SPEC, ("axes", 2), ["1", "u", "u"]),
+    "matrix list": _edited(BROKEN_SPEC, ("matrix",), ["x1", "x2", "x3"]),
+    "matrix string": _edited(BROKEN_SPEC, ("matrix",), "x1"),
+    "eta number": _edited(HALPHEN_WIDE_SPEC, ("eta",), 2),
+    "hamiltonian number": _edited(HALPHEN_WIDE_SPEC, ("hamiltonian",), 1.5),
+    "predicate number": _edited(HALPHEN_WIDE_SPEC, ("domain", "predicate"), 3),
+    "phi number": _edited(HALPHEN_WIDE_SPEC, ("axes", 0, "phi"), 1),
+    "psi number": _edited(HALPHEN_WIDE_SPEC, ("axes", 0, "psi"), 2),
+    "zeta number": _edited(HALPHEN_WIDE_SPEC, ("axes", 0, "zeta"), 3),
+    "matrix entry number": _edited(BROKEN_SPEC, ("matrix", "j23"), 4),
+}
+
+
+@pytest.mark.parametrize("doc", list(MALFORMED_SPECS.values()), ids=list(MALFORMED_SPECS))
+def test_malformed_spec_file_is_bad_input(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_random_argv_exit_codes(capsys, tmp_path, wide_spec_file, broken_spec_file):
     """Changes of a valid argv exit with 0, 1 or 2 and never show a traceback.
 

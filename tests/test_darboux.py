@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from poisson3d.builtin_systems import BUILTIN_NAMES, build_system
+from poisson3d.casimir import cyclic
 from poisson3d.darboux import (
     build_chart,
     canonical_check,
@@ -11,7 +15,9 @@ from poisson3d.darboux import (
     reparam_factor,
 )
 from poisson3d.errors import HypothesisViolationError, OutOfRangeError
-from poisson3d.family import structure_matrix_at
+from poisson3d.family import chi, structure_matrix_at
+from poisson3d.scalar_fields import DomainBox
+from poisson3d.testing import random_family_spec
 from conftest import make_euler_top, make_flat_spec, make_halphen, ORDERED_BOX, WIDE_BOX
 
 
@@ -43,7 +49,7 @@ class TestForwardInverse:
         )
 
     def test_pair_components_pass_through(self, halphen_wide_chart):
-        for x in halphen_wide_chart.domain.sample(50, seed=3):
+        for x in halphen_wide_chart.spec.domain.sample(50, seed=3):
             y = forward_map(halphen_wide_chart, x)
             assert y[0] == x[0] and y[1] == x[1]
 
@@ -58,7 +64,7 @@ class TestForwardInverse:
     @pytest.mark.parametrize("chart_name", ["halphen_ordered_chart", "top_chart"])
     def test_round_trips(self, chart_name, request):
         chart = request.getfixturevalue(chart_name)
-        for x in chart.domain.sample(1000, seed=5):
+        for x in chart.spec.domain.sample(1000, seed=5):
             y = forward_map(chart, x)
             back = inverse_map(chart, y)
             assert np.max(np.abs(back - np.asarray(x, float))) <= 1e-10
@@ -87,7 +93,7 @@ class TestPushforwardAndFactor:
         for chart in (halphen_ordered_chart, top_chart):
             i, j = chart.pair
             idx = {(1, 2): "j12", (2, 3): "j23", (3, 1): "j31"}[(i, j)]
-            for x in chart.domain.sample(100, seed=9):
+            for x in chart.spec.domain.sample(100, seed=9):
                 y = forward_map(chart, x)
                 P = pushforward_matrix(chart, y)
                 assert getattr(P, idx) == pytest.approx(reparam_factor(chart, y), rel=1e-8)
@@ -95,7 +101,7 @@ class TestPushforwardAndFactor:
     def test_decoupled_rows_fd_scheme(self, halphen_ordered_chart):
         # finite-difference Jacobian: the Casimir row/column must still
         # vanish to stencil accuracy
-        for x in halphen_ordered_chart.domain.sample(100, seed=21):
+        for x in halphen_ordered_chart.spec.domain.sample(100, seed=21):
             y = forward_map(halphen_ordered_chart, x)
             P = pushforward_matrix(halphen_ordered_chart, y, scheme="fd")
             scale = 1.0 + abs(P.j12)
@@ -104,7 +110,7 @@ class TestPushforwardAndFactor:
 
     def test_factor_constant_sign_on_connected_image(self, halphen_ordered_chart):
         signs = set()
-        for x in halphen_ordered_chart.domain.sample(200, seed=13):
+        for x in halphen_ordered_chart.spec.domain.sample(200, seed=13):
             signs.add(np.sign(reparam_factor(halphen_ordered_chart, forward_map(halphen_ordered_chart, x))))
         assert len(signs) == 1
 
@@ -193,3 +199,70 @@ def test_chart_without_zeta_uses_root_finder():
     for x in spec.domain.sample(100, seed=3):
         y = forward_map(chart, x)
         assert np.max(np.abs(inverse_map(chart, y) - np.asarray(x, float))) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# build_chart's one pass against an oracle built from family.chi and forward_map
+
+
+@pytest.fixture()
+def sample_calls(monkeypatch):
+    """Records every DomainBox.sample call as (n, seed)."""
+    calls = []
+    original = DomainBox.sample
+
+    def counted(self, n, seed):
+        calls.append((n, seed))
+        return original(self, n, seed)
+
+    monkeypatch.setattr(DomainBox, "sample", counted)
+    return calls
+
+
+def _chart_oracle(spec, points, k=None):
+    """(k, first point breaking the chart hypothesis or None) over the given points."""
+    if k is None:
+        margins = [min(abs(chi(spec, *cyclic(c)[:2], x)) for x in points) for c in (1, 2, 3)]
+        k = margins.index(max(margins)) + 1  # the first k wins ties
+    i, j, _ = cyclic(k)
+    first_sign = math.copysign(1.0, chi(spec, i, j, points[0]))
+    for x in points:
+        value = chi(spec, i, j, x)
+        floor = 1e-12 * (1.0 + abs(spec.psi(i, float(x[i - 1]))) + abs(spec.psi(j, float(x[j - 1]))))
+        flips = spec.domain.predicate is None and math.copysign(1.0, value) != first_sign
+        if abs(value) <= floor or flips:
+            return k, x
+    return k, None
+
+
+def _assert_chart_matches_oracle(spec, seed, calls, k=None) -> bool:
+    """build_chart(spec, k, seed=seed) agrees with the oracle and samples once; True when it rejects."""
+    points = spec.domain.sample(512, seed)
+    want_k, failing = _chart_oracle(spec, points, k)
+    calls.clear()
+    try:
+        chart = build_chart(spec, k, seed=seed)
+    except HypothesisViolationError as err:
+        i, j, _ = cyclic(want_k)
+        assert failing is not None, (spec.name, str(err))
+        assert str(err).startswith(f"chi_{i}{j} ") and str(tuple(float(v) for v in failing)) in str(err)
+    else:
+        assert failing is None, spec.name
+        assert chart.k == want_k
+        ys = np.array([forward_map(chart, x) for x in points])
+        assert chart.image_box == tuple((ys[:, a].min(), ys[:, a].max()) for a in range(3))
+    assert calls == [(512, seed)]
+    return failing is not None
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_build_chart_matches_oracle_on_random_specs(seed, sample_calls):
+    rejected = sum(_assert_chart_matches_oracle(random_family_spec(i, seed), seed, sample_calls) for i in range(40))
+    assert rejected > 0  # both seeds reach the rejection path
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("k", [None, 1, 2, 3])
+def test_build_chart_matches_oracle_on_builtins(name, k, sample_calls):
+    spec, _ = build_system(name)
+    _assert_chart_matches_oracle(spec, 7, sample_calls, k)
