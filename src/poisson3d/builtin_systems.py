@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import expr as ex
 from .errors import DegenerateParametersError, FamilyValidationError
 from .family import PoissonFamilySpec, StructureMatrixValue, make_family_spec, make_kappa
@@ -61,8 +63,7 @@ def _check_difference_predicate(domain: DomainBox) -> None:
             continue  # the box itself keeps this pair apart
         k = 3 - i - j
         klo, khi = domain.intervals[k]
-        for index in range(_PLANE_PROBES):
-            u, v = unit_uniforms(0, 1000 * pair_index + index, 2)
+        for u, v in unit_uniforms(0, 1000 * pair_index + np.arange(_PLANE_PROBES), 2).tolist():
             x = [0.0, 0.0, 0.0]
             x[i] = x[j] = lo + (hi - lo) * u
             x[k] = klo + (khi - klo) * v

@@ -13,8 +13,11 @@ undefined (it backs the derivative of abs, which has no value at 0).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DomainEvalError,
@@ -415,7 +418,7 @@ def _eval(e: Expr, env) -> float:
     return v
 
 
-_COMPILE_NS = {**_FN_IMPL, "_pow": _pow, "__builtins__": {}}
+_SCALAR_NS = {**_FN_IMPL, "_pow": _pow}
 
 
 def _gen(e: Expr) -> str:
@@ -432,6 +435,15 @@ def _gen(e: Expr) -> str:
     return f"({_gen(e.left)} {e.op} {_gen(e.right)})"
 
 
+def _bind(e: Expr, varnames: tuple[str, ...], namespace: dict):
+    """(source, raw lambda) of _gen's source bound to the namespace's functions."""
+    missing = free_vars(e) - set(varnames)
+    if missing:
+        raise UnboundVariableError(f"variables {sorted(missing)} not provided by {varnames}")
+    src = _gen(e)
+    return src, eval(f"lambda {', '.join(varnames)}: {src}", dict(namespace, __builtins__={}))
+
+
 def compile_expr(e: Expr, varnames: tuple[str, ...] = ("x1", "x2", "x3")):
     """Compile a tree into a fast positional callable f(*varnames).
 
@@ -439,11 +451,7 @@ def compile_expr(e: Expr, varnames: tuple[str, ...] = ("x1", "x2", "x3")):
     non-finite result, and UnboundVariableError if the tree references a
     variable outside varnames.
     """
-    missing = free_vars(e) - set(varnames)
-    if missing:
-        raise UnboundVariableError(f"variables {sorted(missing)} not provided by {varnames}")
-    src = _gen(e)
-    raw = eval(f"lambda {', '.join(varnames)}: {src}", dict(_COMPILE_NS))
+    src, raw = _bind(e, varnames, _SCALAR_NS)
 
     def fn(*args: float) -> float:
         try:
@@ -454,6 +462,90 @@ def compile_expr(e: Expr, varnames: tuple[str, ...] = ("x1", "x2", "x3")):
             raise DomainEvalError(str(exc)) from None
         if not math.isfinite(v):
             raise DomainEvalError(f"non-finite result {v!r}")
+        return v
+
+    fn.source = src
+    fn.varnames = varnames
+    return fn
+
+
+# --------------------------------------------------------------------------
+# Batch binding: the same source over numpy arrays, bit-identical to the
+# scalar binding wherever it does not fault.  + - * / and negation are
+# IEEE-exact array operators, and sqrt and abs are correctly rounded, so
+# they stay numpy; exp, ln, sin, cos and ^ run the scalar implementations
+# elementwise, because numpy's vectorized versions differ from math.* in
+# the last ulp (docs/decisions.md, D4).
+
+
+class BatchFault(Exception):
+    """A batch evaluation faulted somewhere; replay the points through the scalar binding."""
+
+
+_FAULTS = (DomainEvalError, ValueError, OverflowError, ZeroDivisionError, FloatingPointError)
+
+
+@contextlib.contextmanager
+def batch_arithmetic():
+    """The batch binding's fault rule, also for array arithmetic on its results.
+
+    Floating-point exceptions other than underflow raise, and any domain
+    fault or floating-point exception becomes a BatchFault.
+    """
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            yield
+    except _FAULTS as exc:
+        raise BatchFault(str(exc)) from None
+
+
+def _elementwise(fn):
+    def apply(a):
+        a = np.asarray(a, dtype=float)
+        return np.array(list(map(fn, a.ravel().tolist()))).reshape(a.shape)
+
+    return apply
+
+
+def _batch_pow(a, b):
+    # _pow's domain rule as one array test, then its math.pow per element
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if np.any((a < 0.0) & ~(np.isfinite(b) & (b == np.floor(b)))):
+        raise DomainEvalError("negative base with non-integer exponent")
+    return np.array(list(map(math.pow, a.ravel().tolist(), b.ravel().tolist()))).reshape(a.shape)
+
+
+def _batch_sign(a):
+    if np.any(a == 0.0):
+        raise DomainEvalError("sign(0) is undefined")
+    return np.sign(a)
+
+
+_BATCH_NS = {
+    **{name: _elementwise(_FN_IMPL[name]) for name in ("exp", "ln", "sin", "cos")},
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "sign": _batch_sign,
+    "_pow": _batch_pow,
+}
+
+
+def compile_batch(e: Expr, varnames: tuple[str, ...] = ("x1", "x2", "x3")):
+    """Compile a tree into f(*arrays) -> array, elementwise equal to compile_expr's callable.
+
+    Every argument is a float array of one shape, and so is the result.
+    Any domain fault, floating-point exception (underflow aside) or
+    non-finite result raises BatchFault instead of naming the point: the
+    caller replays the points through the scalar binding, which raises the
+    first fault in index order.
+    """
+    src, raw = _bind(e, varnames, _BATCH_NS)
+
+    def fn(*arrays: np.ndarray) -> np.ndarray:
+        with batch_arithmetic():
+            v = np.broadcast_to(raw(*arrays), np.shape(arrays[0]))
+        if not np.all(np.isfinite(v)):
+            raise BatchFault("non-finite result")
         return v
 
     fn.source = src

@@ -127,10 +127,24 @@ NONVANISHING_SAMPLES = 256
 
 
 def _check_nonvanishing(fn, domain: DomainBox, what: str) -> None:
-    """Sampled certificate: |fn| > ZERO_FLOOR at NONVANISHING_SAMPLES domain points at seed 0."""
+    """Sampled certificate that fn has no zero on the domain.
+
+    |fn| must exceed ZERO_FLOOR at NONVANISHING_SAMPLES domain points drawn
+    at seed 0 and, on a plain box (no predicate carving the domain apart),
+    keep one sign, since a sign change on a connected set forces a zero.
+    """
+    sign_seen = 0.0
     for x in domain.sample(NONVANISHING_SAMPLES, seed=0):
-        if abs(fn(float(x[0]), float(x[1]), float(x[2]))) <= ZERO_FLOOR:
-            raise FamilyValidationError(f"{what} vanishes at sampled point {tuple(x)}")
+        point = tuple(float(v) for v in x)
+        v = fn(*point)
+        if abs(v) <= ZERO_FLOOR:
+            raise FamilyValidationError(f"{what} vanishes at sampled point {point}")
+        s = math.copysign(1.0, v)
+        if domain.predicate is None and sign_seen and s != sign_seen:
+            raise FamilyValidationError(
+                f"{what} changes sign on the box (seen near {point}); it must vanish somewhere inside"
+            )
+        sign_seen = s
 
 
 def make_family_spec(

@@ -26,23 +26,28 @@ _GRID = 256
 ZERO_FLOOR = 1e-12
 _MAX_SOLVE_ITER = 80
 _MAX_DRAW_FACTOR = 100  # DomainBox.sample draws at most this many candidates per point
+_MIN_CHUNK, _SAMPLE_CHUNK = 64, 1 << 16  # bounds on the indices DomainBox.sample draws at once
 
 
-def fd_step(x: float) -> float:
-    # truncation/rounding balance for first-order central differences
-    return _EPS3 * max(1.0, abs(x))
+def fd_step(x):
+    """Truncation/rounding balance for first-order central differences.
+
+    x is a float, or an array of them for a step per element.
+    """
+    return _EPS3 * (np.maximum(1.0, np.abs(x)) if isinstance(x, np.ndarray) else max(1.0, abs(x)))
 
 
-def central_difference(f, point, axis: int, h: float | None = None) -> float:
+def central_difference(f, point, axis: int, h=None):
     """d f / d point[axis] by central differences; f takes the coordinates as arguments.
 
-    axis is 0-based; the step defaults to fd_step of that coordinate.
+    axis is 0-based; the step defaults to fd_step of that coordinate.  The
+    coordinates may be floats or arrays of one shape (then f must take arrays).
     """
     if h is None:
         h = fd_step(point[axis])
     hi, lo = list(point), list(point)
-    hi[axis] += h
-    lo[axis] -= h
+    hi[axis] = point[axis] + h
+    lo[axis] = point[axis] - h
     return (f(*hi) - f(*lo)) / (2.0 * h)
 
 
@@ -66,30 +71,56 @@ class Field3:
     expression's partial is differentiated symbolically on first use and
     cached.  "fd" takes central differences of the value; "auto" is
     "analytic" when symbolic() holds and "fd" otherwise.
+
+    partial() also takes coordinate arrays when batchable() holds; it then
+    evaluates the same expressions through expr.compile_batch.
     """
 
     def __init__(self, f, partials=None):
         self.value = _compiled(f, "f")
         self.expr = f if isinstance(f, ex.Expr) else None
+        self._supplied = tuple(partials or (None, None, None))
         self._partials = [
             None if p is None else _compiled(p, f"partial d/dx{axis}")
-            for axis, p in zip((1, 2, 3), partials or (None, None, None))
+            for axis, p in zip((1, 2, 3), self._supplied)
         ]
+        self._batch = {}  # 0 for the value, else the axis -> compile_batch callable
 
     def symbolic(self) -> bool:
         return self.expr is not None or None not in self._partials
 
-    def partial(self, axis: int, x1: float, x2: float, x3: float, scheme: str = "auto") -> float:
-        """d f / d x_axis (axis 1, 2 or 3) at a point."""
+    def batchable(self) -> bool:
+        """True when the value and every supplied partial are expressions."""
+        return self.expr is not None and all(p is None or isinstance(p, ex.Expr) for p in self._supplied)
+
+    def _symbolic_partial(self, axis: int) -> ex.Expr:
+        if self.expr is None:
+            raise ValueError(f"no expression or supplied partial along x{axis}")
+        return self._supplied[axis - 1] or ex.differentiate(self.expr, f"x{axis}")
+
+    def _batch_fn(self, axis: int):
+        fn = self._batch.get(axis)
+        if fn is None:
+            e = self.expr if axis == 0 else self._symbolic_partial(axis)
+            fn = self._batch[axis] = ex.compile_batch(e, _XS)
+        return fn
+
+    def values(self, x1: np.ndarray, x2: np.ndarray, x3: np.ndarray) -> np.ndarray:
+        """The value at arrays of points; raises expr.BatchFault on any fault."""
+        return self._batch_fn(0)(x1, x2, x3)
+
+    def partial(self, axis: int, x1, x2, x3, scheme: str = "auto"):
+        """d f / d x_axis (axis 1, 2 or 3) at a point, or at arrays of points."""
+        batch = isinstance(x1, np.ndarray)
         if scheme == "fd" or (scheme == "auto" and not self.symbolic()):
-            return central_difference(self.value, (x1, x2, x3), axis - 1)
+            return central_difference(self.values if batch else self.value, (x1, x2, x3), axis - 1)
         if scheme not in ("analytic", "auto"):
             raise ValueError(f"scheme must be analytic, fd or auto, got {scheme!r}")
+        if batch:
+            return self._batch_fn(axis)(x1, x2, x3)
         fn = self._partials[axis - 1]
         if fn is None:
-            if self.expr is None:
-                raise ValueError(f"no expression or supplied partial along x{axis}")
-            fn = self._partials[axis - 1] = ex.compile_expr(ex.differentiate(self.expr, f"x{axis}"), _XS)
+            fn = self._partials[axis - 1] = ex.compile_expr(self._symbolic_partial(axis), _XS)
         return fn(x1, x2, x3)
 
     def gradient(self, x1: float, x2: float, x3: float, scheme: str = "auto") -> tuple[float, float, float]:
@@ -113,20 +144,25 @@ def axis_sign(interval: tuple[float, float]) -> int:
 _M64 = (1 << 64) - 1
 
 
-def _mix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer over a uint64 array; the arithmetic wraps mod 2^64."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def unit_uniforms(seed: int, index: int, count: int) -> list[float]:
-    """count uniforms in [0, 1) derived from (seed, index)."""
-    state = _mix64((seed & _M64) ^ _mix64(index & _M64))
-    out = []
-    for _ in range(count):
+def unit_uniforms(seed: int, indices, count: int) -> np.ndarray:
+    """Row r holds count uniforms in [0, 1) derived from (seed, indices[r]).
+
+    Steele, Lea and Flood's splitmix64 (OOPSLA 2014), keyed by seed and index.
+    """
+    index = np.asarray(indices, dtype=np.uint64).reshape(-1)
+    state = _mix64(np.uint64(seed & _M64) ^ _mix64(index))
+    out = np.empty((index.size, count))
+    for c in range(count):
         state = _mix64(state)
-        out.append((state >> 11) / float(1 << 53))
+        out[:, c] = (state >> np.uint64(11)).astype(np.float64) / float(1 << 53)
     return out
 
 
@@ -329,12 +365,15 @@ class DomainBox:
     intervals: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
     predicate: ex.Expr | None = None
     predicate_fn: object = field(init=False, repr=False, compare=False)
+    predicate_batch: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.intervals) != 3 or any(iv[0] >= iv[1] for iv in self.intervals):
             raise ValueError(f"need three nonempty intervals, got {self.intervals!r}")
-        fn = ex.compile_expr(self.predicate, ("x1", "x2", "x3")) if self.predicate is not None else None
+        fn = ex.compile_expr(self.predicate, _XS) if self.predicate is not None else None
         object.__setattr__(self, "predicate_fn", fn)
+        batch = ex.compile_batch(self.predicate, _XS) if self.predicate is not None else None
+        object.__setattr__(self, "predicate_batch", batch)
 
     def contains(self, x) -> bool:
         for v, (lo, hi) in zip(x, self.intervals):
@@ -349,22 +388,44 @@ class DomainBox:
                 return False
         return True
 
+    def _points(self, us: np.ndarray) -> np.ndarray:
+        """Rows of unit uniforms mapped onto the box."""
+        return np.column_stack([lo + (hi - lo) * us[:, a] for a, (lo, hi) in enumerate(self.intervals)])
+
     def point_for_index(self, seed: int, index: int) -> np.ndarray:
-        us = unit_uniforms(seed, index, 3)
-        return np.array([lo + (hi - lo) * t for (lo, hi), t in zip(self.intervals, us)])
+        return self._points(unit_uniforms(seed, [index], 3))[0]
+
+    def _admissible(self, xs: np.ndarray) -> np.ndarray:
+        """contains() of every row, through the batch predicate; per row where that faults."""
+        ok = np.ones(len(xs), dtype=bool)
+        for a, (lo, hi) in enumerate(self.intervals):
+            ok &= (lo <= xs[:, a]) & (xs[:, a] <= hi)
+        if self.predicate_batch is not None:
+            inside = np.flatnonzero(ok)
+            try:
+                p = self.predicate_batch(*(xs[inside, a] for a in range(3)))
+            except ex.BatchFault:
+                return np.array([self.contains(x) for x in xs], dtype=bool)
+            ok[inside] = np.abs(p) > ZERO_FLOOR
+        return ok
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        """n admissible points, derived deterministically from (seed, index)."""
+        """n admissible points, derived deterministically from (seed, index).
+
+        The points are the first n admissible ones in index order, drawn in
+        chunks of indices.
+        """
         if n < 1:
             raise ValueError("need n >= 1 samples")
-        accepted: list[np.ndarray] = []
         budget = _MAX_DRAW_FACTOR * n
-        for index in range(budget):
-            x = self.point_for_index(seed, index)
-            if self.contains(x):
-                accepted.append(x)
-                if len(accepted) == n:
-                    break
-        if len(accepted) < n:
-            raise DomainSamplingError(f"only {len(accepted)} of {n} admissible points in {budget} draws")
-        return np.array(accepted)
+        chunks, got, start = [], 0, 0
+        while got < n and start < budget:
+            size = min(budget - start, _SAMPLE_CHUNK, max(n - got, _MIN_CHUNK))
+            xs = self._points(unit_uniforms(seed, np.arange(start, start + size), 3))
+            xs = xs[self._admissible(xs)]
+            chunks.append(xs)
+            got += len(xs)
+            start += size
+        if got < n:
+            raise DomainSamplingError(f"only {got} of {n} admissible points in {budget} draws")
+        return np.concatenate(chunks)[:n]

@@ -256,6 +256,36 @@ def test_malformed_spec_file_is_bad_input(capsys, tmp_path, doc):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def _identity_spec(eta: str) -> dict:
+    axis = {"phi": "1", "psi": "u", "zeta": "u"}
+    return {"eta": eta, "axes": [axis, axis, axis], "kappa": [0.0, 0.0],
+            "domain": {"box": [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]}}
+
+
+@pytest.mark.parametrize("command", [("verify", "--samples", "50"), ("darboux", "--check-samples", "50")])
+def test_eta_sign_change_on_plain_box_is_bad_input(capsys, tmp_path, command):
+    # eta = x1 - 0.5 vanishes on the plane x1 = 0.5 inside the box, although no sample hits it
+    path = tmp_path / "sign.json"
+    path.write_text(json.dumps(_identity_spec("x1 - 0.5")))
+    code, out, err = run_cli(capsys, command[0], "--spec", str(path), *command[1:])
+    assert (code, out) == (2, "")
+    prefix = "error: eta changes sign on the box (seen near ("
+    assert err.startswith(prefix) and err.endswith("); it must vanish somewhere inside\n")
+    x1, x2, x3 = (float(v) for v in err[len(prefix):].split(")")[0].split(", "))
+    # the first sample (seed 0) has x1 = 0.1387..., where eta < 0; the named point is on the other side
+    assert 0.5 < x1 <= 1.0 and 2.0 <= x2 <= 3.0 and 4.0 <= x3 <= 5.0
+
+
+def test_eta_vanishing_message_names_floats(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(_identity_spec("x1 - x1")))
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: eta vanishes at sampled point (0.13870941014555427, 2.1296456182997474, 4.47141042966848)\n"
+    )
+
+
 def test_random_argv_exit_codes(capsys, tmp_path, wide_spec_file, broken_spec_file):
     """Changes of a valid argv exit with 0, 1 or 2 and never show a traceback.
 
