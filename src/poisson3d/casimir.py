@@ -21,8 +21,8 @@ import numpy as np
 
 from . import expr as ex
 from .errors import InvalidAxisError, UndefinedAtPointError
-from .family import PoissonFamilySpec, chi, chi_expr, structure_matrix_at
-from .scalar_fields import central_difference, fd_step
+from .family import PoissonFamilySpec, chi, chi_expr, chi_triple, structure_matrix_at
+from .scalar_fields import central_difference, coordinates, element, fd_step, first_flagged, point_at
 
 
 def cyclic(k: int) -> tuple[int, int, int]:
@@ -39,18 +39,20 @@ def denominator_threshold(psi_i: float, psi_j: float) -> float:
     return 1e-12 * (1.0 + abs(psi_i) + abs(psi_j))
 
 
-def _guarded_denominator(spec: PoissonFamilySpec, i: int, j: int, k: int, x) -> float:
-    """chi_ij at x; UndefinedAtPointError when it is below the threshold."""
+def _guarded_denominator(spec: PoissonFamilySpec, i: int, j: int, k: int, x):
+    """chi_ij at x; UndefinedAtPointError when it is below the threshold (at the first such point)."""
+    x = coordinates(x)
     denom = chi(spec, i, j, x)
-    if abs(denom) <= denominator_threshold(*(spec.psi(a, float(x[a - 1])) for a in (i, j))):
+    bad = first_flagged(abs(denom) <= denominator_threshold(spec.psi(i, x[i - 1]), spec.psi(j, x[j - 1])))
+    if bad is not None:
         raise UndefinedAtPointError(
-            f"chi_{i}{j} = {denom!r} at {tuple(float(v) for v in x)}; C_{k} undefined there"
+            f"chi_{i}{j} = {element(denom, bad)!r} at {point_at(x, bad)}; C_{k} undefined there"
         )
     return denom
 
 
-def casimir_value(spec: PoissonFamilySpec, k: int, x) -> float:
-    """C_k at a point; UndefinedAtPointError below the denominator guard."""
+def casimir_value(spec: PoissonFamilySpec, k: int, x):
+    """C_k at a point, or per point of three coordinate arrays; UndefinedAtPointError below the denominator guard."""
     i, j, k = cyclic(k)
     denom = _guarded_denominator(spec, i, j, k, x)
     return chi(spec, j, k, x) / denom
@@ -105,17 +107,30 @@ def annihilation_residual(spec: PoissonFamilySpec, k: int, x, gradient: np.ndarr
 CHART_SAMPLES = 512
 
 
+def _denominators(spec: PoissonFamilySpec, psis):
+    """(chi_23, chi_31, chi_12), the denominators of C_1, C_2, C_3, from (psi_1, psi_2, psi_3)."""
+    c12, c23, c31 = chi_triple(spec, *psis)
+    return c23, c31, c12
+
+
 def chi_table(spec: PoissonFamilySpec, points) -> list[tuple[tuple[float, float, float], tuple[float, float, float]]]:
     """Per point, (psi_1, psi_2, psi_3) and the denominators (chi_23, chi_31, chi_12) of C_1, C_2, C_3.
 
     Each chi is computed as chi() computes it, so values are float-identical.
+    All points are evaluated at once; a batch fault replays them one by one.
     """
-    k12, k23, k31 = spec.kappa.k12, spec.kappa.k23, spec.kappa.k31
-    table = []
-    for x in points:
-        p1, p2, p3 = (spec.psi(a, float(x[a - 1])) for a in (1, 2, 3))
-        table.append(((p1, p2, p3), ((p2 - p3) + k23, (p3 - p1) + k31, (p1 - p2) + k12)))
-    return table
+    points = np.asarray(points, dtype=float)
+    try:
+        with ex.batch_arithmetic():
+            psis = tuple(spec.psi(a, np.ascontiguousarray(points[:, a - 1])) for a in (1, 2, 3))
+            chis = _denominators(spec, psis)
+    except ex.BatchFault:
+        table = []
+        for x in points:
+            psis = tuple(spec.psi(a, float(x[a - 1])) for a in (1, 2, 3))
+            table.append((psis, _denominators(spec, psis)))
+        return table
+    return list(zip(zip(*(p.tolist() for p in psis)), zip(*(c.tolist() for c in chis))))
 
 
 def best_casimir_index(table) -> int:

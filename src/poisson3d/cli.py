@@ -169,9 +169,15 @@ def _cmd_list(_args) -> int:
     return 0
 
 
+def _check_sample_count(flag: str, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"{flag} must be >= 1, got {n}")
+
+
 def _cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
+    _check_sample_count("--samples", args.samples)
     kind, payload, _, name = _resolve_system(args, allow_raw=True)
     if kind == "raw":
         field, domain = payload
@@ -205,6 +211,7 @@ def _cmd_casimir(args) -> int:
 
 
 def _cmd_darboux(args) -> int:
+    _check_sample_count("--check-samples", args.check_samples)
     _, spec, _, name = _resolve_system(args)
     chart = build_chart(spec, args.k, seed=args.seed)
     report = canonical_check(chart, n_samples=args.check_samples, seed=args.seed)

@@ -31,10 +31,11 @@ from .casimir import (
     cyclic,
     denominator_threshold,
 )
-from .errors import DomainMembershipError, HypothesisViolationError
-from .family import PoissonFamilySpec, chi, structure_matrix_at
-from .scalar_fields import Field3, axis_sign, psi_inverse
-from .verification import SampledCheckReport, sampled_check
+from . import expr as ex
+from .errors import DomainMembershipError, HypothesisViolationError, PoissonError
+from .family import PoissonFamilySpec, StructureMatrixValue, chi, structure_matrix_at
+from .scalar_fields import Field3, axis_sign, coordinates, element, first_flagged, point_at, psi_inverse
+from .verification import SampledCheckReport, batch_report, sampled_check
 
 FACTOR_FLOOR = 1e-12
 
@@ -106,19 +107,26 @@ def build_chart(spec: PoissonFamilySpec, k: int | None = None, seed: int = 0) ->
 
 
 def forward_map(chart: DarbouxChart, x) -> np.ndarray:
-    """y(x): pass-through pair plus the negated Casimir."""
-    if not chart.spec.domain.contains(x):
-        raise DomainMembershipError(f"point {tuple(float(v) for v in x)} is outside the chart domain")
-    y = np.array([float(v) for v in x])
+    """y(x): pass-through pair plus the negated Casimir.
+
+    x may be three coordinate arrays; y is then a (3, n) array.
+    """
+    bad = chart.spec.domain.first_outside(x)
+    if bad is not None:
+        raise DomainMembershipError(f"point {point_at(x, bad)} is outside the chart domain")
+    y = np.array(coordinates(x))
     y[chart.k - 1] = -casimir_value(chart.spec, chart.k, x)
     return y
 
 
 def inverse_map(chart: DarbouxChart, y) -> np.ndarray:
-    """x(y): solve psi_k through zeta (or the bracketing root-finder)."""
+    """x(y): solve psi_k through zeta (or the bracketing root-finder).
+
+    y may be three coordinate arrays; x is then a (3, n) array.
+    """
     i, j, k = cyclic(chart.k)
     spec = chart.spec
-    y = [float(v) for v in y]
+    y = coordinates(y)
     target = spec.psi(j, y[j - 1]) + spec.kappa.entry(j, k) + chi(spec, i, j, y) * y[k - 1]
     x = np.array(y)
     x[k - 1] = psi_inverse(spec.field(k), target)
@@ -129,47 +137,75 @@ def jacobian_forward(chart: DarbouxChart, x, scheme: str = "analytic") -> np.nda
     """d y / d x at a domain point; row k is the negated Casimir gradient.
 
     analytic differentiates the Casimir ratio symbolically; fd applies
-    central differences to it.
+    central differences to it.  For three coordinate arrays the result is
+    an (n, 3, 3) stack.
     """
     if scheme not in ("analytic", "fd"):
         raise ValueError(f"scheme must be analytic or fd, got {scheme!r}")
-    M = np.eye(3)
-    M[chart.k - 1, :] = [-g for g in chart.casimir.gradient(*(float(v) for v in x), scheme)]
+    x1, x2, x3 = coordinates(x)
+    M = np.broadcast_to(np.eye(3), np.shape(x1) + (3, 3)).copy()
+    for axis, g in enumerate(chart.casimir.gradient(x1, x2, x3, scheme)):
+        M[..., chart.k - 1, axis] = -g
     return M
 
 
-def pushforward_matrix(chart: DarbouxChart, y, scheme: str = "analytic"):
-    """J'(y) = (dy/dx) J(x(y)) (dy/dx)^T as a StructureMatrixValue."""
-    from .family import StructureMatrixValue
+def pushforward_matrix(chart: DarbouxChart, y, scheme: str = "analytic") -> StructureMatrixValue:
+    """J'(y) = (dy/dx) J(x(y)) (dy/dx)^T as a StructureMatrixValue.
 
+    y may be three coordinate arrays; the entries are then arrays.  A stack
+    of points goes through the same BLAS product per 3x3 slice as a single
+    point, so every slice equals the single-point result.
+    """
     x = inverse_map(chart, y)
-    if not chart.spec.domain.contains(x):
+    bad = chart.spec.domain.first_outside(x)
+    if bad is not None:
         raise DomainMembershipError(
-            f"inverse image {tuple(float(v) for v in x)} of {tuple(float(v) for v in y)} "
+            f"inverse image {point_at(x, bad)} of {point_at(y, bad)} "
             "left the spec domain; y is not in the chart image"
         )
     J = structure_matrix_at(chart.spec, x, check_domain=False).as_matrix()
     M = jacobian_forward(chart, x, scheme)
-    P = M @ J @ M.T
-    return StructureMatrixValue(float(P[0, 1]), float(P[1, 2]), float(P[2, 0]))
+    P = M @ J @ np.swapaxes(M, -1, -2)
+    entries = (P[..., 0, 1], P[..., 1, 2], P[..., 2, 0])
+    return StructureMatrixValue(*(entries if P.ndim == 3 else (float(v) for v in entries)))
 
 
-def reparam_factor(chart: DarbouxChart, y) -> float:
+def reparam_factor(chart: DarbouxChart, y):
     """J_ij(x(y)) via the closed form eta(x(y)) chi_ij(y_i, y_j) phi_k(x_k(y)).
 
     Nonvanishing on the chart image; values at the 1e-12 floor raise a
-    hypothesis violation.
+    hypothesis violation.  y may be three coordinate arrays.
     """
     i, j, k = cyclic(chart.k)
     spec = chart.spec
-    x = inverse_map(chart, y)
-    x1, x2, x3 = (float(v) for v in x)
-    factor = spec.eta_value(x1, x2, x3) * chi(spec, i, j, y) * spec.phi(k, float(x[k - 1]))
-    if abs(factor) <= FACTOR_FLOOR:
+    x = coordinates(inverse_map(chart, y))
+    factor = spec.eta_value(*x) * chi(spec, i, j, y) * spec.phi(k, x[k - 1])
+    bad = first_flagged(abs(factor) <= FACTOR_FLOOR)
+    if bad is not None:
         raise HypothesisViolationError(
-            f"reparametrization factor {factor!r} vanishes at y = {tuple(float(v) for v in y)}"
+            f"reparametrization factor {element(factor, bad)!r} vanishes at y = {point_at(y, bad)}"
         )
     return factor
+
+
+def _deviation(chart: DarbouxChart, x, scheme: str):
+    """(max |J'(y) / J_ij(x(y)) - canonical|, y) at a domain point, or per point for coordinate arrays."""
+    y = forward_map(chart, x)
+    P = pushforward_matrix(chart, y, scheme).as_matrix()
+    factor = reparam_factor(chart, y)
+    deviation = np.abs(P / np.expand_dims(factor, (-2, -1)) - canonical_matrix(chart.k))
+    return np.max(deviation, axis=(-2, -1)), y
+
+
+def _batch_deviations(chart: DarbouxChart, points: np.ndarray, scheme: str):
+    """_deviation of every sample point in one array pass, and the y of each as rows.
+
+    Raises expr.BatchFault, PoissonError or ValueError wherever the
+    per-point loop has to replay the points.
+    """
+    with ex.batch_arithmetic():
+        values, ys = _deviation(chart, np.ascontiguousarray(points.T), scheme)
+    return values, ys.T
 
 
 def canonical_check(
@@ -182,14 +218,21 @@ def canonical_check(
     """Pushforward over factor must equal the constant canonical matrix.
 
     Sampled over the chart domain; reports the worst entrywise deviation
-    of J'(y) / J_ij(x(y)) from the canonical pattern.
+    of J'(y) / J_ij(x(y)) from the canonical pattern.  All points go
+    through one array pass, bit-identical to the per-point loop; a fault or
+    a failed guard anywhere in it replays the per-point loop, which raises
+    the first failure in sample order.
     """
-    target = canonical_matrix(chart.k)
+    points = chart.spec.domain.sample(n_samples, seed)
+    try:
+        values, ys = _batch_deviations(chart, points, scheme)
+    except (ex.BatchFault, PoissonError, ValueError):
+        pass
+    else:
+        return batch_report("canonical", values, ys, scheme, seed, tol)
 
     def measure(x):
-        y = forward_map(chart, x)
-        P = pushforward_matrix(chart, y, scheme).as_matrix()
-        factor = reparam_factor(chart, y)
-        return float(np.max(np.abs(P / factor - target))), tuple(float(v) for v in y)
+        value, y = _deviation(chart, x, scheme)
+        return float(value), tuple(float(v) for v in y)
 
-    return sampled_check("canonical", measure, chart.spec.domain.sample(n_samples, seed), scheme, seed, tol)
+    return sampled_check("canonical", measure, points, scheme, seed, tol)

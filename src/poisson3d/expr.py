@@ -185,6 +185,8 @@ def _tokenize(source: str):
                 value = float(text)
             except ValueError:
                 raise ParseError(f"bad numeric literal {text!r}", i) from None
+            if not math.isfinite(value):
+                raise ParseError(f"numeric literal {text!r} overflows to {value!r}", i)
             tokens.append(("num", value, i))
             i = j
             continue

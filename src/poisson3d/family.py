@@ -31,9 +31,10 @@ from .errors import (
     FamilyValidationError,
     InvalidAxisError,
 )
-from .scalar_fields import ZERO_FLOOR, DomainBox, ScalarField1D
+from .scalar_fields import ZERO_FLOOR, DomainBox, Field3, ScalarField1D, coordinates, point_at
 
 _AXES = (1, 2, 3)
+_XS = ("x1", "x2", "x3")
 # entry (i, j) pairs in cyclic order with the complementary density axis
 ENTRY_PAIRS = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
@@ -84,6 +85,10 @@ class PoissonFamilySpec:
 
     Use make_family_spec for a validated instance.  eta_chain holds the
     conformal factor as an ordered product; rescale() appends to it.
+
+    psi, phi, eta_value, and the module's chi and structure_matrix_at take
+    floats, or arrays of coordinates; arrays go through expr.compile_batch
+    callables compiled on first use, elementwise equal to the scalar ones.
     """
 
     eta_chain: tuple[ex.Expr, ...]
@@ -92,11 +97,33 @@ class PoissonFamilySpec:
     domain: DomainBox
     name: str = ""
     eta_fns: tuple = field(init=False, repr=False, compare=False)
+    _scalar_fns: tuple = field(init=False, repr=False, compare=False)
+    _batch: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "eta_fns", tuple(ex.compile_expr(e, ("x1", "x2", "x3")) for e in self.eta_chain)
-        )
+        object.__setattr__(self, "eta_fns", tuple(ex.compile_expr(e, _XS) for e in self.eta_chain))
+        psi_fns, phi_fns = (tuple(getattr(f, name) for f in self.fields) for name in ("psi_fn", "phi_fn"))
+        object.__setattr__(self, "_scalar_fns", (psi_fns, phi_fns, self.eta_fns))
+
+    def eta_callables(self, x1) -> tuple:
+        """The eta chain's callables for x1: compile_expr ones for a float, compile_batch ones for an array."""
+        if not isinstance(x1, np.ndarray):
+            return self.eta_fns
+        fns = self._batch.get("eta")
+        if fns is None:
+            fns = self._batch["eta"] = tuple(ex.compile_batch(e, _XS) for e in self.eta_chain)
+        return fns
+
+    def callables(self, x1) -> tuple[tuple, tuple, tuple]:
+        """(psi per axis, phi per axis, the eta chain) as callables for x1, like eta_callables.
+
+        structure_matrix_at looks them up once per call, which keeps the
+        integrators' per-step evaluation free of per-call dispatch.
+        """
+        if not isinstance(x1, np.ndarray):
+            return self._scalar_fns
+        psi, phi = (tuple(f.batch(name) for f in self.fields) for name in ("psi", "phi"))
+        return psi, phi, self.eta_callables(x1)
 
     @property
     def eta_expr(self) -> ex.Expr:
@@ -105,9 +132,9 @@ class PoissonFamilySpec:
             e = ex.mul(e, nxt)
         return e
 
-    def eta_value(self, x1: float, x2: float, x3: float) -> float:
+    def eta_value(self, x1, x2, x3):
         v = 1.0
-        for fn in self.eta_fns:
+        for fn in self.eta_callables(x1):
             v = v * fn(x1, x2, x3)
         return v
 
@@ -116,11 +143,13 @@ class PoissonFamilySpec:
             raise InvalidAxisError(f"axis must be in {{1,2,3}}, got {axis}")
         return self.fields[axis - 1]
 
-    def psi(self, axis: int, value: float) -> float:
-        return self.field(axis).psi_fn(value)
+    def psi(self, axis: int, value):
+        fld = self.field(axis)
+        return fld.batch("psi")(value) if isinstance(value, np.ndarray) else fld.psi_fn(value)
 
-    def phi(self, axis: int, value: float) -> float:
-        return self.field(axis).phi_fn(value)
+    def phi(self, axis: int, value):
+        fld = self.field(axis)
+        return fld.batch("phi")(value) if isinstance(value, np.ndarray) else fld.phi_fn(value)
 
 
 NONVANISHING_SAMPLES = 256
@@ -132,9 +161,24 @@ def _check_nonvanishing(fn, domain: DomainBox, what: str) -> None:
     |fn| must exceed ZERO_FLOOR at NONVANISHING_SAMPLES domain points drawn
     at seed 0 and, on a plain box (no predicate carving the domain apart),
     keep one sign, since a sign change on a connected set forces a zero.
+    fn takes floats or coordinate arrays.  All points are tested at once;
+    a flagged point or a batch fault replays them one by one, which raises
+    the first failure in sample order.
     """
+    points = domain.sample(NONVANISHING_SAMPLES, seed=0)
+    try:
+        with ex.batch_arithmetic():
+            v = fn(*coordinates(np.ascontiguousarray(points.T)))
+    except ex.BatchFault:
+        pass
+    else:
+        flagged = np.abs(v) <= ZERO_FLOOR
+        if domain.predicate is None:
+            flagged |= np.copysign(1.0, v) != np.copysign(1.0, v[0])
+        if not flagged.any():
+            return
     sign_seen = 0.0
-    for x in domain.sample(NONVANISHING_SAMPLES, seed=0):
+    for x in points:
         point = tuple(float(v) for v in x)
         v = fn(*point)
         if abs(v) <= ZERO_FLOOR:
@@ -178,29 +222,38 @@ def make_family_spec(
 # Pointwise evaluation
 
 
-def chi(spec: PoissonFamilySpec, i: int, j: int, x) -> float:
-    """psi_i(x_i) - psi_j(x_j) + kappa_ij; antisymmetric in (i, j)."""
+def chi(spec: PoissonFamilySpec, i: int, j: int, x):
+    """psi_i(x_i) - psi_j(x_j) + kappa_ij; antisymmetric in (i, j).
+
+    x is a point, or three coordinate arrays (chi is then an array).
+    """
     if i not in _AXES or j not in _AXES or i == j:
         raise InvalidAxisError(f"need two distinct axes in {{1,2,3}}, got ({i}, {j})")
-    return (spec.psi(i, float(x[i - 1])) - spec.psi(j, float(x[j - 1]))) + spec.kappa.entry(i, j)
+    xi, xj = x[i - 1], x[j - 1]
+    if not isinstance(xi, np.ndarray):
+        xi, xj = float(xi), float(xj)
+    return (spec.psi(i, xi) - spec.psi(j, xj)) + spec.kappa.entry(i, j)
+
+
+def chi_triple(spec: PoissonFamilySpec, p1, p2, p3):
+    """(chi_12, chi_23, chi_31) from the values psi_1, psi_2, psi_3, as chi() computes them; floats or arrays."""
+    return (p1 - p2) + spec.kappa.k12, (p2 - p3) + spec.kappa.k23, (p3 - p1) + spec.kappa.k31
 
 
 @dataclass(frozen=True)
 class StructureMatrixValue:
-    """The three independent entries of the skew matrix at one point."""
+    """The three independent entries of the skew matrix at one point, or arrays of them."""
 
     j12: float
     j23: float
     j31: float
 
     def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [0.0, self.j12, -self.j31],
-                [-self.j12, 0.0, self.j23],
-                [self.j31, -self.j23, 0.0],
-            ]
-        )
+        """The skew 3x3 matrix, or an (n, 3, 3) stack of them for entry arrays."""
+        M = np.zeros(np.shape(self.j12) + (3, 3))
+        M[..., 0, 1], M[..., 1, 2], M[..., 2, 0] = self.j12, self.j23, self.j31
+        M[..., 1, 0], M[..., 2, 1], M[..., 0, 2] = -self.j12, -self.j23, -self.j31
+        return M
 
     def entries(self) -> tuple[float, float, float]:
         return (self.j12, self.j23, self.j31)
@@ -225,17 +278,21 @@ class StructureMatrixValue:
 
 
 def structure_matrix_at(spec: PoissonFamilySpec, x, check_domain: bool = True) -> StructureMatrixValue:
-    """Evaluate the three independent entries at a point of the domain."""
-    if check_domain and not spec.domain.contains(x):
-        raise DomainMembershipError(f"point {tuple(float(v) for v in x)} is outside the domain")
-    x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
-    c12 = (spec.psi(1, x1) - spec.psi(2, x2)) + spec.kappa.k12
-    c23 = (spec.psi(2, x2) - spec.psi(3, x3)) + spec.kappa.k23
-    c31 = (spec.psi(3, x3) - spec.psi(1, x1)) + spec.kappa.k31
-    j12 = c12 * spec.phi(3, x3)
-    j23 = c23 * spec.phi(1, x1)
-    j31 = c31 * spec.phi(2, x2)
-    for fn in spec.eta_fns:
+    """Evaluate the three independent entries at a point of the domain.
+
+    x may be three coordinate arrays; the entries are then arrays.
+    """
+    if check_domain:
+        bad = spec.domain.first_outside(x)
+        if bad is not None:
+            raise DomainMembershipError(f"point {point_at(x, bad)} is outside the domain")
+    x1, x2, x3 = coordinates(x)
+    psi, phi, eta = spec.callables(x1)
+    c12, c23, c31 = chi_triple(spec, psi[0](x1), psi[1](x2), psi[2](x3))
+    j12 = c12 * phi[2](x3)
+    j23 = c23 * phi[0](x1)
+    j31 = c31 * phi[1](x2)
+    for fn in eta:
         e = fn(x1, x2, x3)
         j12, j23, j31 = j12 * e, j23 * e, j31 * e
     return StructureMatrixValue(j12, j23, j31)
@@ -256,7 +313,7 @@ def rescale(spec: PoissonFamilySpec, factor: ex.Expr) -> PoissonFamilySpec:
     extra = ex.free_vars(factor) - {"x1", "x2", "x3"}
     if extra:
         raise FamilyValidationError(f"factor may only use x1,x2,x3; found {sorted(extra)}")
-    _check_nonvanishing(ex.compile_expr(factor, ("x1", "x2", "x3")), spec.domain, "rescale factor")
+    _check_nonvanishing(Field3(factor).values, spec.domain, "rescale factor")
     return PoissonFamilySpec(spec.eta_chain + (factor,), spec.fields, spec.kappa, spec.domain, spec.name)
 
 

@@ -51,6 +51,37 @@ def central_difference(f, point, axis: int, h=None):
     return (f(*hi) - f(*lo)) / (2.0 * h)
 
 
+# ---------------------------------------------------------------------------
+# A point is three coordinates; n points can be given as three coordinate
+# arrays (an array of shape (3, n), say).  Checks that take either name the
+# first flagged point, so both forms report the same fault for one point.
+
+
+def coordinates(x):
+    """x1, x2, x3 of a point as floats, or the three arrays when x holds coordinate arrays."""
+    if isinstance(x[0], np.ndarray):
+        return x[0], x[1], x[2]
+    return float(x[0]), float(x[1]), float(x[2])
+
+
+def first_flagged(flags):
+    """None when no flag is set; else () for a lone flag, or the first set index of a flag array."""
+    if isinstance(flags, np.ndarray):
+        hits = np.flatnonzero(flags)
+        return int(hits[0]) if hits.size else None
+    return () if flags else None
+
+
+def element(v, index):
+    """v itself for a scalar (index ()), float(v[index]) for an array."""
+    return float(v[index]) if isinstance(v, np.ndarray) else v
+
+
+def point_at(x, index) -> tuple[float, float, float]:
+    """The point of x at first_flagged's index, as floats."""
+    return tuple(float(element(c, index)) for c in x)
+
+
 _XS = ("x1", "x2", "x3")
 
 
@@ -105,9 +136,11 @@ class Field3:
             fn = self._batch[axis] = ex.compile_batch(e, _XS)
         return fn
 
-    def values(self, x1: np.ndarray, x2: np.ndarray, x3: np.ndarray) -> np.ndarray:
-        """The value at arrays of points; raises expr.BatchFault on any fault."""
-        return self._batch_fn(0)(x1, x2, x3)
+    def values(self, x1, x2, x3):
+        """The value at a point, or at arrays of points (there expr.BatchFault on any fault)."""
+        if isinstance(x1, np.ndarray):
+            return self._batch_fn(0)(x1, x2, x3)
+        return self.value(x1, x2, x3)
 
     def partial(self, axis: int, x1, x2, x3, scheme: str = "auto"):
         """d f / d x_axis (axis 1, 2 or 3) at a point, or at arrays of points."""
@@ -172,6 +205,8 @@ class ScalarField1D:
 
     phi and psi are expressions in the variable u; zeta, when supplied, maps
     psi-values back to u.  Use build_scalar_field to get a validated value.
+    phi_fn, psi_fn and zeta_fn are the compile_expr callables; batch(name)
+    gives the compile_batch one.
     """
 
     phi: ex.Expr
@@ -181,6 +216,7 @@ class ScalarField1D:
     phi_fn: object = field(init=False, repr=False, compare=False)
     psi_fn: object = field(init=False, repr=False, compare=False)
     zeta_fn: object = field(init=False, repr=False, compare=False)
+    _batch: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "phi_fn", ex.compile_expr(self.phi, ("u",)))
@@ -188,6 +224,13 @@ class ScalarField1D:
         object.__setattr__(
             self, "zeta_fn", ex.compile_expr(self.zeta, ("u",)) if self.zeta is not None else None
         )
+
+    def batch(self, name: str):
+        """The expr.compile_batch callable of "phi", "psi" or "zeta", compiled on first use."""
+        fn = self._batch.get(name)
+        if fn is None:
+            fn = self._batch[name] = ex.compile_batch(getattr(self, name), ("u",))
+        return fn
 
     def psi_range(self) -> tuple[float, float]:
         lo, hi = self.interval
@@ -291,28 +334,50 @@ def build_scalar_field(
     return fld
 
 
-def psi_inverse(fld: ScalarField1D, target: float) -> float:
+def _clip(v, lo: float, hi: float):
+    """min(max(v, lo), hi); elementwise, with the same pick on ties, for an array."""
+    if isinstance(v, np.ndarray):
+        v = np.where(lo > v, lo, v)
+        return np.where(hi < v, hi, v)
+    return min(max(v, lo), hi)
+
+
+def psi_inverse(fld: ScalarField1D, target):
     """Solve psi(x) = target on the field's interval.
 
     Uses zeta when available (polished by the root-finder if its residual
     is above tolerance), otherwise a bisection-safeguarded secant search;
-    monotonicity of psi guarantees the bracket.
+    monotonicity of psi guarantees the bracket.  target may be an array:
+    zeta and its residual test then run through the batch binding (which
+    raises expr.BatchFault on any fault), only the elements they miss (all
+    of them without zeta) take the root-finder, one at a time, and every
+    element equals the scalar solve.  An out-of-range error names the first
+    such element.
     """
     lo, hi = fld.interval
     rlo, rhi = fld.psi_range()
-    tol = 1e-12 * max(1.0, abs(target))
-    if target < rlo - tol or target > rhi + tol:
-        raise OutOfRangeError(f"target {target!r} outside psi range [{rlo!r}, {rhi!r}]")
-    target = min(max(target, rlo), rhi)
+    batch = isinstance(target, np.ndarray)
+    tol = 1e-12 * (np.maximum(1.0, np.abs(target)) if batch else max(1.0, abs(target)))
+    bad = first_flagged((target < rlo - tol) | (target > rhi + tol))
+    if bad is not None:
+        raise OutOfRangeError(f"target {element(target, bad)!r} outside psi range [{rlo!r}, {rhi!r}]")
+    target = _clip(target, rlo, rhi)
 
-    if fld.zeta_fn is not None:
-        x = fld.zeta_fn(target)
-        x = min(max(x, lo), hi)
-        if abs(fld.psi_fn(x) - target) <= tol:
-            return x
-        # fall through and let the root-finder polish a sloppy zeta
+    if not batch:
+        if fld.zeta_fn is not None:
+            x = _clip(fld.zeta_fn(target), lo, hi)
+            if abs(fld.psi_fn(x) - target) <= tol:
+                return x
+            # fall through and let the root-finder polish a sloppy zeta
+        return _bracketed_solve(fld.psi_fn, lo, hi, target, tol)
 
-    return _bracketed_solve(fld.psi_fn, lo, hi, target, tol)
+    x, polish = np.empty_like(target), np.ones(target.shape, dtype=bool)
+    if fld.zeta is not None:
+        x = _clip(fld.batch("zeta")(target), lo, hi)
+        polish = ~(np.abs(fld.batch("psi")(x) - target) <= tol)
+    for n in np.flatnonzero(polish):
+        x[n] = _bracketed_solve(fld.psi_fn, lo, hi, float(target[n]), float(tol[n]))
+    return x
 
 
 def _bracketed_solve(psi, lo: float, hi: float, target: float, tol: float) -> float:
@@ -394,6 +459,15 @@ class DomainBox:
 
     def point_for_index(self, seed: int, index: int) -> np.ndarray:
         return self._points(unit_uniforms(seed, [index], 3))[0]
+
+    def first_outside(self, x):
+        """first_flagged of "not contained": None when every point of x lies in the domain.
+
+        x is a point, or three coordinate arrays.
+        """
+        if isinstance(x[0], np.ndarray):
+            return first_flagged(~self._admissible(np.column_stack(x)))
+        return None if self.contains(x) else ()
 
     def _admissible(self, xs: np.ndarray) -> np.ndarray:
         """contains() of every row, through the batch predicate; per row where that faults."""

@@ -155,6 +155,16 @@ def sampled_check(kind: str, measure, points, scheme: str, seed: int, tol: float
     return _report(kind, len(points), worst, worst_point, scheme, seed, tol)
 
 
+def batch_report(kind: str, values: np.ndarray, points: np.ndarray, scheme: str, seed: int, tol: float) -> SampledCheckReport:
+    """The report of per-point values computed in one batch, the row of points reported with each.
+
+    The first maximum is the worst point, as sampled_check keeps it.
+    """
+    worst = int(np.argmax(values))
+    where = tuple(float(v) for v in points[worst])
+    return _report(kind, len(values), float(values[worst]), where, scheme, seed, tol)
+
+
 def _batch_residuals(field: MatrixField3, points: np.ndarray, scheme: str) -> np.ndarray:
     """The scale-normalized residual of every point at once; BatchFault on any fault."""
     xs = tuple(np.ascontiguousarray(points[:, a]) for a in range(3))
@@ -190,9 +200,7 @@ def verify_structure(
         except ex.BatchFault:
             pass
         else:
-            worst = int(np.argmax(values))  # the first maximum, as sampled_check keeps it
-            where = tuple(float(v) for v in points[worst])
-            return _report("jacobi", len(points), float(values[worst]), where, scheme, seed, tol)
+            return batch_report("jacobi", values, points, scheme, seed, tol)
 
     def measure(pt):
         x1, x2, x3 = float(pt[0]), float(pt[1]), float(pt[2])

@@ -1,6 +1,7 @@
 """The batch binding is exact: same floats as the scalar binding, same faults after replay.
 
-Sampled Jacobi checks and domain sampling run over numpy arrays.  Every
+Sampled Jacobi and canonical checks, chart tables and domain sampling run
+over numpy arrays.  Every
 comparison here is float equality (==), never a tolerance: the batch path
 must reproduce the scalar path bit for bit, and where it faults the scalar
 path must run and report exactly what it reports on its own.
@@ -12,14 +13,34 @@ import random
 import numpy as np
 import pytest
 
+from poisson3d import darboux
 from poisson3d import expr as ex
 from poisson3d import verification
 from poisson3d.builtin_systems import BUILTIN_NAMES, build_system
+from poisson3d.casimir import casimir_expr, chi_table
 from poisson3d.cli import main
-from poisson3d.errors import DomainEvalError, DomainSamplingError
-from poisson3d.scalar_fields import DomainBox, Field3, unit_uniforms
+from poisson3d.darboux import (
+    DarbouxChart,
+    build_chart,
+    canonical_check,
+    forward_map,
+    inverse_map,
+    jacobian_forward,
+    pushforward_matrix,
+)
+from poisson3d.errors import (
+    DomainEvalError,
+    DomainMembershipError,
+    DomainSamplingError,
+    HypothesisViolationError,
+    OutOfRangeError,
+    UndefinedAtPointError,
+)
+from poisson3d.family import StructureMatrixValue, chi, make_family_spec, make_kappa, structure_matrix_at
+from poisson3d.scalar_fields import DomainBox, Field3, ScalarField1D, build_scalar_field, psi_inverse, unit_uniforms
 from poisson3d.testing import random_family_spec
 from poisson3d.verification import matrix_field_from_spec, verify_structure
+from conftest import ORDERED_BOX, make_flat_spec
 from helpers import gen_expr
 
 # every function, and ^ with integer, negative, non-integer and variable exponents
@@ -285,3 +306,211 @@ def test_fault_replay_matches_scalar_cli(tmp_path, capsys, monkeypatch, batch_ou
     code, out, err = batch
     assert (code, out) == (2, "")
     assert err.startswith(FAULTING_ENTRIES[entry]) and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# canonical_check: batch report equals the per-point report
+
+
+@pytest.fixture()
+def canonical_outcomes(monkeypatch):
+    """Records whether each batch canonical pass returned or handed over to the per-point loop."""
+    outcomes = []
+    original = darboux._batch_deviations
+
+    def recording(*args):
+        try:
+            values = original(*args)
+        except Exception:
+            outcomes.append("fault")
+            raise
+        outcomes.append("ok")
+        return values
+
+    monkeypatch.setattr(darboux, "_batch_deviations", recording)
+    return outcomes
+
+
+def _outcome(fn):
+    try:
+        return fn().to_dict()
+    except Exception as exc:  # the exception itself is the outcome to compare
+        return type(exc), str(exc)
+
+
+def _assert_same_canonical(monkeypatch, chart, n, seed, scheme):
+    """The batch and the forced per-point canonical check agree exactly; returns the outcome."""
+    batch = _outcome(lambda: canonical_check(chart, n, seed=seed, scheme=scheme))
+
+    def refuse(*args):
+        raise ex.BatchFault("forced per-point loop")
+
+    with monkeypatch.context() as m:
+        m.setattr(darboux, "_batch_deviations", refuse)
+        scalar = _outcome(lambda: canonical_check(chart, n, seed=seed, scheme=scheme))
+    assert batch == scalar
+    return batch
+
+
+# euler-top's chi_31 changes sign on its box, so it has no chart for k = 2
+CHARTED_BUILTINS = [(name, k) for name in BUILTIN_NAMES for k in (None, 1, 2, 3) if (name, k) != ("euler-top", 2)]
+
+
+@pytest.mark.parametrize("scheme", ["analytic", "fd"])
+@pytest.mark.parametrize("name, k", CHARTED_BUILTINS)
+def test_canonical_batch_equals_scalar_on_builtins(monkeypatch, canonical_outcomes, name, k, scheme):
+    spec, _ = build_system(name)
+    chart = build_chart(spec, k, seed=42)
+    report = _assert_same_canonical(monkeypatch, chart, 1000, 42, scheme)
+    assert report["samples"] == 1000
+    assert canonical_outcomes == ["ok"]
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_canonical_batch_equals_scalar_on_random_specs(monkeypatch, canonical_outcomes, seed):
+    checked, without_zeta = 0, 0
+    for i in range(40):
+        spec = random_family_spec(i, seed)
+        try:
+            chart = build_chart(spec, seed=seed)
+        except HypothesisViolationError:
+            continue  # rightly rejected charts have no canonical check
+        for scheme in ("analytic", "fd"):
+            _assert_same_canonical(monkeypatch, chart, 100, seed, scheme)
+            checked += 1
+        without_zeta += spec.field(chart.k).zeta is None
+    assert checked >= 60
+    assert without_zeta >= 5  # these solve every x_k with the per-point root-finder
+    assert canonical_outcomes == ["ok"] * checked
+
+
+def _unchecked_chart(spec, k):
+    """A chart assembled without build_chart's hypothesis certificate."""
+    return DarbouxChart(spec, k, (0, 0, 0), ((0.0, 0.0),) * 3, Field3(casimir_expr(spec, k)))
+
+
+def test_canonical_worst_point_is_the_first_maximum(monkeypatch, canonical_outcomes):
+    # a constant Casimir row leaves dy/dx = diag(1, 1, 0); on the flat spec
+    # J'_12 / J_12 is then x / x = 1 and every deviation is exactly 0
+    spec = make_flat_spec(ORDERED_BOX)
+    chart = DarbouxChart(spec, 3, (1, 1, 1), ((0.0, 0.0),) * 3, Field3(ex.parse("0")))
+    report = canonical_check(chart, 200, seed=3)
+    assert report.worst == 0.0
+    assert report.worst_point == tuple(forward_map(chart, spec.domain.sample(200, 3)[0]).tolist())
+    assert canonical_outcomes == ["ok"]
+    _assert_same_canonical(monkeypatch, chart, 200, 3, "fd")
+
+
+def _field(phi, psi, zeta, interval):
+    """An axis triple taken as given, without build_scalar_field's checks."""
+    return ScalarField1D(ex.parse(phi), ex.parse(psi), ex.parse(zeta) if zeta else None, interval)
+
+
+@pytest.mark.parametrize("scheme", ["analytic", "fd"])
+def test_canonical_guard_failure_is_the_scalar_failure(monkeypatch, canonical_outcomes, scheme):
+    # psi_1 = u - |u| and psi_2 = 0: chi_12 is exactly 0 wherever x1 >= 0
+    box = ((-1.0, 1.0), (0.5, 1.5), (0.5, 1.5))
+    fields = (_field("1 - sign(u)", "u - abs(u)", None, box[0]), _field("0", "0*u", None, box[1]),
+              _field("1", "u", "u", box[2]))
+    spec = make_family_spec(ex.parse("1"), fields, make_kappa(0.0, 3.0), DomainBox(box))
+    chart = _unchecked_chart(spec, 3)
+    got = _assert_same_canonical(monkeypatch, chart, 300, 4, scheme)
+    first = next(x for x in spec.domain.sample(300, 4) if x[0] >= 0.0)
+    assert got == (UndefinedAtPointError, f"chi_12 = 0.0 at {tuple(first.tolist())}; C_3 undefined there")
+    assert spec.domain.sample(300, 4)[0][0] < 0.0  # earlier points pass every stage
+    assert canonical_outcomes == ["fault"]
+
+
+@pytest.mark.parametrize("scheme", ["analytic", "fd"])
+def test_canonical_domain_exit_is_the_scalar_failure(monkeypatch, canonical_outcomes, scheme):
+    # psi_3 = 1e-13 u is flat to the solve tolerance, so zeta = 0.9 passes its
+    # residual test; x(y) = (x1, x2, 0.9) leaves the domain wherever x1 >= 1
+    box = ((0.5, 1.5), (0.5, 1.5), (0.5, 1.5))
+    fields = (_field("1", "u", "u", box[0]), _field("1", "u", "u", box[1]),
+              _field("1e-13", "1e-13*u", "0.9 + 0*u", box[2]))
+    domain = DomainBox(box, ex.parse("x3 - 0.9 + abs(x1 - 1) - (x1 - 1)"))
+    spec = make_family_spec(ex.parse("1000"), fields, make_kappa(5.0, 0.0), domain)
+    chart = _unchecked_chart(spec, 3)
+    kind, message = _assert_same_canonical(monkeypatch, chart, 300, 5, scheme)
+    first = next(x for x in spec.domain.sample(300, 5) if x[0] >= 1.0)
+    assert kind is DomainMembershipError
+    assert message.startswith(f"inverse image {(float(first[0]), float(first[1]), 0.9)} of ")
+    assert spec.domain.sample(300, 5)[0][0] < 1.0
+    assert canonical_outcomes == ["fault"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 1500, 20_000])
+def test_stacked_matmul_equals_per_slice_matmul(n, k):
+    # the batch pushforward rests on numpy running the same 3x3 product on
+    # every slice of a stack as on one matrix; a BLAS or numpy change that
+    # breaks this must fail here, not move a pinned worst point
+    rng = np.random.default_rng(100 * n + k)
+    M = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
+    M[:, k - 1, :] = rng.normal(size=(n, 3)) * rng.lognormal(0.0, 3.0, size=(n, 1))
+    j12, j23, j31 = rng.normal(size=(3, n)) * rng.lognormal(0.0, 3.0, size=(3, n))
+    J = StructureMatrixValue(j12, j23, j31).as_matrix()
+    stacked = M @ J @ np.swapaxes(M, -1, -2)
+    per_slice = np.array([M[s] @ J[s] @ M[s].T for s in range(n)])
+    assert np.array_equal(stacked, per_slice)
+
+
+@pytest.mark.parametrize("scheme", ["analytic", "fd"])
+def test_pushforward_is_the_blas_product(scheme):
+    # reports pin worst points, so J' must stay the 3x3 @ product of D4, at
+    # one point and on coordinate arrays alike, not a closed form
+    spec, _ = build_system("euler-top")
+    chart = build_chart(spec, 3, seed=42)
+    ys = forward_map(chart, np.ascontiguousarray(spec.domain.sample(200, 1).T))
+    stacked = pushforward_matrix(chart, ys, scheme).as_matrix()
+    for n, y in enumerate(ys.T):
+        x = inverse_map(chart, y)
+        M = jacobian_forward(chart, x, scheme)
+        P = M @ structure_matrix_at(spec, x).as_matrix() @ M.T
+        want = StructureMatrixValue(float(P[0, 1]), float(P[1, 2]), float(P[2, 0]))
+        assert pushforward_matrix(chart, y, scheme) == want
+        assert stacked[n].tolist() == want.as_matrix().tolist()
+
+
+# ---------------------------------------------------------------------------
+# The chart's scalar-field layer on arrays
+
+
+def _axis_fields():
+    """Fields with an exact zeta, a sloppy zeta, and none."""
+    iv = (0.5, 2.0)
+    return {
+        "exact": build_scalar_field(ex.parse("exp(u)"), ex.parse("exp(u)"), ex.parse("ln(u)"), iv),
+        "sloppy": _field("3*u^2", "u^3", "u^(1/3) * (1 + 1e-9)", iv),
+        "none": build_scalar_field(ex.parse("3*u^2"), ex.parse("u^3"), None, iv),
+    }
+
+
+@pytest.mark.parametrize("kind", ["exact", "sloppy", "none"])
+def test_psi_inverse_on_arrays_equals_scalar_solves(kind):
+    fld = _axis_fields()[kind]
+    rlo, rhi = fld.psi_range()
+    targets = np.concatenate([np.linspace(rlo, rhi, 400), [rlo, rhi, rlo - 1e-13 * rlo, rhi + 1e-12]])
+    got = psi_inverse(fld, targets)
+    assert got.tolist() == [psi_inverse(fld, float(t)) for t in targets]
+
+
+def test_psi_inverse_on_arrays_names_the_first_target_out_of_range():
+    fld = _axis_fields()["exact"]
+    rlo, rhi = fld.psi_range()
+    targets = np.array([rlo, rhi + 1.0, rlo - 1.0])
+    with pytest.raises(OutOfRangeError) as got:
+        psi_inverse(fld, targets)
+    with pytest.raises(OutOfRangeError) as want:
+        psi_inverse(fld, rhi + 1.0)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_chi_table_equals_chi_per_point(seed):
+    specs = [build_system(name)[0] for name in BUILTIN_NAMES] + [random_family_spec(i, seed) for i in range(12)]
+    for spec in specs:
+        points = spec.domain.sample(300, seed)
+        for x, (psis, chis) in zip(points, chi_table(spec, points)):
+            assert psis == tuple(spec.psi(a, float(x[a - 1])) for a in (1, 2, 3))
+            assert chis == (chi(spec, 2, 3, x), chi(spec, 3, 1, x), chi(spec, 1, 2, x))

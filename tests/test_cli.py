@@ -204,6 +204,12 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         )
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag} ")
+    # sample counts below 1 name their flag, as --tol does
+    for argv in (("verify", "--system", "halphen", "--samples", "0"),
+                 ("darboux", "--system", "halphen", "--check-samples", "0")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[3]} must be >= 1, got 0\n"
     # step counts past the cap: the first ratio overflows, the second would never finish
     for t_end, dt in (("1e308", "1e-308"), ("0.5", "1e-300")):
         for extra in ((), ("--reduced",)):
@@ -213,6 +219,21 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
             )
             assert (code, out) == (2, "")
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_non_finite_literal_is_bad_input(capsys, tmp_path):
+    # 1e999 overflows to inf when read; the parser names it instead of compiling it
+    code, out, err = run_cli(
+        capsys, "simulate", "--system", "halphen", "--x0", "0.1,0.5,0.9", "--hamiltonian", "x1*1e999",
+        "--t-end", "1.0", "--dt", "0.1", "--out", str(tmp_path / "x.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: numeric literal '1e999' overflows to inf (offset 3)\n"
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(_edited(BROKEN_SPEC, ("matrix", "j23"), "x3 + 1/(x1*1e999)")))
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: numeric literal '1e999' overflows to inf (offset 11)\n"
 
 
 def _edited(doc, path, value):

@@ -48,6 +48,14 @@ def test_unknown_identifier():
         ex.parse("foo(x1)")
 
 
+def test_literal_overflowing_to_inf_is_rejected():
+    with pytest.raises(ParseError, match=r"^numeric literal '1\.8e308' overflows to inf \(offset 5\)$") as err:
+        ex.parse("x1 * 1.8e308")
+    assert err.value.offset == 5
+    assert ex.parse("1.7976931348623157e308") == ex.Lit(1.7976931348623157e308)
+    assert ex.parse("1e-400") == ex.Lit(0.0)  # underflow to zero stays a finite literal
+
+
 def test_empty_source_rejected():
     with pytest.raises(ParseError):
         ex.parse("   ")
