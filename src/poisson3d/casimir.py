@@ -39,23 +39,29 @@ def denominator_threshold(psi_i: float, psi_j: float) -> float:
     return 1e-12 * (1.0 + abs(psi_i) + abs(psi_j))
 
 
-def _guarded_denominator(spec: PoissonFamilySpec, i: int, j: int, k: int, x):
-    """chi_ij at x; UndefinedAtPointError when it is below the threshold (at the first such point)."""
+def _guarded_chis(spec: PoissonFamilySpec, k: int, x):
+    """(chi_ij, chi_jk) at x for the cyclic (i, j, k), from one psi evaluation per axis.
+
+    UndefinedAtPointError when chi_ij is below the threshold (at the first
+    such point).  Each value is computed as chi() computes it.
+    """
+    i, j, k = cyclic(k)
     x = coordinates(x)
-    denom = chi(spec, i, j, x)
-    bad = first_flagged(abs(denom) <= denominator_threshold(spec.psi(i, x[i - 1]), spec.psi(j, x[j - 1])))
+    psis = tuple(spec.psi(a, x[a - 1]) for a in (1, 2, 3))
+    chis = chi_triple(spec, *psis)  # chi_12, chi_23, chi_31: chi_ij sits at i - 1
+    denom = chis[i - 1]
+    bad = first_flagged(abs(denom) <= denominator_threshold(psis[i - 1], psis[j - 1]))
     if bad is not None:
         raise UndefinedAtPointError(
             f"chi_{i}{j} = {element(denom, bad)!r} at {point_at(x, bad)}; C_{k} undefined there"
         )
-    return denom
+    return denom, chis[j - 1]
 
 
 def casimir_value(spec: PoissonFamilySpec, k: int, x):
     """C_k at a point, or per point of three coordinate arrays; UndefinedAtPointError below the denominator guard."""
-    i, j, k = cyclic(k)
-    denom = _guarded_denominator(spec, i, j, k, x)
-    return chi(spec, j, k, x) / denom
+    denom, numer = _guarded_chis(spec, k, x)
+    return numer / denom
 
 
 def casimir_expr(spec: PoissonFamilySpec, k: int) -> ex.Expr:
@@ -66,8 +72,7 @@ def casimir_expr(spec: PoissonFamilySpec, k: int) -> ex.Expr:
 
 def casimir_gradient(spec: PoissonFamilySpec, k: int, x) -> np.ndarray:
     """Closed-form gradient -(eta chi_ij^2)^(-1) (J23, J31, J12)."""
-    i, j, k = cyclic(k)
-    denom = _guarded_denominator(spec, i, j, k, x)
+    denom, _ = _guarded_chis(spec, k, x)
     J = structure_matrix_at(spec, x, check_domain=False)
     eta = spec.eta_value(float(x[0]), float(x[1]), float(x[2]))
     factor = -1.0 / (eta * denom * denom)
@@ -113,11 +118,12 @@ def _denominators(spec: PoissonFamilySpec, psis):
     return c23, c31, c12
 
 
-def chi_table(spec: PoissonFamilySpec, points) -> list[tuple[tuple[float, float, float], tuple[float, float, float]]]:
-    """Per point, (psi_1, psi_2, psi_3) and the denominators (chi_23, chi_31, chi_12) of C_1, C_2, C_3.
+def chi_table(spec: PoissonFamilySpec, points) -> tuple[np.ndarray, np.ndarray]:
+    """(psi_1, psi_2, psi_3) and the denominators (chi_23, chi_31, chi_12) of C_1, C_2, C_3, as two (3, n) arrays.
 
-    Each chi is computed as chi() computes it, so values are float-identical.
-    All points are evaluated at once; a batch fault replays them one by one.
+    Column n holds point n.  Each chi is computed as chi() computes it, so
+    values are float-identical.  All points are evaluated at once; a batch
+    fault replays them one by one.
     """
     points = np.asarray(points, dtype=float)
     try:
@@ -125,20 +131,17 @@ def chi_table(spec: PoissonFamilySpec, points) -> list[tuple[tuple[float, float,
             psis = tuple(spec.psi(a, np.ascontiguousarray(points[:, a - 1])) for a in (1, 2, 3))
             chis = _denominators(spec, psis)
     except ex.BatchFault:
-        table = []
-        for x in points:
-            psis = tuple(spec.psi(a, float(x[a - 1])) for a in (1, 2, 3))
-            table.append((psis, _denominators(spec, psis)))
-        return table
-    return list(zip(zip(*(p.tolist() for p in psis)), zip(*(c.tolist() for c in chis))))
+        psis = [tuple(spec.psi(a, float(x[a - 1])) for a in (1, 2, 3)) for x in points]
+        chis = [_denominators(spec, p) for p in psis]
+        return np.array(psis).T, np.array(chis).T
+    return np.array(psis), np.array(chis)
 
 
-def best_casimir_index(table) -> int:
-    """The k whose denominator stays farthest from zero over a chi_table; the first k wins ties."""
-    margins = [min(abs(chis[k - 1]) for _, chis in table) for k in (1, 2, 3)]
-    return margins.index(max(margins)) + 1
+def best_casimir_index(chis: np.ndarray) -> int:
+    """The k whose denominator stays farthest from zero over chi_table's denominators; the first k wins ties."""
+    return int(np.argmax(np.min(np.abs(chis), axis=1))) + 1
 
 
 def default_casimir_index(spec: PoissonFamilySpec) -> int:
     """best_casimir_index over CHART_SAMPLES domain points at seed 0."""
-    return best_casimir_index(chi_table(spec, spec.domain.sample(CHART_SAMPLES, seed=0)))
+    return best_casimir_index(chi_table(spec, spec.domain.sample(CHART_SAMPLES, seed=0))[1])

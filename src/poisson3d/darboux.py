@@ -17,7 +17,6 @@ conjugate pair and the decoupled Casimir coordinate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,31 +71,29 @@ def build_chart(spec: PoissonFamilySpec, k: int | None = None, seed: int = 0) ->
     every sampled value must clear the denominator threshold and, on a
     plain box (no predicate carving the domain apart), must keep one sign,
     since a sign change on a connected set forces a zero in between.  The
-    image box spans the forward images of the same points.
+    first sample point failing either test is named.  The image box spans
+    the forward images of the same points.  All three run as array
+    expressions over chi_table, with Python float semantics (no
+    floating-point warnings).
     """
     points = spec.domain.sample(CHART_SAMPLES, seed)
-    table = chi_table(spec, points)
-    i, j, k = cyclic(best_casimir_index(table) if k is None else k)
+    psis, chis = chi_table(spec, points)
+    i, j, k = cyclic(best_casimir_index(chis) if k is None else k)
 
-    ys = []
-    sign_seen = 0.0
-    for x, (psi, chis) in zip(points, table):
-        value = chis[k - 1]  # chi_ij, the denominator of C_k
-        if abs(value) <= denominator_threshold(psi[i - 1], psi[j - 1]):
+    value = chis[k - 1]  # chi_ij, the denominator of C_k
+    with np.errstate(all="ignore"):
+        small = np.abs(value) <= denominator_threshold(psis[i - 1], psis[j - 1])
+        flipped = np.copysign(1.0, value) != np.copysign(1.0, value[0])
+        bad = first_flagged(small | flipped if spec.domain.predicate is None else small)
+        if bad is not None:
+            x = point_at(points.T, bad)
+            if small[bad]:
+                raise HypothesisViolationError(f"chi_{i}{j} = {float(value[bad])!r} at {x}; chart hypothesis fails")
             raise HypothesisViolationError(
-                f"chi_{i}{j} = {value!r} at {tuple(float(v) for v in x)}; chart hypothesis fails"
+                f"chi_{i}{j} changes sign on the box (seen near {x}); it must vanish somewhere inside"
             )
-        s = math.copysign(1.0, value)
-        if spec.domain.predicate is None and sign_seen and s != sign_seen:
-            raise HypothesisViolationError(
-                f"chi_{i}{j} changes sign on the box (seen near {tuple(float(v) for v in x)}); "
-                "it must vanish somewhere inside"
-            )
-        sign_seen = s
-        y = [float(v) for v in x]
-        y[k - 1] = -(chis[i - 1] / value)  # -C_k, as forward_map computes it
-        ys.append(y)
-    ys = np.array(ys)
+        ys = points.copy()
+        ys[:, k - 1] = -(chis[i - 1] / value)  # -C_k, as forward_map computes it
     return DarbouxChart(
         spec,
         k,

@@ -559,8 +559,30 @@ def compile_batch(e: Expr, varnames: tuple[str, ...] = ("x1", "x2", "x3")):
 # Symbolic differentiation
 
 # Tidying constructors fold literal-literal operations and drop exact
-# identities (x+0, 1*x, x/1, x^1).  Multiplication by a literal zero is
-# deliberately kept: 0 * sign(f) must still fault at f = 0.
+# identities (x+0, 1*x, x/1, x^1).  A product with a literal zero becomes
+# that zero only when the other factor is total (_total): 0 * sign(f) must
+# still fault at f = 0, so zeros next to sign, ln, sqrt, / or a general ^
+# stay (docs/decisions.md, D5).
+
+_TOTAL_FNS = ("exp", "sin", "cos", "abs")
+
+
+def _total(e: Expr) -> bool:
+    """True when e is defined at every real point.
+
+    Total trees are built from literals, variables, + - *, negation, exp,
+    sin, cos, abs, and ^ with a non-negative integer literal exponent.
+    """
+    if isinstance(e, (Lit, Var)):
+        return True
+    if isinstance(e, Neg):
+        return _total(e.operand)
+    if isinstance(e, Call):
+        return e.fn in _TOTAL_FNS and _total(e.arg)
+    if e.op == "^":
+        c = e.right
+        return isinstance(c, Lit) and c.value >= 0.0 and c.value.is_integer() and _total(e.left)
+    return e.op != "/" and _total(e.left) and _total(e.right)
 
 
 def _s_add(a: Expr, b: Expr) -> Expr:
@@ -584,6 +606,10 @@ def _s_mul(a: Expr, b: Expr) -> Expr:
         return b
     if isinstance(b, Lit) and b.value == 1.0:
         return a
+    if isinstance(a, Lit) and a.value == 0.0 and _total(b):
+        return a
+    if isinstance(b, Lit) and b.value == 0.0 and _total(a):
+        return b
     return _fold_bin(Bin("*", a, b))
 
 
@@ -602,9 +628,14 @@ def _s_pow(a: Expr, b: Expr) -> Expr:
 def differentiate(e: Expr, name: str) -> Expr:
     """Symbolic partial derivative with respect to one variable.
 
-    The derivative of abs is sign, and the derivative of sign is a zero
-    that still evaluates sign; both therefore raise DomainEvalError when
-    evaluated at an argument of exactly 0, where no derivative exists.
+    Terms multiplied by a literal zero are dropped where the other factor
+    is total (defined at every real point), so a partial carries no dead
+    copies of subtrees that do not depend on the variable; its values are
+    those of the full product rule up to the sign of an exact zero.  Zeros
+    next to a factor that can fault are kept: the derivative of abs is
+    sign, and the derivative of sign is a zero that still evaluates sign,
+    so both raise DomainEvalError at an argument of exactly 0, where no
+    derivative exists.
     """
     if name not in VARIABLES:
         raise ValueError(f"unknown variable {name!r}")

@@ -31,7 +31,9 @@ from .errors import (
     FamilyValidationError,
     InvalidAxisError,
 )
-from .scalar_fields import ZERO_FLOOR, DomainBox, Field3, ScalarField1D, coordinates, point_at
+from .scalar_fields import (
+    ZERO_FLOOR, DomainBox, Field3, ScalarField1D, batch_certificate, coordinates, point_at, vanishing_flags,
+)
 
 _AXES = (1, 2, 3)
 _XS = ("x1", "x2", "x3")
@@ -166,29 +168,25 @@ def _check_nonvanishing(fn, domain: DomainBox, what: str) -> None:
     the first failure in sample order.
     """
     points = domain.sample(NONVANISHING_SAMPLES, seed=0)
-    try:
-        with ex.batch_arithmetic():
-            v = fn(*coordinates(np.ascontiguousarray(points.T)))
-    except ex.BatchFault:
-        pass
-    else:
-        flagged = np.abs(v) <= ZERO_FLOOR
-        if domain.predicate is None:
-            flagged |= np.copysign(1.0, v) != np.copysign(1.0, v[0])
-        if not flagged.any():
-            return
-    sign_seen = 0.0
-    for x in points:
-        point = tuple(float(v) for v in x)
-        v = fn(*point)
-        if abs(v) <= ZERO_FLOOR:
-            raise FamilyValidationError(f"{what} vanishes at sampled point {point}")
-        s = math.copysign(1.0, v)
-        if domain.predicate is None and sign_seen and s != sign_seen:
-            raise FamilyValidationError(
-                f"{what} changes sign on the box (seen near {point}); it must vanish somewhere inside"
-            )
-        sign_seen = s
+
+    def per_point():
+        sign_seen = 0.0
+        for x in points:
+            point = tuple(float(v) for v in x)
+            v = fn(*point)
+            if abs(v) <= ZERO_FLOOR:
+                raise FamilyValidationError(f"{what} vanishes at sampled point {point}")
+            s = math.copysign(1.0, v)
+            if domain.predicate is None and sign_seen and s != sign_seen:
+                raise FamilyValidationError(
+                    f"{what} changes sign on the box (seen near {point}); it must vanish somewhere inside"
+                )
+            sign_seen = s
+
+    batch_certificate(
+        lambda: vanishing_flags(fn(*coordinates(np.ascontiguousarray(points.T))), domain.predicate is None),
+        per_point,
+    )
 
 
 def make_family_spec(

@@ -217,6 +217,7 @@ class ScalarField1D:
     psi_fn: object = field(init=False, repr=False, compare=False)
     zeta_fn: object = field(init=False, repr=False, compare=False)
     _batch: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _psi_range: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "phi_fn", ex.compile_expr(self.phi, ("u",)))
@@ -233,9 +234,12 @@ class ScalarField1D:
         return fn
 
     def psi_range(self) -> tuple[float, float]:
-        lo, hi = self.interval
-        a, b = self.psi_fn(lo), self.psi_fn(hi)
-        return (a, b) if a <= b else (b, a)
+        """psi's values at the interval ends, in increasing order; computed on first use."""
+        if self._psi_range is None:
+            lo, hi = self.interval
+            a, b = self.psi_fn(lo), self.psi_fn(hi)
+            object.__setattr__(self, "_psi_range", (a, b) if a <= b else (b, a))
+        return self._psi_range
 
 
 @dataclass(frozen=True)
@@ -270,6 +274,30 @@ def assert_nonvanishing(f, interval: tuple[float, float], samples: int) -> Nonva
     return NonvanishingReport(True)
 
 
+def vanishing_flags(v: np.ndarray, sign_rule: bool = True) -> np.ndarray:
+    """Samples that fail a nonvanishing certificate: |v| at ZERO_FLOOR or, under the sign rule, a sign change."""
+    flags = np.abs(v) <= ZERO_FLOOR
+    if sign_rule:
+        flags |= np.copysign(1.0, v) != np.copysign(1.0, v[0])
+    return flags
+
+
+def batch_certificate(flags, per_point) -> None:
+    """A sampled certificate: flags() on arrays, per_point() where that faults or flags a sample.
+
+    flags runs under expr.batch_arithmetic and returns a boolean array.
+    The per-point loop then raises the certificate's error at the first
+    failing sample, with the message it has on its own.
+    """
+    try:
+        with ex.batch_arithmetic():
+            if not flags().any():
+                return
+    except ex.BatchFault:
+        pass
+    per_point()
+
+
 def build_scalar_field(
     phi: ex.Expr,
     psi: ex.Expr,
@@ -278,9 +306,11 @@ def build_scalar_field(
 ) -> ScalarField1D:
     """Validate and assemble a field triple on a closed interval.
 
-    Checks, on a 256-point grid: psi' = phi (central differences, relative
-    1e-6), phi nonvanishing, psi strictly monotone, and zeta(psi(x)) = x to
-    1e-9 when zeta is supplied.
+    Checks, on a 256-point grid: phi nonvanishing, psi' = phi (central
+    differences, relative 1e-6), psi strictly monotone, and zeta(psi(x)) = x
+    to 1e-9 when zeta is supplied.  Each check runs on arrays through
+    ScalarField1D.batch, bit-identical to its per-point loop, which runs
+    only where the arrays fault or flag a point.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -291,37 +321,56 @@ def build_scalar_field(
             raise FieldValidationError(f"{name} may only use the variable u, found {sorted(extra)}")
 
     fld = ScalarField1D(phi, psi, zeta, (lo, hi))
+    grid = np.linspace(lo, hi, _GRID)
 
-    report = assert_nonvanishing(fld.phi_fn, (lo, hi), _GRID)
-    if not report.ok:
-        raise FieldValidationError(f"phi must be nonvanishing on the interval: {report.reason} (u = {report.where})")
+    def phi_loop():
+        report = assert_nonvanishing(fld.phi_fn, (lo, hi), _GRID)
+        if not report.ok:
+            raise FieldValidationError(
+                f"phi must be nonvanishing on the interval: {report.reason} (u = {report.where})"
+            )
+
+    batch_certificate(lambda: vanishing_flags(fld.batch("phi")(grid)), phi_loop)
 
     # psi' = phi on interior points; the stencil must stay inside the
     # interval, where the expressions are guaranteed to be defined
     width = hi - lo
     xs = lo + width * (np.arange(_GRID) + 0.5) / _GRID
-    for x in xs:
-        x = float(x)
-        h = min(fd_step(x), 0.49 * min(x - lo, hi - x) + 1e-300)
-        if h <= 0.0:
-            continue
-        try:
-            dpsi = central_difference(fld.psi_fn, (x,), 0, h)
-            phival = fld.phi_fn(x)
-        except DomainEvalError as exc:
-            raise FieldValidationError(f"evaluation failed during psi'=phi check at u={x}: {exc}") from None
-        if abs(dpsi - phival) > 1e-6 * max(1.0, abs(phival)):
-            raise FieldValidationError(
-                f"psi is not a primitive of phi: psi'({x}) = {dpsi!r} but phi({x}) = {phival!r}"
-            )
+    steps = np.minimum(fd_step(xs), 0.49 * np.minimum(xs - lo, hi - xs) + 1e-300)
 
-    grid = np.linspace(lo, hi, _GRID)
-    psis = [fld.psi_fn(float(x)) for x in grid]
+    def primitive_flags():
+        x, h = xs[steps > 0.0], steps[steps > 0.0]
+        dpsi = central_difference(fld.batch("psi"), (x,), 0, h)
+        phival = fld.batch("phi")(x)
+        return np.abs(dpsi - phival) > 1e-6 * np.maximum(1.0, np.abs(phival))
+
+    def primitive_loop():
+        for x in xs:
+            x = float(x)
+            h = min(fd_step(x), 0.49 * min(x - lo, hi - x) + 1e-300)
+            if h <= 0.0:
+                continue
+            try:
+                dpsi = central_difference(fld.psi_fn, (x,), 0, h)
+                phival = fld.phi_fn(x)
+            except DomainEvalError as exc:
+                raise FieldValidationError(f"evaluation failed during psi'=phi check at u={x}: {exc}") from None
+            if abs(dpsi - phival) > 1e-6 * max(1.0, abs(phival)):
+                raise FieldValidationError(
+                    f"psi is not a primitive of phi: psi'({x}) = {dpsi!r} but phi({x}) = {phival!r}"
+                )
+
+    batch_certificate(primitive_flags, primitive_loop)
+
+    try:
+        psis = fld.batch("psi")(grid)
+    except ex.BatchFault:
+        psis = np.array([fld.psi_fn(float(x)) for x in grid])
     diffs = np.diff(psis)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise FieldValidationError("psi is not strictly monotone on the sampled grid")
 
-    if fld.zeta_fn is not None:
+    def zeta_loop():
         for x in grid:
             x = float(x)
             try:
@@ -330,6 +379,9 @@ def build_scalar_field(
                 raise FieldValidationError(f"zeta round-trip failed to evaluate at u={x}: {exc}") from None
             if abs(back - x) > 1e-9 * max(1.0, abs(x)):
                 raise FieldValidationError(f"zeta(psi({x})) = {back!r}, not the identity")
+
+    if fld.zeta is not None:
+        batch_certificate(lambda: np.abs(fld.batch("zeta")(psis) - grid) > 1e-9 * np.maximum(1.0, np.abs(grid)), zeta_loop)
 
     return fld
 

@@ -8,16 +8,24 @@ path must run and report exactly what it reports on its own.
 """
 
 import json
+import math
 import random
 
 import numpy as np
 import pytest
 
-from poisson3d import darboux
+from poisson3d import darboux, scalar_fields
 from poisson3d import expr as ex
 from poisson3d import verification
 from poisson3d.builtin_systems import BUILTIN_NAMES, build_system
-from poisson3d.casimir import casimir_expr, chi_table
+from poisson3d.casimir import (
+    CHART_SAMPLES,
+    best_casimir_index,
+    casimir_expr,
+    chi_table,
+    cyclic,
+    denominator_threshold,
+)
 from poisson3d.cli import main
 from poisson3d.darboux import (
     DarbouxChart,
@@ -32,12 +40,21 @@ from poisson3d.errors import (
     DomainEvalError,
     DomainMembershipError,
     DomainSamplingError,
+    FieldValidationError,
     HypothesisViolationError,
     OutOfRangeError,
     UndefinedAtPointError,
 )
 from poisson3d.family import StructureMatrixValue, chi, make_family_spec, make_kappa, structure_matrix_at
-from poisson3d.scalar_fields import DomainBox, Field3, ScalarField1D, build_scalar_field, psi_inverse, unit_uniforms
+from poisson3d.scalar_fields import (
+    DomainBox,
+    Field3,
+    ScalarField1D,
+    axis_sign,
+    build_scalar_field,
+    psi_inverse,
+    unit_uniforms,
+)
 from poisson3d.testing import random_family_spec
 from poisson3d.verification import matrix_field_from_spec, verify_structure
 from conftest import ORDERED_BOX, make_flat_spec
@@ -511,6 +528,191 @@ def test_chi_table_equals_chi_per_point(seed):
     specs = [build_system(name)[0] for name in BUILTIN_NAMES] + [random_family_spec(i, seed) for i in range(12)]
     for spec in specs:
         points = spec.domain.sample(300, seed)
-        for x, (psis, chis) in zip(points, chi_table(spec, points)):
-            assert psis == tuple(spec.psi(a, float(x[a - 1])) for a in (1, 2, 3))
-            assert chis == (chi(spec, 2, 3, x), chi(spec, 3, 1, x), chi(spec, 1, 2, x))
+        psis, chis = chi_table(spec, points)
+        assert psis.shape == chis.shape == (3, 300)
+        for x, p, c in zip(points, psis.T.tolist(), chis.T.tolist()):
+            assert tuple(p) == tuple(spec.psi(a, float(x[a - 1])) for a in (1, 2, 3))
+            assert tuple(c) == (chi(spec, 2, 3, x), chi(spec, 3, 1, x), chi(spec, 1, 2, x))
+
+
+# ---------------------------------------------------------------------------
+# Per-spec set-up: the field grid certificates and the chart certificate
+
+
+def _outcome_of(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the exception itself is the outcome to compare
+        return type(exc), str(exc)
+
+
+def _refuse(*arrays):
+    raise ex.BatchFault("forced per-point loop")
+
+
+def _on_scalar_path(monkeypatch, fn):
+    """fn's outcome with every ScalarField1D batch callable faulting, so each check takes its per-point loop."""
+    with monkeypatch.context() as m:
+        m.setattr(ScalarField1D, "batch", lambda self, name: _refuse)
+        return _outcome_of(fn)
+
+
+@pytest.fixture()
+def grid_replays(monkeypatch):
+    """Names the per-point loops that build_scalar_field's grid checks replay."""
+    replays = []
+    original = scalar_fields.batch_certificate
+
+    def recording(flags, per_point):
+        def replay():
+            replays.append(per_point.__name__)
+            per_point()
+
+        original(flags, replay)
+
+    monkeypatch.setattr(scalar_fields, "batch_certificate", recording)
+    return replays
+
+
+def _rebuild(fld):
+    return lambda: build_scalar_field(fld.phi, fld.psi, fld.zeta, fld.interval)
+
+
+def _assert_same_field(monkeypatch, fld, replays):
+    """Rebuilding fld passes on arrays alone, and on the forced per-point path."""
+    assert _rebuild(fld)() == fld
+    assert replays == []
+    assert _on_scalar_path(monkeypatch, _rebuild(fld)) == fld
+    replays.clear()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_field_checks_batch_equals_scalar_on_builtins(monkeypatch, grid_replays, name):
+    for fld in build_system(name)[0].fields:
+        _assert_same_field(monkeypatch, fld, grid_replays)
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_field_checks_batch_equals_scalar_on_random_specs(monkeypatch, grid_replays, seed):
+    for i in range(100):
+        for fld in random_family_spec(i, seed).fields:
+            _assert_same_field(monkeypatch, fld, grid_replays)
+
+
+FAILING_FIELDS = [
+    # (phi, psi, zeta, interval, exception type, message start, the loop that names it)
+    ("ln(u)", "u*ln(u) - u", None, (0.0, 1.0), FieldValidationError,
+     "phi must be nonvanishing on the interval: evaluation failed: ", "phi_loop"),
+    ("2*u", "u^2", None, (-1.0, 3.0), FieldValidationError,
+     "phi must be nonvanishing on the interval: sign change between adjacent samples (u = 0.003921", "phi_loop"),
+    ("u", "u^2", None, (1.0, 2.0), FieldValidationError, "psi is not a primitive of phi: psi'(1.001953125) = ",
+     "primitive_loop"),
+    # psi is flat to rounding, so the central difference reads 0 and passes
+    # the 1e-6 test while adjacent grid values tie
+    ("1e-11", "1e4 + 1e-11*u", None, (0.0, 1.0), FieldValidationError,
+     "psi is not strictly monotone on the sampled grid", None),
+    ("1", "u + 0*ln(u)", None, (0.0, 1.0), DomainEvalError, "ln of non-positive value 0.0", None),
+    ("1", "u", "u + 0.001", (0.0, 1.0), FieldValidationError, "zeta(psi(0.0)) = 0.001, not the identity", "zeta_loop"),
+    ("1", "u", "ln(u - 0.5)", (0.0, 1.0), FieldValidationError,
+     "zeta round-trip failed to evaluate at u=0.0: ln of non-positive value -0.5", "zeta_loop"),
+]
+
+
+@pytest.mark.parametrize("phi, psi, zeta, interval, kind, message, loop", FAILING_FIELDS)
+def test_failing_field_gives_the_scalar_error(monkeypatch, grid_replays, phi, psi, zeta, interval, kind, message, loop):
+    def build():
+        return build_scalar_field(ex.parse(phi), ex.parse(psi), ex.parse(zeta) if zeta else None, interval)
+
+    got = _outcome_of(build)
+    assert got[0] is kind and got[1].startswith(message), got
+    assert grid_replays == ([loop] if loop else [])
+    assert _on_scalar_path(monkeypatch, build) == got
+
+
+def _oracle_charts(spec, seed, ks):
+    """build_chart as the per-point loop over chi() that it replaced, for each k of ks.
+
+    Each outcome is (k, sign_branch, image_box) or the exception's type and text.
+    """
+    points = spec.domain.sample(CHART_SAMPLES, seed)
+    rows = [(tuple(spec.psi(a, float(x[a - 1])) for a in (1, 2, 3)),
+             (chi(spec, 2, 3, x), chi(spec, 3, 1, x), chi(spec, 1, 2, x))) for x in points]
+
+    def chart(k):
+        if k is None:
+            margins = [min(abs(chis[n - 1]) for _, chis in rows) for n in (1, 2, 3)]
+            k = margins.index(max(margins)) + 1
+        i, j, k = cyclic(k)
+        ys, sign_seen = [], 0.0
+        for x, (psi, chis) in zip(points, rows):
+            value, where = chis[k - 1], tuple(float(v) for v in x)
+            if abs(value) <= denominator_threshold(psi[i - 1], psi[j - 1]):
+                raise HypothesisViolationError(f"chi_{i}{j} = {value!r} at {where}; chart hypothesis fails")
+            s = math.copysign(1.0, value)
+            if spec.domain.predicate is None and sign_seen and s != sign_seen:
+                raise HypothesisViolationError(
+                    f"chi_{i}{j} changes sign on the box (seen near {where}); it must vanish somewhere inside"
+                )
+            sign_seen = s
+            y = list(where)
+            y[k - 1] = -(chis[i - 1] / value)
+            ys.append(y)
+        ys = np.array(ys)
+        image = tuple((float(ys[:, a].min()), float(ys[:, a].max())) for a in range(3))
+        return k, tuple(axis_sign(iv) for iv in spec.domain.intervals), image
+
+    return [_outcome_of(lambda: chart(k)) for k in ks]
+
+
+def _assert_same_charts(monkeypatch, spec, seed, ks=(None, 1, 2, 3)):
+    """build_chart for each k of ks equals the oracle and the forced per-point path; returns the outcomes."""
+    def build(k):
+        chart = build_chart(spec, k, seed)
+        return chart.k, chart.sign_branch, chart.image_box
+
+    def outcomes():
+        return [_outcome_of(lambda: build(k)) for k in ks]
+
+    got = outcomes()
+    assert got == _oracle_charts(spec, seed, ks)
+    assert _on_scalar_path(monkeypatch, outcomes) == got
+    return got
+
+
+def _rejection(outcome):
+    if outcome[0] is not HypothesisViolationError:
+        return "chart"
+    return "sign change" if "changes sign" in outcome[1] else "small chi"
+
+
+def test_chart_batch_equals_scalar_on_builtins(monkeypatch):
+    kinds = set()
+    for name in BUILTIN_NAMES:
+        for seed in (0, 42):
+            kinds.update(map(_rejection, _assert_same_charts(monkeypatch, build_system(name)[0], seed)))
+    assert kinds == {"chart", "sign change"}  # euler-top's chi_31 changes sign
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_chart_batch_equals_scalar_on_random_specs(monkeypatch, seed):
+    kinds = []
+    for i in range(100):
+        kinds += map(_rejection, _assert_same_charts(monkeypatch, random_family_spec(i, seed), seed))
+    assert kinds.count("chart") > 300 and kinds.count("sign change") > 5
+
+
+def test_best_casimir_index_breaks_ties_toward_the_first_k():
+    assert best_casimir_index(np.array([[2.0, -3.0], [-2.0, 5.0], [1.0, 4.0]])) == 1
+    assert best_casimir_index(np.array([[1.0, -3.0], [-2.0, 5.0], [4.0, 2.0]])) == 2
+    assert best_casimir_index(np.array([[0.5], [-0.5], [0.5]])) == 1
+
+
+def test_chart_small_chi_is_named_at_the_first_flagged_point(monkeypatch):
+    # psi_1 = u - |u| and psi_2 = 0: chi_12 is exactly 0 wherever x1 >= 0
+    box = ((-1.0, 1.0), (0.5, 1.5), (0.5, 1.5))
+    fields = (_field("1 - sign(u)", "u - abs(u)", None, box[0]), _field("0", "0*u", None, box[1]),
+              _field("1", "u", "u", box[2]))
+    spec = make_family_spec(ex.parse("1"), fields, make_kappa(0.0, 3.0), DomainBox(box))
+    (got,) = _assert_same_charts(monkeypatch, spec, 4, (3,))
+    first = next(x for x in spec.domain.sample(CHART_SAMPLES, 4) if x[0] >= 0.0)
+    assert got == (HypothesisViolationError, f"chi_12 = 0.0 at {tuple(first.tolist())}; chart hypothesis fails")

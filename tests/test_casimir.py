@@ -11,8 +11,10 @@ from poisson3d.casimir import (
     default_casimir_index,
 )
 from poisson3d import expr as ex
+from poisson3d.builtin_systems import BUILTIN_NAMES, build_system
+from poisson3d.dynamics import integrate
 from poisson3d.errors import InvalidAxisError, UndefinedAtPointError
-from poisson3d.family import structure_matrix_at
+from poisson3d.family import PoissonFamilySpec, chi, structure_matrix_at
 from poisson3d.testing import random_family_spec
 from conftest import make_flat_spec
 
@@ -148,3 +150,29 @@ def test_default_index_picks_best_conditioned(halphen_ordered):
     # on the ordered box chi31 = x3 - x1 has the largest margin, and the
     # Casimir with chi31 in the denominator is C2
     assert default_casimir_index(halphen_ordered) == 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_casimir_value_is_the_chi_ratio(k):
+    # psi is evaluated once per axis, and the ratio is the one chi() gives
+    i, j, _ = cyclic(k)
+    specs = [build_system(name)[0] for name in BUILTIN_NAMES] + [random_family_spec(n, 3) for n in range(10)]
+    for spec in specs:
+        points = spec.domain.sample(200, 5)
+        want = [chi(spec, j, k, x) / chi(spec, i, j, x) for x in points]
+        assert [casimir_value(spec, k, x) for x in points] == want
+        assert casimir_value(spec, k, np.ascontiguousarray(points.T)).tolist() == want
+
+
+def test_a_ledger_record_evaluates_psi_once_per_axis(monkeypatch, halphen_wide):
+    calls = []
+    original = PoissonFamilySpec.psi
+
+    def counting(self, axis, value):
+        calls.append(axis)
+        return original(self, axis, value)
+
+    monkeypatch.setattr(PoissonFamilySpec, "psi", counting)
+    traj = integrate(halphen_wide, ex.parse("x1 + x2 + x3"), (1.0, 2.0, 4.0), 0.01, 1e-3, casimir_k=3)
+    assert len(traj) == 11
+    assert calls == [1, 2, 3] * len(traj)

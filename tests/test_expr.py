@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poisson3d import expr as ex
+from poisson3d.builtin_systems import BUILTIN_NAMES, build_system
+from poisson3d.casimir import casimir_expr
+from poisson3d.family import entry_exprs
+from poisson3d.testing import random_family_spec
 from poisson3d.errors import (
     DomainEvalError,
     ParseError,
@@ -209,3 +213,110 @@ def test_expressions_are_immutable():
     tree = ex.parse("x1 + 1")
     with pytest.raises(Exception):
         tree.left = ex.Lit(5.0)
+
+
+# ---------------------------------------------------------------------------
+# Zero pruning: 0 * e is dropped only where e is total
+
+
+@pytest.mark.parametrize("source", ["x1", "2.5", "-x1 * x2 + x3", "exp(sin(x1)) - cos(abs(x2))", "x1^3", "(x1 - x2)^0"])
+def test_zero_times_a_total_factor_is_dropped(source):
+    e = ex.parse(source)
+    assert ex._s_mul(ex.Lit(0.0), e) == ex.Lit(0.0)
+    assert ex._s_mul(e, ex.Lit(0.0)) == ex.Lit(0.0)
+
+
+@pytest.mark.parametrize(
+    "source", ["sign(x1)", "ln(x1)", "sqrt(x1)", "x1 / x2", "x1^x2", "x1^-1", "x1^0.5", "exp(ln(x1))", "x2 * sqrt(x1)"]
+)
+def test_zero_next_to_a_faulting_factor_is_kept(source):
+    e = ex.parse(source)
+    assert ex._s_mul(ex.Lit(0.0), e) == ex.Bin("*", ex.Lit(0.0), e)
+    assert ex._s_mul(e, ex.Lit(0.0)) == ex.Bin("*", e, ex.Lit(0.0))
+
+
+@pytest.mark.parametrize("tree, name", [("sign(x1)", "x1"), ("x1^0.5", "x2")])
+def test_kept_zeros_still_fault_where_no_derivative_exists(tree, name):
+    d = ex.differentiate(ex.parse(tree), name)
+    with pytest.raises(DomainEvalError):
+        ex.compile_expr(d)(0.0, 1.0, 1.0)
+    assert ex.compile_expr(d)(2.0, 1.0, 1.0) == 0.0
+
+
+# The old rule kept every product with a literal zero; _unpruned_s_mul
+# rebuilds it, and both trees are evaluated at the same seeded domain
+# points.  Values must agree with == (which does not see the sign of a
+# zero), and both trees must fault at the same points.
+
+
+def _unpruned_s_mul(a, b):
+    """_s_mul before pruning: only the identities 1 * x and x * 1 drop."""
+    if isinstance(a, ex.Lit) and a.value == 1.0:
+        return b
+    if isinstance(b, ex.Lit) and b.value == 1.0:
+        return a
+    return ex._fold_bin(ex.Bin("*", a, b))
+
+
+def _nodes(e):
+    if isinstance(e, ex.Bin):
+        return 1 + _nodes(e.left) + _nodes(e.right)
+    if isinstance(e, ex.Neg):
+        return 1 + _nodes(e.operand)
+    if isinstance(e, ex.Call):
+        return 1 + _nodes(e.arg)
+    return 1
+
+
+def _values(tree, xs):
+    """Values at the points of xs (three coordinate arrays), None where the scalar binding faults."""
+    try:
+        return ex.compile_batch(tree)(*xs).tolist()
+    except ex.BatchFault:
+        fn, out = ex.compile_expr(tree), []
+        for x in zip(*xs.tolist()):
+            try:
+                out.append(fn(*x))
+            except DomainEvalError:
+                out.append(None)
+        return out
+
+
+def _partials(monkeypatch, exprs, pruned):
+    with monkeypatch.context() as m:
+        if not pruned:
+            m.setattr(ex, "_s_mul", _unpruned_s_mul)
+        return [ex.differentiate(e, v) for e in exprs for v in ("x1", "x2", "x3")]
+
+
+def _assert_pruned_equals_unpruned(monkeypatch, spec, n, seed):
+    exprs = entry_exprs(spec) + tuple(casimir_expr(spec, k) for k in (1, 2, 3))
+    xs = spec.domain.sample(n, seed).T.copy()
+    pruned, full = _partials(monkeypatch, exprs, True), _partials(monkeypatch, exprs, False)
+    for p, f in zip(pruned, full):
+        assert _nodes(p) <= _nodes(f)
+        assert _values(p, xs) == _values(f, xs), ex.to_source(f)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_pruned_partials_equal_unpruned_on_builtins(monkeypatch, name):
+    _assert_pruned_equals_unpruned(monkeypatch, build_system(name)[0], 10_000, 17)
+
+
+def test_pruned_partials_equal_unpruned_on_random_specs(monkeypatch):
+    # 2,500 points per spec: the unpruned trees' elementwise ^ and exp make
+    # 10,000 points on 40 specs cost about 20 s
+    for i in range(40):
+        _assert_pruned_equals_unpruned(monkeypatch, random_family_spec(i, 42), 2500, 42)
+
+
+@pytest.mark.parametrize("name, pruned_max, unpruned", [("euler-top", 120, 633), ("halphen", 552, 885)])
+def test_entry_partials_node_counts(monkeypatch, name, pruned_max, unpruned):
+    entries = entry_exprs(build_system(name)[0])
+    assert sum(map(_nodes, _partials(monkeypatch, entries, True))) <= pruned_max
+    assert sum(map(_nodes, _partials(monkeypatch, entries, False))) == unpruned
+
+
+def test_wide_box_hamiltonian_gradient_has_no_dead_terms():
+    d = ex.differentiate(ex.parse("(x1^2 + x2^2 + x3^2)/2"), "x1")
+    assert ex.to_source(d) == "2.0 * x1 * 2.0 / 4.0"

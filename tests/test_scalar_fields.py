@@ -174,3 +174,13 @@ def test_field3_mixed_derivative_sources():
             assert np.max(np.abs(np.subtract(got, exact))) <= 1e-6
         with pytest.raises(ValueError):
             plain.partial(2, x1, x2, x3, "analytic")
+
+
+@pytest.mark.parametrize("phi, psi, want", [("3*u^2", "u^3", (1.0, 8.0)), ("-3*u^2", "-u^3", (-8.0, -1.0))])
+def test_psi_range_is_computed_once(phi, psi, want):
+    fld = make_field(phi, psi, None, (1.0, 2.0))
+    a, b = fld.psi_fn(1.0), fld.psi_fn(2.0)
+    assert fld.psi_range() == ((a, b) if a <= b else (b, a)) == want
+    target = 0.5 * (want[0] + want[1])
+    assert fld.psi_fn(psi_inverse(fld, target)) == pytest.approx(target, rel=1e-12)
+    assert fld.psi_range() is fld.psi_range()
