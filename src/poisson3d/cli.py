@@ -119,8 +119,10 @@ def load_spec_file(path: str):
 
 
 def _resolve_system(args, allow_raw: bool = False):
-    if getattr(args, "system", None):
-        inertia = _parse_point(args.I) if getattr(args, "I", None) else None
+    if args.I is not None and args.system != "euler-top":
+        raise ValueError("--I applies to --system euler-top only")
+    if args.system:
+        inertia = _parse_point(args.I) if args.I else None
         spec, default_h = build_system(args.system, inertia)
         return "family", spec, default_h, args.system
     kind, payload, hamiltonian, name = load_spec_file(args.spec)

@@ -420,9 +420,6 @@ def _eval(e: Expr, env) -> float:
     return v
 
 
-_SCALAR_NS = {**_FN_IMPL, "_pow": _pow}
-
-
 def _gen(e: Expr) -> str:
     if isinstance(e, Lit):
         return f"({e.value!r})"
@@ -437,47 +434,16 @@ def _gen(e: Expr) -> str:
     return f"({_gen(e.left)} {e.op} {_gen(e.right)})"
 
 
-def _bind(e: Expr, varnames: tuple[str, ...], namespace: dict):
-    """(source, raw lambda) of _gen's source bound to the namespace's functions."""
-    missing = free_vars(e) - set(varnames)
-    if missing:
-        raise UnboundVariableError(f"variables {sorted(missing)} not provided by {varnames}")
-    src = _gen(e)
-    return src, eval(f"lambda {', '.join(varnames)}: {src}", dict(namespace, __builtins__={}))
-
-
-def compile_expr(e: Expr, varnames: tuple[str, ...] = ("x1", "x2", "x3")):
-    """Compile a tree into a fast positional callable f(*varnames).
-
-    The callable raises DomainEvalError on out-of-domain input or any
-    non-finite result, and UnboundVariableError if the tree references a
-    variable outside varnames.
-    """
-    src, raw = _bind(e, varnames, _SCALAR_NS)
-
-    def fn(*args: float) -> float:
-        try:
-            v = raw(*args)
-        except DomainEvalError:
-            raise
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise DomainEvalError(str(exc)) from None
-        if not math.isfinite(v):
-            raise DomainEvalError(f"non-finite result {v!r}")
-        return v
-
-    fn.source = src
-    fn.varnames = varnames
-    return fn
-
-
 # --------------------------------------------------------------------------
-# Batch binding: the same source over numpy arrays, bit-identical to the
-# scalar binding wherever it does not fault.  + - * / and negation are
-# IEEE-exact array operators, and sqrt and abs are correctly rounded, so
-# they stay numpy; exp, ln, sin, cos and ^ run the scalar implementations
-# elementwise, because numpy's vectorized versions differ from math.* in
-# the last ulp (docs/decisions.md, D4).
+# Bindings of _gen's source.  The scalar binding runs the primitives above on
+# floats.  The batch binding runs the same source over numpy arrays,
+# bit-identical to the scalar binding wherever it does not fault: + - * /
+# and negation are IEEE-exact array operators, and sqrt and abs are
+# correctly rounded, so they stay numpy; exp, ln, sin, cos and ^ run the
+# scalar implementations elementwise, because numpy's vectorized versions
+# differ from math.* in the last ulp (docs/decisions.md, D4).
+
+_SCALAR_NS = {**_FN_IMPL, "_pow": _pow}
 
 
 class BatchFault(Exception):
@@ -532,22 +498,64 @@ _BATCH_NS = {
 }
 
 
-def compile_batch(e: Expr, varnames: tuple[str, ...] = ("x1", "x2", "x3")):
-    """Compile a tree into f(*arrays) -> array, elementwise equal to compile_expr's callable.
+def compile_expr(e: Expr, varnames: tuple[str, ...] = ("x1", "x2", "x3")):
+    """Compile a tree into one positional callable f(*varnames) for floats or arrays.
 
-    Every argument is a float array of one shape, and so is the result.
-    Any domain fault, floating-point exception (underflow aside) or
-    non-finite result raises BatchFault instead of naming the point: the
-    caller replays the points through the scalar binding, which raises the
-    first fault in index order.
+    The first argument picks the binding.  Floats (np.float64 included) run
+    the scalar binding, which raises DomainEvalError on out-of-domain input
+    or a non-finite result.  Float arrays of one shape run the batch
+    binding and give an array of that shape, elementwise equal to the
+    scalar values; any domain fault, floating-point exception (underflow
+    aside) or non-finite result raises BatchFault instead of naming the
+    point, and the caller replays the points through the scalar binding,
+    which raises the first fault in index order.
+
+    UnboundVariableError is raised here if the tree references a variable
+    outside varnames.  The source is generated here, compiled on the first
+    call, and bound to each namespace the first time that binding is used.
     """
-    src, raw = _bind(e, varnames, _BATCH_NS)
+    missing = free_vars(e) - set(varnames)
+    if missing:
+        raise UnboundVariableError(f"variables {sorted(missing)} not provided by {varnames}")
+    src = _gen(e)
+    code = None
+    # closure cells, not globals or keyword defaults: the cheapest lookups per scalar call
+    ndarray, isfinite = np.ndarray, math.isfinite
 
-    def fn(*arrays: np.ndarray) -> np.ndarray:
-        with batch_arithmetic():
-            v = np.broadcast_to(raw(*arrays), np.shape(arrays[0]))
-        if not np.all(np.isfinite(v)):
-            raise BatchFault("non-finite result")
+    def bind(namespace):
+        nonlocal code
+        if code is None:
+            code = compile(f"lambda {', '.join(varnames)}: {src}", "<expr>", "eval")
+        return eval(code, dict(namespace, __builtins__={}))
+
+    # each stub binds on its first call and replaces itself with the bound lambda
+    def on_floats(*args):
+        nonlocal on_floats
+        on_floats = bind(_SCALAR_NS)
+        return on_floats(*args)
+
+    def on_arrays(*args):
+        nonlocal on_arrays
+        on_arrays = bind(_BATCH_NS)
+        return on_arrays(*args)
+
+    def fn(*args):
+        a = args[0] if args else 0.0  # a tree without variables takes no arguments
+        # exact floats, the integrators' per-step case, skip the slower isinstance test
+        if a.__class__ is not float and isinstance(a, ndarray):
+            with batch_arithmetic():
+                v = np.broadcast_to(on_arrays(*args), np.shape(a))
+            if not np.all(np.isfinite(v)):
+                raise BatchFault("non-finite result")
+            return v
+        try:
+            v = on_floats(*args)
+        except DomainEvalError:
+            raise
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise DomainEvalError(str(exc)) from None
+        if not isfinite(v):
+            raise DomainEvalError(f"non-finite result {v!r}")
         return v
 
     fn.source = src

@@ -32,7 +32,7 @@ from .errors import (
     InvalidAxisError,
 )
 from .scalar_fields import (
-    ZERO_FLOOR, DomainBox, Field3, ScalarField1D, batch_certificate, coordinates, point_at, vanishing_flags,
+    ZERO_FLOOR, DomainBox, ScalarField1D, batch_certificate, coordinates, point_at, vanishing_flags,
 )
 
 _AXES = (1, 2, 3)
@@ -89,8 +89,9 @@ class PoissonFamilySpec:
     conformal factor as an ordered product; rescale() appends to it.
 
     psi, phi, eta_value, and the module's chi and structure_matrix_at take
-    floats, or arrays of coordinates; arrays go through expr.compile_batch
-    callables compiled on first use, elementwise equal to the scalar ones.
+    floats, or arrays of coordinates, through the expr.compile_expr callables.
+    callables holds them as (psi per axis, phi per axis, the eta chain), so
+    structure_matrix_at looks them up once per call.
     """
 
     eta_chain: tuple[ex.Expr, ...]
@@ -99,33 +100,12 @@ class PoissonFamilySpec:
     domain: DomainBox
     name: str = ""
     eta_fns: tuple = field(init=False, repr=False, compare=False)
-    _scalar_fns: tuple = field(init=False, repr=False, compare=False)
-    _batch: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    callables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eta_fns", tuple(ex.compile_expr(e, _XS) for e in self.eta_chain))
         psi_fns, phi_fns = (tuple(getattr(f, name) for f in self.fields) for name in ("psi_fn", "phi_fn"))
-        object.__setattr__(self, "_scalar_fns", (psi_fns, phi_fns, self.eta_fns))
-
-    def eta_callables(self, x1) -> tuple:
-        """The eta chain's callables for x1: compile_expr ones for a float, compile_batch ones for an array."""
-        if not isinstance(x1, np.ndarray):
-            return self.eta_fns
-        fns = self._batch.get("eta")
-        if fns is None:
-            fns = self._batch["eta"] = tuple(ex.compile_batch(e, _XS) for e in self.eta_chain)
-        return fns
-
-    def callables(self, x1) -> tuple[tuple, tuple, tuple]:
-        """(psi per axis, phi per axis, the eta chain) as callables for x1, like eta_callables.
-
-        structure_matrix_at looks them up once per call, which keeps the
-        integrators' per-step evaluation free of per-call dispatch.
-        """
-        if not isinstance(x1, np.ndarray):
-            return self._scalar_fns
-        psi, phi = (tuple(f.batch(name) for f in self.fields) for name in ("psi", "phi"))
-        return psi, phi, self.eta_callables(x1)
+        object.__setattr__(self, "callables", (psi_fns, phi_fns, self.eta_fns))
 
     @property
     def eta_expr(self) -> ex.Expr:
@@ -136,7 +116,7 @@ class PoissonFamilySpec:
 
     def eta_value(self, x1, x2, x3):
         v = 1.0
-        for fn in self.eta_callables(x1):
+        for fn in self.eta_fns:
             v = v * fn(x1, x2, x3)
         return v
 
@@ -146,12 +126,10 @@ class PoissonFamilySpec:
         return self.fields[axis - 1]
 
     def psi(self, axis: int, value):
-        fld = self.field(axis)
-        return fld.batch("psi")(value) if isinstance(value, np.ndarray) else fld.psi_fn(value)
+        return self.field(axis).psi_fn(value)
 
     def phi(self, axis: int, value):
-        fld = self.field(axis)
-        return fld.batch("phi")(value) if isinstance(value, np.ndarray) else fld.phi_fn(value)
+        return self.field(axis).phi_fn(value)
 
 
 NONVANISHING_SAMPLES = 256
@@ -285,7 +263,7 @@ def structure_matrix_at(spec: PoissonFamilySpec, x, check_domain: bool = True) -
         if bad is not None:
             raise DomainMembershipError(f"point {point_at(x, bad)} is outside the domain")
     x1, x2, x3 = coordinates(x)
-    psi, phi, eta = spec.callables(x1)
+    psi, phi, eta = spec.callables
     c12, c23, c31 = chi_triple(spec, psi[0](x1), psi[1](x2), psi[2](x3))
     j12 = c12 * phi[2](x3)
     j23 = c23 * phi[0](x1)
@@ -311,7 +289,7 @@ def rescale(spec: PoissonFamilySpec, factor: ex.Expr) -> PoissonFamilySpec:
     extra = ex.free_vars(factor) - {"x1", "x2", "x3"}
     if extra:
         raise FamilyValidationError(f"factor may only use x1,x2,x3; found {sorted(extra)}")
-    _check_nonvanishing(Field3(factor).values, spec.domain, "rescale factor")
+    _check_nonvanishing(ex.compile_expr(factor, _XS), spec.domain, "rescale factor")
     return PoissonFamilySpec(spec.eta_chain + (factor,), spec.fields, spec.kappa, spec.domain, spec.name)
 
 

@@ -103,8 +103,8 @@ class Field3:
     cached.  "fd" takes central differences of the value; "auto" is
     "analytic" when symbolic() holds and "fd" otherwise.
 
-    partial() also takes coordinate arrays when batchable() holds; it then
-    evaluates the same expressions through expr.compile_batch.
+    value and partial() also take coordinate arrays when batchable() holds;
+    the expr.compile_expr callables then run their batch binding.
     """
 
     def __init__(self, f, partials=None):
@@ -115,7 +115,6 @@ class Field3:
             None if p is None else _compiled(p, f"partial d/dx{axis}")
             for axis, p in zip((1, 2, 3), self._supplied)
         ]
-        self._batch = {}  # 0 for the value, else the axis -> compile_batch callable
 
     def symbolic(self) -> bool:
         return self.expr is not None or None not in self._partials
@@ -124,36 +123,17 @@ class Field3:
         """True when the value and every supplied partial are expressions."""
         return self.expr is not None and all(p is None or isinstance(p, ex.Expr) for p in self._supplied)
 
-    def _symbolic_partial(self, axis: int) -> ex.Expr:
-        if self.expr is None:
-            raise ValueError(f"no expression or supplied partial along x{axis}")
-        return self._supplied[axis - 1] or ex.differentiate(self.expr, f"x{axis}")
-
-    def _batch_fn(self, axis: int):
-        fn = self._batch.get(axis)
-        if fn is None:
-            e = self.expr if axis == 0 else self._symbolic_partial(axis)
-            fn = self._batch[axis] = ex.compile_batch(e, _XS)
-        return fn
-
-    def values(self, x1, x2, x3):
-        """The value at a point, or at arrays of points (there expr.BatchFault on any fault)."""
-        if isinstance(x1, np.ndarray):
-            return self._batch_fn(0)(x1, x2, x3)
-        return self.value(x1, x2, x3)
-
     def partial(self, axis: int, x1, x2, x3, scheme: str = "auto"):
         """d f / d x_axis (axis 1, 2 or 3) at a point, or at arrays of points."""
-        batch = isinstance(x1, np.ndarray)
         if scheme == "fd" or (scheme == "auto" and not self.symbolic()):
-            return central_difference(self.values if batch else self.value, (x1, x2, x3), axis - 1)
+            return central_difference(self.value, (x1, x2, x3), axis - 1)
         if scheme not in ("analytic", "auto"):
             raise ValueError(f"scheme must be analytic, fd or auto, got {scheme!r}")
-        if batch:
-            return self._batch_fn(axis)(x1, x2, x3)
         fn = self._partials[axis - 1]
         if fn is None:
-            fn = self._partials[axis - 1] = ex.compile_expr(self._symbolic_partial(axis), _XS)
+            if self.expr is None:
+                raise ValueError(f"no expression or supplied partial along x{axis}")
+            fn = self._partials[axis - 1] = ex.compile_expr(ex.differentiate(self.expr, f"x{axis}"), _XS)
         return fn(x1, x2, x3)
 
     def gradient(self, x1: float, x2: float, x3: float, scheme: str = "auto") -> tuple[float, float, float]:
@@ -205,8 +185,8 @@ class ScalarField1D:
 
     phi and psi are expressions in the variable u; zeta, when supplied, maps
     psi-values back to u.  Use build_scalar_field to get a validated value.
-    phi_fn, psi_fn and zeta_fn are the compile_expr callables; batch(name)
-    gives the compile_batch one.
+    phi_fn, psi_fn and zeta_fn are the compile_expr callables, for floats or
+    arrays.
     """
 
     phi: ex.Expr
@@ -216,7 +196,6 @@ class ScalarField1D:
     phi_fn: object = field(init=False, repr=False, compare=False)
     psi_fn: object = field(init=False, repr=False, compare=False)
     zeta_fn: object = field(init=False, repr=False, compare=False)
-    _batch: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _psi_range: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -225,13 +204,6 @@ class ScalarField1D:
         object.__setattr__(
             self, "zeta_fn", ex.compile_expr(self.zeta, ("u",)) if self.zeta is not None else None
         )
-
-    def batch(self, name: str):
-        """The expr.compile_batch callable of "phi", "psi" or "zeta", compiled on first use."""
-        fn = self._batch.get(name)
-        if fn is None:
-            fn = self._batch[name] = ex.compile_batch(getattr(self, name), ("u",))
-        return fn
 
     def psi_range(self) -> tuple[float, float]:
         """psi's values at the interval ends, in increasing order; computed on first use."""
@@ -308,8 +280,8 @@ def build_scalar_field(
 
     Checks, on a 256-point grid: phi nonvanishing, psi' = phi (central
     differences, relative 1e-6), psi strictly monotone, and zeta(psi(x)) = x
-    to 1e-9 when zeta is supplied.  Each check runs on arrays through
-    ScalarField1D.batch, bit-identical to its per-point loop, which runs
+    to 1e-9 when zeta is supplied.  Each check runs on arrays through the
+    field's callables, bit-identical to its per-point loop, which runs
     only where the arrays fault or flag a point.
     """
     lo, hi = float(interval[0]), float(interval[1])
@@ -330,7 +302,7 @@ def build_scalar_field(
                 f"phi must be nonvanishing on the interval: {report.reason} (u = {report.where})"
             )
 
-    batch_certificate(lambda: vanishing_flags(fld.batch("phi")(grid)), phi_loop)
+    batch_certificate(lambda: vanishing_flags(fld.phi_fn(grid)), phi_loop)
 
     # psi' = phi on interior points; the stencil must stay inside the
     # interval, where the expressions are guaranteed to be defined
@@ -340,8 +312,8 @@ def build_scalar_field(
 
     def primitive_flags():
         x, h = xs[steps > 0.0], steps[steps > 0.0]
-        dpsi = central_difference(fld.batch("psi"), (x,), 0, h)
-        phival = fld.batch("phi")(x)
+        dpsi = central_difference(fld.psi_fn, (x,), 0, h)
+        phival = fld.phi_fn(x)
         return np.abs(dpsi - phival) > 1e-6 * np.maximum(1.0, np.abs(phival))
 
     def primitive_loop():
@@ -363,7 +335,7 @@ def build_scalar_field(
     batch_certificate(primitive_flags, primitive_loop)
 
     try:
-        psis = fld.batch("psi")(grid)
+        psis = fld.psi_fn(grid)
     except ex.BatchFault:
         psis = np.array([fld.psi_fn(float(x)) for x in grid])
     diffs = np.diff(psis)
@@ -381,7 +353,7 @@ def build_scalar_field(
                 raise FieldValidationError(f"zeta(psi({x})) = {back!r}, not the identity")
 
     if fld.zeta is not None:
-        batch_certificate(lambda: np.abs(fld.batch("zeta")(psis) - grid) > 1e-9 * np.maximum(1.0, np.abs(grid)), zeta_loop)
+        batch_certificate(lambda: np.abs(fld.zeta_fn(psis) - grid) > 1e-9 * np.maximum(1.0, np.abs(grid)), zeta_loop)
 
     return fld
 
@@ -400,8 +372,8 @@ def psi_inverse(fld: ScalarField1D, target):
     Uses zeta when available (polished by the root-finder if its residual
     is above tolerance), otherwise a bisection-safeguarded secant search;
     monotonicity of psi guarantees the bracket.  target may be an array:
-    zeta and its residual test then run through the batch binding (which
-    raises expr.BatchFault on any fault), only the elements they miss (all
+    zeta and its residual test then run on arrays (which raise
+    expr.BatchFault on any fault), only the elements they miss (all
     of them without zeta) take the root-finder, one at a time, and every
     element equals the scalar solve.  An out-of-range error names the first
     such element.
@@ -424,9 +396,9 @@ def psi_inverse(fld: ScalarField1D, target):
         return _bracketed_solve(fld.psi_fn, lo, hi, target, tol)
 
     x, polish = np.empty_like(target), np.ones(target.shape, dtype=bool)
-    if fld.zeta is not None:
-        x = _clip(fld.batch("zeta")(target), lo, hi)
-        polish = ~(np.abs(fld.batch("psi")(x) - target) <= tol)
+    if fld.zeta_fn is not None:
+        x = _clip(fld.zeta_fn(target), lo, hi)
+        polish = ~(np.abs(fld.psi_fn(x) - target) <= tol)
     for n in np.flatnonzero(polish):
         x[n] = _bracketed_solve(fld.psi_fn, lo, hi, float(target[n]), float(tol[n]))
     return x
@@ -482,15 +454,12 @@ class DomainBox:
     intervals: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
     predicate: ex.Expr | None = None
     predicate_fn: object = field(init=False, repr=False, compare=False)
-    predicate_batch: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.intervals) != 3 or any(iv[0] >= iv[1] for iv in self.intervals):
             raise ValueError(f"need three nonempty intervals, got {self.intervals!r}")
         fn = ex.compile_expr(self.predicate, _XS) if self.predicate is not None else None
         object.__setattr__(self, "predicate_fn", fn)
-        batch = ex.compile_batch(self.predicate, _XS) if self.predicate is not None else None
-        object.__setattr__(self, "predicate_batch", batch)
 
     def contains(self, x) -> bool:
         for v, (lo, hi) in zip(x, self.intervals):
@@ -522,14 +491,14 @@ class DomainBox:
         return None if self.contains(x) else ()
 
     def _admissible(self, xs: np.ndarray) -> np.ndarray:
-        """contains() of every row, through the batch predicate; per row where that faults."""
+        """contains() of every row, the predicate on arrays; per row where that faults."""
         ok = np.ones(len(xs), dtype=bool)
         for a, (lo, hi) in enumerate(self.intervals):
             ok &= (lo <= xs[:, a]) & (xs[:, a] <= hi)
-        if self.predicate_batch is not None:
+        if self.predicate_fn is not None:
             inside = np.flatnonzero(ok)
             try:
-                p = self.predicate_batch(*(xs[inside, a] for a in range(3)))
+                p = self.predicate_fn(*(xs[inside, a] for a in range(3)))
             except ex.BatchFault:
                 return np.array([self.contains(x) for x in xs], dtype=bool)
             ok[inside] = np.abs(p) > ZERO_FLOOR

@@ -169,7 +169,7 @@ def _batch_residuals(field: MatrixField3, points: np.ndarray, scheme: str) -> np
     """The scale-normalized residual of every point at once; BatchFault on any fault."""
     xs = tuple(np.ascontiguousarray(points[:, a]) for a in range(3))
     with ex.batch_arithmetic():
-        entries = tuple(f.values(*xs) for f in field.fields)
+        entries = tuple(f.value(*xs) for f in field.fields)
         scale = 1.0 + np.maximum(np.maximum(np.abs(entries[0]), np.abs(entries[1])), np.abs(entries[2]))
         return np.abs(_jacobi_combination(field, *xs, entries, scheme)) / scale
 

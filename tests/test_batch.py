@@ -81,7 +81,7 @@ def _points(n, seed, lo=0.1, hi=2.0):
 @pytest.mark.parametrize("source", EXACT_CASES)
 def test_compile_batch_equals_compile_expr(source):
     tree = ex.parse(source)
-    scalar, batch = ex.compile_expr(tree), ex.compile_batch(tree)
+    scalar, batch = ex.compile_expr(tree), ex.compile_expr(tree)
     xs = _points(10_000, 5)
     got = batch(xs[:, 0], xs[:, 1], xs[:, 2])
     want = [scalar(*x) for x in xs.tolist()]
@@ -97,7 +97,7 @@ def test_compile_batch_on_random_trees():
     agreed = 0
     for _ in range(300):
         tree = gen_expr(rng, 4)
-        scalar, batch = ex.compile_expr(tree), ex.compile_batch(tree)
+        scalar, batch = ex.compile_expr(tree), ex.compile_expr(tree)
         want = []
         for x in xs.tolist():
             try:
@@ -122,7 +122,7 @@ def test_compile_batch_faults(source):
     tree = ex.parse(source)
     xs = _points(100, 7)
     with pytest.raises(ex.BatchFault):
-        ex.compile_batch(tree)(xs[:, 0], xs[:, 1], xs[:, 2])
+        ex.compile_expr(tree)(xs[:, 0], xs[:, 1], xs[:, 2])
 
 
 def test_intermediate_overflow_replays_to_the_scalar_value():
@@ -130,7 +130,7 @@ def test_intermediate_overflow_replays_to_the_scalar_value():
     tree = ex.parse("1/(x1*1e300*1e300) + x2")
     xs = _points(10, 8)
     with pytest.raises(ex.BatchFault):
-        ex.compile_batch(tree)(xs[:, 0], xs[:, 1], xs[:, 2])
+        ex.compile_expr(tree)(xs[:, 0], xs[:, 1], xs[:, 2])
     assert ex.compile_expr(tree)(1.0, 2.0, 3.0) == 2.0
 
 
@@ -196,7 +196,7 @@ def test_sample_with_faulting_predicate_matches_oracle():
     # ln faults on half the box, so every chunk falls back to contains() per point
     box = DomainBox(((0.0, 1.0),) * 3, ex.parse("ln(x1 - 0.5)"))
     with pytest.raises(ex.BatchFault):
-        box.predicate_batch(np.array([0.2]), np.array([0.5]), np.array([0.5]))
+        box.predicate_fn(np.array([0.2]), np.array([0.5]), np.array([0.5]))
     _assert_same_sample(box, 300, 3)
 
 
@@ -546,14 +546,14 @@ def _outcome_of(fn):
         return type(exc), str(exc)
 
 
-def _refuse(*arrays):
+def _faulting_batch_arithmetic():
     raise ex.BatchFault("forced per-point loop")
 
 
 def _on_scalar_path(monkeypatch, fn):
-    """fn's outcome with every ScalarField1D batch callable faulting, so each check takes its per-point loop."""
+    """fn's outcome with every array evaluation faulting, so each check takes its per-point loop."""
     with monkeypatch.context() as m:
-        m.setattr(ScalarField1D, "batch", lambda self, name: _refuse)
+        m.setattr(ex, "batch_arithmetic", _faulting_batch_arithmetic)
         return _outcome_of(fn)
 
 

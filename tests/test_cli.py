@@ -183,7 +183,7 @@ def test_simulate_short_run_on_builtin(capsys, tmp_path):
     assert json.loads(out)["rows"] == 21
 
 
-def test_bad_inputs_exit_2(capsys, tmp_path):
+def test_bad_inputs_exit_2(capsys, tmp_path, wide_spec_file):
     code, _, err = run_cli(capsys, "verify", "--spec", str(tmp_path / "missing.json"))
     assert code == 2
     code, _, err = run_cli(capsys, "casimir", "--system", "halphen", "--k", "3", "--point", "1,2")
@@ -219,6 +219,10 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
             )
             assert (code, out) == (2, "")
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    # --I belongs to euler-top; elsewhere it is named, not ignored
+    for source in (("--system", "halphen"), ("--system", "circle-maps"), ("--spec", wide_spec_file)):
+        code, out, err = run_cli(capsys, "verify", *source, "--I", "1,2,3", "--samples", "10")
+        assert (code, out, err) == (2, "", "error: --I applies to --system euler-top only\n")
 
 
 def test_non_finite_literal_is_bad_input(capsys, tmp_path):

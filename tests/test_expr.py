@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -123,6 +124,74 @@ def test_compile_matches_reference_evaluator():
             assert fn(*point) == want
             checked += 1
     assert checked > 300
+
+
+# ---------------------------------------------------------------------------
+# One callable per expression: the first argument picks the binding
+
+
+@pytest.mark.parametrize("make", [float, np.float64], ids=["float", "float64"])
+def test_floats_take_the_scalar_binding(make):
+    fn = ex.compile_expr(ex.parse("ln(x1) * sign(x2)"), ("x1", "x2"))
+    got = fn(make(2.0), make(3.0))
+    assert not isinstance(got, np.ndarray) and got == math.log(2.0)
+    with pytest.raises(DomainEvalError, match=r"^ln of non-positive value (np\.float64\()?-1\.0\)?$"):
+        fn(make(-1.0), make(3.0))
+    with pytest.raises(DomainEvalError, match=r"^sign\(0\) is undefined$"):
+        fn(make(2.0), make(0.0))
+    with pytest.raises(DomainEvalError, match="^math range error$"):
+        ex.compile_expr(ex.parse("exp(x1)"), ("x1",))(make(1000.0))
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_arrays_take_the_batch_binding(n):
+    fn = ex.compile_expr(ex.parse("ln(x1) * sign(x2)"), ("x1", "x2"))
+    xs, ys = np.linspace(2.0, 3.0, n), np.linspace(-1.0, 1.0, n) + 0.5
+    got = fn(xs, ys)
+    assert isinstance(got, np.ndarray) and got.shape == (n,)
+    for bad in ((xs - 5.0, ys), (xs, ys * 0.0)):
+        with pytest.raises(ex.BatchFault):
+            fn(*bad)
+    with pytest.raises(ex.BatchFault):
+        ex.compile_expr(ex.parse("exp(x1)"), ("x1",))(np.full(n, 1000.0))
+
+
+def test_one_callable_serves_floats_then_arrays_then_floats():
+    fn = ex.compile_expr(ex.parse("exp(-x1^2) * cos(3*x2) / (1 + x3^2) + x1^2.5"))
+    xs = np.random.default_rng(3).uniform(0.1, 2.0, (3, 50))
+    first = [fn(*x) for x in xs.T.tolist()]
+    batch = fn(*xs).tolist()
+    again = [fn(*x) for x in xs.T.tolist()]
+    assert first == batch == again
+
+
+def test_source_is_compiled_once_on_first_call(monkeypatch):
+    compiled = []
+
+    def counting(*args):
+        compiled.append(args[0])
+        return compile(*args)
+
+    monkeypatch.setattr(ex, "compile", counting, raising=False)
+    fn = ex.compile_expr(ex.parse("x1 * x2 + sin(x3)"))
+    assert compiled == []
+    fn(1.0, 2.0, 3.0)
+    fn(np.ones(4), np.ones(4), np.ones(4))
+    fn(1.0, 2.0, 3.0)
+    assert compiled == ["lambda x1, x2, x3: ((x1 * x2) + sin(x3))"]
+
+
+def test_unbound_variable_is_raised_before_any_call():
+    with pytest.raises(UnboundVariableError, match=r"\['x3'\] not provided by \('x1', 'x2'\)"):
+        ex.compile_expr(ex.parse("x1 + x3"), ("x1", "x2"))
+
+
+def test_callable_carries_source_and_varnames():
+    fn = ex.compile_expr(ex.parse("u^2 - 1"), ("u",))
+    assert fn.source == "(_pow(u, (2.0)) - (1.0))"
+    assert fn.varnames == ("u",)
+    constant = ex.compile_expr(ex.parse("2.5"), ())
+    assert (constant.source, constant.varnames, constant()) == ("(2.5)", (), 2.5)
 
 
 @settings(max_examples=300, deadline=None)
@@ -271,7 +340,7 @@ def _nodes(e):
 def _values(tree, xs):
     """Values at the points of xs (three coordinate arrays), None where the scalar binding faults."""
     try:
-        return ex.compile_batch(tree)(*xs).tolist()
+        return ex.compile_expr(tree)(*xs).tolist()
     except ex.BatchFault:
         fn, out = ex.compile_expr(tree), []
         for x in zip(*xs.tolist()):
