@@ -253,7 +253,11 @@ def _cmd_simulate(args) -> int:
         chart = build_chart(spec, args.k, seed=args.seed)
         y0 = forward_map(chart, x0)
         traj = integrate_reduced(chart, h_expr, y0, args.t_end, args.dt, args.method)
-        states_x = np.array([inverse_map(chart, y) for y in traj.states])
+        try:  # one array call, equal row for row to the per-row maps
+            with ex.batch_arithmetic():
+                states_x = inverse_map(chart, np.ascontiguousarray(traj.states.T)).T
+        except Exception:  # a fault or an error anywhere: the per-row maps raise it as before
+            states_x = np.array([inverse_map(chart, y) for y in traj.states])
     else:
         traj = integrate(
             spec, h_expr, x0, args.t_end, args.dt, args.method,

@@ -173,9 +173,14 @@ def reparam_factor(chart: DarbouxChart, y):
     Nonvanishing on the chart image; values at the 1e-12 floor raise a
     hypothesis violation.  y may be three coordinate arrays.
     """
+    return reparam_factor_from(chart, y, inverse_map(chart, y))
+
+
+def reparam_factor_from(chart: DarbouxChart, y, x):
+    """reparam_factor(chart, y) from x = inverse_map(chart, y), already at hand."""
     i, j, k = cyclic(chart.k)
     spec = chart.spec
-    x = coordinates(inverse_map(chart, y))
+    x = coordinates(x)
     factor = spec.eta_value(*x) * chi(spec, i, j, y) * spec.phi(k, x[k - 1])
     bad = first_flagged(abs(factor) <= FACTOR_FLOOR)
     if bad is not None:

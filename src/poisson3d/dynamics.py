@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .casimir import casimir_value, cyclic, default_casimir_index
-from .darboux import DarbouxChart, inverse_map, reparam_factor
+from .casimir import casimir_value, cyclic, default_casimir_index, denominator_threshold
+from .darboux import DarbouxChart, inverse_map, reparam_factor_from
 from .errors import (
     DomainEvalError,
     DomainExitError,
@@ -29,7 +29,7 @@ from .errors import (
     ReparametrizationBreakdownError,
     UndefinedAtPointError,
 )
-from .family import PoissonFamilySpec, chi_expr, structure_matrix_at
+from .family import PoissonFamilySpec, axis_exprs, chi_expr, chi_triple, structure_entries, structure_matrix_at
 from .scalar_fields import Field3
 
 METHODS = ("rk4", "midpoint")
@@ -91,14 +91,71 @@ def invariant_drift(traj: Trajectory) -> DriftReport:
     return DriftReport(dH, rel_dH, dC, dC / max(1.0, abs(float(traj.C[0]))))
 
 
+def _flow(j12, j23, j31, g1, g2, g3) -> tuple:
+    """J grad H from the entries and the gradient: floats, or the tree of these operations for trees."""
+    return (
+        j12 * g2 - j31 * g3,
+        -j12 * g1 + j23 * g3,
+        j31 * g1 - j23 * g2,
+    )
+
+
 def _j_grad_h(spec: PoissonFamilySpec, H: Field3, x1: float, x2: float, x3: float) -> tuple:
     J = structure_matrix_at(spec, (x1, x2, x3), check_domain=False)
-    g1, g2, g3 = H.gradient(x1, x2, x3)
-    return (
-        J.j12 * g2 - J.j31 * g3,
-        -J.j12 * g1 + J.j23 * g3,
-        J.j31 * g1 - J.j23 * g2,
+    return _flow(*J.entries(), *H.gradient(x1, x2, x3))
+
+
+# ---------------------------------------------------------------------------
+# Job kernels (docs/decisions.md, D6): one compiled function per integrator
+# job, over the trees of the per-expression path's own operations.  The
+# per-expression path runs where there is no kernel, and replays every call
+# on which a kernel raises, so values and errors are the same either way.
+
+
+def _with_replay(kernel, replay):
+    """run(args): kernel(*args) where that returns, else replay(*args); replay alone without a kernel."""
+
+    def run(args):
+        if kernel is not None:
+            try:
+                return kernel(*args)
+            except Exception:
+                pass
+        return replay(*args)
+
+    return run
+
+
+def _rhs_kernel(spec: PoissonFamilySpec, H: Field3):
+    """J grad H at (x1, x2, x3); checks each psi, phi, eta factor and grad H value, as their callables do."""
+    if not H.batchable():
+        return None
+    psis, phis = axis_exprs(spec)
+    grad = tuple(H.partial_expr(axis) for axis in (1, 2, 3))
+    entries = structure_entries(spec, psis, phis, spec.eta_chain)
+    return ex.compile_kernel(_flow(*entries, *grad), (*psis, *phis, *spec.eta_chain, *grad))
+
+
+def _ledger_kernel(spec: PoissonFamilySpec, H: Field3, casimir_k: int | None):
+    """(H,), or (H, C_k), at (x1, x2, x3); checks H and each psi, and raises BatchFault below the C_k guard."""
+    if H.expr is None:
+        return None
+    if casimir_k is None:
+        return ex.compile_kernel((H.expr,), (H.expr,))
+    i, j, _ = cyclic(casimir_k)
+    psis, _ = axis_exprs(spec)
+    chis = chi_triple(spec, *psis)  # chi_ij sits at i - 1, chi_jk at j - 1
+    kernel = ex.compile_kernel(
+        (H.expr, chis[j - 1] / chis[i - 1], chis[i - 1], psis[i - 1], psis[j - 1]), (H.expr, *psis)
     )
+
+    def ledger(*x):
+        h, c, denom, psi_i, psi_j = kernel(*x)
+        if abs(denom) <= denominator_threshold(psi_i, psi_j):
+            raise ex.BatchFault("Casimir denominator below its guard")
+        return h, c
+
+    return ledger
 
 
 def hamiltonian_vector_field(spec: PoissonFamilySpec, h, x, check_domain: bool = True) -> np.ndarray:
@@ -161,18 +218,21 @@ def integrate(
         casimir_k = default_casimir_index(spec)
 
     dt_eff = t_end / n_steps
-
-    def rhs(state):
-        return _j_grad_h(spec, H, *state)
-
+    rhs = _with_replay(_rhs_kernel(spec, H), lambda *x: _j_grad_h(spec, H, *x))
     step = _stepper(method, rhs, dt_eff)
+
+    def invariants(*x):
+        h = H.value(*x)
+        return (h,) if casimir_k is None else (h, casimir_value(spec, casimir_k, x))
+
+    ledger = _with_replay(_ledger_kernel(spec, H, casimir_k), invariants)
 
     def record(state):
         ts.append(len(ts) * dt_eff)
         states.append(tuple(state))
-        hs.append(H.value(*state))
-        if casimir_k is not None:
-            cs.append(casimir_value(spec, casimir_k, state))
+        h, *c = ledger(state)
+        hs.append(h)
+        cs.extend(c)
 
     def partial() -> Trajectory:
         return Trajectory(
@@ -241,6 +301,14 @@ def _reduced_hamiltonian(chart: DarbouxChart, H: Field3) -> Field3:
     return Field3(value)
 
 
+def _reduced_kernel(H_y: Field3, i: int, j: int):
+    """(dH_y/dy_j, -dH_y/dy_i) at (y1, y2, y3); checks both partials, as their callables do."""
+    if not H_y.batchable():
+        return None
+    d_i, d_j = H_y.partial_expr(i), H_y.partial_expr(j)
+    return ex.compile_kernel((d_j, -d_i), (d_i, d_j))
+
+
 def integrate_reduced(
     chart: DarbouxChart,
     h,
@@ -280,16 +348,16 @@ def integrate_reduced(
         y[k - 1] = y0[k - 1]
         return y
 
-    def rhs(pair):
-        y = assemble(pair)
+    def canonical(*y):
         gi = H_y.partial(i, *y)
         return (H_y.partial(j, *y), -gi)  # dy_i/dtau = +dH/dy_j, dy_j/dtau = -dH/dy_i
 
-    step = _stepper(method, rhs, dtau_eff)
+    grad = _with_replay(_reduced_kernel(H_y, i, j), canonical)
+    step = _stepper(method, lambda pair: grad(assemble(pair)), dtau_eff)
 
-    def factor_at(y) -> float:
+    def factor_at(y, x) -> float:
         try:
-            return reparam_factor(chart, y)
+            return reparam_factor_from(chart, y, x)
         except HypothesisViolationError as exc:
             raise ReparametrizationBreakdownError(str(exc), partial() if taus else None) from None
 
@@ -313,7 +381,7 @@ def integrate_reduced(
 
     pair = (y0[i - 1], y0[j - 1])
     y = assemble(pair)
-    g_prev = 1.0 / factor_at(y)
+    g_prev = 1.0 / factor_at(y, x_start)
     taus.append(0.0)
     ts.append(0.0)
     ys.append(y)
@@ -331,8 +399,9 @@ def integrate_reduced(
             ) from None
         y = assemble(pair)
         try:
-            g_new = 1.0 / factor_at(y)  # breakdown outranks domain exit
-            inside = spec.domain.contains(inverse_map(chart, y))
+            x = inverse_map(chart, y)
+            g_new = 1.0 / factor_at(y, x)  # breakdown outranks domain exit
+            inside = spec.domain.contains(x)
         except OutOfRangeError:  # x_k(y) lies beyond the box edge
             inside = False
         if not inside:

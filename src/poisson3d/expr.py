@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -36,7 +37,28 @@ FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt", "abs", "sign")
 
 @dataclass(frozen=True)
 class Expr:
-    pass
+    """A tree node.
+
+    + - * / with a tree or a number on the right, and unary minus, build
+    plain Bin and Neg nodes, unfolded, so a formula written for floats
+    builds the tree of its own operations when given trees
+    (docs/decisions.md, D6).
+    """
+
+    def __add__(self, other):
+        return _bin("+", self, other)
+
+    def __sub__(self, other):
+        return _bin("-", self, other)
+
+    def __mul__(self, other):
+        return _bin("*", self, other)
+
+    def __truediv__(self, other):
+        return _bin("/", self, other)
+
+    def __neg__(self):
+        return Neg(self)
 
 
 @dataclass(frozen=True)
@@ -65,6 +87,12 @@ class Bin(Expr):
 class Call(Expr):
     fn: str
     arg: Expr
+
+
+def _bin(op: str, a: Expr, b):
+    if isinstance(b, (int, float)):
+        b = Lit(float(b))
+    return Bin(op, a, b) if isinstance(b, Expr) else NotImplemented
 
 
 def lit(v: float) -> Lit:
@@ -420,18 +448,20 @@ def _eval(e: Expr, env) -> float:
     return v
 
 
-def _gen(e: Expr) -> str:
+def _gen(e: Expr, operand=None) -> str:
+    """Python source of one node; operand(child) renders its children, inline by default."""
+    sub = operand or _gen
     if isinstance(e, Lit):
         return f"({e.value!r})"
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        return f"(-{_gen(e.operand)})"
+        return f"(-{sub(e.operand)})"
     if isinstance(e, Call):
-        return f"{e.fn}({_gen(e.arg)})"
+        return f"{e.fn}({sub(e.arg)})"
     if e.op == "^":
-        return f"_pow({_gen(e.left)}, {_gen(e.right)})"
-    return f"({_gen(e.left)} {e.op} {_gen(e.right)})"
+        return f"_pow({sub(e.left)}, {sub(e.right)})"
+    return f"({sub(e.left)} {e.op} {sub(e.right)})"
 
 
 # --------------------------------------------------------------------------
@@ -447,7 +477,7 @@ _SCALAR_NS = {**_FN_IMPL, "_pow": _pow}
 
 
 class BatchFault(Exception):
-    """A batch evaluation faulted somewhere; replay the points through the scalar binding."""
+    """A batch evaluation or a kernel faulted somewhere; replay through the per-expression scalar path."""
 
 
 _FAULTS = (DomainEvalError, ValueError, OverflowError, ZeroDivisionError, FloatingPointError)
@@ -477,6 +507,9 @@ def _elementwise(fn):
 
 def _batch_pow(a, b):
     # _pow's domain rule as one array test, then its math.pow per element
+    if b.__class__ is float and b.is_integer():  # a literal integer exponent: the rule cannot fire
+        a = np.asarray(a, dtype=float)
+        return np.array(list(map(math.pow, a.ravel().tolist(), repeat(b)))).reshape(a.shape)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if np.any((a < 0.0) & ~(np.isfinite(b) & (b == np.floor(b)))):
         raise DomainEvalError("negative base with non-integer exponent")
@@ -560,6 +593,53 @@ def compile_expr(e: Expr, varnames: tuple[str, ...] = ("x1", "x2", "x3")):
 
     fn.source = src
     fn.varnames = varnames
+    return fn
+
+
+def compile_kernel(outputs, checked=()):
+    """Compile trees in x1, x2, x3 into one scalar function f(x1, x2, x3) -> tuple of their values.
+
+    Each distinct subtree is computed once, into a local: a node's key is
+    the source _gen gives it with its children replaced by their locals, so
+    equal subtrees share a local and Lit(0.0) and Lit(-0.0), whose reprs
+    differ, do not.  The function runs the scalar binding's primitives in
+    each tree's own operation order, so every value equals the one that
+    compile_expr's callable of that tree returns.
+
+    It raises BatchFault when the value of a tree in checked is not finite,
+    and lets the primitives' errors out in its own order; either way the
+    caller replays the call through its per-expression path, which raises
+    the first error with its usual message (docs/decisions.md, D6).
+    """
+    trees = (*outputs, *checked)
+    missing = set().union(*map(free_vars, trees)) - {"x1", "x2", "x3"}
+    if missing:
+        raise UnboundVariableError(f"variables {sorted(missing)} not provided by ('x1', 'x2', 'x3')")
+    lines, local, seen = [], {}, {}  # seen: id(node) -> operand, so a shared node is walked once
+
+    def operand(e: Expr) -> str:
+        if isinstance(e, (Lit, Var)):
+            return _gen(e)
+        if id(e) not in seen:
+            src = _gen(e, operand)
+            if src not in local:
+                local[src] = f"_t{len(local)}"
+                lines.append(f"    {local[src]} = {src}")
+            seen[id(e)] = local[src]
+        return seen[id(e)]
+
+    results = [operand(e) for e in outputs]
+    tests = dict.fromkeys(  # a finite literal needs no test
+        f"isfinite({operand(e)})" for e in checked if not (isinstance(e, Lit) and math.isfinite(e.value))
+    )
+    if tests:
+        lines.append(f"    if not ({' and '.join(tests)}):")
+        lines.append('        raise BatchFault("non-finite value")')
+    src = "\n".join(["def kernel(x1, x2, x3):", *lines, f"    return ({', '.join(results)},)"])
+    namespace = dict(_SCALAR_NS, isfinite=math.isfinite, BatchFault=BatchFault, __builtins__={})
+    exec(compile(src, "<kernel>", "exec"), namespace)
+    fn = namespace["kernel"]
+    fn.source = src
     return fn
 
 

@@ -264,14 +264,24 @@ def structure_matrix_at(spec: PoissonFamilySpec, x, check_domain: bool = True) -
             raise DomainMembershipError(f"point {point_at(x, bad)} is outside the domain")
     x1, x2, x3 = coordinates(x)
     psi, phi, eta = spec.callables
-    c12, c23, c31 = chi_triple(spec, psi[0](x1), psi[1](x2), psi[2](x3))
-    j12 = c12 * phi[2](x3)
-    j23 = c23 * phi[0](x1)
-    j31 = c31 * phi[1](x2)
-    for fn in eta:
-        e = fn(x1, x2, x3)
+    psis = psi[0](x1), psi[1](x2), psi[2](x3)
+    phi3, phi1, phi2 = phi[2](x3), phi[0](x1), phi[1](x2)  # in the order the entries take them
+    return StructureMatrixValue(*structure_entries(spec, psis, (phi1, phi2, phi3), [fn(x1, x2, x3) for fn in eta]))
+
+
+def structure_entries(spec: PoissonFamilySpec, psis, phis, etas):
+    """(J12, J23, J31) from the values of psi_1..3, phi_1..3 and the eta chain's factors.
+
+    The values are floats, arrays or expression trees; for trees the result
+    is the tree of these very operations (docs/decisions.md, D6).
+    """
+    c12, c23, c31 = chi_triple(spec, *psis)
+    j12 = c12 * phis[2]
+    j23 = c23 * phis[0]
+    j31 = c31 * phis[1]
+    for e in etas:
         j12, j23, j31 = j12 * e, j23 * e, j31 * e
-    return StructureMatrixValue(j12, j23, j31)
+    return j12, j23, j31
 
 
 def rank_at(spec: PoissonFamilySpec, x, tol: float | None = None) -> int:
@@ -295,6 +305,14 @@ def rescale(spec: PoissonFamilySpec, factor: ex.Expr) -> PoissonFamilySpec:
 
 # ---------------------------------------------------------------------------
 # Symbolic views (feed the analytic verification scheme)
+
+
+def axis_exprs(spec: PoissonFamilySpec) -> tuple[tuple[ex.Expr, ...], tuple[ex.Expr, ...]]:
+    """(psi_1, psi_2, psi_3) and (phi_1, phi_2, phi_3) as trees in x1, x2, x3."""
+    return tuple(
+        tuple(ex.substitute(getattr(f, name), "u", ex.Var(x)) for f, x in zip(spec.fields, _XS))
+        for name in ("psi", "phi")
+    )
 
 
 def chi_expr(spec: PoissonFamilySpec, i: int, j: int, kappa_override: tuple[float, float, float] | None = None) -> ex.Expr:

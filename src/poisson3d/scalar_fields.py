@@ -131,10 +131,17 @@ class Field3:
             raise ValueError(f"scheme must be analytic, fd or auto, got {scheme!r}")
         fn = self._partials[axis - 1]
         if fn is None:
-            if self.expr is None:
-                raise ValueError(f"no expression or supplied partial along x{axis}")
-            fn = self._partials[axis - 1] = ex.compile_expr(ex.differentiate(self.expr, f"x{axis}"), _XS)
+            fn = self._partials[axis - 1] = ex.compile_expr(self.partial_expr(axis), _XS)
         return fn(x1, x2, x3)
+
+    def partial_expr(self, axis: int):
+        """The analytic partial along x_axis as partial() takes it: the supplied one, else the symbolic one."""
+        supplied = self._supplied[axis - 1]
+        if supplied is not None:
+            return supplied
+        if self.expr is None:
+            raise ValueError(f"no expression or supplied partial along x{axis}")
+        return ex.differentiate(self.expr, f"x{axis}")
 
     def gradient(self, x1: float, x2: float, x3: float, scheme: str = "auto") -> tuple[float, float, float]:
         return tuple(self.partial(axis, x1, x2, x3, scheme) for axis in (1, 2, 3))

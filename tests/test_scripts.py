@@ -21,3 +21,14 @@ def test_drift_study_runs():
     lines = proc.stdout.decode().splitlines()
     assert lines[0].startswith("method = rk4")
     assert sum("|dH|" in line for line in lines) == 8  # four steps for each of two Hamiltonians
+
+
+def test_output_digest_prints_one_stable_digest_per_command():
+    argv = [str(SCRIPTS / "output_digest.py"), "--workload", "sampled-checks", "--seed", "3"]
+    first = run_python_subprocess(argv).stdout.decode()
+    lines = first.splitlines()
+    assert [line.split(" ", 1)[1] for line in lines][:2] == ["warm-up", "verify halphen analytic"]
+    assert len(lines) == 7 and all(len(line.split(" ", 1)[0]) == 64 for line in lines)
+    assert len({line.split(" ", 1)[0] for line in lines}) == 7
+    # another work directory, the same digests: the path is not part of them
+    assert run_python_subprocess(argv).stdout.decode() == first
