@@ -139,17 +139,11 @@ def euler_top_structure(params: EulerTopParams, domain: DomainBox | None = None)
             f"axis interval [{lo}, {hi}] spans an axis plane; the top needs a fixed-sign octant"
         )
     fields = []
+    u = ex.var("u")
     for c, sigma, iv in zip(params.psi_coefficients, signs, domain.intervals):
-        root = ex.call("sqrt", ex.div(ex.var("u"), ex.lit(c)))
-        zeta = root if sigma > 0 else ex.neg(root)
-        fields.append(
-            build_scalar_field(
-                ex.mul(ex.lit(2.0 * c), ex.var("u")),
-                ex.mul(ex.lit(c), ex.pow_(ex.var("u"), ex.lit(2.0))),
-                zeta,
-                iv,
-            )
-        )
+        root = ex.call("sqrt", u / c)
+        zeta = root if sigma > 0 else -root
+        fields.append(build_scalar_field(ex.lit(2.0 * c) * u, ex.lit(c) * ex.pow_(u, ex.lit(2.0)), zeta, iv))
     a1, a2, a3 = params.alphas
     eta = ex.lit(1.0 / (2.0 * a1 * a2 * a3))
     return make_family_spec(eta, tuple(fields), make_kappa(0.0, 0.0), domain, "euler-top")
@@ -169,10 +163,10 @@ def euler_top_raw_matrix(params: EulerTopParams, x) -> StructureMatrixValue:
 def euler_top_hamiltonian(params: EulerTopParams) -> ex.Expr:
     """Kinetic energy sum x_i^2 / (2 I_i) (a benchmark choice, not canonical)."""
     terms = [
-        ex.div(ex.pow_(ex.var(f"x{i}"), ex.lit(2.0)), ex.lit(2.0 * I))
+        ex.pow_(ex.var(f"x{i}"), ex.lit(2.0)) / (2.0 * I)
         for i, I in zip((1, 2, 3), (params.I1, params.I2, params.I3))
     ]
-    return ex.add(ex.add(terms[0], terms[1]), terms[2])
+    return terms[0] + terms[1] + terms[2]
 
 
 def build_system(name: str, inertia: tuple[float, float, float] | None = None) -> tuple[PoissonFamilySpec, ex.Expr]:

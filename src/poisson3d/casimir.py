@@ -21,7 +21,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import InvalidAxisError, UndefinedAtPointError
-from .family import PoissonFamilySpec, chi, chi_expr, chi_triple, structure_matrix_at
+from .family import PoissonFamilySpec, axis_exprs, chi, chi_triple, structure_matrix_at
 from .scalar_fields import central_difference, coordinates, element, fd_step, first_flagged, point_at
 
 
@@ -48,7 +48,7 @@ def _guarded_chis(spec: PoissonFamilySpec, k: int, x):
     i, j, k = cyclic(k)
     x = coordinates(x)
     psis = tuple(spec.psi(a, x[a - 1]) for a in (1, 2, 3))
-    chis = chi_triple(spec, *psis)  # chi_12, chi_23, chi_31: chi_ij sits at i - 1
+    chis = chi_triple(spec.kappa.triple, *psis)  # chi_12, chi_23, chi_31: chi_ij sits at i - 1
     denom = chis[i - 1]
     bad = first_flagged(abs(denom) <= denominator_threshold(psis[i - 1], psis[j - 1]))
     if bad is not None:
@@ -65,9 +65,10 @@ def casimir_value(spec: PoissonFamilySpec, k: int, x):
 
 
 def casimir_expr(spec: PoissonFamilySpec, k: int) -> ex.Expr:
-    """C_k as an expression in x1, x2, x3."""
+    """C_k = chi_jk / chi_ij as an expression in x1, x2, x3; its right operand is the denominator chi_ij."""
     i, j, k = cyclic(k)
-    return ex.div(chi_expr(spec, j, k), chi_expr(spec, i, j))
+    chis = chi_triple(spec.kappa.triple, *axis_exprs(spec)[0])
+    return chis[j - 1] / chis[i - 1]
 
 
 def casimir_gradient(spec: PoissonFamilySpec, k: int, x) -> np.ndarray:
@@ -114,7 +115,7 @@ CHART_SAMPLES = 512
 
 def _denominators(spec: PoissonFamilySpec, psis):
     """(chi_23, chi_31, chi_12), the denominators of C_1, C_2, C_3, from (psi_1, psi_2, psi_3)."""
-    c12, c23, c31 = chi_triple(spec, *psis)
+    c12, c23, c31 = chi_triple(spec.kappa.triple, *psis)
     return c23, c31, c12
 
 

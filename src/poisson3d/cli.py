@@ -171,9 +171,14 @@ def _cmd_list(_args) -> int:
     return 0
 
 
+MAX_SAMPLES = 10**6  # every sample point, and several arrays over them, are kept in memory
+
+
 def _check_sample_count(flag: str, n: int) -> None:
     if n < 1:
         raise ValueError(f"{flag} must be >= 1, got {n}")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"{flag} must be <= {MAX_SAMPLES}, got {n}")
 
 
 def _cmd_verify(args) -> int:

@@ -32,7 +32,7 @@ from .casimir import (
 )
 from . import expr as ex
 from .errors import DomainMembershipError, HypothesisViolationError, PoissonError
-from .family import PoissonFamilySpec, StructureMatrixValue, chi, structure_matrix_at
+from .family import PoissonFamilySpec, StructureMatrixValue, chi, chi_from_psi, structure_matrix_at
 from .scalar_fields import Field3, axis_sign, coordinates, element, first_flagged, point_at, psi_inverse
 from .verification import SampledCheckReport, batch_report, sampled_check
 
@@ -116,6 +116,17 @@ def forward_map(chart: DarbouxChart, x) -> np.ndarray:
     return y
 
 
+def inverse_target(chart: DarbouxChart, psi_i, psi_j, y_k):
+    """psi_j + kappa_jk + chi_ij y_k, the value of psi_k at x_k(y).
+
+    psi_i and psi_j are psi_i(y_i) and psi_j(y_j): floats, arrays or
+    expression trees (the result is then the tree of these operations).
+    """
+    i, j, k = cyclic(chart.k)
+    kappa = chart.spec.kappa
+    return psi_j + kappa.entry(j, k) + chi_from_psi(psi_i, psi_j, kappa.entry(i, j)) * y_k
+
+
 def inverse_map(chart: DarbouxChart, y) -> np.ndarray:
     """x(y): solve psi_k through zeta (or the bracketing root-finder).
 
@@ -124,7 +135,8 @@ def inverse_map(chart: DarbouxChart, y) -> np.ndarray:
     i, j, k = cyclic(chart.k)
     spec = chart.spec
     y = coordinates(y)
-    target = spec.psi(j, y[j - 1]) + spec.kappa.entry(j, k) + chi(spec, i, j, y) * y[k - 1]
+    psi_j = spec.psi(j, y[j - 1])  # before psi_i: a fault in psi_j is the one reported when both fault
+    target = inverse_target(chart, spec.psi(i, y[i - 1]), psi_j, y[k - 1])
     x = np.array(y)
     x[k - 1] = psi_inverse(spec.field(k), target)
     return x

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .casimir import casimir_value, cyclic, default_casimir_index, denominator_threshold
-from .darboux import DarbouxChart, inverse_map, reparam_factor_from
+from .casimir import casimir_expr, casimir_value, cyclic, default_casimir_index, denominator_threshold
+from .darboux import DarbouxChart, inverse_map, inverse_target, reparam_factor_from
 from .errors import (
     DomainEvalError,
     DomainExitError,
@@ -29,7 +29,7 @@ from .errors import (
     ReparametrizationBreakdownError,
     UndefinedAtPointError,
 )
-from .family import PoissonFamilySpec, axis_exprs, chi_expr, chi_triple, structure_entries, structure_matrix_at
+from .family import PoissonFamilySpec, axis_exprs, structure_entries, structure_matrix_at
 from .scalar_fields import Field3
 
 METHODS = ("rk4", "midpoint")
@@ -132,7 +132,7 @@ def _rhs_kernel(spec: PoissonFamilySpec, H: Field3):
         return None
     psis, phis = axis_exprs(spec)
     grad = tuple(H.partial_expr(axis) for axis in (1, 2, 3))
-    entries = structure_entries(spec, psis, phis, spec.eta_chain)
+    entries = structure_entries(spec.kappa.triple, psis, phis, spec.eta_chain)
     return ex.compile_kernel(_flow(*entries, *grad), (*psis, *phis, *spec.eta_chain, *grad))
 
 
@@ -144,10 +144,8 @@ def _ledger_kernel(spec: PoissonFamilySpec, H: Field3, casimir_k: int | None):
         return ex.compile_kernel((H.expr,), (H.expr,))
     i, j, _ = cyclic(casimir_k)
     psis, _ = axis_exprs(spec)
-    chis = chi_triple(spec, *psis)  # chi_ij sits at i - 1, chi_jk at j - 1
-    kernel = ex.compile_kernel(
-        (H.expr, chis[j - 1] / chis[i - 1], chis[i - 1], psis[i - 1], psis[j - 1]), (H.expr, *psis)
-    )
+    c_k = casimir_expr(spec, casimir_k)  # c_k.right is its denominator chi_ij
+    kernel = ex.compile_kernel((H.expr, c_k, c_k.right, psis[i - 1], psis[j - 1]), (H.expr, *psis))
 
     def ledger(*x):
         h, c, denom, psi_i, psi_j = kernel(*x)
@@ -281,17 +279,11 @@ def integrate(
 
 def _reduced_hamiltonian(chart: DarbouxChart, H: Field3) -> Field3:
     """H(x(y)) as a field in y; symbolic when H and zeta_k are expressions."""
-    spec = chart.spec
     i, j, k = cyclic(chart.k)
-    fld = spec.field(k)
-    if H.expr is not None and fld.zeta is not None:
-        # x_k(y) = zeta_k(psi_j(y_j) + kappa_jk + chi_ij(y_i, y_j) y_k)
-        psi_j = ex.substitute(spec.field(j).psi, "u", ex.Var(f"x{j}"))
-        arg = ex.add(
-            ex.add(psi_j, ex.lit(spec.kappa.entry(j, k))),
-            ex.mul(chi_expr(spec, i, j), ex.Var(f"x{k}")),
-        )
-        xk_of_y = ex.substitute(fld.zeta, "u", arg)
+    zeta = chart.spec.field(k).zeta
+    if H.expr is not None and zeta is not None:
+        psis, _ = axis_exprs(chart.spec)
+        xk_of_y = ex.substitute(zeta, "u", inverse_target(chart, psis[i - 1], psis[j - 1], ex.Var(f"x{k}")))
         return Field3(ex.substitute(H.expr, f"x{k}", xk_of_y))
 
     def value(y1, y2, y3):

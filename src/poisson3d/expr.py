@@ -105,28 +105,8 @@ def var(name: str) -> Var:
     return Var(name)
 
 
-def add(a: Expr, b: Expr) -> Bin:
-    return Bin("+", a, b)
-
-
-def sub(a: Expr, b: Expr) -> Bin:
-    return Bin("-", a, b)
-
-
-def mul(a: Expr, b: Expr) -> Bin:
-    return Bin("*", a, b)
-
-
-def div(a: Expr, b: Expr) -> Bin:
-    return Bin("/", a, b)
-
-
 def pow_(a: Expr, b: Expr) -> Bin:
     return Bin("^", a, b)
-
-
-def neg(a: Expr) -> Neg:
-    return Neg(a)
 
 
 def call(fn: str, a: Expr) -> Call:

@@ -37,17 +37,6 @@ from .scalar_fields import (
 
 _AXES = (1, 2, 3)
 _XS = ("x1", "x2", "x3")
-# entry (i, j) pairs in cyclic order with the complementary density axis
-ENTRY_PAIRS = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
-
-
-def _skew_entry(cyclic_entries: tuple[float, float, float], i: int, j: int) -> float:
-    """Entry (i, j) of the skew 3x3 matrix whose (1,2), (2,3), (3,1) entries are given."""
-    if i == j:
-        return 0.0
-    if (j - i) % 3 == 1:  # (1, 2), (2, 3) or (3, 1)
-        return cyclic_entries[i - 1]
-    return -cyclic_entries[j - 1]
 
 
 @dataclass(frozen=True)
@@ -65,10 +54,19 @@ class KappaMatrix:
     def k31(self) -> float:
         return -(self.k12 + self.k23)
 
+    @property
+    def triple(self) -> tuple[float, float, float]:
+        """(k12, k23, k31), the form chi_triple and structure_entries take."""
+        return (self.k12, self.k23, self.k31)
+
     def entry(self, i: int, j: int) -> float:
         if i not in _AXES or j not in _AXES:
             raise InvalidAxisError(f"axes must be in {{1,2,3}}, got ({i}, {j})")
-        return _skew_entry((self.k12, self.k23, self.k31), i, j)
+        if i == j:
+            return 0.0
+        if (j - i) % 3 == 1:  # (1, 2), (2, 3) or (3, 1)
+            return self.triple[i - 1]
+        return -self.triple[j - 1]
 
     def shifted(self, k1: float, k2: float, k3: float) -> "KappaMatrix":
         """Constants after replacing every psi_i by psi_i + k_i."""
@@ -111,7 +109,7 @@ class PoissonFamilySpec:
     def eta_expr(self) -> ex.Expr:
         e = self.eta_chain[0]
         for nxt in self.eta_chain[1:]:
-            e = ex.mul(e, nxt)
+            e = e * nxt
         return e
 
     def eta_value(self, x1, x2, x3):
@@ -198,6 +196,15 @@ def make_family_spec(
 # Pointwise evaluation
 
 
+def chi_from_psi(psi_i, psi_j, kappa_ij):
+    """chi_ij = psi_i - psi_j + kappa_ij from the values psi_i(x_i) and psi_j(x_j).
+
+    The one place chi is written: floats, arrays, or expression trees (the
+    result is then the tree of these very operations, docs/decisions.md, D6).
+    """
+    return (psi_i - psi_j) + kappa_ij
+
+
 def chi(spec: PoissonFamilySpec, i: int, j: int, x):
     """psi_i(x_i) - psi_j(x_j) + kappa_ij; antisymmetric in (i, j).
 
@@ -208,12 +215,16 @@ def chi(spec: PoissonFamilySpec, i: int, j: int, x):
     xi, xj = x[i - 1], x[j - 1]
     if not isinstance(xi, np.ndarray):
         xi, xj = float(xi), float(xj)
-    return (spec.psi(i, xi) - spec.psi(j, xj)) + spec.kappa.entry(i, j)
+    return chi_from_psi(spec.psi(i, xi), spec.psi(j, xj), spec.kappa.entry(i, j))
 
 
-def chi_triple(spec: PoissonFamilySpec, p1, p2, p3):
-    """(chi_12, chi_23, chi_31) from the values psi_1, psi_2, psi_3, as chi() computes them; floats or arrays."""
-    return (p1 - p2) + spec.kappa.k12, (p2 - p3) + spec.kappa.k23, (p3 - p1) + spec.kappa.k31
+def chi_triple(kappa: tuple[float, float, float], p1, p2, p3):
+    """(chi_12, chi_23, chi_31) from a (k12, k23, k31) triple and the values psi_1, psi_2, psi_3.
+
+    The triple is KappaMatrix.triple, or a raw one that need not sum to zero.
+    """
+    k12, k23, k31 = kappa
+    return chi_from_psi(p1, p2, k12), chi_from_psi(p2, p3, k23), chi_from_psi(p3, p1, k31)
 
 
 @dataclass(frozen=True)
@@ -266,16 +277,20 @@ def structure_matrix_at(spec: PoissonFamilySpec, x, check_domain: bool = True) -
     psi, phi, eta = spec.callables
     psis = psi[0](x1), psi[1](x2), psi[2](x3)
     phi3, phi1, phi2 = phi[2](x3), phi[0](x1), phi[1](x2)  # in the order the entries take them
-    return StructureMatrixValue(*structure_entries(spec, psis, (phi1, phi2, phi3), [fn(x1, x2, x3) for fn in eta]))
+    return StructureMatrixValue(
+        *structure_entries(spec.kappa.triple, psis, (phi1, phi2, phi3), [fn(x1, x2, x3) for fn in eta])
+    )
 
 
-def structure_entries(spec: PoissonFamilySpec, psis, phis, etas):
-    """(J12, J23, J31) from the values of psi_1..3, phi_1..3 and the eta chain's factors.
+def structure_entries(kappa: tuple[float, float, float], psis, phis, etas):
+    """(J12, J23, J31) from a (k12, k23, k31) triple and the values of psi_1..3, phi_1..3 and the eta factors.
 
     The values are floats, arrays or expression trees; for trees the result
-    is the tree of these very operations (docs/decisions.md, D6).
+    is the tree of these very operations (docs/decisions.md, D6).  Each eta
+    factor multiplies every entry in chain order, so a rescaled chain
+    associates as ((chi * phi) * e0) * e1.
     """
-    c12, c23, c31 = chi_triple(spec, *psis)
+    c12, c23, c31 = chi_triple(kappa, *psis)
     j12 = c12 * phis[2]
     j23 = c23 * phis[0]
     j31 = c31 * phis[1]
@@ -313,35 +328,3 @@ def axis_exprs(spec: PoissonFamilySpec) -> tuple[tuple[ex.Expr, ...], tuple[ex.E
         tuple(ex.substitute(getattr(f, name), "u", ex.Var(x)) for f, x in zip(spec.fields, _XS))
         for name in ("psi", "phi")
     )
-
-
-def chi_expr(spec: PoissonFamilySpec, i: int, j: int, kappa_override: tuple[float, float, float] | None = None) -> ex.Expr:
-    """chi_ij as an expression in x1, x2, x3."""
-    if i not in _AXES or j not in _AXES or i == j:
-        raise InvalidAxisError(f"need two distinct axes in {{1,2,3}}, got ({i}, {j})")
-    psi_i = ex.substitute(spec.field(i).psi, "u", ex.Var(f"x{i}"))
-    psi_j = ex.substitute(spec.field(j).psi, "u", ex.Var(f"x{j}"))
-    k = spec.kappa.entry(i, j) if kappa_override is None else _skew_entry(kappa_override, i, j)
-    return ex.add(ex.sub(psi_i, psi_j), ex.Lit(float(k)))
-
-
-def entry_exprs(
-    spec: PoissonFamilySpec,
-    include_eta: bool = True,
-    kappa_override: tuple[float, float, float] | None = None,
-) -> tuple[ex.Expr, ex.Expr, ex.Expr]:
-    """The (J12, J23, J31) entries as expressions in x1, x2, x3.
-
-    kappa_override swaps in a raw (k12, k23, k31) triple that need not sum
-    to zero; with include_eta=False the eta factor is stripped.  Both knobs
-    exist for the Jacobi-identity checks, which probe entries outside the
-    guaranteed family.
-    """
-    out = []
-    for i, j, k in ENTRY_PAIRS:
-        phi_k = ex.substitute(spec.field(k).phi, "u", ex.Var(f"x{k}"))
-        e = ex.mul(chi_expr(spec, i, j, kappa_override), phi_k)
-        if include_eta:
-            e = ex.mul(e, spec.eta_expr)
-        out.append(e)
-    return tuple(out)

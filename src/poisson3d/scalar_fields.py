@@ -463,8 +463,10 @@ class DomainBox:
     predicate_fn: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.intervals) != 3 or any(iv[0] >= iv[1] for iv in self.intervals):
-            raise ValueError(f"need three nonempty intervals, got {self.intervals!r}")
+        if len(self.intervals) != 3 or not all(
+            math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in self.intervals
+        ):
+            raise ValueError(f"need three intervals with finite bounds lo < hi, got {self.intervals!r}")
         fn = ex.compile_expr(self.predicate, _XS) if self.predicate is not None else None
         object.__setattr__(self, "predicate_fn", fn)
 

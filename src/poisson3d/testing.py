@@ -31,30 +31,29 @@ def _rng(seed: int, index: int) -> random.Random:
 def _axis_field(rng: random.Random, interval: tuple[float, float]):
     kind = rng.choice(_PHI_KINDS)
     s = rng.choice((-1.0, 1.0))
+    u = ex.var("u")
+    u2 = ex.pow_(u, ex.lit(2.0))
     if kind == "const":
         c = s * rng.uniform(0.5, 3.0)
         phi = ex.lit(c)
-        psi = ex.mul(ex.lit(c), ex.var("u"))
-        zeta = ex.div(ex.var("u"), ex.lit(c))
+        psi = ex.lit(c) * u
+        zeta = u / c
     elif kind == "affine":
         a = s * rng.uniform(0.5, 2.0)
         b = a * rng.uniform(2.0, 5.0)  # root at -b/a < 0, outside the interval
-        phi = ex.add(ex.mul(ex.lit(a), ex.var("u")), ex.lit(b))
-        psi = ex.add(
-            ex.mul(ex.lit(a / 2.0), ex.pow_(ex.var("u"), ex.lit(2.0))),
-            ex.mul(ex.lit(b), ex.var("u")),
-        )
+        phi = ex.lit(a) * u + b
+        psi = ex.lit(a / 2.0) * u2 + ex.lit(b) * u
         zeta = None
     elif kind == "linear2au":
         a = s * rng.uniform(0.5, 2.0)
-        phi = ex.mul(ex.lit(2.0 * a), ex.var("u"))
-        psi = ex.mul(ex.lit(a), ex.pow_(ex.var("u"), ex.lit(2.0)))
-        zeta = ex.call("sqrt", ex.div(ex.var("u"), ex.lit(a)))
+        phi = ex.lit(2.0 * a) * u
+        psi = ex.lit(a) * u2
+        zeta = ex.call("sqrt", u / a)
     else:
         a = s * rng.uniform(0.3, 1.5)
-        phi = ex.call("exp", ex.mul(ex.lit(a), ex.var("u")))
-        psi = ex.div(ex.call("exp", ex.mul(ex.lit(a), ex.var("u"))), ex.lit(a))
-        zeta = ex.div(ex.call("ln", ex.mul(ex.lit(a), ex.var("u"))), ex.lit(a))
+        phi = ex.call("exp", ex.lit(a) * u)
+        psi = ex.call("exp", ex.lit(a) * u) / a
+        zeta = ex.call("ln", ex.lit(a) * u) / a
     return build_scalar_field(phi, psi, zeta, interval)
 
 
@@ -76,10 +75,10 @@ def random_family_spec(index: int, seed: int = 0) -> PoissonFamilySpec:
             eta = ex.lit(1.0)
         else:
             parts = [
-                ex.add(ex.lit(1.0), ex.mul(ex.lit(rng.uniform(0.1, 2.0)), ex.pow_(ex.var(v), ex.lit(2.0))))
+                ex.lit(1.0) + ex.lit(rng.uniform(0.1, 2.0)) * ex.pow_(ex.var(v), ex.lit(2.0))
                 for v in ("x1", "x2", "x3")
             ]
-            eta = ex.mul(ex.mul(parts[0], parts[1]), parts[2])
+            eta = parts[0] * parts[1] * parts[2]
     fields = tuple(_axis_field(rng, iv) for iv in intervals)
     domain = DomainBox(intervals, predicate)
     return make_family_spec(eta, fields, kappa, domain, name=f"random-{seed}-{index}")
@@ -96,15 +95,15 @@ def random_polynomial_field(index: int, seed: int = 0, coeff_range: float = 2.0)
         ex.pow_(ex.var("x1"), ex.lit(2.0)),
         ex.pow_(ex.var("x2"), ex.lit(2.0)),
         ex.pow_(ex.var("x3"), ex.lit(2.0)),
-        ex.mul(ex.var("x1"), ex.var("x2")),
-        ex.mul(ex.var("x2"), ex.var("x3")),
-        ex.mul(ex.var("x3"), ex.var("x1")),
+        ex.var("x1") * ex.var("x2"),
+        ex.var("x2") * ex.var("x3"),
+        ex.var("x3") * ex.var("x1"),
     )
 
     def entry():
         tree = ex.lit(0.0)
         for m in monomials:
-            tree = ex.add(tree, ex.mul(ex.lit(rng.uniform(-coeff_range, coeff_range)), m))
+            tree = tree + ex.lit(rng.uniform(-coeff_range, coeff_range)) * m
         return tree
 
     return MatrixField3(entry(), entry(), entry())

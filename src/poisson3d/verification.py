@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainEvalError
-from .family import PoissonFamilySpec, entry_exprs
+from .family import PoissonFamilySpec, axis_exprs, structure_entries
 from .scalar_fields import DomainBox, Field3
 
 ENTRY_NAMES = ("j12", "j23", "j31")
@@ -51,9 +51,13 @@ class MatrixField3:
 
 
 def matrix_field_from_spec(spec: PoissonFamilySpec) -> MatrixField3:
-    """Expression-backed field for a family member (analytic scheme works)."""
-    j12, j23, j31 = entry_exprs(spec)
-    return MatrixField3(j12, j23, j31)
+    """Expression-backed field for a family member (analytic scheme works).
+
+    The entries are structure_entries applied to trees, so they are the
+    trees of the operations structure_matrix_at performs.
+    """
+    psis, phis = axis_exprs(spec)
+    return MatrixField3(*structure_entries(spec.kappa.triple, psis, phis, spec.eta_chain))
 
 
 def resolve_scheme(field: MatrixField3, scheme: str) -> str:
@@ -224,8 +228,9 @@ def reduction_identity_check(
     constants both are ~0; kappa_override admits deliberately broken
     constants, for which both sides are equal and nonzero.
     """
-    j12, j23, j31 = entry_exprs(spec, include_eta=False, kappa_override=kappa_override)
-    field = MatrixField3(j12, j23, j31)
+    psis, phis = axis_exprs(spec)
+    kappa = spec.kappa.triple if kappa_override is None else kappa_override
+    field = MatrixField3(*structure_entries(kappa, psis, phis, ()))
     residual = jacobi_residual(field, x, "analytic")
     if kappa_override is None:
         ksum = (spec.kappa.k12 + spec.kappa.k23) + spec.kappa.k31

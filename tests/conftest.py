@@ -41,9 +41,9 @@ def make_euler_top(I=(1.0, 2.0, 3.0), box=TOP_BOX, name="euler-top-hand"):
     domain = DomainBox(tuple(box), None)
     fields = tuple(
         build_scalar_field(
-            ex.mul(ex.lit(2.0 * c), ex.var("u")),
-            ex.mul(ex.lit(c), ex.pow_(ex.var("u"), ex.lit(2.0))),
-            ex.call("sqrt", ex.div(ex.var("u"), ex.lit(c))),
+            ex.lit(2.0 * c) * ex.var("u"),
+            ex.lit(c) * ex.pow_(ex.var("u"), ex.lit(2.0)),
+            ex.call("sqrt", ex.var("u") / c),
             iv,
         )
         for c, iv in zip(coeffs, box)

@@ -51,12 +51,12 @@ class TestHalphen:
 
     def test_eta_stripped_entries_are_coordinate_differences(self):
         # with eta = 1 the display reduces to J12 = x1 - x2 etc.
-        from poisson3d.family import entry_exprs
+        from poisson3d.family import axis_exprs, structure_entries
 
         spec = halphen_structure(wide_halphen_domain())
         fns = [
             ex.compile_expr(e, ("x1", "x2", "x3"))
-            for e in entry_exprs(spec, include_eta=False)
+            for e in structure_entries(spec.kappa.triple, *axis_exprs(spec), ())
         ]
         for x in spec.domain.sample(20, seed=1):
             x1, x2, x3 = map(float, x)

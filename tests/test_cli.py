@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -210,6 +211,12 @@ def test_bad_inputs_exit_2(capsys, tmp_path, wide_spec_file):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {argv[3]} must be >= 1, got 0\n"
+    # and so do counts above the cap, before any point is drawn
+    for argv in (("verify", "--system", "halphen", "--samples", "1000001"),
+                 ("darboux", "--system", "halphen", "--check-samples", "10000000000000")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[3]} must be <= 1000000, got {argv[4]}\n"
     # step counts past the cap: the first ratio overflows, the second would never finish
     for t_end, dt in (("1e308", "1e-308"), ("0.5", "1e-300")):
         for extra in ((), ("--reduced",)):
@@ -269,16 +276,27 @@ MALFORMED_SPECS = {
     "psi number": _edited(HALPHEN_WIDE_SPEC, ("axes", 0, "psi"), 2),
     "zeta number": _edited(HALPHEN_WIDE_SPEC, ("axes", 0, "zeta"), 3),
     "matrix entry number": _edited(BROKEN_SPEC, ("matrix", "j23"), 4),
+    "box bound infinite": _edited(HALPHEN_WIDE_SPEC, ("domain", "box"), [[1, math.inf], [1, 2], [1, 2]]),
+    "box bound nan": _edited(HALPHEN_WIDE_SPEC, ("domain", "box"), [[math.nan, 2], [1, 2], [1, 2]]),
+}
+# the exact error, for documents whose message the test pins
+MALFORMED_ERRORS = {
+    "box bound infinite": "error: need three intervals with finite bounds lo < hi, "
+                          "got ((1.0, inf), (1.0, 2.0), (1.0, 2.0))\n",
+    "box bound nan": "error: need three intervals with finite bounds lo < hi, "
+                     "got ((nan, 2.0), (1.0, 2.0), (1.0, 2.0))\n",
 }
 
 
-@pytest.mark.parametrize("doc", list(MALFORMED_SPECS.values()), ids=list(MALFORMED_SPECS))
-def test_malformed_spec_file_is_bad_input(capsys, tmp_path, doc):
+@pytest.mark.parametrize("name", list(MALFORMED_SPECS), ids=list(MALFORMED_SPECS))
+def test_malformed_spec_file_is_bad_input(capsys, tmp_path, name):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(MALFORMED_SPECS[name]))
     code, out, err = run_cli(capsys, "verify", "--spec", str(path))
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if name in MALFORMED_ERRORS:
+        assert err == MALFORMED_ERRORS[name]
 
 
 def _identity_spec(eta: str) -> dict:

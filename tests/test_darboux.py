@@ -185,8 +185,8 @@ def test_chart_without_zeta_uses_root_finder():
     coeffs = (a2 * a3, a1 * a3, a1 * a2)
     fields = tuple(
         build_scalar_field(
-            ex.mul(ex.lit(2.0 * c), ex.var("u")),
-            ex.mul(ex.lit(c), ex.pow_(ex.var("u"), ex.lit(2.0))),
+            ex.lit(2.0 * c) * ex.var("u"),
+            ex.lit(c) * ex.pow_(ex.var("u"), ex.lit(2.0)),
             None,
             iv,
         )

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from poisson3d import expr as ex
 from poisson3d.builtin_systems import BUILTIN_NAMES, build_system
 from poisson3d.casimir import casimir_expr
-from poisson3d.family import entry_exprs
 from poisson3d.testing import random_family_spec
+from poisson3d.verification import matrix_field_from_spec
 from poisson3d.errors import (
     DomainEvalError,
     ParseError,
@@ -358,8 +358,12 @@ def _partials(monkeypatch, exprs, pruned):
         return [ex.differentiate(e, v) for e in exprs for v in ("x1", "x2", "x3")]
 
 
+def _entries(spec):
+    return tuple(f.expr for f in matrix_field_from_spec(spec).fields)
+
+
 def _assert_pruned_equals_unpruned(monkeypatch, spec, n, seed):
-    exprs = entry_exprs(spec) + tuple(casimir_expr(spec, k) for k in (1, 2, 3))
+    exprs = _entries(spec) + tuple(casimir_expr(spec, k) for k in (1, 2, 3))
     xs = spec.domain.sample(n, seed).T.copy()
     pruned, full = _partials(monkeypatch, exprs, True), _partials(monkeypatch, exprs, False)
     for p, f in zip(pruned, full):
@@ -381,7 +385,7 @@ def test_pruned_partials_equal_unpruned_on_random_specs(monkeypatch):
 
 @pytest.mark.parametrize("name, pruned_max, unpruned", [("euler-top", 120, 633), ("halphen", 552, 885)])
 def test_entry_partials_node_counts(monkeypatch, name, pruned_max, unpruned):
-    entries = entry_exprs(build_system(name)[0])
+    entries = _entries(build_system(name)[0])
     assert sum(map(_nodes, _partials(monkeypatch, entries, True))) <= pruned_max
     assert sum(map(_nodes, _partials(monkeypatch, entries, False))) == unpruned
 

@@ -14,14 +14,17 @@ from poisson3d.errors import (
 from poisson3d.family import (
     StructureMatrixValue,
     chi,
-    entry_exprs,
     make_family_spec,
     make_kappa,
     rank_at,
     rescale,
     structure_matrix_at,
 )
+from poisson3d.builtin_systems import BUILTIN_NAMES, build_system, halphen_structure
+from poisson3d.casimir import casimir_expr, casimir_value
 from poisson3d.scalar_fields import DomainBox, build_scalar_field
+from poisson3d.testing import random_family_spec
+from poisson3d.verification import matrix_field_from_spec
 from conftest import make_halphen
 
 
@@ -138,14 +141,21 @@ class TestStructureMatrix:
         with pytest.raises(DomainMembershipError):
             structure_matrix_at(halphen_unit, (2.0, 0.5, 0.9))  # outside box
 
-    def test_entry_exprs_agree_with_pointwise(self, halphen_wide, euler_top_123):
-        for spec in (halphen_wide, euler_top_123):
-            fns = [ex.compile_expr(e, ("x1", "x2", "x3")) for e in entry_exprs(spec)]
-            for x in spec.domain.sample(50, seed=21):
-                J = structure_matrix_at(spec, x)
-                for fn, want in zip(fns, J.entries()):
-                    got = fn(float(x[0]), float(x[1]), float(x[2]))
-                    assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+    def test_symbolic_entries_and_casimirs_equal_pointwise_exactly(self):
+        # verify's entries and casimir_expr are the float formulas applied to trees, so
+        # their compiled values are the float path's bits (a rescaled chain included)
+        specs = [build_system(name)[0] for name in BUILTIN_NAMES]
+        specs += [random_family_spec(i, 42) for i in range(4)]
+        specs.append(rescale(halphen_structure(), ex.parse("1 + x1^2/50")))
+        for spec in specs:
+            fns = [ex.compile_expr(f.expr) for f in matrix_field_from_spec(spec).fields]
+            casimirs = [ex.compile_expr(casimir_expr(spec, k)) for k in (1, 2, 3)]
+            for x in spec.domain.sample(2000, seed=21):
+                x = tuple(float(v) for v in x)
+                want = structure_matrix_at(spec, x).entries()
+                assert [fn(*x).hex() for fn in fns] == [v.hex() for v in want], (spec.name, len(spec.eta_chain), x)
+                for k, fn in zip((1, 2, 3), casimirs):
+                    assert fn(*x).hex() == casimir_value(spec, k, x).hex(), (spec.name, k, x)
 
 
 class TestRank:
