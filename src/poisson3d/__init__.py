@@ -55,7 +55,6 @@ from .scalar_fields import (
     DomainBox,
     Field3,
     ScalarField1D,
-    assert_nonvanishing,
     build_scalar_field,
     psi_inverse,
 )

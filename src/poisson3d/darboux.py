@@ -34,9 +34,11 @@ from . import expr as ex
 from .errors import DomainMembershipError, HypothesisViolationError, PoissonError
 from .family import PoissonFamilySpec, StructureMatrixValue, chi, chi_from_psi, structure_matrix_at
 from .scalar_fields import Field3, axis_sign, coordinates, element, first_flagged, point_at, psi_inverse
+from .scalar_fields import first_vanishing
 from .verification import SampledCheckReport, batch_report, sampled_check
 
 FACTOR_FLOOR = 1e-12
+PROBE = 32  # the exact stage probes chi_ij's zero set on a PROBE x PROBE grid of (x_i, x_k)
 
 
 def canonical_matrix(k: int) -> np.ndarray:
@@ -63,37 +65,34 @@ class DarbouxChart:
 
 
 def build_chart(spec: PoissonFamilySpec, k: int | None = None, seed: int = 0) -> DarbouxChart:
-    """Validate the chart hypothesis on a sample and assemble the chart.
+    """Validate the chart hypothesis chi_ij != 0 on the domain and assemble the chart.
 
     One pass over CHART_SAMPLES domain points at seed gives all three
     results.  k defaults to the best-conditioned Casimir index.  The
-    hypothesis chi_ij != 0 throughout the domain is certified by sampling:
-    every sampled value must clear the denominator threshold and, on a
-    plain box (no predicate carving the domain apart), must keep one sign,
-    since a sign change on a connected set forces a zero in between.  The
-    first sample point failing either test is named.  The image box spans
-    the forward images of the same points.  All three run as array
-    expressions over chi_table, with Python float semantics (no
-    floating-point warnings).
+    sampled stage is first_vanishing on those points over the denominator
+    threshold, with the sign rule on a plain box (no predicate carving the
+    domain apart); the exact stage then probes chi_ij's zero set.  The
+    first failing point is named.  The image box spans the sample's images.
     """
     points = spec.domain.sample(CHART_SAMPLES, seed)
     psis, chis = chi_table(spec, points)
     i, j, k = cyclic(best_casimir_index(chis) if k is None else k)
 
-    value = chis[k - 1]  # chi_ij, the denominator of C_k
+    where, at = points, chis[k - 1]  # chi_ij, the denominator of C_k
     with np.errstate(all="ignore"):
-        small = np.abs(value) <= denominator_threshold(psis[i - 1], psis[j - 1])
-        flipped = np.copysign(1.0, value) != np.copysign(1.0, value[0])
-        bad = first_flagged(small | flipped if spec.domain.predicate is None else small)
-        if bad is not None:
-            x = point_at(points.T, bad)
-            if small[bad]:
-                raise HypothesisViolationError(f"chi_{i}{j} = {float(value[bad])!r} at {x}; chart hypothesis fails")
-            raise HypothesisViolationError(
-                f"chi_{i}{j} changes sign on the box (seen near {x}); it must vanish somewhere inside"
-            )
+        floor = denominator_threshold(psis[i - 1], psis[j - 1])
         ys = points.copy()
-        ys[:, k - 1] = -(chis[i - 1] / value)  # -C_k, as forward_map computes it
+        ys[:, k - 1] = -(chis[i - 1] / at)  # -C_k, as forward_map computes it
+    failure = first_vanishing(lambda v: v, (at,), floor, spec.domain.predicate is None)
+    if failure is None:
+        where, at, floor = _zero_set_probe(spec, i, j, k)
+        failure = first_vanishing(lambda v: v, (at,), floor, False)
+    if failure is not None:
+        x = point_at(where.T, failure[0])
+        raise HypothesisViolationError(
+            f"chi_{i}{j} = {float(at[failure[0]])!r} at {x}; chart hypothesis fails" if failure[1] == "zero"
+            else f"chi_{i}{j} changes sign on the box (seen near {x}); it must vanish somewhere inside"
+        )
     return DarbouxChart(
         spec,
         k,
@@ -101,6 +100,30 @@ def build_chart(spec: PoissonFamilySpec, k: int | None = None, seed: int = 0) ->
         tuple((float(ys[:, a].min()), float(ys[:, a].max())) for a in range(3)),
         Field3(casimir_expr(spec, k)),
     )
+
+
+def _zero_set_probe(spec: PoissonFamilySpec, i: int, j: int, k: int):
+    """Points on chi_ij's zero set as rows, chi_ij there, and its threshold there (-inf outside the domain).
+
+    With each psi monotone, chi_ij = psi_i(x_i) - psi_j(x_j) + kappa_ij ranges over exactly
+    [min psi_i - max psi_j, max psi_i - min psi_j] + kappa_ij on the box: no points when that
+    clears zero by the threshold.  Else x_j = psi_j^-1(psi_i(x_i) + kappa_ij) on a PROBE x PROBE
+    grid of (x_i, x_k), where the target is in psi_j's range; a sample on a predicate domain.
+    """
+    f_i, f_j = spec.field(i), spec.field(j)
+    (a_i, b_i), (a_j, b_j) = f_i.psi_range(), f_j.psi_range()
+    k_ij = spec.kappa.entry(i, j)
+    if abs(min(max(0.0, a_i - b_j + k_ij), b_i - a_j + k_ij)) > denominator_threshold(max(-a_i, b_i), max(-a_j, b_j)):
+        return np.empty((0, 3)), np.empty(0), np.empty(0)
+    x_i = np.linspace(*sorted(psi_inverse(f_i, min(max(t - k_ij, a_i), b_i)) for t in (a_j, b_j)), PROBE).tolist()
+    grid = np.empty((PROBE * PROBE, 3))
+    grid[:, i - 1] = np.repeat(x_i, PROBE)
+    grid[:, j - 1] = np.repeat([psi_inverse(f_j, min(max(f_i.psi_fn(u) + k_ij, a_j), b_j)) for u in x_i], PROBE)
+    grid[:, k - 1] = np.tile(np.linspace(*spec.domain.intervals[k - 1], PROBE), PROBE)
+    psis, chis = chi_table(spec, grid)
+    with np.errstate(all="ignore"):
+        floor = np.where(spec.domain.admissible(grid), denominator_threshold(psis[i - 1], psis[j - 1]), -np.inf)
+    return grid, chis[k - 1], floor
 
 
 def forward_map(chart: DarbouxChart, x) -> np.ndarray:

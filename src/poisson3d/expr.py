@@ -29,6 +29,7 @@ from .errors import (
 
 VARIABLES = ("x1", "x2", "x3", "u")
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt", "abs", "sign")
+_TOO_DEEP = "expression is nested too deeply"
 
 
 # --------------------------------------------------------------------------
@@ -323,10 +324,18 @@ def parse(source: str) -> Expr:
     if not source or not source.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(source))
-    node = parser.parse_sum()
+    try:
+        node = parser.parse_sum()
+    except RecursionError:
+        raise ParseError(_TOO_DEEP, parser.peek()[2]) from None
     kind, value, offset = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {value!r}", offset)
+    level, depth = [node], 0  # level by level: the recursive tree walkers would overflow the stack
+    while level:
+        level, depth = [c for n in level for c in vars(n).values() if isinstance(c, Expr)], depth + 1
+    if depth > 200:  # Python compiles no deeper nesting of the brackets _gen writes around each node
+        raise ParseError(_TOO_DEEP, 0)
     return node
 
 
@@ -538,7 +547,10 @@ def compile_expr(e: Expr, varnames: tuple[str, ...] = ("x1", "x2", "x3")):
     def bind(namespace):
         nonlocal code
         if code is None:
-            code = compile(f"lambda {', '.join(varnames)}: {src}", "<expr>", "eval")
+            try:
+                code = compile(f"lambda {', '.join(varnames)}: {src}", "<expr>", "eval")
+            except (SyntaxError, RecursionError):  # _gen's source is well formed: only its depth can fail
+                raise ParseError(_TOO_DEEP, 0) from None
         return eval(code, dict(namespace, __builtins__={}))
 
     # each stub binds on its first call and replaces itself with the bound lambda
@@ -617,7 +629,7 @@ def compile_kernel(outputs, checked=()):
         lines.append('        raise BatchFault("non-finite value")')
     src = "\n".join(["def kernel(x1, x2, x3):", *lines, f"    return ({', '.join(results)},)"])
     namespace = dict(_SCALAR_NS, isfinite=math.isfinite, BatchFault=BatchFault, __builtins__={})
-    exec(compile(src, "<kernel>", "exec"), namespace)
+    exec(compile(src, "<kernel>", "exec"), namespace)  # flat: each subtree is a local
     fn = namespace["kernel"]
     fn.source = src
     return fn

@@ -31,12 +31,11 @@ from .errors import (
     FamilyValidationError,
     InvalidAxisError,
 )
-from .scalar_fields import (
-    ZERO_FLOOR, DomainBox, ScalarField1D, batch_certificate, coordinates, point_at, vanishing_flags,
-)
+from .scalar_fields import ZERO_FLOOR, DomainBox, ScalarField1D, coordinates, first_vanishing, point_at
 
 _AXES = (1, 2, 3)
 _XS = ("x1", "x2", "x3")
+NONVANISHING_SAMPLES = 256  # the domain points that certify eta and rescale factors
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,8 @@ class KappaMatrix:
 
 
 def make_kappa(k12: float, k23: float) -> KappaMatrix:
-    if not (math.isfinite(k12) and math.isfinite(k23)):
-        raise ValueError(f"kappa constants must be finite, got ({k12!r}, {k23!r})")
+    if not math.isfinite(float(k12) + float(k23)):  # and so are both constants
+        raise ValueError(f"kappa constants and kappa_31 = -(k12 + k23) must be finite, got ({k12!r}, {k23!r})")
     return KappaMatrix(float(k12), float(k23))
 
 
@@ -130,39 +129,16 @@ class PoissonFamilySpec:
         return self.field(axis).phi_fn(value)
 
 
-NONVANISHING_SAMPLES = 256
-
-
-def _check_nonvanishing(fn, domain: DomainBox, what: str) -> None:
-    """Sampled certificate that fn has no zero on the domain.
-
-    |fn| must exceed ZERO_FLOOR at NONVANISHING_SAMPLES domain points drawn
-    at seed 0 and, on a plain box (no predicate carving the domain apart),
-    keep one sign, since a sign change on a connected set forces a zero.
-    fn takes floats or coordinate arrays.  All points are tested at once;
-    a flagged point or a batch fault replays them one by one, which raises
-    the first failure in sample order.
-    """
-    points = domain.sample(NONVANISHING_SAMPLES, seed=0)
-
-    def per_point():
-        sign_seen = 0.0
-        for x in points:
-            point = tuple(float(v) for v in x)
-            v = fn(*point)
-            if abs(v) <= ZERO_FLOOR:
-                raise FamilyValidationError(f"{what} vanishes at sampled point {point}")
-            s = math.copysign(1.0, v)
-            if domain.predicate is None and sign_seen and s != sign_seen:
-                raise FamilyValidationError(
-                    f"{what} changes sign on the box (seen near {point}); it must vanish somewhere inside"
-                )
-            sign_seen = s
-
-    batch_certificate(
-        lambda: vanishing_flags(fn(*coordinates(np.ascontiguousarray(points.T))), domain.predicate is None),
-        per_point,
-    )
+def _require_nonvanishing(fn, domain: DomainBox, what: str) -> None:
+    """first_vanishing of fn at NONVANISHING_SAMPLES domain points (seed 0), with the sign rule on a plain box."""
+    points = np.ascontiguousarray(domain.sample(NONVANISHING_SAMPLES, seed=0).T)
+    failure = first_vanishing(fn, points, ZERO_FLOOR, domain.predicate is None)
+    if failure is not None:
+        x = point_at(points, failure[0])
+        raise FamilyValidationError(
+            f"{what} vanishes at sampled point {x}" if failure[1] == "zero"
+            else f"{what} changes sign on the box (seen near {x}); it must vanish somewhere inside"
+        )
 
 
 def make_family_spec(
@@ -174,8 +150,8 @@ def make_family_spec(
 ) -> PoissonFamilySpec:
     """Assemble and validate a family member.
 
-    Checks that each axis interval matches the domain box and that
-    |eta| > ZERO_FLOOR at NONVANISHING_SAMPLES domain points drawn at seed 0.
+    Checks that each axis interval matches the domain box, and certifies
+    eta on NONVANISHING_SAMPLES domain points drawn at seed 0.
     """
     chain = tuple(eta) if isinstance(eta, tuple) else (eta,)
     for e in chain:
@@ -188,7 +164,7 @@ def make_family_spec(
                 f"axis {axis} interval {fld.interval} does not match domain {domain.intervals[axis - 1]}"
             )
     spec = PoissonFamilySpec(chain, tuple(fields), kappa, domain, name)
-    _check_nonvanishing(spec.eta_value, domain, "eta")
+    _require_nonvanishing(spec.eta_value, domain, "eta")
     return spec
 
 
@@ -314,7 +290,7 @@ def rescale(spec: PoissonFamilySpec, factor: ex.Expr) -> PoissonFamilySpec:
     extra = ex.free_vars(factor) - {"x1", "x2", "x3"}
     if extra:
         raise FamilyValidationError(f"factor may only use x1,x2,x3; found {sorted(extra)}")
-    _check_nonvanishing(ex.compile_expr(factor, _XS), spec.domain, "rescale factor")
+    _require_nonvanishing(ex.compile_expr(factor, _XS), spec.domain, "rescale factor")
     return PoissonFamilySpec(spec.eta_chain + (factor,), spec.fields, spec.kappa, spec.domain, spec.name)
 
 

@@ -221,60 +221,45 @@ class ScalarField1D:
         return self._psi_range
 
 
-@dataclass(frozen=True)
-class NonvanishingReport:
-    ok: bool
-    reason: str = ""
-    where: float | None = None
+def first_vanishing(fn, sample, floor, sign_rule: bool):
+    """(index, "zero" or "sign") of the first sample point where fn may vanish, or None.
 
-
-def assert_nonvanishing(f, interval: tuple[float, float], samples: int) -> NonvanishingReport:
-    """Sampled certificate that f has no zero on the interval.
-
-    Fails when any sample magnitude drops to ZERO_FLOOR or the sign
-    flips between adjacent samples (a root in between by continuity).
+    fn takes sample's coordinate arrays, or one point's floats; floor is a
+    scalar or one per point.  "zero": |fn| at or below the floor.  "sign",
+    under the sign rule: a sign other than the first point's, which forces
+    a zero on a connected set.  A fault or a failure in the array pass
+    replays the points in order, so an evaluation error raises unless an
+    earlier point fails.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    lo, hi = interval
-    xs = np.linspace(lo, hi, samples)
-    prev_sign = 0.0
-    for x in xs:
-        try:
-            v = f(float(x))
-        except DomainEvalError as exc:
-            return NonvanishingReport(False, f"evaluation failed: {exc}", float(x))
-        if abs(v) <= ZERO_FLOOR:
-            return NonvanishingReport(False, f"|f| = {abs(v):.3e} at sample", float(x))
-        s = math.copysign(1.0, v)
-        if prev_sign and s != prev_sign:
-            return NonvanishingReport(False, "sign change between adjacent samples", float(x))
-        prev_sign = s
-    return NonvanishingReport(True)
+    def flags():
+        v = fn(*sample)
+        return (np.abs(v) <= floor) | (sign_rule & (np.copysign(1.0, v) != np.copysign(1.0, v[:1])))
+
+    def in_order():
+        signs = set()
+        for n in range(len(sample[0])):
+            v = fn(*(float(c[n]) for c in sample))
+            signs.add(math.copysign(1.0, v))
+            if abs(v) <= element(floor, n) or (sign_rule and len(signs) > 1):
+                return n, "zero" if abs(v) <= element(floor, n) else "sign"
+
+    return batch_certificate(flags, in_order)
 
 
-def vanishing_flags(v: np.ndarray, sign_rule: bool = True) -> np.ndarray:
-    """Samples that fail a nonvanishing certificate: |v| at ZERO_FLOOR or, under the sign rule, a sign change."""
-    flags = np.abs(v) <= ZERO_FLOOR
-    if sign_rule:
-        flags |= np.copysign(1.0, v) != np.copysign(1.0, v[0])
-    return flags
-
-
-def batch_certificate(flags, per_point) -> None:
+def batch_certificate(flags, per_point):
     """A sampled certificate: flags() on arrays, per_point() where that faults or flags a sample.
 
     flags runs under expr.batch_arithmetic and returns a boolean array.
-    The per-point loop then raises the certificate's error at the first
-    failing sample, with the message it has on its own.
+    The per-point loop then names the first failing sample, as its result
+    or as the error it raises on its own; None when no sample is flagged.
     """
     try:
         with ex.batch_arithmetic():
             if not flags().any():
-                return
+                return None
     except ex.BatchFault:
         pass
-    per_point()
+    return per_point()
 
 
 def build_scalar_field(
@@ -292,8 +277,8 @@ def build_scalar_field(
     only where the arrays fault or flag a point.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise FieldValidationError(f"bad interval [{lo}, {hi}]")
+    if not (lo < hi and math.isfinite(hi - lo)):  # a finite width needs finite bounds
+        raise FieldValidationError(f"bad interval [{lo}, {hi}]: need lo < hi with finite bounds and width")
     for name, e in (("phi", phi), ("psi", psi)) + ((("zeta", zeta),) if zeta is not None else ()):
         extra = ex.free_vars(e) - {"u"}
         if extra:
@@ -302,14 +287,20 @@ def build_scalar_field(
     fld = ScalarField1D(phi, psi, zeta, (lo, hi))
     grid = np.linspace(lo, hi, _GRID)
 
-    def phi_loop():
-        report = assert_nonvanishing(fld.phi_fn, (lo, hi), _GRID)
-        if not report.ok:
-            raise FieldValidationError(
-                f"phi must be nonvanishing on the interval: {report.reason} (u = {report.where})"
-            )
+    fails = "phi must be nonvanishing on the interval: "
 
-    batch_certificate(lambda: vanishing_flags(fld.phi_fn(grid)), phi_loop)
+    def phi_at(u):
+        try:
+            return fld.phi_fn(u)
+        except DomainEvalError as exc:
+            raise FieldValidationError(f"{fails}evaluation failed: {exc} (u = {u})") from None
+
+    failure = first_vanishing(phi_at, (grid,), ZERO_FLOOR, True)
+    if failure is not None:
+        u = float(grid[failure[0]])
+        if failure[1] == "zero":
+            raise FieldValidationError(f"{fails}|f| = {abs(fld.phi_fn(u)):.3e} at sample (u = {u})")
+        raise FieldValidationError(f"{fails}sign change between adjacent samples (u = {u})")
 
     # psi' = phi on interior points; the stencil must stay inside the
     # interval, where the expressions are guaranteed to be defined
@@ -463,10 +454,8 @@ class DomainBox:
     predicate_fn: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.intervals) != 3 or not all(
-            math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in self.intervals
-        ):
-            raise ValueError(f"need three intervals with finite bounds lo < hi, got {self.intervals!r}")
+        if len(self.intervals) != 3 or not all(lo < hi and math.isfinite(hi - lo) for lo, hi in self.intervals):
+            raise ValueError(f"need three intervals lo < hi with finite bounds and width, got {self.intervals!r}")
         fn = ex.compile_expr(self.predicate, _XS) if self.predicate is not None else None
         object.__setattr__(self, "predicate_fn", fn)
 
@@ -496,10 +485,10 @@ class DomainBox:
         x is a point, or three coordinate arrays.
         """
         if isinstance(x[0], np.ndarray):
-            return first_flagged(~self._admissible(np.column_stack(x)))
+            return first_flagged(~self.admissible(np.column_stack(x)))
         return None if self.contains(x) else ()
 
-    def _admissible(self, xs: np.ndarray) -> np.ndarray:
+    def admissible(self, xs: np.ndarray) -> np.ndarray:
         """contains() of every row, the predicate on arrays; per row where that faults."""
         ok = np.ones(len(xs), dtype=bool)
         for a, (lo, hi) in enumerate(self.intervals):
@@ -526,7 +515,7 @@ class DomainBox:
         while got < n and start < budget:
             size = min(budget - start, _SAMPLE_CHUNK, max(n - got, _MIN_CHUNK))
             xs = self._points(unit_uniforms(seed, np.arange(start, start + size), 3))
-            xs = xs[self._admissible(xs)]
+            xs = xs[self.admissible(xs)]
             chunks.append(xs)
             got += len(xs)
             start += size

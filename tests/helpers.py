@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,29 @@ EPS3 = float.fromhex("0x1.0p-52") ** (1 / 3)  # cbrt machine epsilon
 
 def central_diff(f, x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+_SMALL_CHI = re.compile(r"^chi_([123])([123]) = (\S+) at (\([^)]*\)); chart hypothesis fails$")
+
+
+def small_chi_claim_problem(spec, message: str):
+    """Why a chart rejection naming a small chi_ij does not hold, or None when it does.
+
+    The named point must lie in the domain, and chi_ij there, computed
+    point by point from psi and kappa, must be the named value and sit at
+    or below the denominator threshold 1e-12 (1 + |psi_i| + |psi_j|).
+    """
+    match = _SMALL_CHI.match(message)
+    if match is None:
+        return f"not a small-chi rejection: {message!r}"
+    i, j, x = int(match.group(1)), int(match.group(2)), ast.literal_eval(match.group(4))
+    if not spec.domain.contains(x):
+        return f"{x} is outside the domain"
+    psi_i, psi_j = spec.psi(i, x[i - 1]), spec.psi(j, x[j - 1])
+    value = psi_i - psi_j + spec.kappa.entry(i, j)
+    if repr(value) != match.group(3) or abs(value) > 1e-12 * (1.0 + abs(psi_i) + abs(psi_j)):
+        return f"chi_{i}{j} at {x} is {value!r}, named {match.group(3)}"
+    return None
 
 
 # ---------------------------------------------------------------------------

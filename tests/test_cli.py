@@ -1,11 +1,15 @@
+import importlib.util
 import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from poisson3d.cli import main
+from poisson3d.testing import random_family_spec
 from helpers import run_cli_subprocess
 
 HALPHEN_WIDE_SPEC = {
@@ -278,13 +282,28 @@ MALFORMED_SPECS = {
     "matrix entry number": _edited(BROKEN_SPEC, ("matrix", "j23"), 4),
     "box bound infinite": _edited(HALPHEN_WIDE_SPEC, ("domain", "box"), [[1, math.inf], [1, 2], [1, 2]]),
     "box bound nan": _edited(HALPHEN_WIDE_SPEC, ("domain", "box"), [[math.nan, 2], [1, 2], [1, 2]]),
+    "box width overflow": _edited(HALPHEN_WIDE_SPEC, ("domain", "box"), [[-1e308, 1e308], [1, 2], [1, 2]]),
+    "kappa overflow": _edited(HALPHEN_WIDE_SPEC, ("kappa",), [1e308, 1e308]),
+    # too deep for Python's compile of the generated source
+    "eta 199-term sum": _edited(HALPHEN_WIDE_SPEC, ("eta",), "+".join(["x1*x2"] * 199)),
+    # too deep for the parser's recursion
+    "eta 250 parentheses": _edited(HALPHEN_WIDE_SPEC, ("eta",), "(" * 250 + "x1" + ")" * 250),
+    "eta 5000 minuses": _edited(HALPHEN_WIDE_SPEC, ("eta",), "-" * 5000 + "x1"),
+    "hamiltonian 3000 parentheses": _edited(HALPHEN_WIDE_SPEC, ("hamiltonian",), "(" * 3000 + "x1" + ")" * 3000),
+    # too deep for the recursive tree walkers
+    "eta 1500-term sum": _edited(HALPHEN_WIDE_SPEC, ("eta",), "+".join(["x1*x2"] * 1500)),
 }
 # the exact error, for documents whose message the test pins
 MALFORMED_ERRORS = {
-    "box bound infinite": "error: need three intervals with finite bounds lo < hi, "
+    "box bound infinite": "error: need three intervals lo < hi with finite bounds and width, "
                           "got ((1.0, inf), (1.0, 2.0), (1.0, 2.0))\n",
-    "box bound nan": "error: need three intervals with finite bounds lo < hi, "
+    "box bound nan": "error: need three intervals lo < hi with finite bounds and width, "
                      "got ((nan, 2.0), (1.0, 2.0), (1.0, 2.0))\n",
+    "box width overflow": "error: need three intervals lo < hi with finite bounds and width, "
+                          "got ((-1e+308, 1e+308), (1.0, 2.0), (1.0, 2.0))\n",
+    "kappa overflow": "error: kappa constants and kappa_31 = -(k12 + k23) must be finite, got (1e+308, 1e+308)\n",
+    "eta 199-term sum": "error: expression is nested too deeply (offset 0)\n",
+    "eta 1500-term sum": "error: expression is nested too deeply (offset 0)\n",
 }
 
 
@@ -297,6 +316,40 @@ def test_malformed_spec_file_is_bad_input(capsys, tmp_path, name):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if name in MALFORMED_ERRORS:
         assert err == MALFORMED_ERRORS[name]
+
+
+def test_deep_expressions_name_their_depth(capsys, tmp_path):
+    for name in ("eta 250 parentheses", "eta 5000 minuses", "hamiltonian 3000 parentheses"):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(MALFORMED_SPECS[name]))
+        code, _, err = run_cli(capsys, "verify", "--spec", str(path))
+        assert code == 2 and err.startswith("error: expression is nested too deeply (offset "), name
+    code, _, err = run_cli(capsys, "simulate", "--system", "halphen", "--x0", "0.1,0.5,0.9", "--t-end", "0.1",
+                           "--dt", "0.1", "--hamiltonian", "(" * 3000 + "x1" + ")" * 3000,
+                           "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and err.startswith("error: expression is nested too deeply (offset ")
+    # a 150-term sum is within both limits
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(_identity_spec("+".join(["x2*x3"] * 150))))
+    code, out, _ = run_cli(capsys, "verify", "--spec", str(path), "--samples", "20")
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
+def test_zero_set_rejection_passes_the_benchmark_validator(capsys, tmp_path, monkeypatch):
+    # chi_23 of this plain box vanishes on a corner that the chart's 512 samples miss
+    loader = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, loader.name, workloads)  # its dataclasses look their module up
+    loader.loader.exec_module(workloads)
+    path = tmp_path / "random-42-9.json"
+    path.write_text(json.dumps(workloads._spec_doc(random_family_spec(9, 42))))
+    argv = ("darboux", "--spec", str(path), "--k", "1", "--seed", "42")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.endswith("; chart hypothesis fails\n")
+    command = workloads.Command("random-42-9", argv, "darboux", 1, may_reject=True)
+    assert workloads._rejection_problem(command, err) is None
 
 
 def _identity_spec(eta: str) -> dict:

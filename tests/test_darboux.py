@@ -19,6 +19,7 @@ from poisson3d.family import chi, structure_matrix_at
 from poisson3d.scalar_fields import DomainBox
 from poisson3d.testing import random_family_spec
 from conftest import make_euler_top, make_flat_spec, make_halphen, ORDERED_BOX, WIDE_BOX
+from helpers import small_chi_claim_problem
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +237,10 @@ def _chart_oracle(spec, points, k=None):
 
 
 def _assert_chart_matches_oracle(spec, seed, calls, k=None) -> bool:
-    """build_chart(spec, k, seed=seed) agrees with the oracle and samples once; True when it rejects."""
+    """build_chart(spec, k, seed=seed) agrees with the sampled oracle and samples once; True when the oracle rejects.
+
+    Where the oracle accepts and build_chart rejects, the rejection's claim is checked point by point.
+    """
     points = spec.domain.sample(512, seed)
     want_k, failing = _chart_oracle(spec, points, k)
     calls.clear()
@@ -244,8 +248,11 @@ def _assert_chart_matches_oracle(spec, seed, calls, k=None) -> bool:
         chart = build_chart(spec, k, seed=seed)
     except HypothesisViolationError as err:
         i, j, _ = cyclic(want_k)
-        assert failing is not None, (spec.name, str(err))
-        assert str(err).startswith(f"chi_{i}{j} ") and str(tuple(float(v) for v in failing)) in str(err)
+        assert str(err).startswith(f"chi_{i}{j} ")
+        if failing is None:  # beyond the sample: the exact stage found chi_ij's zero set in the domain
+            assert small_chi_claim_problem(spec, str(err)) is None, (spec.name, str(err))
+        else:
+            assert str(tuple(float(v) for v in failing)) in str(err)
     else:
         assert failing is None, spec.name
         assert chart.k == want_k
@@ -266,3 +273,25 @@ def test_build_chart_matches_oracle_on_random_specs(seed, sample_calls):
 def test_build_chart_matches_oracle_on_builtins(name, k, sample_calls):
     spec, _ = build_system(name)
     _assert_chart_matches_oracle(spec, 7, sample_calls, k)
+
+
+# (seed, spec index, k): charts whose chi_ij vanishes inside the domain where the 512 chart samples miss it
+ZERO_SET_CASES = [(42, 9, 1), (42, 24, 3), (0, 21, 3), (42, 31, 3), (42, 60, 2)]  # plain boxes, then product form
+
+
+@pytest.mark.parametrize("seed, index, k", ZERO_SET_CASES)
+def test_chart_rejects_chi_vanishing_between_the_samples(seed, index, k):
+    spec = random_family_spec(index, seed)
+    assert (spec.domain.predicate is None) == (index in (9, 24, 21))
+    assert _chart_oracle(spec, spec.domain.sample(512, seed), k)[1] is None  # every sample passes
+    with pytest.raises(HypothesisViolationError) as err:
+        build_chart(spec, k, seed=seed)
+    assert small_chi_claim_problem(spec, str(err.value)) is None
+
+
+@pytest.mark.parametrize("name", ["halphen", "circle-maps"])
+def test_chi_zero_set_on_the_coincidence_planes_is_outside_the_domain(name):
+    # chi_ij vanishes where x_i and x_j coincide, which the predicate removes
+    spec, _ = build_system(name)
+    for k in (1, 2, 3):
+        assert build_chart(spec, k).k == k

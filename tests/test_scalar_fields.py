@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poisson3d import expr as ex
-from poisson3d.errors import FieldValidationError, OutOfRangeError
+from poisson3d.errors import DomainEvalError, FieldValidationError, OutOfRangeError
 from poisson3d.scalar_fields import (
+    ZERO_FLOOR,
     DomainBox,
     Field3,
-    assert_nonvanishing,
     build_scalar_field,
+    first_vanishing,
     psi_inverse,
 )
 
@@ -93,15 +94,23 @@ def test_psi_inverse_sloppy_zeta_gets_polished():
         ("exp(u)", (-5.0, 5.0), True),
     ],
 )
-def test_assert_nonvanishing(source, interval, ok):
+def test_first_vanishing(source, interval, ok):
     fn = ex.compile_expr(ex.parse(source), ("u",))
-    assert assert_nonvanishing(fn, interval, 100).ok is ok
+    assert (first_vanishing(fn, (np.linspace(*interval, 100),), ZERO_FLOOR, True) is None) is ok
 
 
-def test_assert_nonvanishing_needs_two_samples():
-    fn = ex.compile_expr(ex.parse("u"), ("u",))
-    with pytest.raises(ValueError):
-        assert_nonvanishing(fn, (1.0, 2.0), 1)
+def test_first_vanishing_reports_the_first_failure_in_sample_order():
+    u = np.array([1.0, 2.0, -3.0, 0.5, 4.0])
+    fn = ex.compile_expr(ex.parse("sqrt(u)"), ("u",))  # faults at -3 only
+    assert first_vanishing(lambda v: v, (u,), 0.1, True) == (2, "sign")
+    assert first_vanishing(lambda v: v, (u,), 0.1, False) is None
+    assert first_vanishing(lambda v: v, (u,), np.array([0.0, 0.0, 0.0, 0.5, 0.0]), False) == (3, "zero")
+    # a fault replays the points in order: a failure before it is reported, else it raises at its point
+    assert first_vanishing(fn, (u,), 1.2, False) == (0, "zero")
+    with pytest.raises(DomainEvalError):
+        first_vanishing(fn, (u,), 0.1, False)
+    # a floor of -inf exempts a point
+    assert first_vanishing(lambda v: v, (np.array([0.0, 2.0]),), np.array([-np.inf, 0.1]), False) is None
 
 
 @settings(max_examples=60, deadline=None)
