@@ -109,6 +109,7 @@ def _zero_set_probe(spec: PoissonFamilySpec, i: int, j: int, k: int):
     [min psi_i - max psi_j, max psi_i - min psi_j] + kappa_ij on the box: no points when that
     clears zero by the threshold.  Else x_j = psi_j^-1(psi_i(x_i) + kappa_ij) on a PROBE x PROBE
     grid of (x_i, x_k), where the target is in psi_j's range; a sample on a predicate domain.
+    chi_ij and its threshold are computed once per x_i, and only admissibility on the whole grid.
     """
     f_i, f_j = spec.field(i), spec.field(j)
     (a_i, b_i), (a_j, b_j) = f_i.psi_range(), f_j.psi_range()
@@ -120,10 +121,10 @@ def _zero_set_probe(spec: PoissonFamilySpec, i: int, j: int, k: int):
     grid[:, i - 1] = np.repeat(x_i, PROBE)
     grid[:, j - 1] = np.repeat([psi_inverse(f_j, min(max(f_i.psi_fn(u) + k_ij, a_j), b_j)) for u in x_i], PROBE)
     grid[:, k - 1] = np.tile(np.linspace(*spec.domain.intervals[k - 1], PROBE), PROBE)
-    psis, chis = chi_table(spec, grid)
+    psis, chis = chi_table(spec, grid[::PROBE])  # chi_ij and its threshold do not change along a row of x_k
     with np.errstate(all="ignore"):
-        floor = np.where(spec.domain.admissible(grid), denominator_threshold(psis[i - 1], psis[j - 1]), -np.inf)
-    return grid, chis[k - 1], floor
+        threshold = np.repeat(denominator_threshold(psis[i - 1], psis[j - 1]), PROBE)
+    return grid, np.repeat(chis[k - 1], PROBE), np.where(spec.domain.admissible(grid), threshold, -np.inf)
 
 
 def forward_map(chart: DarbouxChart, x) -> np.ndarray:
@@ -174,11 +175,22 @@ def jacobian_forward(chart: DarbouxChart, x, scheme: str = "analytic") -> np.nda
     """
     if scheme not in ("analytic", "fd"):
         raise ValueError(f"scheme must be analytic or fd, got {scheme!r}")
-    x1, x2, x3 = coordinates(x)
-    M = np.broadcast_to(np.eye(3), np.shape(x1) + (3, 3)).copy()
-    for axis, g in enumerate(chart.casimir.gradient(x1, x2, x3, scheme)):
-        M[..., chart.k - 1, axis] = -g
+    return _jacobian(chart.k, x, chart.casimir.gradient(*coordinates(x), scheme))
+
+
+def _jacobian(k: int, x, gradient) -> np.ndarray:
+    """The identity with row k replaced by the negated gradient of C_k at x, or a stack of them."""
+    M = np.broadcast_to(np.eye(3), np.shape(coordinates(x)[0]) + (3, 3)).copy()
+    for axis, g in enumerate(gradient):
+        M[..., k - 1, axis] = -g
     return M
+
+
+def _gradient_kernel(chart: DarbouxChart, scheme: str):
+    """C_k's analytic gradient as one expr.compile_kernel; None for fd, a callable Casimir, or where it gives none."""
+    if scheme != "analytic" or not chart.casimir.batchable():
+        return None
+    return ex.compile_kernel(tuple(chart.casimir.partial_expr(axis) for axis in (1, 2, 3)))
 
 
 def pushforward_matrix(chart: DarbouxChart, y, scheme: str = "analytic") -> StructureMatrixValue:
@@ -188,6 +200,11 @@ def pushforward_matrix(chart: DarbouxChart, y, scheme: str = "analytic") -> Stru
     of points goes through the same BLAS product per 3x3 slice as a single
     point, so every slice equals the single-point result.
     """
+    return _pushforward(chart, y, scheme, None)[1]
+
+
+def _pushforward(chart: DarbouxChart, y, scheme: str, kernel):
+    """x(y) and pushforward_matrix(chart, y, scheme); with a kernel, C_k's gradient on arrays is kernel.batch's."""
     x = inverse_map(chart, y)
     bad = chart.spec.domain.first_outside(x)
     if bad is not None:
@@ -196,10 +213,10 @@ def pushforward_matrix(chart: DarbouxChart, y, scheme: str = "analytic") -> Stru
             "left the spec domain; y is not in the chart image"
         )
     J = structure_matrix_at(chart.spec, x, check_domain=False).as_matrix()
-    M = jacobian_forward(chart, x, scheme)
+    M = jacobian_forward(chart, x, scheme) if kernel is None else _jacobian(chart.k, x, kernel.batch(*x))
     P = M @ J @ np.swapaxes(M, -1, -2)
     entries = (P[..., 0, 1], P[..., 1, 2], P[..., 2, 0])
-    return StructureMatrixValue(*(entries if P.ndim == 3 else (float(v) for v in entries)))
+    return x, StructureMatrixValue(*(entries if P.ndim == 3 else (float(v) for v in entries)))
 
 
 def reparam_factor(chart: DarbouxChart, y):
@@ -225,23 +242,26 @@ def reparam_factor_from(chart: DarbouxChart, y, x):
     return factor
 
 
-def _deviation(chart: DarbouxChart, x, scheme: str):
-    """(max |J'(y) / J_ij(x(y)) - canonical|, y) at a domain point, or per point for coordinate arrays."""
+def _deviation(chart: DarbouxChart, x, scheme: str, kernel):
+    """(max |J'(y) / J_ij(x(y)) - canonical|, y) at a domain point, or per point for coordinate arrays.
+
+    x(y) is computed once, for J'(y) and the factor; kernel is _pushforward's.
+    """
     y = forward_map(chart, x)
-    P = pushforward_matrix(chart, y, scheme).as_matrix()
-    factor = reparam_factor(chart, y)
-    deviation = np.abs(P / np.expand_dims(factor, (-2, -1)) - canonical_matrix(chart.k))
+    x_y, P = _pushforward(chart, y, scheme, kernel)
+    factor = reparam_factor_from(chart, y, x_y)
+    deviation = np.abs(P.as_matrix() / np.expand_dims(factor, (-2, -1)) - canonical_matrix(chart.k))
     return np.max(deviation, axis=(-2, -1)), y
 
 
-def _batch_deviations(chart: DarbouxChart, points: np.ndarray, scheme: str):
+def _batch_deviations(chart: DarbouxChart, points: np.ndarray, scheme: str, kernel):
     """_deviation of every sample point in one array pass, and the y of each as rows.
 
     Raises expr.BatchFault, PoissonError or ValueError wherever the
     per-point loop has to replay the points.
     """
     with ex.batch_arithmetic():
-        values, ys = _deviation(chart, np.ascontiguousarray(points.T), scheme)
+        values, ys = _deviation(chart, np.ascontiguousarray(points.T), scheme, kernel)
     return values, ys.T
 
 
@@ -256,20 +276,21 @@ def canonical_check(
 
     Sampled over the chart domain; reports the worst entrywise deviation
     of J'(y) / J_ij(x(y)) from the canonical pattern.  All points go
-    through one array pass, bit-identical to the per-point loop; a fault or
-    a failed guard anywhere in it replays the per-point loop, which raises
-    the first failure in sample order.
+    through one array pass, bit-identical to the per-point loop, with the
+    analytic gradient of C_k from one kernel; a fault or a failed guard
+    anywhere in it replays the per-point loop, which raises the first
+    failure in sample order.
     """
     points = chart.spec.domain.sample(n_samples, seed)
     try:
-        values, ys = _batch_deviations(chart, points, scheme)
+        values, ys = _batch_deviations(chart, points, scheme, _gradient_kernel(chart, scheme))
     except (ex.BatchFault, PoissonError, ValueError):
         pass
     else:
         return batch_report("canonical", values, ys, scheme, seed, tol)
 
     def measure(x):
-        value, y = _deviation(chart, x, scheme)
+        value, y = _deviation(chart, x, scheme, None)
         return float(value), tuple(float(v) for v in y)
 
     return sampled_check("canonical", measure, points, scheme, seed, tol)

@@ -146,6 +146,8 @@ def _ledger_kernel(spec: PoissonFamilySpec, H: Field3, casimir_k: int | None):
     psis, _ = axis_exprs(spec)
     c_k = casimir_expr(spec, casimir_k)  # c_k.right is its denominator chi_ij
     kernel = ex.compile_kernel((H.expr, c_k, c_k.right, psis[i - 1], psis[j - 1]), (H.expr, *psis))
+    if kernel is None:
+        return None
 
     def ledger(*x):
         h, c, denom, psi_i, psi_j = kernel(*x)

@@ -74,27 +74,41 @@ def jacobi_residual(field: MatrixField3, x, scheme: str = "auto") -> float:
     """The single independent 3-D Jacobi combination at a point."""
     scheme = resolve_scheme(field, scheme)
     x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
-    return _finite_residual(field, x1, x2, x3, field.entries(x1, x2, x3), scheme)
+    return _finite_residual(_jacobi_terms(field, x1, x2, x3, scheme)[3], (x1, x2, x3))
 
 
-def _jacobi_combination(field: MatrixField3, x1, x2, x3, entries, scheme: str):
-    """The Jacobi combination at a point, or elementwise at arrays of points."""
-    j12, j23, j31 = entries
-    p = lambda idx, axis: field.fields[idx].partial(axis, x1, x2, x3, scheme)
-    return (
-        j12 * p(2, 1)
-        - j31 * p(0, 1)
-        + j23 * p(0, 2)
-        - j12 * p(1, 2)
-        + j31 * p(1, 3)
-        - j23 * p(2, 3)
-    )
+# the partials the combination reads, in its order, as (entry index, axis): d1J31, d1J12, d2J12, d2J23, d3J23, d3J31
+_PARTIALS = ((2, 1), (0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
 
 
-def _finite_residual(field: MatrixField3, x1: float, x2: float, x3: float, entries, scheme: str) -> float:
-    r = _jacobi_combination(field, x1, x2, x3, entries, scheme)
+def _jacobi_combination(j12, j23, j31, d1j31, d1j12, d2j12, d2j23, d3j23, d3j31):
+    """The Jacobi combination from the entries and the _PARTIALS.
+
+    The values are floats, arrays or expression trees; for trees the result
+    is the tree of these very operations (docs/decisions.md, D6).
+    """
+    return j12 * d1j31 - j31 * d1j12 + j23 * d2j12 - j12 * d2j23 + j31 * d3j23 - j23 * d3j31
+
+
+def _jacobi_terms(field: MatrixField3, x1, x2, x3, scheme: str) -> tuple:
+    """(J12, J23, J31, the Jacobi combination) at a point, or elementwise at arrays, through each entry's callables."""
+    entries = tuple(f.value(x1, x2, x3) for f in field.fields)
+    partials = tuple(field.fields[idx].partial(axis, x1, x2, x3, scheme) for idx, axis in _PARTIALS)
+    return (*entries, _jacobi_combination(*entries, *partials))
+
+
+def _jacobi_kernel(field: MatrixField3, scheme: str):
+    """_jacobi_terms as one expr.compile_kernel that checks the six partials; None for fd, or where it gives none."""
+    if scheme != "analytic":
+        return None
+    entries = tuple(f.expr for f in field.fields)
+    partials = tuple(field.fields[idx].partial_expr(axis) for idx, axis in _PARTIALS)
+    return ex.compile_kernel((*entries, _jacobi_combination(*entries, *partials)), partials)
+
+
+def _finite_residual(r: float, x) -> float:
     if not math.isfinite(r):
-        raise DomainEvalError(f"non-finite residual at {(x1, x2, x3)}")
+        raise DomainEvalError(f"non-finite residual at {x}")
     return r
 
 
@@ -169,13 +183,13 @@ def batch_report(kind: str, values: np.ndarray, points: np.ndarray, scheme: str,
     return _report(kind, len(values), float(values[worst]), where, scheme, seed, tol)
 
 
-def _batch_residuals(field: MatrixField3, points: np.ndarray, scheme: str) -> np.ndarray:
-    """The scale-normalized residual of every point at once; BatchFault on any fault."""
+def _batch_residuals(field: MatrixField3, points: np.ndarray, scheme: str, kernel) -> np.ndarray:
+    """The scale-normalized residual of every point at once, through kernel.batch if given; BatchFault on any fault."""
     xs = tuple(np.ascontiguousarray(points[:, a]) for a in range(3))
     with ex.batch_arithmetic():
-        entries = tuple(f.value(*xs) for f in field.fields)
-        scale = 1.0 + np.maximum(np.maximum(np.abs(entries[0]), np.abs(entries[1])), np.abs(entries[2]))
-        return np.abs(_jacobi_combination(field, *xs, entries, scheme)) / scale
+        j12, j23, j31, combination = kernel.batch(*xs) if kernel is not None else _jacobi_terms(field, *xs, scheme)
+        scale = 1.0 + np.maximum(np.maximum(np.abs(j12), np.abs(j23)), np.abs(j31))
+        return np.abs(combination) / scale
 
 
 def verify_structure(
@@ -190,9 +204,11 @@ def verify_structure(
 
     Points derive from (seed, index) alone, so the report is reproducible
     regardless of evaluation order or worker count.  Expression fields are
-    checked in one batch, bit-identical to the per-point loop; a batch that
-    faults anywhere, and any field with a callable entry or partial, goes
-    through the per-point loop, which raises the first fault in index order.
+    checked in one batch, bit-identical to the per-point loop: under the
+    analytic scheme one kernel gives the entries and the combination.  A
+    batch that faults anywhere, and any field with a callable entry or
+    partial, goes through the per-point loop, which raises the first fault
+    in index order.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -200,17 +216,17 @@ def verify_structure(
     points = domain.sample(n_samples, seed)
     if all(f.batchable() for f in field.fields):
         try:
-            values = _batch_residuals(field, points, scheme)
+            values = _batch_residuals(field, points, scheme, _jacobi_kernel(field, scheme))
         except ex.BatchFault:
             pass
         else:
             return batch_report("jacobi", values, points, scheme, seed, tol)
 
     def measure(pt):
-        x1, x2, x3 = float(pt[0]), float(pt[1]), float(pt[2])
-        entries = field.entries(x1, x2, x3)
+        x = float(pt[0]), float(pt[1]), float(pt[2])
+        *entries, combination = _jacobi_terms(field, *x, scheme)
         scale = 1.0 + max(abs(v) for v in entries)
-        return abs(_finite_residual(field, x1, x2, x3, entries, scheme)) / scale, (x1, x2, x3)
+        return abs(_finite_residual(combination, x)) / scale, x
 
     return sampled_check("jacobi", measure, points, scheme, seed, tol)
 

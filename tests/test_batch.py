@@ -220,36 +220,45 @@ def test_predicate_at_the_zero_floor_is_rejected():
 # verify_structure: batch report equals the per-point report
 
 
-@pytest.fixture()
-def batch_outcomes(monkeypatch):
-    """Records whether each batch residual pass returned or faulted."""
-    outcomes = []
-    original = verification._batch_residuals
+def _recording(outcomes, batch_pass):
+    """batch_pass(..., kernel), recording "kernel" or "per-expression" when it returns, "fault" when it raises."""
 
     def recording(*args):
         try:
-            values = original(*args)
-        except ex.BatchFault:
+            values = batch_pass(*args)
+        except Exception:
             outcomes.append("fault")
             raise
-        outcomes.append("ok")
+        outcomes.append("per-expression" if args[-1] is None else "kernel")
         return values
 
-    monkeypatch.setattr(verification, "_batch_residuals", recording)
+    return recording
+
+
+@pytest.fixture()
+def batch_outcomes(monkeypatch):
+    """Records how each batch residual pass went: through the kernel, per expression, or to a fault."""
+    outcomes = []
+    monkeypatch.setattr(verification, "_batch_residuals", _recording(outcomes, verification._batch_residuals))
     return outcomes
 
 
-def _scalar_report(monkeypatch, *args, **kwargs):
-    with monkeypatch.context() as m:
-        m.setattr(Field3, "batchable", lambda self: False)
-        return verify_structure(*args, **kwargs)
-
-
 def _assert_same_report(monkeypatch, field, domain, n, seed, scheme):
-    batch = verify_structure(field, domain, n, 1e-6, seed=seed, scheme=scheme)
-    scalar = _scalar_report(monkeypatch, field, domain, n, 1e-6, seed=seed, scheme=scheme)
-    assert batch.to_dict() == scalar.to_dict()
-    assert batch == scalar
+    """The kernel, the per-expression batch and the per-point loop give one report."""
+    run = lambda: verify_structure(field, domain, n, 1e-6, seed=seed, scheme=scheme)
+    report = run()
+    with monkeypatch.context() as m:
+        m.setattr(verification, "_jacobi_kernel", lambda *args: None)
+        per_expression = run()
+        m.setattr(Field3, "batchable", lambda self: False)
+        per_point = run()
+    assert report.to_dict() == per_expression.to_dict() == per_point.to_dict()
+    assert report == per_expression == per_point
+
+
+def _batch_paths(scheme):
+    """_assert_same_report's batch passes when none faults: the fd scheme has no kernel."""
+    return ["kernel" if scheme == "analytic" else "per-expression", "per-expression"]
 
 
 @pytest.mark.parametrize("scheme", ["analytic", "fd"])
@@ -257,7 +266,7 @@ def _assert_same_report(monkeypatch, field, domain, n, seed, scheme):
 def test_verify_batch_equals_scalar_on_builtins(monkeypatch, batch_outcomes, name, scheme):
     spec, _ = build_system(name)
     _assert_same_report(monkeypatch, matrix_field_from_spec(spec), spec.domain, 1500, 42, scheme)
-    assert batch_outcomes == ["ok"]
+    assert batch_outcomes == _batch_paths(scheme)
 
 
 @pytest.mark.parametrize("seed", [1, 42])
@@ -267,7 +276,7 @@ def test_verify_batch_equals_scalar_on_random_specs(monkeypatch, batch_outcomes,
         field = matrix_field_from_spec(spec)
         for scheme in ("analytic", "fd"):
             _assert_same_report(monkeypatch, field, spec.domain, 120, seed, scheme)
-    assert batch_outcomes == ["ok"] * 80
+    assert batch_outcomes == (_batch_paths("analytic") + _batch_paths("fd")) * 40
 
 
 def test_worst_point_is_the_first_maximum(monkeypatch, batch_outcomes):
@@ -277,8 +286,19 @@ def test_worst_point_is_the_first_maximum(monkeypatch, batch_outcomes):
     report = verify_structure(field, box, 200, 1e-6, seed=3)
     assert report.worst == 0.5
     assert report.worst_point == tuple(box.sample(200, 3)[0].tolist())
-    assert batch_outcomes == ["ok"]
+    assert batch_outcomes == ["kernel"]
     _assert_same_report(monkeypatch, field, box, 200, 3, "fd")
+
+
+def test_verify_kernel_checks_the_six_partials_it_reads(monkeypatch):
+    kernels = []
+    monkeypatch.setattr(ex, "compile_kernel", lambda outputs, checked=(): kernels.append((outputs, checked)))
+    field = matrix_field_from_spec(build_system("halphen")[0])
+    verification._jacobi_kernel(field, "analytic")
+    (outputs, checked), = kernels
+    assert outputs[:3] == tuple(f.expr for f in field.fields)
+    assert checked == tuple(field.fields[idx].partial_expr(axis) for idx, axis in verification._PARTIALS)
+    assert verification._jacobi_kernel(field, "fd") is None and len(kernels) == 1
 
 
 def test_callable_entries_take_the_scalar_loop(batch_outcomes):
@@ -286,6 +306,35 @@ def test_callable_entries_take_the_scalar_loop(batch_outcomes):
     report = verify_structure(field, DomainBox(((1.0, 2.0),) * 3), 50, 1e-6, seed=1, scheme="fd")
     assert report.verdict == "fail"
     assert batch_outcomes == []
+
+
+def test_each_sampled_check_compiles_one_kernel(monkeypatch):
+    spec, _ = build_system("halphen")
+    chart = build_chart(spec, seed=42)
+    sources = []
+    monkeypatch.setattr(ex, "compile", lambda src, *args: sources.append(src) or compile(src, *args), raising=False)
+    verify_structure(matrix_field_from_spec(spec), spec.domain, 200, seed=42, scheme="analytic")
+    assert [src.split("(")[0] for src in sources] == ["def kernel"]  # the entries and all six partials
+    sources.clear()
+    canonical_check(chart, 100, seed=42)
+    # one kernel for C_k's gradient, and no compile_expr callable of x1, x2, x3 beside it
+    assert [src.split("(")[0] for src in sources if "x1" in src] == ["def kernel"]
+
+
+def test_too_deep_partials_keep_the_per_expression_path(monkeypatch, batch_outcomes):
+    # d/dx1 of 100 nested quotients is deeper than compile_expr compiles: no kernel, and the parent's error
+    entry = "x1"
+    for _ in range(100):
+        entry = f"({entry})/x2"
+    field = verification.MatrixField3(ex.parse("x3"), ex.parse(entry), ex.parse("x2"))
+    box = DomainBox(((0.5, 1.0), (0.9, 1.1), (0.1, 1.0)))
+    assert verification._jacobi_kernel(field, "analytic") is None
+    for batchable in (True, False):
+        with monkeypatch.context() as m:
+            m.setattr(Field3, "batchable", lambda self: batchable)
+            with pytest.raises(ex.ParseError, match="nested too deeply"):
+                verify_structure(field, box, 50, 1e-6, seed=7, scheme="analytic")
+    assert batch_outcomes == ["fault"]  # the per-expression pass, which raised the compile error
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +366,12 @@ def test_fault_replay_matches_scalar_cli(tmp_path, capsys, monkeypatch, batch_ou
     batch = run()
     assert batch_outcomes == ["fault"]
     with monkeypatch.context() as m:
+        m.setattr(verification, "_jacobi_kernel", lambda *args: None)
+        per_expression = run()
         m.setattr(Field3, "batchable", lambda self: False)
         scalar = run()
-    assert batch == scalar
+    assert batch == per_expression == scalar
+    assert batch_outcomes == ["fault"] * 2
     code, out, err = batch
     assert (code, out) == (2, "")
     assert err.startswith(FAULTING_ENTRIES[entry]) and err.count("\n") == 1
@@ -331,20 +383,9 @@ def test_fault_replay_matches_scalar_cli(tmp_path, capsys, monkeypatch, batch_ou
 
 @pytest.fixture()
 def canonical_outcomes(monkeypatch):
-    """Records whether each batch canonical pass returned or handed over to the per-point loop."""
+    """Records how each batch canonical pass went: through the gradient kernel, per expression, or handed over."""
     outcomes = []
-    original = darboux._batch_deviations
-
-    def recording(*args):
-        try:
-            values = original(*args)
-        except Exception:
-            outcomes.append("fault")
-            raise
-        outcomes.append("ok")
-        return values
-
-    monkeypatch.setattr(darboux, "_batch_deviations", recording)
+    monkeypatch.setattr(darboux, "_batch_deviations", _recording(outcomes, darboux._batch_deviations))
     return outcomes
 
 
@@ -356,17 +397,30 @@ def _outcome(fn):
 
 
 def _assert_same_canonical(monkeypatch, chart, n, seed, scheme):
-    """The batch and the forced per-point canonical check agree exactly; returns the outcome."""
-    batch = _outcome(lambda: canonical_check(chart, n, seed=seed, scheme=scheme))
+    """The kernel, per-expression batch and forced per-point canonical checks agree exactly; returns the outcome."""
+    run = lambda: _outcome(lambda: canonical_check(chart, n, seed=seed, scheme=scheme))
+    batch = run()
 
     def refuse(*args):
         raise ex.BatchFault("forced per-point loop")
 
     with monkeypatch.context() as m:
+        m.setattr(darboux, "_gradient_kernel", lambda *args: None)
+        per_expression = run()
         m.setattr(darboux, "_batch_deviations", refuse)
-        scalar = _outcome(lambda: canonical_check(chart, n, seed=seed, scheme=scheme))
-    assert batch == scalar
+        scalar = run()
+    assert batch == per_expression == scalar
     return batch
+
+
+def _deviations_from_public_maps(chart, points, scheme):
+    """max |pushforward / reparam_factor - canonical| at each point, from the public chart functions."""
+    out = []
+    for x in points:
+        y = forward_map(chart, x)
+        P = pushforward_matrix(chart, y, scheme).as_matrix() / darboux.reparam_factor(chart, y)
+        out.append(float(np.max(np.abs(P - darboux.canonical_matrix(chart.k)))))
+    return out
 
 
 # euler-top's chi_31 changes sign on its box, so it has no chart for k = 2
@@ -380,7 +434,10 @@ def test_canonical_batch_equals_scalar_on_builtins(monkeypatch, canonical_outcom
     chart = build_chart(spec, k, seed=42)
     report = _assert_same_canonical(monkeypatch, chart, 1000, 42, scheme)
     assert report["samples"] == 1000
-    assert canonical_outcomes == ["ok"]
+    assert canonical_outcomes == _batch_paths(scheme)
+    # every path above shares _deviation: the worst value must also be the public maps' one
+    points = chart.spec.domain.sample(1000, 42)
+    assert report["max_deviation"] == max(_deviations_from_public_maps(chart, points, scheme))
 
 
 @pytest.mark.parametrize("seed", [1, 42])
@@ -398,7 +455,7 @@ def test_canonical_batch_equals_scalar_on_random_specs(monkeypatch, canonical_ou
         without_zeta += spec.field(chart.k).zeta is None
     assert checked >= 60
     assert without_zeta >= 5  # these solve every x_k with the per-point root-finder
-    assert canonical_outcomes == ["ok"] * checked
+    assert canonical_outcomes == (_batch_paths("analytic") + _batch_paths("fd")) * (checked // 2)
 
 
 def _unchecked_chart(spec, k):
@@ -414,7 +471,7 @@ def test_canonical_worst_point_is_the_first_maximum(monkeypatch, canonical_outco
     report = canonical_check(chart, 200, seed=3)
     assert report.worst == 0.0
     assert report.worst_point == tuple(forward_map(chart, spec.domain.sample(200, 3)[0]).tolist())
-    assert canonical_outcomes == ["ok"]
+    assert canonical_outcomes == ["kernel"]
     _assert_same_canonical(monkeypatch, chart, 200, 3, "fd")
 
 
@@ -435,7 +492,7 @@ def test_canonical_guard_failure_is_the_scalar_failure(monkeypatch, canonical_ou
     first = next(x for x in spec.domain.sample(300, 4) if x[0] >= 0.0)
     assert got == (UndefinedAtPointError, f"chi_12 = 0.0 at {tuple(first.tolist())}; C_3 undefined there")
     assert spec.domain.sample(300, 4)[0][0] < 0.0  # earlier points pass every stage
-    assert canonical_outcomes == ["fault"]
+    assert canonical_outcomes == ["fault"] * 2
 
 
 @pytest.mark.parametrize("scheme", ["analytic", "fd"])
@@ -453,7 +510,7 @@ def test_canonical_domain_exit_is_the_scalar_failure(monkeypatch, canonical_outc
     assert kind is DomainMembershipError
     assert message.startswith(f"inverse image {(float(first[0]), float(first[1]), 0.9)} of ")
     assert spec.domain.sample(300, 5)[0][0] < 1.0
-    assert canonical_outcomes == ["fault"]
+    assert canonical_outcomes == ["fault"] * 2
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

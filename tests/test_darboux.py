@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from poisson3d import darboux
 from poisson3d.builtin_systems import BUILTIN_NAMES, build_system
-from poisson3d.casimir import cyclic
+from poisson3d.casimir import chi_table, cyclic, denominator_threshold
 from poisson3d.darboux import (
+    PROBE,
+    _zero_set_probe,
     build_chart,
     canonical_check,
     canonical_matrix,
@@ -16,7 +19,7 @@ from poisson3d.darboux import (
 )
 from poisson3d.errors import HypothesisViolationError, OutOfRangeError
 from poisson3d.family import chi, structure_matrix_at
-from poisson3d.scalar_fields import DomainBox
+from poisson3d.scalar_fields import DomainBox, psi_inverse
 from poisson3d.testing import random_family_spec
 from conftest import make_euler_top, make_flat_spec, make_halphen, ORDERED_BOX, WIDE_BOX
 from helpers import small_chi_claim_problem
@@ -295,3 +298,48 @@ def test_chi_zero_set_on_the_coincidence_planes_is_outside_the_domain(name):
     spec, _ = build_system(name)
     for k in (1, 2, 3):
         assert build_chart(spec, k).k == k
+
+
+def _full_grid_probe(spec, i, j, k):
+    """_zero_set_probe as it was first written: chi_table over every point of the PROBE x PROBE grid."""
+    f_i, f_j = spec.field(i), spec.field(j)
+    (a_i, b_i), (a_j, b_j) = f_i.psi_range(), f_j.psi_range()
+    k_ij = spec.kappa.entry(i, j)
+    if abs(min(max(0.0, a_i - b_j + k_ij), b_i - a_j + k_ij)) > denominator_threshold(max(-a_i, b_i), max(-a_j, b_j)):
+        return np.empty((0, 3)), np.empty(0), np.empty(0)
+    x_i = np.linspace(*sorted(psi_inverse(f_i, min(max(t - k_ij, a_i), b_i)) for t in (a_j, b_j)), PROBE).tolist()
+    grid = np.empty((PROBE * PROBE, 3))
+    grid[:, i - 1] = np.repeat(x_i, PROBE)
+    grid[:, j - 1] = np.repeat([psi_inverse(f_j, min(max(f_i.psi_fn(u) + k_ij, a_j), b_j)) for u in x_i], PROBE)
+    grid[:, k - 1] = np.tile(np.linspace(*spec.domain.intervals[k - 1], PROBE), PROBE)
+    psis, chis = chi_table(spec, grid)
+    with np.errstate(all="ignore"):
+        floor = np.where(spec.domain.admissible(grid), denominator_threshold(psis[i - 1], psis[j - 1]), -np.inf)
+    return grid, chis[k - 1], floor
+
+
+def _chart_outcome(spec, k, seed):
+    try:
+        chart = build_chart(spec, k, seed=seed)
+    except HypothesisViolationError as err:
+        return str(err)
+    return chart.k, chart.sign_branch, chart.image_box
+
+
+def test_zero_set_probe_per_row_equals_the_full_grid(monkeypatch):
+    # chi_ij and its threshold once per x_i, admissibility on the grid: the same arrays, so the same verdicts
+    specs = [build_system(name)[0] for name in BUILTIN_NAMES]
+    specs += [random_family_spec(i, s) for s in (0, 42) for i in range(100)]
+    probed = rejected = 0
+    for n, spec in enumerate(specs):
+        for k in (1, 2, 3):
+            got, want = _zero_set_probe(spec, *cyclic(k)), _full_grid_probe(spec, *cyclic(k))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (n, k)
+            probed += len(got[0]) > 0
+        seed = 42 if n < len(BUILTIN_NAMES) else (0, 42)[(n - len(BUILTIN_NAMES)) // 100]
+        outcomes = [_chart_outcome(spec, k, seed) for k in (None, 1, 2, 3)]
+        with monkeypatch.context() as m:
+            m.setattr(darboux, "_zero_set_probe", _full_grid_probe)
+            assert [_chart_outcome(spec, k, seed) for k in (None, 1, 2, 3)] == outcomes, n
+        rejected += sum(isinstance(o, str) and "chart hypothesis fails" in o for o in outcomes)
+    assert probed > 100 and rejected > 10  # the probe runs, and rejects, on many of these

@@ -96,6 +96,123 @@ def test_unbound_variable_is_raised_at_compile_time():
         ex.compile_kernel((ex.Var("u"),))
 
 
+# ---------------------------------------------------------------------------
+# The batch binding: kernel.batch runs the same source over arrays
+
+
+@settings(max_examples=300, deadline=None)
+@given(forests(), st.lists(st.tuples(*(st.sampled_from(_COORDS) | st.floats(-4.0, 4.0),) * 3), min_size=1, max_size=5))
+def test_kernel_batch_equals_compile_expr_on_arrays(forest, points):
+    outputs, checked = forest
+    xs = tuple(np.array(c) for c in zip(*points))
+    per_tree = [_first_error(lambda: ex.compile_expr(e, XS)(*xs)) for e in (*outputs, *checked)]
+    got, error = _first_error(lambda: ex.compile_kernel(outputs, checked).batch(*xs))
+    # the kernel evaluates every subtree of every tree, so it faults exactly when one of the trees does
+    assert (error is not None) == any(e is not None for _, e in per_tree)
+    if error is None:
+        assert len(got) == len(outputs)
+        for value, (want, _) in zip(got, per_tree):
+            assert value.shape == xs[0].shape and _hex(value) == _hex(want)
+    else:
+        assert error[0] is ex.BatchFault
+
+
+def test_faulting_forest_raises_batch_fault_on_arrays():
+    x1, x2 = ex.Var("x1"), ex.Var("x2")
+    xs = (np.array([1.0, 2.0, -1.0]), np.array([1.0, 0.5, 0.25]), np.zeros(3))
+    ln_x1 = ex.Call("ln", x1)
+    with pytest.raises(ex.BatchFault):  # a domain fault in an output
+        ex.compile_kernel((ln_x1 + x2,)).batch(*xs)
+    with pytest.raises(ex.BatchFault):  # a domain fault in a checked value alone
+        ex.compile_kernel((x2,), (ln_x1,)).batch(*xs)
+    with pytest.raises(ex.BatchFault):  # an overflow
+        ex.compile_kernel((ex.Call("exp", x2 * 1000.0),)).batch(*xs)
+    with pytest.raises(ex.BatchFault):  # a division by zero
+        ex.compile_kernel((x2 / ex.Var("x3"),)).batch(*xs)
+    kernel = ex.compile_kernel((ln_x1 + x2,))
+    assert _hex(kernel.batch(*(c[:2] for c in xs))[0]) == _hex([1.0, math.log(2.0) + 0.5])  # no fault, no BatchFault
+
+
+def test_constant_outputs_broadcast_to_the_input_shape():
+    kernel = ex.compile_kernel((ex.Lit(2.5), ex.Call("exp", ex.Lit(1.0)), ex.Lit(1.0) - ex.Lit(3.0), ex.Var("x2")))
+    xs = tuple(np.linspace(0.0, 1.0, 6).reshape(2, 3) + a for a in range(3))
+    got = kernel.batch(*xs)
+    assert [v.shape for v in got] == [(2, 3)] * 4
+    assert [v.tolist() for v in got[:3]] == [[[c] * 3] * 2 for c in (2.5, math.exp(1.0), -2.0)]
+    assert np.array_equal(got[3], xs[1])
+
+
+def test_scalar_binding_is_the_generated_function_itself():
+    a = ex.Var("x1") - ex.Var("x2")
+    kernel = ex.compile_kernel((ex.Call("exp", a) * a, ex.pow_(a, ex.Lit(0.5))), (a,))
+    # no wrapper around the scalar calls: the integrators call the generated def directly
+    assert kernel.__code__.co_name == "kernel" and kernel.__code__.co_filename == "<kernel>"
+    assert kernel.__globals__["_pow"] is ex._pow and kernel.__globals__["isfinite"] is math.isfinite
+    before = kernel(3.0, 1.0, 0.0)
+    assert all(type(v) is float for v in before)
+    kernel.batch(np.array([3.0, 2.0]), np.array([1.0, 1.0]), np.zeros(2))
+    assert _hex(kernel(3.0, 1.0, 0.0)) == _hex(before) == _hex([math.exp(2.0) * 2.0, math.pow(2.0, 0.5)])
+    with pytest.raises(ex.DomainEvalError):  # the scalar primitives, not the batch ones
+        kernel(1.0, 3.0, 0.0)
+
+
+def test_single_reads_are_inlined_and_dead_locals_give_their_names_away():
+    # each level is read twice by the next, so it gets a local that the next level kills; its sin,
+    # read once, is written inline: twelve lines, one name
+    e = ex.Var("x1")
+    for n in range(12):
+        e = ex.Call("sin", e) * e + float(n)
+    kernel = ex.compile_kernel((e,))
+    body = kernel.source.splitlines()[1:-1]
+    assert len(body) == 12 and kernel.source.count("sin(") == 12
+    assert {line.split(" = ")[0].strip() for line in body} == {"_t0"}
+    x = 0.3
+    for n in range(12):
+        x = math.sin(x) * x + float(n)
+    assert kernel(0.3, 0.0, 0.0) == (x,)
+
+
+def test_a_local_read_by_an_inlined_subtree_lives_until_that_subtree_is_read():
+    # exp(s / 2) is read once, so it is written into the output's line: s must keep its value until then
+    x1, x2, x3 = ex.Var("x1"), ex.Var("x2"), ex.Var("x3")
+    s = x1 - x2
+    d = (s * x3) * (s + x3)
+    out = ex.Call("exp", s * 0.5) + d * d
+    kernel = ex.compile_kernel((out,))
+    assert kernel.source.splitlines()[-2].count("exp(") == 1
+    for x in ((0.7, 0.2, 1.3), (-1.5, 2.0, 0.25)):
+        assert _hex(kernel(*x)) == _hex([ex.compile_expr(out, XS)(*x)])
+
+
+def _chain(levels, step):
+    e = ex.Var("x1")
+    for _ in range(levels - 1):
+        e = step(e)
+    return e
+
+
+@pytest.mark.parametrize("step", [lambda e: e + 1.0, lambda e: ex.Call("sin", e), lambda e: ex.pow_(e, ex.Lit(2.0))])
+def test_trees_deeper_than_parse_admits_get_no_kernel(step):
+    # compile_expr compiles every tree of 200 levels; one level more may not compile, so no kernel replaces it
+    deepest = _chain(200, step)
+    assert ex.compile_expr(deepest, XS).source and ex.compile_kernel((deepest,)) is not None
+    assert ex.compile_kernel((ex.Var("x2"),), (_chain(201, step),)) is None
+    assert ex.compile_kernel((_chain(5000, step),)) is None  # far too deep to walk: still None, not a RecursionError
+
+
+def test_a_shared_subtree_counts_at_its_deepest_use():
+    # the first output walks the 150 levels; the second reuses them under 50 or 60 more
+    shallow = _chain(150, ex.Neg)
+    assert ex.compile_kernel((shallow, _wrap(shallow, 50))) is not None
+    assert ex.compile_kernel((shallow, _wrap(shallow, 51))) is None
+
+
+def _wrap(e, levels):
+    for _ in range(levels):
+        e = e * 2.0
+    return e
+
+
 @pytest.mark.parametrize("b", [2.0, 3.0, -1.0, 0.0, 0.5, 1e300])
 def test_batch_pow_float_exponent_matches_the_array_exponent(b):
     # a float exponent with an integer value skips the negative-base test
@@ -243,6 +360,16 @@ def test_faulting_hamiltonian_exits_alike(monkeypatch, h):
     spec = make_flat_spec()
     error = _assert_same_outcome(monkeypatch, lambda: integrate(spec, ex.parse(h), (0.5, 0.3, -0.6), 2.0, 0.01))
     assert error is not None
+
+
+def test_hamiltonian_with_a_too_deep_gradient_keeps_the_per_expression_path(monkeypatch):
+    # d/dx1 of 100 nested quotients is deeper than compile_expr compiles: no kernel computes it either
+    h = "x1"
+    for _ in range(100):
+        h = f"({h})/x2"
+    spec = make_flat_spec()
+    error = _assert_same_outcome(monkeypatch, lambda: integrate(spec, ex.parse(h), (0.5, 0.3, -0.6), 0.1, 0.01))
+    assert isinstance(error, ex.ParseError) and "nested too deeply" in str(error)
 
 
 def test_cli_reduced_states_are_the_per_row_inverse(tmp_path, capsys):

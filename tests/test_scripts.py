@@ -32,3 +32,17 @@ def test_output_digest_prints_one_stable_digest_per_command():
     assert len({line.split(" ", 1)[0] for line in lines}) == 7
     # another work directory, the same digests: the path is not part of them
     assert run_python_subprocess(argv).stdout.decode() == first
+
+
+def test_output_digest_all_prefixes_each_workload():
+    run = lambda workload: run_python_subprocess(
+        [str(SCRIPTS / "output_digest.py"), "--workload", workload, "--seed", "3"]
+    ).stdout.decode().splitlines()
+    lines = run("all")
+    workloads = [line.split(" ")[1] for line in lines]
+    assert list(dict.fromkeys(workloads)) == ["sampled-checks", "long-trajectory", "many-specs"]
+    assert workloads.count("sampled-checks") == 7 and workloads.count("many-specs") == 201
+    # each workload's lines are its own run's lines, label prefixed
+    assert [line for line in lines if line.split(" ")[1] == "sampled-checks"] == [
+        line.replace(" ", " sampled-checks ", 1) for line in run("sampled-checks")
+    ]
