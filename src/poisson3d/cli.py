@@ -18,8 +18,7 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
+from operator import itemgetter
 
 from . import expr as ex
 from .builtin_systems import BUILTIN_NAMES, build_system
@@ -135,34 +134,22 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+_CSV_ROW = "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%s\n"  # t,tau,x1,x2,x3,H,C
 
 
-def _write_trajectory_csv(path: str, traj, states_x: np.ndarray) -> None:
-    """CSV with header t,tau,x1,x2,x3,H,C; rows ordered by the t column."""
-    tau = traj.tau if traj.tau is not None else [""] * len(traj)
-    rows = []
-    for m in range(len(traj)):
-        rows.append(
-            (
-                float(traj.t[m]),
-                _fmt(tau[m]) if traj.tau is not None else "",
-                states_x[m],
-                float(traj.H[m]),
-                _fmt(traj.C[m]) if traj.C is not None else "",
-            )
-        )
-    rows.sort(key=lambda r: r[0])
+def _write_trajectory_csv(path: str, traj) -> None:
+    """CSV with header t,tau,x1,x2,x3,H,C; rows stably sorted by the t column, x mapped back for reduced runs.
+
+    Every number is written as %.17g, which CPython formats as format(v, ".17g") does.
+    """
+    xs = traj.states if traj.states_x is None else traj.states_x
+    tau, c = (["%.17g" % v for v in col.tolist()] if col is not None else [""] * len(traj)
+              for col in (traj.tau, traj.C))
+    rows = list(zip(traj.t.tolist(), tau, *xs.T.tolist(), traj.H.tolist(), c))
+    rows.sort(key=itemgetter(0))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,tau,x1,x2,x3,H,C\n")
-        for t, tau_s, xs, h, c_s in rows:
-            fh.write(
-                ",".join(
-                    [_fmt(t), tau_s, _fmt(xs[0]), _fmt(xs[1]), _fmt(xs[2]), _fmt(h), c_s]
-                )
-                + "\n"
-            )
+        fh.writelines(_CSV_ROW % row for row in rows)
 
 
 def _cmd_list(_args) -> int:
@@ -258,18 +245,12 @@ def _cmd_simulate(args) -> int:
         chart = build_chart(spec, args.k, seed=args.seed)
         y0 = forward_map(chart, x0)
         traj = integrate_reduced(chart, h_expr, y0, args.t_end, args.dt, args.method)
-        try:  # one array call, equal row for row to the per-row maps
-            with ex.batch_arithmetic():
-                states_x = inverse_map(chart, np.ascontiguousarray(traj.states.T)).T
-        except Exception:  # a fault or an error anywhere: the per-row maps raise it as before
-            states_x = np.array([inverse_map(chart, y) for y in traj.states])
     else:
         traj = integrate(
             spec, h_expr, x0, args.t_end, args.dt, args.method,
             casimir_k=args.k if args.k else "auto",
         )
-        states_x = traj.states
-    _write_trajectory_csv(args.out, traj, states_x)
+    _write_trajectory_csv(args.out, traj)
     drift = invariant_drift(traj)
     _emit(
         {

@@ -8,12 +8,21 @@ pair at constant Casimir coordinate, evolving in the reparametrized time
 tau; the original clock is recovered by accumulating dt = dtau / factor
 with the trapezoid rule.  A negative factor is legal and simply runs t
 backwards relative to tau.
+
+The integrator loops only step.  What is computed about a row and never
+read by the next step (the finiteness and domain tests, the invariant
+ledger, the chart map, the factor and the recovered t) runs as one array
+pass over each block of at most BLOCK rows.  A fault or a flag anywhere in
+a block replays its rows in order through the per-row reference code, so
+a run ends with the error, state and partial trajectory of the row-by-row
+loop, found at most one block of steps late (docs/decisions.md, D9).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,10 +39,11 @@ from .errors import (
     UndefinedAtPointError,
 )
 from .family import PoissonFamilySpec, axis_exprs, structure_entries, structure_matrix_at
-from .scalar_fields import Field3
+from .scalar_fields import Field3, first_flagged
 
 METHODS = ("rk4", "midpoint")
 MAX_STEPS = 10**6  # every step is kept in memory
+BLOCK = 256  # rows per bookkeeping pass: a run that ends is stepped at most this far past its end
 
 
 def _step_count(span: float, step: float) -> int:
@@ -54,7 +64,8 @@ class Trajectory:
 
     coords is "x" for direct runs (t is the integration clock, tau absent)
     and "y" for reduced runs (tau is the clock, t recovered; states are
-    Darboux coordinates).
+    Darboux coordinates, and states_x are their images x(y), which direct
+    runs leave None).
     """
 
     t: np.ndarray
@@ -66,6 +77,7 @@ class Trajectory:
     dt: float
     method: str
     coords: str = "x"
+    states_x: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.t)
@@ -137,7 +149,11 @@ def _rhs_kernel(spec: PoissonFamilySpec, H: Field3):
 
 
 def _ledger_kernel(spec: PoissonFamilySpec, H: Field3, casimir_k: int | None):
-    """(H,), or (H, C_k), at (x1, x2, x3); checks H and each psi, and raises BatchFault below the C_k guard."""
+    """(H,), or (H, C_k), at (x1, x2, x3); checks H and each psi, and raises BatchFault below the C_k guard.
+
+    Its .batch takes coordinate arrays, as the kernel's does, and raises
+    BatchFault if the guard fails at any point.
+    """
     if H.expr is None:
         return None
     if casimir_k is None:
@@ -149,12 +165,20 @@ def _ledger_kernel(spec: PoissonFamilySpec, H: Field3, casimir_k: int | None):
     if kernel is None:
         return None
 
-    def ledger(*x):
-        h, c, denom, psi_i, psi_j = kernel(*x)
-        if abs(denom) <= denominator_threshold(psi_i, psi_j):
+    def guarded(h, c, denom, psi_i, psi_j):
+        if first_flagged(abs(denom) <= denominator_threshold(psi_i, psi_j)) is not None:
             raise ex.BatchFault("Casimir denominator below its guard")
         return h, c
 
+    def ledger(*x):
+        return guarded(*kernel(*x))
+
+    def batch(*x):
+        values = kernel.batch(*x)
+        with ex.batch_arithmetic():
+            return guarded(*values)
+
+    ledger.batch = batch
     return ledger
 
 
@@ -191,6 +215,27 @@ def _stepper(method: str, rhs, dt: float):
     return step
 
 
+def _blocks(step, state, n_steps: int):
+    """Step n_steps times from state, yielding (m0, rows, failure) once per block of at most BLOCK steps.
+
+    rows are the states after steps m0, m0 + 1, ...; failure is None, or
+    (m, exc) when step m raised exc, which ends the run.  The caller raises
+    it once the rows before it have passed their checks (docs/decisions.md,
+    D9): no check reads a later step, so the first failing row is the one
+    the row-by-row loop would have stopped at.
+    """
+    for m0 in range(0, n_steps, BLOCK):
+        rows = []
+        for m in range(m0, min(m0 + BLOCK, n_steps)):
+            try:
+                state = step(state)
+            except Exception as exc:
+                yield m0, rows, (m, exc)
+                return
+            rows.append(state)
+        yield m0, rows, None
+
+
 def integrate(
     spec: PoissonFamilySpec,
     h,
@@ -203,8 +248,12 @@ def integrate(
     """Fixed-step integration with per-sample H and Casimir recording.
 
     dt is snapped to divide t_end into uniform steps.  The run aborts with
-    DomainExitError (carrying the partial trajectory) as soon as a step
-    lands outside the domain or a stage evaluation leaves it.
+    DomainExitError (carrying the partial trajectory) at the first state
+    that is not finite or lies outside the domain, or at the first step
+    whose stage evaluation leaves it.  States are checked and recorded a
+    block at a time (D9): the error, its t and state and the partial
+    trajectory are those of a step-by-step check, and at most BLOCK steps
+    run past the abort.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
@@ -225,44 +274,20 @@ def integrate(
         h = H.value(*x)
         return (h,) if casimir_k is None else (h, casimir_value(spec, casimir_k, x))
 
-    ledger = _with_replay(_ledger_kernel(spec, H, casimir_k), invariants)
+    ledger_kernel = _ledger_kernel(spec, H, casimir_k)
+    ledger = _with_replay(ledger_kernel, invariants)
 
     def record(state):
-        ts.append(len(ts) * dt_eff)
-        states.append(tuple(state))
+        states.append(np.array([state]))
         h, *c = ledger(state)
         hs.append(h)
         cs.extend(c)
 
-    def partial() -> Trajectory:
-        return Trajectory(
-            np.array(ts),
-            None,
-            np.array(states),
-            np.array(hs),
-            np.array(cs) if casimir_k is not None else None,
-            casimir_k,
-            dt_eff,
-            method,
-        )
-
-    ts: list[float] = []
-    states: list[tuple] = []
-    hs: list[float] = []
-    cs: list[float] = []
-    state = [float(v) for v in x0]
-    record(state)
-    for m in range(n_steps):
-        t_now = m * dt_eff
-        try:
-            state = step(state)
-        except (DomainEvalError, UndefinedAtPointError) as exc:
-            raise DomainExitError(
-                f"evaluation failed inside step at t = {t_now}: {exc}", t_now, tuple(state), partial()
-            ) from None
+    def check(m: int, state):
+        """The reference checks of the state after step m, then record it."""
         if not all(math.isfinite(v) for v in state):
             raise DomainExitError(
-                f"non-finite state after step at t = {t_now}", t_now, tuple(state), partial()
+                f"non-finite state after step at t = {m * dt_eff}", m * dt_eff, tuple(state), partial()
             )
         if not spec.domain.contains(state):
             raise DomainExitError(
@@ -272,6 +297,57 @@ def integrate(
                 partial(),
             )
         record(state)
+
+    def record_block(rows) -> bool:
+        """Check and record the rows in one array pass; False, recording nothing, on any flag or fault."""
+        xs = np.array(rows)
+        try:
+            if not (np.isfinite(xs).all() and spec.domain.admissible(xs).all()):
+                return False
+            values = None if ledger_kernel is None else ledger_kernel.batch(*xs.T)
+        except Exception:
+            return False
+        if values is None:  # no array binding: the ledger runs per row
+            for state in rows:
+                record(state)
+            return True
+        states.append(xs)
+        hs.extend(values[0].tolist())
+        cs.extend(values[1].tolist() if casimir_k is not None else ())
+        return True
+
+    def partial() -> Trajectory:
+        return Trajectory(
+            np.arange(len(hs)) * dt_eff,
+            None,
+            np.concatenate(states),
+            np.array(hs),
+            np.array(cs) if casimir_k is not None else None,
+            casimir_k,
+            dt_eff,
+            method,
+        )
+
+    states: list[np.ndarray] = []  # blocks of rows
+    hs: list[float] = []
+    cs: list[float] = []
+    state = [float(v) for v in x0]
+    record(state)
+    for m0, rows, failure in _blocks(step, state, n_steps):
+        if rows and not record_block(rows):
+            for m, row in enumerate(rows, m0):
+                check(m, row)
+        if failure is not None:
+            m, exc = failure
+            if isinstance(exc, (DomainEvalError, UndefinedAtPointError)):
+                t_now = m * dt_eff
+                raise DomainExitError(
+                    f"evaluation failed inside step at t = {t_now}: {exc}",
+                    t_now,
+                    tuple(states[-1][-1].tolist()),
+                    partial(),
+                ) from None
+            raise exc
     return partial()
 
 
@@ -303,6 +379,16 @@ def _reduced_kernel(H_y: Field3, i: int, j: int):
     return ex.compile_kernel((d_j, -d_i), (d_i, d_j))
 
 
+def _recovered_t(t0: float, dtau: float, g0: float, g: np.ndarray) -> list[float]:
+    """t after each row from t0: the trapezoid rule on dt/dtau = g = 1/factor, accumulated row by row.
+
+    g0 is g at the row before the first; every value is the loop's
+    t_prev + dtau * 0.5 * (g_prev + g_new), in the loop's order.
+    """
+    g = [g0, *g.tolist()]
+    return list(accumulate((dtau * 0.5 * (a + b) for a, b in zip(g, g[1:])), initial=t0))[1:]
+
+
 def integrate_reduced(
     chart: DarbouxChart,
     h,
@@ -314,9 +400,12 @@ def integrate_reduced(
     """Integrate the canonical pair in tau; recover t; hold y_k fixed.
 
     tau_end may be negative (with a negative reparametrization factor that
-    is how t is driven forward).  The factor is evaluated every step; a
+    is how t is driven forward).  The factor is evaluated at every state; a
     magnitude at the 1e-12 floor aborts with a breakdown error, and an
-    inverse image outside the spec domain aborts with a domain exit.
+    inverse image outside the spec domain aborts with a domain exit.  The
+    states are mapped back to x, checked and recorded a block at a time
+    (D9): the error and the partial trajectory are those of a step-by-step
+    check, and at most BLOCK steps run past the abort.
     """
     if dtau <= 0.0:
         raise ValueError(f"dtau must be positive, got {dtau!r}")
@@ -353,44 +442,17 @@ def integrate_reduced(
         try:
             return reparam_factor_from(chart, y, x)
         except HypothesisViolationError as exc:
-            raise ReparametrizationBreakdownError(str(exc), partial() if taus else None) from None
+            raise ReparametrizationBreakdownError(str(exc), partial() if ts else None) from None
 
-    def partial() -> Trajectory:
-        return Trajectory(
-            np.array(ts),
-            np.array(taus),
-            np.array(ys),
-            np.array(hs),
-            np.full(len(ts), -y0[k - 1]),
-            chart.k,
-            dtau_eff,
-            method,
-            coords="y",
-        )
+    def record(y, x, t: float):
+        ts.append(t)
+        ys.append(np.array([y]))
+        xs.append(x[None])
+        hs.append(H_y.value(*y))
 
-    taus: list[float] = []
-    ts: list[float] = []
-    ys: list[list[float]] = []
-    hs: list[float] = []
-
-    pair = (y0[i - 1], y0[j - 1])
-    y = assemble(pair)
-    g_prev = 1.0 / factor_at(y, x_start)
-    taus.append(0.0)
-    ts.append(0.0)
-    ys.append(y)
-    hs.append(H_y.value(*y))
-    for m in range(n_steps):
-        try:
-            pair = step(pair)
-        except (DomainEvalError, UndefinedAtPointError) as exc:
-            raise ReparametrizationBreakdownError(
-                f"reduced step failed at tau = {m * dtau_eff}: {exc}", partial()
-            ) from None
-        except OutOfRangeError as exc:  # a stage's x(y) lies beyond the box edge
-            raise DomainExitError(
-                f"reduced step left the domain at tau = {m * dtau_eff}: {exc}", m * dtau_eff, tuple(y), partial()
-            ) from None
+    def check(m: int, pair):
+        """The reference bookkeeping of the state after step m: raise where the run ends, else record it."""
+        nonlocal g_prev
         y = assemble(pair)
         try:
             x = inverse_map(chart, y)
@@ -405,11 +467,76 @@ def integrate_reduced(
                 tuple(y),
                 partial(),
             )
-        taus.append((m + 1) * dtau_eff)
-        ts.append(ts[-1] + dtau_eff * 0.5 * (g_prev + g_new))
-        ys.append(y)
-        hs.append(H_y.value(*y))
+        record(y, x, ts[-1] + dtau_eff * 0.5 * (g_prev + g_new))
         g_prev = g_new
+
+    def record_block(pairs) -> bool:
+        """Map the rows back, check and record them in one array pass; False, recording nothing, on any fault."""
+        nonlocal g_prev
+        y = np.empty((len(pairs), 3))
+        y[:, [i - 1, j - 1]] = pairs
+        y[:, k - 1] = y0[k - 1]
+        cols = tuple(y.T)
+        try:
+            with ex.batch_arithmetic():
+                x = inverse_map(chart, cols)
+                g = 1.0 / reparam_factor_from(chart, cols, x)
+                h = H_y.value(*cols) if H_y.expr is not None else None
+            if not spec.domain.admissible(x.T).all():
+                return False
+        except Exception:
+            return False
+        ts.extend(_recovered_t(ts[-1], dtau_eff, g_prev, g))
+        ys.append(y)
+        xs.append(x.T)
+        hs.extend(h.tolist() if h is not None else (H_y.value(*v) for v in y.tolist()))
+        g_prev = float(g[-1])
+        return True
+
+    def partial() -> Trajectory:
+        tau = np.arange(len(ts)) * dtau_eff
+        tau[0] = 0.0  # not -0.0 when tau runs backwards
+        return Trajectory(
+            np.array(ts),
+            tau,
+            np.concatenate(ys),
+            np.array(hs),
+            np.full(len(ts), -y0[k - 1]),
+            chart.k,
+            dtau_eff,
+            method,
+            coords="y",
+            states_x=np.concatenate(xs),
+        )
+
+    ts: list[float] = []
+    ys: list[np.ndarray] = []  # blocks of rows, and their images x(y)
+    xs: list[np.ndarray] = []
+    hs: list[float] = []
+
+    pair = (y0[i - 1], y0[j - 1])
+    y = assemble(pair)
+    g_prev = 1.0 / factor_at(y, x_start)
+    record(y, x_start, 0.0)
+    for m0, pairs, failure in _blocks(step, pair, n_steps):
+        if pairs and not record_block(pairs):
+            for m, p in enumerate(pairs, m0):
+                check(m, p)
+        if failure is not None:
+            m, exc = failure
+            tau_now = m * dtau_eff
+            if isinstance(exc, (DomainEvalError, UndefinedAtPointError)):
+                raise ReparametrizationBreakdownError(
+                    f"reduced step failed at tau = {tau_now}: {exc}", partial()
+                ) from None
+            if isinstance(exc, OutOfRangeError):  # a stage's x(y) lies beyond the box edge
+                raise DomainExitError(
+                    f"reduced step left the domain at tau = {tau_now}: {exc}",
+                    tau_now,
+                    tuple(ys[-1][-1].tolist()),
+                    partial(),
+                ) from None
+            raise exc
     return partial()
 
 

@@ -11,7 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from poisson3d import expr as ex
+from poisson3d.errors import PoissonError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_DIR = REPO_ROOT / "src"
@@ -140,3 +143,31 @@ def run_python_subprocess(args, env_extra=None, cwd=None):
 def run_cli_subprocess(argv, env_extra=None, cwd=None):
     """Run `python -m poisson3d *argv` in a fresh interpreter (see run_python_subprocess)."""
     return run_python_subprocess(["-m", "poisson3d", *argv], env_extra, cwd)
+
+
+def run_outcome(run):
+    """(result, None) when run() returns, (None, error) when it raises a PoissonError."""
+    try:
+        return run(), None
+    except PoissonError as exc:
+        return None, exc
+
+
+def assert_same_trajectory(a, b):
+    """Equal metadata, and every array equal element for element, signs of zeros included."""
+    assert (a.casimir_k, a.dt, a.method, a.coords) == (b.casimir_k, b.dt, b.method, b.coords)
+    for name in ("t", "tau", "states", "H", "C", "states_x"):
+        u, v = getattr(a, name), getattr(b, name)
+        assert (u is None) == (v is None), name
+        if u is not None:
+            assert np.array_equal(u, v) and np.array_equal(np.signbit(u), np.signbit(v)), name
+
+
+def assert_same_error(a, b):
+    """Same type, message, t and state, and the same partial trajectory."""
+    assert (type(a), str(a)) == (type(b), str(b))
+    for attr in ("t", "state"):
+        assert getattr(a, attr, None) == getattr(b, attr, None), attr
+    assert (getattr(a, "partial", None) is None) == (getattr(b, "partial", None) is None)
+    if getattr(a, "partial", None) is not None:
+        assert_same_trajectory(a.partial, b.partial)

@@ -1,0 +1,157 @@
+"""Block bookkeeping in the integrators (docs/decisions.md, D9).
+
+The integrators step in a loop and check and record the states a block of
+dynamics.BLOCK rows at a time.  With BLOCK = 1 every state is checked right
+after its step, as the row-by-row loop did, so every run must end the same
+way at both sizes: the same trajectory, or the same error with the same t,
+state and partial trajectory.
+"""
+
+import pytest
+
+from poisson3d import dynamics, expr as ex
+from poisson3d.darboux import build_chart, forward_map
+from poisson3d.dynamics import integrate, integrate_reduced
+from poisson3d.errors import DomainEvalError, DomainExitError, ReparametrizationBreakdownError, UndefinedAtPointError
+from poisson3d.family import make_family_spec, make_kappa
+from poisson3d.scalar_fields import DomainBox, Field3, build_scalar_field
+from conftest import ORDERED_BOX, make_flat_spec, make_halphen
+from helpers import assert_same_error, assert_same_trajectory, run_outcome
+
+QUADRATIC = ex.parse("(x1^2 + x2^2 + x3^2)/2")
+ZERO_LN = Field3(ex.parse("x1 + 0*ln(x2)"), (ex.parse("1"), ex.parse("0"), ex.parse("0")))
+
+
+def _same_at_block_size_one(monkeypatch, run):
+    """run()'s outcome, after checking that it is the same with BLOCK = 1."""
+    traj, error = run_outcome(run)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "BLOCK", 1)
+        row_traj, row_error = run_outcome(run)
+    if error is None:
+        assert row_error is None, row_error
+        assert_same_trajectory(traj, row_traj)
+        return traj
+    assert row_error is not None, "only the default block size raised"
+    assert_same_error(error, row_error)
+    return error
+
+
+def _counting_x3():
+    """A callable Hamiltonian x3 (no array binding) and its call counter."""
+    calls = [0]
+
+    def h(x1, x2, x3):
+        calls[0] += 1
+        return x3
+
+    return h, calls
+
+
+def _direct_cases():
+    """(name, run, expected error type or None, message prefix)."""
+    wide_halphen = make_halphen(((0.0, 5.0),) * 3)
+    huge = make_flat_spec(((-1.0, 1.0), (-1e300, 1e300), (-1e300, 1e300)))
+    flat, wide_flat = make_flat_spec(), make_flat_spec(((-5.0, 5.0),) * 3)
+    return [
+        # H = x3 pulls x2 towards x1: the orbit crosses x1 = x2 after 401 rows, inside the second block
+        ("domain-exit", lambda m: integrate(wide_halphen, ex.parse("x3"), (2.0, 1.0, 4.0), 5.0, 0.01, m, 3),
+         DomainExitError, "trajectory left the domain"),
+        ("callable-h", lambda m: integrate(flat, _counting_x3()[0], (0.9, 0.5, 0.0), 2.0, 0.01, m, None),
+         DomainExitError, "trajectory left the domain"),
+        # x2 and x3 grow without bound until J grad H overflows in the last stage, after hundreds of rows
+        ("non-finite", lambda m: integrate(huge, ex.parse("1e10*x1"), (0.5, 0.3, 0.6), 5e-7, 1e-10, m, None),
+         DomainExitError, "non-finite state after step"),
+        # x2 falls through 0, where the gradient's x2^0.5 faults at a stage point
+        ("step-fault", lambda m: integrate(wide_flat, ex.parse("x1 + x2^1.5"), (0.5, 0.3, -0.6), 3.0, 0.001, m),
+         DomainExitError, "evaluation failed inside step"),
+        # on x2 = x3, chi_12 = x1 - x2 decays like exp(-3t) until C_3's denominator guard fails
+        ("casimir-guard", lambda m: integrate(flat, ex.parse("-(x1 + x2 + x3)"), (0.9, 0.1, 0.1), 12.0, 0.01, m, 3),
+         UndefinedAtPointError, "chi_12 = "),
+        # x2 falls through 0, where the ledger's H faults; its supplied gradient does not
+        ("ledger-h-fault", lambda m: integrate(wide_flat, ZERO_LN, (1.0, 0.5, 0.0), 3.0, 0.001, m, None),
+         DomainEvalError, "ln of non-positive value"),
+        ("clean", lambda m: integrate(make_halphen(((-4.0, 6.0),) * 3), QUADRATIC, (1.0, 2.0, 4.0), 1.0, 1e-3, m, 3),
+         None, ""),
+    ]
+
+
+DIRECT = _direct_cases()
+
+
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+@pytest.mark.parametrize("case", DIRECT, ids=[c[0] for c in DIRECT])
+def test_direct_runs_end_alike_at_block_size_one(monkeypatch, case, method):
+    _, run, kind, prefix = case
+    outcome = _same_at_block_size_one(monkeypatch, lambda: run(method))
+    if kind is None:
+        assert len(outcome) > dynamics.BLOCK
+    else:
+        assert type(outcome) is kind and str(outcome).startswith(prefix), outcome
+
+
+def _no_zeta_spec():
+    domain = DomainBox(ORDERED_BOX, ex.parse("(x1 - x2)*(x2 - x3)*(x3 - x1)"))
+    fields = (
+        build_scalar_field(ex.parse("1"), ex.parse("u"), ex.parse("u"), ORDERED_BOX[0]),
+        build_scalar_field(ex.parse("1"), ex.parse("u"), ex.parse("u"), ORDERED_BOX[1]),
+        build_scalar_field(ex.parse("1"), ex.parse("u"), None, ORDERED_BOX[2]),
+    )
+    return make_family_spec(ex.parse("1 / (2*(x1 - x2)*(x2 - x3)*(x3 - x1))"), fields, make_kappa(0.0, 0.0), domain)
+
+
+def _reduced_cases():
+    """(name, chart, H, x0, tau_end, dtau, expected error type or None, message prefix)."""
+    box = ((-1.0, 1.0),) * 3
+    fields = tuple(build_scalar_field(ex.parse("1"), ex.parse("u"), ex.parse("u"), iv) for iv in box)
+    crossing = make_family_spec(ex.parse("1"), fields, make_kappa(0.0, 0.0), DomainBox(box, ex.parse("x1 - x2")))
+    wide = build_chart(make_halphen(((-4.0, 6.0),) * 3), k=3)
+    no_zeta = build_chart(_no_zeta_spec(), k=3)
+    return [
+        # the factor x1 - x2 reaches its floor after 400 rows
+        ("breakdown", build_chart(crossing, k=3), ex.parse("x3"), (0.3, 0.7, 0.2), 0.6, 1e-3,
+         ReparametrizationBreakdownError, "reparametrization factor"),
+        # x3 = x_k(y) passes the box edge: psi_3 has no preimage there
+        ("box-edge", wide, QUADRATIC, (1.0, 2.0, 4.0), 0.61, 1e-3,
+         DomainExitError, "reduced trajectory left the domain"),
+        ("domain-exit", build_chart(make_flat_spec(((0.0, 0.4), (0.6, 1.0), (-1.0, 1.0))), k=3),
+         ex.parse("x1"), (0.2, 0.8, 0.5), 0.5, 1e-3, DomainExitError, "reduced trajectory left the domain"),
+        # without zeta_3, H(x(y)) is a callable and x_k(y) the root-finder's
+        ("no-zeta-step", no_zeta, ex.parse("x1 + x2 + x3"), (0.25, 0.75, 1.25), 0.5, 2e-4,
+         DomainExitError, "reduced step left the domain"),
+        ("no-zeta-exit", no_zeta, QUADRATIC, (0.25, 0.75, 1.25), 0.5, 2e-4,
+         DomainExitError, "reduced trajectory left the domain"),
+        ("clean", wide, QUADRATIC, (1.0, 2.0, 4.0), -0.5, 1e-3, None, ""),
+    ]
+
+
+REDUCED = _reduced_cases()
+
+
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+@pytest.mark.parametrize("case", REDUCED, ids=[c[0] for c in REDUCED])
+def test_reduced_runs_end_alike_at_block_size_one(monkeypatch, case, method):
+    _, chart, h, x0, tau_end, dtau, kind, prefix = case
+    y0 = forward_map(chart, x0)
+    outcome = _same_at_block_size_one(monkeypatch, lambda: integrate_reduced(chart, h, y0, tau_end, dtau, method))
+    if kind is None:
+        assert len(outcome) > dynamics.BLOCK
+    else:
+        assert type(outcome) is kind and str(outcome).startswith(prefix), outcome
+        assert outcome.partial is not None and len(outcome.partial) > 1
+
+
+def test_an_early_exit_runs_at_most_one_block_of_extra_steps():
+    # the flat orbit of H = x3 leaves the box within 2.0 time units; 10^5 steps are asked for
+    spec = make_flat_spec()
+    h, calls = _counting_x3()
+    integrate(spec, h, (0.9, 0.5, 0.0), 0.05, 0.01, casimir_k=None)
+    five = calls[0]
+    integrate(spec, h, (0.9, 0.5, 0.0), 0.1, 0.01, casimir_k=None)
+    per_step = (calls[0] - 2 * five) / 5  # the RHS and the ledger's calls per step
+    calls[0] = 0
+    with pytest.raises(DomainExitError) as err:
+        integrate(spec, h, (0.9, 0.5, 0.0), 1000.0, 0.01, casimir_k=None)
+    exit_step = round(err.value.t / 0.01)
+    assert exit_step < 200
+    assert calls[0] <= (exit_step + dynamics.BLOCK + 1) * per_step

@@ -567,3 +567,50 @@ def test_byte_identical_reruns(tmp_path, wide_spec_file):
     assert ra.returncode == rb.returncode == 0
     assert csv_a.read_bytes() == csv_b.read_bytes()
     assert ra.stdout.replace(str(csv_a).encode(), b"X") == rb.stdout.replace(str(csv_b).encode(), b"X")
+
+
+def _per_value_csv(traj, states_x) -> str:
+    """The trajectory CSV formatted value by value with format(v, ".17g"), rows stably sorted by t."""
+    fmt = lambda v: format(float(v), ".17g")
+    rows = sorted(
+        (
+            (float(traj.t[m]), fmt(traj.tau[m]) if traj.tau is not None else "", states_x[m],
+             float(traj.H[m]), fmt(traj.C[m]) if traj.C is not None else "")
+            for m in range(len(traj))
+        ),
+        key=lambda r: r[0],
+    )
+    lines = [",".join([fmt(t), tau, fmt(x[0]), fmt(x[1]), fmt(x[2]), fmt(h), c]) for t, tau, x, h, c in rows]
+    return "t,tau,x1,x2,x3,H,C\n" + "".join(line + "\n" for line in lines)
+
+
+def test_trajectory_csv_is_the_per_value_format(tmp_path):
+    from poisson3d import expr as ex
+    from poisson3d.cli import _write_trajectory_csv
+    from poisson3d.darboux import build_chart, forward_map, inverse_map
+    from poisson3d.dynamics import Trajectory, integrate, integrate_reduced
+    from conftest import WIDE_BOX, make_halphen
+
+    tiny, huge = 5e-324, 1e300
+    odd = Trajectory(
+        np.array([1.0, 0.0, 1.0, -0.0, 3.0]),  # ties, -0.0 among them, keep their order
+        np.array([-0.0, tiny, 2.0, -huge, 0.1]),
+        np.array([[-0.0, tiny, huge], [1.0, -1.0, 2.0], [0.1, 1 / 3, -tiny], [7.0, 8.0, 9.0], [1e-310, 2.5, -3.0]]),
+        np.array([-0.0, 3.0, huge, tiny, -1e-300]),
+        np.array([0.0, -0.0, 4.0, tiny, -huge]),
+        3, 0.1, "rk4", coords="y",
+    )
+    spec, h = make_halphen(WIDE_BOX), ex.parse("x1 + x2 + x3")
+    direct = integrate(spec, h, (1.0, 2.0, 4.0), 0.5, 0.001, casimir_k=None)  # C column empty
+    chart = build_chart(spec, 3)
+    reduced = integrate_reduced(chart, h, forward_map(chart, (1.0, 2.0, 4.0)), 0.05, 0.001)
+    assert reduced.t[-1] < reduced.t[0]  # a negative factor: the sort reverses the rows
+    cases = [
+        (odd, odd.states),
+        (direct, direct.states),
+        (reduced, np.array([inverse_map(chart, y) for y in reduced.states])),
+    ]
+    for n, (traj, states_x) in enumerate(cases):
+        path = tmp_path / f"{n}.csv"
+        _write_trajectory_csv(str(path), traj)
+        assert path.read_bytes() == _per_value_csv(traj, states_x).encode(), n

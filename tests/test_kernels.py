@@ -17,10 +17,11 @@ from poisson3d.casimir import casimir_value
 from poisson3d.cli import main
 from poisson3d.darboux import build_chart, forward_map, inverse_map
 from poisson3d.dynamics import integrate, integrate_reduced
-from poisson3d.errors import HypothesisViolationError, PoissonError
+from poisson3d.errors import HypothesisViolationError
 from poisson3d.family import rescale
 from poisson3d.testing import random_family_spec
 from conftest import WIDE_BOX, make_flat_spec, make_halphen
+from helpers import assert_same_error, assert_same_trajectory, run_outcome
 
 XS = ("x1", "x2", "x3")
 _LITERALS = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, -2.5)
@@ -236,36 +237,16 @@ def _raising_kernels(*args, **kwargs):
     return kernel
 
 
-def _outcome(run):
-    try:
-        return run(), None
-    except PoissonError as exc:
-        return None, exc
-
-
-def _assert_same_trajectory(a, b):
-    assert (a.casimir_k, a.dt, a.method, a.coords) == (b.casimir_k, b.dt, b.method, b.coords)
-    for name in ("t", "tau", "states", "H", "C"):
-        u, v = getattr(a, name), getattr(b, name)
-        assert (u is None) == (v is None), name
-        if u is not None:
-            assert np.array_equal(u, v) and np.array_equal(np.signbit(u), np.signbit(v)), name
-
-
 def _assert_same_outcome(monkeypatch, run):
-    traj, error = _outcome(run)
+    traj, error = run_outcome(run)
     with monkeypatch.context() as m:
         m.setattr(ex, "compile_kernel", _raising_kernels)
-        replay_traj, replay_error = _outcome(run)
+        replay_traj, replay_error = run_outcome(run)
     if error is None:
         assert replay_error is None, replay_error
-        _assert_same_trajectory(traj, replay_traj)
+        assert_same_trajectory(traj, replay_traj)
         return traj
-    assert (type(replay_error), str(replay_error)) == (type(error), str(error))
-    for attr in ("t", "state"):
-        assert getattr(replay_error, attr, None) == getattr(error, attr, None)
-    if getattr(error, "partial", None) is not None:
-        _assert_same_trajectory(error.partial, replay_error.partial)
+    assert_same_error(replay_error, error)
     return error
 
 
