@@ -249,11 +249,12 @@ def integrate(
 
     dt is snapped to divide t_end into uniform steps.  The run aborts with
     DomainExitError (carrying the partial trajectory) at the first state
-    that is not finite or lies outside the domain, or at the first step
-    whose stage evaluation leaves it.  States are checked and recorded a
-    block at a time (D9): the error, its t and state and the partial
-    trajectory are those of a step-by-step check, and at most BLOCK steps
-    run past the abort.
+    that is not finite, lies outside the domain or faults in the invariant
+    ledger (H, or the Casimir's denominator guard), or at the first step
+    whose stage evaluation leaves it; a ledger fault at x0 itself raises
+    as it is.  States are checked and recorded a block at a time (D9): the
+    error, its t and state and the partial trajectory are those of a
+    step-by-step check, and at most BLOCK steps run past the abort.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
@@ -278,13 +279,13 @@ def integrate(
     ledger = _with_replay(ledger_kernel, invariants)
 
     def record(state):
-        states.append(np.array([state]))
         h, *c = ledger(state)
+        states.append(np.array([state]))
         hs.append(h)
         cs.extend(c)
 
     def check(m: int, state):
-        """The reference checks of the state after step m, then record it."""
+        """The reference checks of the state after step m, then record it; its ledger's faults end the run."""
         if not all(math.isfinite(v) for v in state):
             raise DomainExitError(
                 f"non-finite state after step at t = {m * dt_eff}", m * dt_eff, tuple(state), partial()
@@ -296,7 +297,15 @@ def integrate(
                 tuple(state),
                 partial(),
             )
-        record(state)
+        try:
+            record(state)
+        except (DomainEvalError, UndefinedAtPointError) as exc:
+            raise DomainExitError(
+                f"invariant ledger failed at t = {(m + 1) * dt_eff}: {exc}",
+                (m + 1) * dt_eff,
+                tuple(state),
+                partial(),
+            ) from None
 
     def record_block(rows) -> bool:
         """Check and record the rows in one array pass; False, recording nothing, on any flag or fault."""
@@ -304,16 +313,15 @@ def integrate(
         try:
             if not (np.isfinite(xs).all() and spec.domain.admissible(xs).all()):
                 return False
-            values = None if ledger_kernel is None else ledger_kernel.batch(*xs.T)
+            if ledger_kernel is None:  # no array binding: the ledger runs per row
+                h, *c = zip(*map(ledger, rows))
+            else:
+                h, *c = (v.tolist() for v in ledger_kernel.batch(*xs.T))
         except Exception:
             return False
-        if values is None:  # no array binding: the ledger runs per row
-            for state in rows:
-                record(state)
-            return True
         states.append(xs)
-        hs.extend(values[0].tolist())
-        cs.extend(values[1].tolist() if casimir_k is not None else ())
+        hs.extend(h)
+        cs.extend(c[0] if c else ())
         return True
 
     def partial() -> Trajectory:
@@ -402,7 +410,8 @@ def integrate_reduced(
     tau_end may be negative (with a negative reparametrization factor that
     is how t is driven forward).  The factor is evaluated at every state; a
     magnitude at the 1e-12 floor aborts with a breakdown error, and an
-    inverse image outside the spec domain aborts with a domain exit.  The
+    inverse image outside the spec domain, or a fault in H(x(y)), aborts
+    with a domain exit.  The
     states are mapped back to x, checked and recorded a block at a time
     (D9): the error and the partial trajectory are those of a step-by-step
     check, and at most BLOCK steps run past the abort.
@@ -445,10 +454,11 @@ def integrate_reduced(
             raise ReparametrizationBreakdownError(str(exc), partial() if ts else None) from None
 
     def record(y, x, t: float):
+        h = H_y.value(*y)
         ts.append(t)
         ys.append(np.array([y]))
         xs.append(x[None])
-        hs.append(H_y.value(*y))
+        hs.append(h)
 
     def check(m: int, pair):
         """The reference bookkeeping of the state after step m: raise where the run ends, else record it."""
@@ -467,7 +477,12 @@ def integrate_reduced(
                 tuple(y),
                 partial(),
             )
-        record(y, x, ts[-1] + dtau_eff * 0.5 * (g_prev + g_new))
+        try:
+            record(y, x, ts[-1] + dtau_eff * 0.5 * (g_prev + g_new))
+        except DomainEvalError as exc:
+            raise DomainExitError(
+                f"H(x(y)) failed at tau = {(m + 1) * dtau_eff}: {exc}", (m + 1) * dtau_eff, tuple(y), partial()
+            ) from None
         g_prev = g_new
 
     def record_block(pairs) -> bool:
@@ -484,12 +499,13 @@ def integrate_reduced(
                 h = H_y.value(*cols) if H_y.expr is not None else None
             if not spec.domain.admissible(x.T).all():
                 return False
+            h = h.tolist() if h is not None else [H_y.value(*v) for v in y.tolist()]
         except Exception:
             return False
         ts.extend(_recovered_t(ts[-1], dtau_eff, g_prev, g))
         ys.append(y)
         xs.append(x.T)
-        hs.extend(h.tolist() if h is not None else (H_y.value(*v) for v in y.tolist()))
+        hs.extend(h)
         g_prev = float(g[-1])
         return True
 

@@ -132,6 +132,15 @@ def _sign(v: float) -> float:
 
 
 def _pow(a: float, b: float) -> float:
+    if b == 2.0:
+        # one IEEE multiplication: correctly rounded, where libm's pow(a, 2) can
+        # be an ulp off (docs/decisions.md, D4); float() keeps an np.float64
+        # base from warning on overflow, which raises pow's error instead
+        a = float(a)
+        v = a * a
+        if v == math.inf and math.isfinite(a):
+            raise OverflowError("math range error")
+        return v
     # negative base with non-integer exponent would be complex; refuse it
     # rather than let it turn into NaN downstream
     if a < 0.0 and not float(b).is_integer():
@@ -461,9 +470,10 @@ def _gen(e: Expr, operand=None) -> str:
 # floats.  The batch binding runs the same source over numpy arrays,
 # bit-identical to the scalar binding wherever it does not fault: + - * /
 # and negation are IEEE-exact array operators, and sqrt and abs are
-# correctly rounded, so they stay numpy; exp, ln, sin, cos and ^ run the
-# scalar implementations elementwise, because numpy's vectorized versions
-# differ from math.* in the last ulp (docs/decisions.md, D4).
+# correctly rounded, so they stay numpy, and so does ^2, which _pow takes
+# as one multiplication; exp, ln, sin, cos and other powers run the scalar
+# implementations elementwise, because numpy's vectorized versions differ
+# from math.* in the last ulp (docs/decisions.md, D4).
 
 _SCALAR_NS = {**_FN_IMPL, "_pow": _pow}
 
@@ -498,14 +508,16 @@ def _elementwise(fn):
 
 
 def _batch_pow(a, b):
-    # _pow's domain rule as one array test, then its math.pow per element
+    # _pow's domain rule as one array test, then _pow's value per element
+    a = np.asarray(a, dtype=float)
     if b.__class__ is float and b.is_integer():  # a literal integer exponent: the rule cannot fire
-        a = np.asarray(a, dtype=float)
+        if b == 2.0:  # _pow's product; an overflow raises under batch_arithmetic
+            return a * a
         return np.array(list(map(math.pow, a.ravel().tolist(), repeat(b)))).reshape(a.shape)
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
     if np.any((a < 0.0) & ~(np.isfinite(b) & (b == np.floor(b)))):
         raise DomainEvalError("negative base with non-integer exponent")
-    return np.array(list(map(math.pow, a.ravel().tolist(), b.ravel().tolist()))).reshape(a.shape)
+    return np.array(list(map(_pow, a.ravel().tolist(), b.ravel().tolist()))).reshape(a.shape)
 
 
 def _batch_sign(a):

@@ -345,6 +345,7 @@ FAULTING_ENTRIES = {
     "1/(x1 - x1)": "error: float division by zero",
     "sign(x2 - x2)": "error: sign(0) is undefined",
     "exp(1000*x3)": "error: math range error",
+    "(x3 + 1e160)^2": "error: math range error",  # the square overflows, its partial 2*(x3 + 1e160) does not
 }
 
 

@@ -7,12 +7,14 @@ way at both sizes: the same trajectory, or the same error with the same t,
 state and partial trajectory.
 """
 
+import re
+
 import pytest
 
 from poisson3d import dynamics, expr as ex
 from poisson3d.darboux import build_chart, forward_map
 from poisson3d.dynamics import integrate, integrate_reduced
-from poisson3d.errors import DomainEvalError, DomainExitError, ReparametrizationBreakdownError, UndefinedAtPointError
+from poisson3d.errors import DomainExitError, ReparametrizationBreakdownError
 from poisson3d.family import make_family_spec, make_kappa
 from poisson3d.scalar_fields import DomainBox, Field3, build_scalar_field
 from conftest import ORDERED_BOX, make_flat_spec, make_halphen
@@ -20,6 +22,8 @@ from helpers import assert_same_error, assert_same_trajectory, run_outcome
 
 QUADRATIC = ex.parse("(x1^2 + x2^2 + x3^2)/2")
 ZERO_LN = Field3(ex.parse("x1 + 0*ln(x2)"), (ex.parse("1"), ex.parse("0"), ex.parse("0")))
+# exp overflows below x2 = 0.629; the symbolic partials drop the term, so only the value faults
+ZERO_EXP = ex.parse("x1 + 0*exp(10000*(0.7 - x2))")
 
 
 def _same_at_block_size_one(monkeypatch, run):
@@ -49,7 +53,7 @@ def _counting_x3():
 
 
 def _direct_cases():
-    """(name, run, expected error type or None, message prefix)."""
+    """(name, run, expected error type or None, a pattern its message starts with)."""
     wide_halphen = make_halphen(((0.0, 5.0),) * 3)
     huge = make_flat_spec(((-1.0, 1.0), (-1e300, 1e300), (-1e300, 1e300)))
     flat, wide_flat = make_flat_spec(), make_flat_spec(((-5.0, 5.0),) * 3)
@@ -67,10 +71,13 @@ def _direct_cases():
          DomainExitError, "evaluation failed inside step"),
         # on x2 = x3, chi_12 = x1 - x2 decays like exp(-3t) until C_3's denominator guard fails
         ("casimir-guard", lambda m: integrate(flat, ex.parse("-(x1 + x2 + x3)"), (0.9, 0.1, 0.1), 12.0, 0.01, m, 3),
-         UndefinedAtPointError, "chi_12 = "),
+         DomainExitError, r"invariant ledger failed at t = 8\.96: chi_12 = \S+ at \(.*\); C_3 undefined there$"),
         # x2 falls through 0, where the ledger's H faults; its supplied gradient does not
         ("ledger-h-fault", lambda m: integrate(wide_flat, ZERO_LN, (1.0, 0.5, 0.0), 3.0, 0.001, m, None),
-         DomainEvalError, "ln of non-positive value"),
+         DomainExitError, r"invariant ledger failed at t = \S+: ln of non-positive value "),
+        # the same guard with a callable H, whose ledger has no array binding
+        ("casimir-guard-callable", lambda m: integrate(flat, lambda *x: -sum(x), (0.9, 0.1, 0.1), 12.0, 0.01, m, 3),
+         DomainExitError, r"invariant ledger failed at t = 8\.96: chi_12 = "),
         ("clean", lambda m: integrate(make_halphen(((-4.0, 6.0),) * 3), QUADRATIC, (1.0, 2.0, 4.0), 1.0, 1e-3, m, 3),
          None, ""),
     ]
@@ -82,12 +89,22 @@ DIRECT = _direct_cases()
 @pytest.mark.parametrize("method", ["rk4", "midpoint"])
 @pytest.mark.parametrize("case", DIRECT, ids=[c[0] for c in DIRECT])
 def test_direct_runs_end_alike_at_block_size_one(monkeypatch, case, method):
-    _, run, kind, prefix = case
+    _, run, kind, pattern = case
     outcome = _same_at_block_size_one(monkeypatch, lambda: run(method))
     if kind is None:
         assert len(outcome) > dynamics.BLOCK
     else:
-        assert type(outcome) is kind and str(outcome).startswith(prefix), outcome
+        assert type(outcome) is kind and re.match(pattern, str(outcome)), outcome
+        assert outcome.partial is not None and len(outcome.partial) > 1
+
+
+def test_a_ledger_abort_carries_the_rows_before_it():
+    with pytest.raises(DomainExitError) as err:
+        integrate(make_flat_spec(), ex.parse("-(x1 + x2 + x3)"), (0.9, 0.1, 0.1), 12.0, 0.01, casimir_k=3)
+    partial = err.value.partial
+    assert err.value.t == 896 * 0.01 and partial.t[-1] == 895 * 0.01
+    # the failing row, whose ledger has no C_3, is in no column
+    assert len(partial) == len(partial.states) == len(partial.H) == len(partial.C) == 896
 
 
 def _no_zeta_spec():
@@ -101,12 +118,13 @@ def _no_zeta_spec():
 
 
 def _reduced_cases():
-    """(name, chart, H, x0, tau_end, dtau, expected error type or None, message prefix)."""
+    """(name, chart, H, x0, tau_end, dtau, expected error type or None, a pattern its message starts with)."""
     box = ((-1.0, 1.0),) * 3
     fields = tuple(build_scalar_field(ex.parse("1"), ex.parse("u"), ex.parse("u"), iv) for iv in box)
     crossing = make_family_spec(ex.parse("1"), fields, make_kappa(0.0, 0.0), DomainBox(box, ex.parse("x1 - x2")))
     wide = build_chart(make_halphen(((-4.0, 6.0),) * 3), k=3)
     no_zeta = build_chart(_no_zeta_spec(), k=3)
+    strip = build_chart(make_flat_spec(((0.0, 0.4), (0.6, 1.0), (-1.0, 1.0))), k=3)
     return [
         # the factor x1 - x2 reaches its floor after 400 rows
         ("breakdown", build_chart(crossing, k=3), ex.parse("x3"), (0.3, 0.7, 0.2), 0.6, 1e-3,
@@ -114,8 +132,11 @@ def _reduced_cases():
         # x3 = x_k(y) passes the box edge: psi_3 has no preimage there
         ("box-edge", wide, QUADRATIC, (1.0, 2.0, 4.0), 0.61, 1e-3,
          DomainExitError, "reduced trajectory left the domain"),
-        ("domain-exit", build_chart(make_flat_spec(((0.0, 0.4), (0.6, 1.0), (-1.0, 1.0))), k=3),
-         ex.parse("x1"), (0.2, 0.8, 0.5), 0.5, 1e-3, DomainExitError, "reduced trajectory left the domain"),
+        ("domain-exit", strip, ex.parse("x1"), (0.2, 0.8, 0.5), 0.5, 1e-3,
+         DomainExitError, "reduced trajectory left the domain"),
+        # the orbit of x1 runs x2 down from 0.8 past 0.629, where H(x(y)) overflows
+        ("h-fault", strip, ZERO_EXP, (0.2, 0.8, 0.5), 0.5, 1e-3,
+         DomainExitError, r"H\(x\(y\)\) failed at tau = 0\.171: math range error$"),
         # without zeta_3, H(x(y)) is a callable and x_k(y) the root-finder's
         ("no-zeta-step", no_zeta, ex.parse("x1 + x2 + x3"), (0.25, 0.75, 1.25), 0.5, 2e-4,
          DomainExitError, "reduced step left the domain"),
@@ -131,13 +152,13 @@ REDUCED = _reduced_cases()
 @pytest.mark.parametrize("method", ["rk4", "midpoint"])
 @pytest.mark.parametrize("case", REDUCED, ids=[c[0] for c in REDUCED])
 def test_reduced_runs_end_alike_at_block_size_one(monkeypatch, case, method):
-    _, chart, h, x0, tau_end, dtau, kind, prefix = case
+    _, chart, h, x0, tau_end, dtau, kind, pattern = case
     y0 = forward_map(chart, x0)
     outcome = _same_at_block_size_one(monkeypatch, lambda: integrate_reduced(chart, h, y0, tau_end, dtau, method))
     if kind is None:
         assert len(outcome) > dynamics.BLOCK
     else:
-        assert type(outcome) is kind and str(outcome).startswith(prefix), outcome
+        assert type(outcome) is kind and re.match(pattern, str(outcome)), outcome
         assert outcome.partial is not None and len(outcome.partial) > 1
 
 

@@ -178,6 +178,18 @@ def test_simulate_domain_exit_is_exit_2(capsys, tmp_path):
     assert "left the domain" in err
 
 
+def test_simulate_ledger_abort_is_exit_2(capsys, tmp_path):
+    # on x2 = x3, chi_12 = x1 - x2 decays until the C_3 ledger's denominator guard fails at t = 8.96
+    path, out_csv = tmp_path / "flat.json", tmp_path / "ledger.csv"
+    path.write_text(json.dumps(dict(_identity_spec("1"), domain={"box": [[-1.0, 1.0]] * 3})))
+    code, out, err = run_cli(
+        capsys, "simulate", "--spec", str(path), "--x0", "0.9,0.1,0.1", "--hamiltonian", "-(x1 + x2 + x3)",
+        "--t-end", "12", "--dt", "0.01", "--k", "3", "--out", str(out_csv),
+    )
+    assert (code, out) == (2, "") and not out_csv.exists()
+    assert err.startswith("error: invariant ledger failed at t = 8.96: chi_12 = ")
+
+
 def test_simulate_short_run_on_builtin(capsys, tmp_path):
     out_csv = tmp_path / "short.csv"
     code, out, _ = run_cli(

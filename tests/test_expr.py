@@ -1,5 +1,7 @@
 import math
 import random
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -276,6 +278,63 @@ def test_constant_folding_preserves_domain_errors():
     tree = ex.parse("ln(0 - 1)")  # must not fold into a NaN literal
     with pytest.raises(DomainEvalError):
         ex.eval_expr(tree, {})
+
+
+# ---------------------------------------------------------------------------
+# Exact squares: a^2 is one multiplication in every binding (docs/decisions.md, D4)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_a_square_is_correctly_rounded(a):
+    try:
+        want = float(Fraction(a) ** 2)
+    except OverflowError:  # the correctly rounded square is inf: pow's error, not inf
+        with pytest.raises(OverflowError, match="^math range error$"):
+            ex._pow(a, 2.0)
+    else:
+        assert ex._pow(a, 2.0).hex() == want.hex()
+
+
+@pytest.mark.parametrize("make", [float, np.float64], ids=["float", "float64"])
+def test_a_square_that_overflows_raises_pow_error_in_every_scalar_evaluator(make):
+    square = ex.parse("x1^2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an np.float64 base must not warn on overflow either
+        for a in (make(1e200), make(-1.5e154)):
+            with pytest.raises(OverflowError, match="^math range error$"):
+                ex._pow(a, 2.0)
+            with pytest.raises(DomainEvalError, match="^math range error$"):
+                ex.compile_expr(square, ("x1",))(a)
+            with pytest.raises(DomainEvalError, match="^math range error$"):
+                ex.eval_expr(square, {"x1": a})
+            with pytest.raises(OverflowError, match="^math range error$"):
+                ex.compile_kernel((square,))(a, 0.0, 0.0)  # the kernel's caller replays it
+        for a in (math.inf, -math.inf, math.nan):  # no overflow here: the value is pow's
+            got = ex._pow(make(a), 2.0)
+            assert got.__class__ is float and got.hex() == math.pow(a, 2.0).hex()
+
+
+def test_a_square_that_overflows_is_not_folded():
+    assert ex.parse("1e200^2") == ex.Bin("^", ex.Lit(1e200), ex.Lit(2.0))
+    assert ex.parse("(-1e200)^2") == ex.Bin("^", ex.Lit(-1e200), ex.Lit(2.0))
+    assert ex.parse("1.5^2") == ex.Lit(2.25)
+    with pytest.raises(DomainEvalError, match="^math range error$"):
+        ex.eval_expr(ex.parse("1e200^2"), {})
+
+
+def test_a_batch_square_that_overflows_faults_and_replays_with_pow_error():
+    fn = ex.compile_expr(ex.parse("x1^2 + x2"), ("x1", "x2"))
+    xs, ys = np.array([0.5, 1e200, 2.0]), np.ones(3)
+    with pytest.raises(ex.BatchFault):
+        fn(xs, ys)
+    with pytest.raises(ex.BatchFault):
+        ex.compile_kernel((ex.parse("x1^2 + x2"),)).batch(xs, ys, ys)
+    with pytest.raises(DomainEvalError, match="^math range error$"):
+        [fn(x, y) for x, y in zip(xs.tolist(), ys.tolist())]  # the per-point replay
+    for a in (math.inf, math.nan):  # a non-finite base is a non-finite result, as before
+        with pytest.raises(ex.BatchFault, match="^non-finite result$"):
+            fn(np.array([0.5, a]), np.ones(2))
 
 
 def test_expressions_are_immutable():

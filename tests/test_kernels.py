@@ -214,16 +214,36 @@ def _wrap(e, levels):
     return e
 
 
+# math.pow(v, 2.0) is an ulp off v * v at these bases (glibc 2.36, x86-64)
+POW_IS_OFF = (5.651086, 0.735624)
+
+
 @pytest.mark.parametrize("b", [2.0, 3.0, -1.0, 0.0, 0.5, 1e300])
 def test_batch_pow_float_exponent_matches_the_array_exponent(b):
     # a float exponent with an integer value skips the negative-base test
-    a = np.array([-3.5, -0.0, 0.0, 1.25, 7.0])
+    a = np.array([-3.5, -0.0, 0.0, 1.25, 7.0, *POW_IS_OFF])
     for base in (a, a[a != 0.0]):
         want, want_error = _first_error(lambda: ex._batch_pow(base, np.full_like(base, b)))
         got, got_error = _first_error(lambda: ex._batch_pow(base, b))
         assert got_error == want_error
         if want_error is None:
-            assert _hex(got) == _hex(want) == _hex(math.pow(v, b) for v in base.tolist())
+            assert _hex(got) == _hex(want) == _hex(ex._pow(v, b) for v in base.tolist())
+
+
+def test_a_runtime_exponent_takes_the_square_rule_per_element():
+    tree = ex.parse("x1^x2 + x3")
+    bases = np.array([*POW_IS_OFF, -2.5, 1.25, *POW_IS_OFF, 3.0])
+    exponents = np.array([2.0, 2.0, 2.0, 0.5, 3.0, -1.0, 2.0])
+    zeros = np.zeros_like(bases)
+    want = [ex._pow(a, b) for a, b in zip(bases.tolist(), exponents.tolist())]
+    assert want[:2] == [v * v for v in POW_IS_OFF]
+    fn = ex.compile_expr(tree, XS)
+    assert _hex(fn(bases, exponents, zeros)) == _hex(want)
+    assert _hex(fn(*x) for x in zip(bases.tolist(), exponents.tolist(), zeros.tolist())) == _hex(want)
+    kernel = ex.compile_kernel((tree,))
+    assert _hex(kernel.batch(bases, exponents, zeros)[0]) == _hex(want)
+    with pytest.raises(ex.BatchFault):  # a square that overflows among other powers
+        fn(np.array([2.0, 1e200]), np.array([3.0, 2.0]), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
