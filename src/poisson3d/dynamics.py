@@ -9,13 +9,17 @@ tau; the original clock is recovered by accumulating dt = dtau / factor
 with the trapezoid rule.  A negative factor is legal and simply runs t
 backwards relative to tau.
 
-The integrator loops only step.  What is computed about a row and never
-read by the next step (the finiteness and domain tests, the invariant
-ledger, the chart map, the factor and the recovered t) runs as one array
-pass over each block of at most BLOCK rows.  A fault or a flag anywhere in
-a block replays its rows in order through the per-row reference code, so
-a run ends with the error, state and partial trajectory of the row-by-row
-loop, found at most one block of steps late (docs/decisions.md, D9).
+Both integrators run on one step loop, _run, which only steps.  What is
+computed about a row and never read by the next step (the finiteness and
+domain tests, the invariant ledger, the chart map, the factor and the
+recovered t) runs as one array pass over each block of at most BLOCK
+rows, which yields the block's rows of the run's one table; the
+trajectory's columns are slices of that table.  A fault or a flag anywhere
+in a block replays its rows in order through the per-row reference code,
+so a run ends with the error, state and partial trajectory of the
+row-by-row loop, found at most one block of steps late.  A step whose
+evaluation faults ends either run as a domain exit at the last recorded
+row (docs/decisions.md, D9).
 """
 
 from __future__ import annotations
@@ -215,25 +219,57 @@ def _stepper(method: str, rhs, dt: float):
     return step
 
 
-def _blocks(step, state, n_steps: int):
-    """Step n_steps times from state, yielding (m0, rows, failure) once per block of at most BLOCK steps.
+def _run(
+    step, start, n_steps: int, dt: float, first_row, block_pass, row_check, step_errors: dict, trajectory
+) -> Trajectory:
+    """Step n_steps times from start, one row per state; trajectory(table) of the table of rows.
 
-    rows are the states after steps m0, m0 + 1, ...; failure is None, or
-    (m, exc) when step m raised exc, which ends the run.  The caller raises
-    it once the rows before it have passed their checks (docs/decisions.md,
-    D9): no check reads a later step, so the first failing row is the one
-    the row-by-row loop would have stopped at.
+    first_row is start's row.  After each block of at most BLOCK steps,
+    block_pass(states) returns the block's rows as one array; where it
+    returns None or raises, row_check(clock, state) replays the states in
+    order, each at its clock n * dt after n steps, and returns its row or
+    raises the abort that ends the run.  A step's exception is held until
+    the rows before it pass (docs/decisions.md, D9): where step_errors maps
+    its type to a message head, the run ends in DomainExitError at the last
+    row's clock and state, else it is raised as it is.  Every abort carries
+    the partial trajectory of the rows recorded before it.
     """
+    table = [np.array([first_row])]
+
+    def partial() -> Trajectory:
+        return trajectory(np.concatenate(table))
+
+    state = start
     for m0 in range(0, n_steps, BLOCK):
-        rows = []
+        states, failure = [], None
         for m in range(m0, min(m0 + BLOCK, n_steps)):
             try:
                 state = step(state)
             except Exception as exc:
-                yield m0, rows, (m, exc)
-                return
-            rows.append(state)
-        yield m0, rows, None
+                failure = exc
+                break
+            states.append(state)
+        try:
+            rows = block_pass(states) if states else None
+        except Exception:  # the replay raises the run's error, or records what the pass could not
+            rows = None
+        if rows is not None:
+            table.append(rows)
+        else:
+            for n, row_state in enumerate(states, m0 + 1):
+                try:
+                    table.append(np.array([row_check(n * dt, row_state)]))
+                except (DomainExitError, ReparametrizationBreakdownError) as exc:
+                    exc.partial = partial()
+                    raise
+        if failure is not None:
+            for kinds, head in step_errors.items():
+                if isinstance(failure, kinds):
+                    done = partial()
+                    last = tuple(done.states[-1].tolist())
+                    raise DomainExitError(f"{head} = {m * dt}: {failure}", m * dt, last, done)
+            raise failure
+    return partial()
 
 
 def integrate(
@@ -278,85 +314,44 @@ def integrate(
     ledger_kernel = _ledger_kernel(spec, H, casimir_k)
     ledger = _with_replay(ledger_kernel, invariants)
 
-    def record(state):
-        h, *c = ledger(state)
-        states.append(np.array([state]))
-        hs.append(h)
-        cs.extend(c)
+    def row(state) -> tuple:
+        return (*state, *ledger(state))
 
-    def check(m: int, state):
-        """The reference checks of the state after step m, then record it; its ledger's faults end the run."""
+    def check(t: float, state) -> tuple:
+        """The reference checks of the state at t, then its row; its ledger's faults end the run."""
         if not all(math.isfinite(v) for v in state):
-            raise DomainExitError(
-                f"non-finite state after step at t = {m * dt_eff}", m * dt_eff, tuple(state), partial()
-            )
+            raise DomainExitError(f"non-finite state after step at t = {t}", t, tuple(state))
         if not spec.domain.contains(state):
-            raise DomainExitError(
-                f"trajectory left the domain at t = {(m + 1) * dt_eff}",
-                (m + 1) * dt_eff,
-                tuple(state),
-                partial(),
-            )
+            raise DomainExitError(f"trajectory left the domain at t = {t}", t, tuple(state))
         try:
-            record(state)
+            return row(state)
         except (DomainEvalError, UndefinedAtPointError) as exc:
-            raise DomainExitError(
-                f"invariant ledger failed at t = {(m + 1) * dt_eff}: {exc}",
-                (m + 1) * dt_eff,
-                tuple(state),
-                partial(),
-            ) from None
+            raise DomainExitError(f"invariant ledger failed at t = {t}: {exc}", t, tuple(state)) from None
 
-    def record_block(rows) -> bool:
-        """Check and record the rows in one array pass; False, recording nothing, on any flag or fault."""
-        xs = np.array(rows)
-        try:
-            if not (np.isfinite(xs).all() and spec.domain.admissible(xs).all()):
-                return False
-            if ledger_kernel is None:  # no array binding: the ledger runs per row
-                h, *c = zip(*map(ledger, rows))
-            else:
-                h, *c = (v.tolist() for v in ledger_kernel.batch(*xs.T))
-        except Exception:
-            return False
-        states.append(xs)
-        hs.extend(h)
-        cs.extend(c[0] if c else ())
-        return True
+    def block_pass(states):
+        """The rows (x1, x2, x3, H[, C_k]) of the states in one array pass; None on any flag."""
+        xs = np.array(states)
+        if not (np.isfinite(xs).all() and spec.domain.admissible(xs).all()):
+            return None
+        if ledger_kernel is None:  # no array binding: the ledger runs per row
+            return np.array([row(state) for state in states])
+        return np.column_stack((xs, *ledger_kernel.batch(*xs.T)))
 
-    def partial() -> Trajectory:
+    def trajectory(rows) -> Trajectory:
         return Trajectory(
-            np.arange(len(hs)) * dt_eff,
+            np.arange(len(rows)) * dt_eff,
             None,
-            np.concatenate(states),
-            np.array(hs),
-            np.array(cs) if casimir_k is not None else None,
+            rows[:, :3],
+            rows[:, 3],
+            rows[:, 4] if casimir_k is not None else None,
             casimir_k,
             dt_eff,
             method,
         )
 
-    states: list[np.ndarray] = []  # blocks of rows
-    hs: list[float] = []
-    cs: list[float] = []
     state = [float(v) for v in x0]
-    record(state)
-    for m0, rows, failure in _blocks(step, state, n_steps):
-        if rows and not record_block(rows):
-            for m, row in enumerate(rows, m0):
-                check(m, row)
-        if failure is not None:
-            m, exc = failure
-            if isinstance(exc, (DomainEvalError, UndefinedAtPointError)):
-                t_now = m * dt_eff
-                raise DomainExitError(
-                    f"evaluation failed inside step at t = {t_now}: {exc}",
-                    t_now,
-                    tuple(states[-1][-1].tolist()),
-                    partial(),
-                ) from None
-            raise exc
-    return partial()
+    step_errors = {(DomainEvalError, UndefinedAtPointError): "evaluation failed inside step at t"}
+    return _run(step, state, n_steps, dt_eff, row(state), block_pass, check, step_errors, trajectory)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +385,8 @@ def _reduced_kernel(H_y: Field3, i: int, j: int):
 def _recovered_t(t0: float, dtau: float, g0: float, g: np.ndarray) -> list[float]:
     """t after each row from t0: the trapezoid rule on dt/dtau = g = 1/factor, accumulated row by row.
 
-    g0 is g at the row before the first; every value is the loop's
-    t_prev + dtau * 0.5 * (g_prev + g_new), in the loop's order.
+    g0 is g at the row before the first; every value is the per-row check's
+    t_prev + dtau * 0.5 * (g_prev + g_new), in row order.
     """
     g = [g0, *g.tolist()]
     return list(accumulate((dtau * 0.5 * (a + b) for a, b in zip(g, g[1:])), initial=t0))[1:]
@@ -410,11 +405,11 @@ def integrate_reduced(
     tau_end may be negative (with a negative reparametrization factor that
     is how t is driven forward).  The factor is evaluated at every state; a
     magnitude at the 1e-12 floor aborts with a breakdown error, and an
-    inverse image outside the spec domain, or a fault in H(x(y)), aborts
-    with a domain exit.  The
-    states are mapped back to x, checked and recorded a block at a time
-    (D9): the error and the partial trajectory are those of a step-by-step
-    check, and at most BLOCK steps run past the abort.
+    inverse image outside the spec domain, or a fault in H(x(y)) or in a
+    step's partials of it, aborts with a domain exit.  The states are
+    mapped back to x, checked and recorded a block at a time (D9): the
+    error and the partial trajectory are those of a step-by-step check, and
+    at most BLOCK steps run past the abort.
     """
     if dtau <= 0.0:
         raise ValueError(f"dtau must be positive, got {dtau!r}")
@@ -451,18 +446,11 @@ def integrate_reduced(
         try:
             return reparam_factor_from(chart, y, x)
         except HypothesisViolationError as exc:
-            raise ReparametrizationBreakdownError(str(exc), partial() if ts else None) from None
+            raise ReparametrizationBreakdownError(str(exc)) from None
 
-    def record(y, x, t: float):
-        h = H_y.value(*y)
-        ts.append(t)
-        ys.append(np.array([y]))
-        xs.append(x[None])
-        hs.append(h)
-
-    def check(m: int, pair):
-        """The reference bookkeeping of the state after step m: raise where the run ends, else record it."""
-        nonlocal g_prev
+    def check(tau: float, pair) -> tuple:
+        """The reference bookkeeping of the state at tau: raise where the run ends, else its row."""
+        nonlocal t_prev, g_prev
         y = assemble(pair)
         try:
             x = inverse_map(chart, y)
@@ -471,89 +459,58 @@ def integrate_reduced(
         except OutOfRangeError:  # x_k(y) lies beyond the box edge
             inside = False
         if not inside:
-            raise DomainExitError(
-                f"reduced trajectory left the domain at tau = {(m + 1) * dtau_eff}",
-                (m + 1) * dtau_eff,
-                tuple(y),
-                partial(),
-            )
+            raise DomainExitError(f"reduced trajectory left the domain at tau = {tau}", tau, tuple(y))
         try:
-            record(y, x, ts[-1] + dtau_eff * 0.5 * (g_prev + g_new))
+            h = H_y.value(*y)
         except DomainEvalError as exc:
-            raise DomainExitError(
-                f"H(x(y)) failed at tau = {(m + 1) * dtau_eff}: {exc}", (m + 1) * dtau_eff, tuple(y), partial()
-            ) from None
-        g_prev = g_new
+            raise DomainExitError(f"H(x(y)) failed at tau = {tau}: {exc}", tau, tuple(y)) from None
+        t_prev, g_prev = t_prev + dtau_eff * 0.5 * (g_prev + g_new), g_new
+        return (t_prev, *y, *x, h)
 
-    def record_block(pairs) -> bool:
-        """Map the rows back, check and record them in one array pass; False, recording nothing, on any fault."""
-        nonlocal g_prev
+    def block_pass(pairs):
+        """The rows (t, y1, y2, y3, x1, x2, x3, H) of the states in one array pass; None on any flag."""
+        nonlocal t_prev, g_prev
         y = np.empty((len(pairs), 3))
         y[:, [i - 1, j - 1]] = pairs
         y[:, k - 1] = y0[k - 1]
         cols = tuple(y.T)
-        try:
-            with ex.batch_arithmetic():
-                x = inverse_map(chart, cols)
-                g = 1.0 / reparam_factor_from(chart, cols, x)
-                h = H_y.value(*cols) if H_y.expr is not None else None
-            if not spec.domain.admissible(x.T).all():
-                return False
-            h = h.tolist() if h is not None else [H_y.value(*v) for v in y.tolist()]
-        except Exception:
-            return False
-        ts.extend(_recovered_t(ts[-1], dtau_eff, g_prev, g))
-        ys.append(y)
-        xs.append(x.T)
-        hs.extend(h)
-        g_prev = float(g[-1])
-        return True
+        with ex.batch_arithmetic():
+            x = inverse_map(chart, cols)
+            g = 1.0 / reparam_factor_from(chart, cols, x)
+            h = H_y.value(*cols) if H_y.expr is not None else None
+        if not spec.domain.admissible(x.T).all():
+            return None
+        if h is None:
+            h = [H_y.value(*v) for v in y.tolist()]
+        t = _recovered_t(t_prev, dtau_eff, g_prev, g)
+        t_prev, g_prev = t[-1], float(g[-1])
+        return np.column_stack((t, y, x.T, h))
 
-    def partial() -> Trajectory:
-        tau = np.arange(len(ts)) * dtau_eff
+    def trajectory(rows) -> Trajectory:
+        tau = np.arange(len(rows)) * dtau_eff
         tau[0] = 0.0  # not -0.0 when tau runs backwards
         return Trajectory(
-            np.array(ts),
+            rows[:, 0],
             tau,
-            np.concatenate(ys),
-            np.array(hs),
-            np.full(len(ts), -y0[k - 1]),
+            rows[:, 1:4],
+            rows[:, 7],
+            np.full(len(rows), -y0[k - 1]),
             chart.k,
             dtau_eff,
             method,
             coords="y",
-            states_x=np.concatenate(xs),
+            states_x=rows[:, 4:7],
         )
-
-    ts: list[float] = []
-    ys: list[np.ndarray] = []  # blocks of rows, and their images x(y)
-    xs: list[np.ndarray] = []
-    hs: list[float] = []
 
     pair = (y0[i - 1], y0[j - 1])
     y = assemble(pair)
-    g_prev = 1.0 / factor_at(y, x_start)
-    record(y, x_start, 0.0)
-    for m0, pairs, failure in _blocks(step, pair, n_steps):
-        if pairs and not record_block(pairs):
-            for m, p in enumerate(pairs, m0):
-                check(m, p)
-        if failure is not None:
-            m, exc = failure
-            tau_now = m * dtau_eff
-            if isinstance(exc, (DomainEvalError, UndefinedAtPointError)):
-                raise ReparametrizationBreakdownError(
-                    f"reduced step failed at tau = {tau_now}: {exc}", partial()
-                ) from None
-            if isinstance(exc, OutOfRangeError):  # a stage's x(y) lies beyond the box edge
-                raise DomainExitError(
-                    f"reduced step left the domain at tau = {tau_now}: {exc}",
-                    tau_now,
-                    tuple(ys[-1][-1].tolist()),
-                    partial(),
-                ) from None
-            raise exc
-    return partial()
+    t_prev, g_prev = 0.0, 1.0 / factor_at(y, x_start)
+    first_row = (0.0, *y, *x_start, H_y.value(*y))
+    step_errors = {
+        (DomainEvalError, UndefinedAtPointError): "reduced step failed at tau",
+        OutOfRangeError: "reduced step left the domain at tau",  # a stage's x(y) lies beyond the box edge
+    }
+    return _run(step, pair, n_steps, dtau_eff, first_row, block_pass, check, step_errors, trajectory)
 
 
 def hermite_resample(traj: Trajectory, t_values, deriv_fn) -> np.ndarray:

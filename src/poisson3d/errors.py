@@ -66,7 +66,13 @@ class DomainSamplingError(PoissonError):
 
 
 class DomainExitError(PoissonError):
-    """Integration stepped outside the domain; carries the last valid state."""
+    """An integration ended early: a state left the domain or was not finite, or a step or the ledger faulted.
+
+    t is the clock at which the run ended and state the state at that t: the
+    state that failed its checks, or, when a step from it faulted, the last
+    recorded state.  For a reduced run t holds tau and the state is y.
+    partial is the trajectory of the rows recorded before the run ended.
+    """
 
     def __init__(self, message: str, t: float, state, partial=None):
         super().__init__(message)

@@ -2,11 +2,13 @@
 
 The integrators step in a loop and check and record the states a block of
 dynamics.BLOCK rows at a time.  With BLOCK = 1 every state is checked right
-after its step, as the row-by-row loop did, so every run must end the same
-way at both sizes: the same trajectory, or the same error with the same t,
-state and partial trajectory.
+after its step, as the row-by-row loop did; with BLOCK = 3 faults land
+inside blocks and every run crosses a block edge every third row.  Every run
+must end the same way at each size: the same trajectory, or the same error
+with the same t, state and partial trajectory.
 """
 
+import math
 import re
 
 import pytest
@@ -26,19 +28,36 @@ ZERO_LN = Field3(ex.parse("x1 + 0*ln(x2)"), (ex.parse("1"), ex.parse("0"), ex.pa
 ZERO_EXP = ex.parse("x1 + 0*exp(10000*(0.7 - x2))")
 
 
-def _same_at_block_size_one(monkeypatch, run):
-    """run()'s outcome, after checking that it is the same with BLOCK = 1."""
+def _same_at_small_block_sizes(monkeypatch, run):
+    """run()'s outcome, after checking that it is the same with BLOCK = 1 and BLOCK = 3."""
     traj, error = run_outcome(run)
-    with monkeypatch.context() as m:
-        m.setattr(dynamics, "BLOCK", 1)
-        row_traj, row_error = run_outcome(run)
-    if error is None:
-        assert row_error is None, row_error
-        assert_same_trajectory(traj, row_traj)
-        return traj
-    assert row_error is not None, "only the default block size raised"
-    assert_same_error(error, row_error)
-    return error
+    for size in (1, 3):
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "BLOCK", size)
+            small_traj, small_error = run_outcome(run)
+        if error is None:
+            assert small_error is None, (size, small_error)
+            assert_same_trajectory(traj, small_traj)
+        else:
+            assert small_error is not None, f"only the default block size raised, not {size}"
+            assert_same_error(error, small_error)
+    return traj if error is None else error
+
+
+# the aborts of a failed step, which end the run at the last recorded row
+STEP_FAILURE = re.compile("evaluation failed inside step|reduced step")
+
+
+def _assert_t_is_the_clock_of_its_state(error):
+    """A DomainExitError's t is its state's clock: the last row's after a failed step, else the next row's."""
+    if not isinstance(error, DomainExitError):
+        return
+    partial = error.partial
+    n = len(partial) - 1 if STEP_FAILURE.match(str(error)) else len(partial)
+    assert error.t == n * partial.dt and f" = {error.t}" in str(error), (error.t, n)
+    if n < len(partial):
+        assert error.state == tuple(partial.states[n].tolist())
+    assert all(map(math.isfinite, error.state)) != str(error).startswith("non-finite"), error.state
 
 
 def _counting_x3():
@@ -90,12 +109,13 @@ DIRECT = _direct_cases()
 @pytest.mark.parametrize("case", DIRECT, ids=[c[0] for c in DIRECT])
 def test_direct_runs_end_alike_at_block_size_one(monkeypatch, case, method):
     _, run, kind, pattern = case
-    outcome = _same_at_block_size_one(monkeypatch, lambda: run(method))
+    outcome = _same_at_small_block_sizes(monkeypatch, lambda: run(method))
     if kind is None:
         assert len(outcome) > dynamics.BLOCK
     else:
         assert type(outcome) is kind and re.match(pattern, str(outcome)), outcome
         assert outcome.partial is not None and len(outcome.partial) > 1
+        _assert_t_is_the_clock_of_its_state(outcome)
 
 
 def test_a_ledger_abort_carries_the_rows_before_it():
@@ -142,6 +162,9 @@ def _reduced_cases():
          DomainExitError, "reduced step left the domain"),
         ("no-zeta-exit", no_zeta, QUADRATIC, (0.25, 0.75, 1.25), 0.5, 2e-4,
          DomainExitError, "reduced trajectory left the domain"),
+        # the orbit of x1 runs x2 down to 0.7, where a stage's (x2 - 0.7)^0.5 in dH_y/dy_2 faults
+        ("step-fault", strip, ex.parse("x1 + (x2 - 0.7)^1.5"), (0.2, 0.8, 0.5), 0.5, 1e-3,
+         DomainExitError, r"reduced step failed at tau = 0\.1: negative base "),
         ("clean", wide, QUADRATIC, (1.0, 2.0, 4.0), -0.5, 1e-3, None, ""),
     ]
 
@@ -154,12 +177,13 @@ REDUCED = _reduced_cases()
 def test_reduced_runs_end_alike_at_block_size_one(monkeypatch, case, method):
     _, chart, h, x0, tau_end, dtau, kind, pattern = case
     y0 = forward_map(chart, x0)
-    outcome = _same_at_block_size_one(monkeypatch, lambda: integrate_reduced(chart, h, y0, tau_end, dtau, method))
+    outcome = _same_at_small_block_sizes(monkeypatch, lambda: integrate_reduced(chart, h, y0, tau_end, dtau, method))
     if kind is None:
         assert len(outcome) > dynamics.BLOCK
     else:
         assert type(outcome) is kind and re.match(pattern, str(outcome)), outcome
         assert outcome.partial is not None and len(outcome.partial) > 1
+        _assert_t_is_the_clock_of_its_state(outcome)
 
 
 def test_an_early_exit_runs_at_most_one_block_of_extra_steps():

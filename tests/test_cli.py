@@ -190,6 +190,18 @@ def test_simulate_ledger_abort_is_exit_2(capsys, tmp_path):
     assert err.startswith("error: invariant ledger failed at t = 8.96: chi_12 = ")
 
 
+def test_simulate_reduced_step_fault_is_exit_2(capsys, tmp_path):
+    # the orbit of x1 runs x2 down to 0.7, where a stage's (x2 - 0.7)^0.5 in dH_y/dy_2 faults at tau = 0.1
+    path, out_csv = tmp_path / "strip.json", tmp_path / "fault.csv"
+    path.write_text(json.dumps(dict(_identity_spec("1"), domain={"box": [[0.0, 0.4], [0.6, 1.0], [-1.0, 1.0]]})))
+    code, out, err = run_cli(
+        capsys, "simulate", "--spec", str(path), "--x0", "0.2,0.8,0.5", "--hamiltonian", "x1 + (x2 - 0.7)^1.5",
+        "--t-end", "0.5", "--dt", "0.001", "--reduced", "--k", "3", "--out", str(out_csv),
+    )
+    assert (code, out) == (2, "") and not out_csv.exists()
+    assert err.startswith("error: reduced step failed at tau = 0.1: negative base ")
+
+
 def test_simulate_short_run_on_builtin(capsys, tmp_path):
     out_csv = tmp_path / "short.csv"
     code, out, _ = run_cli(
