@@ -25,7 +25,7 @@ import numpy as np
 from . import expr as ex
 from .errors import DegenerateParametersError, FamilyValidationError
 from .family import PoissonFamilySpec, StructureMatrixValue, make_family_spec, make_kappa
-from .scalar_fields import DomainBox, axis_sign, build_scalar_field
+from .scalar_fields import DomainBox, axis_sign, build_scalar_field, first_flagged, unit_uniforms
 
 BUILTIN_NAMES = ("halphen", "circle-maps", "euler-top")
 
@@ -49,28 +49,34 @@ def _check_difference_predicate(domain: DomainBox) -> None:
 
     Probes _PLANE_PROBES points (seed 0) on each coincidence plane x_i = x_j
     that the box can reach; the predicate has to reject every one of them.
+    All probes go through one admissible pass, and the first admitted one,
+    plane by plane, is the one named.
     """
-    from .scalar_fields import unit_uniforms
-
     if domain.predicate is None:
         raise FamilyValidationError(
             "domain must carry a predicate keeping (x1-x2)(x2-x3)(x3-x1) nonzero"
         )
-    for pair_index, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+    planes = []  # (n, i, j, lo, hi): the plane x_i = x_j, the n-th pair, over the overlap [lo, hi]
+    for n, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
         lo = max(domain.intervals[i][0], domain.intervals[j][0])
         hi = min(domain.intervals[i][1], domain.intervals[j][1])
-        if lo >= hi:
-            continue  # the box itself keeps this pair apart
+        if lo < hi:  # else the box itself keeps this pair apart
+            planes.append((n, i, j, lo, hi))
+    if not planes:
+        return
+    probes = np.arange(_PLANE_PROBES)
+    uv = unit_uniforms(0, np.concatenate([1000 * n + probes for n, *_ in planes]), 2)
+    uv = uv.reshape(len(planes), _PLANE_PROBES, 2).transpose(0, 2, 1)  # (u, v) rows of each plane's probes
+    xs = np.empty((len(planes), _PLANE_PROBES, 3))
+    for x, (u, v), (_, i, j, lo, hi) in zip(xs, uv, planes):
         k = 3 - i - j
         klo, khi = domain.intervals[k]
-        for u, v in unit_uniforms(0, 1000 * pair_index + np.arange(_PLANE_PROBES), 2).tolist():
-            x = [0.0, 0.0, 0.0]
-            x[i] = x[j] = lo + (hi - lo) * u
-            x[k] = klo + (khi - klo) * v
-            if domain.contains(x):
-                raise FamilyValidationError(
-                    f"predicate admits the coincidence point {tuple(x)}"
-                )
+        x[:, i] = x[:, j] = lo + (hi - lo) * u
+        x[:, k] = klo + (khi - klo) * v
+    xs = xs.reshape(-1, 3)
+    first = first_flagged(domain.admissible(xs))
+    if first is not None:
+        raise FamilyValidationError(f"predicate admits the coincidence point {tuple(xs[first].tolist())}")
 
 
 def _identity_fields(domain: DomainBox):

@@ -20,6 +20,8 @@ import os
 import sys
 from operator import itemgetter
 
+import numpy as np
+
 from . import expr as ex
 from .builtin_systems import BUILTIN_NAMES, build_system
 from .casimir import annihilation_residual, casimir_gradient, casimir_value
@@ -134,18 +136,27 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-_CSV_ROW = "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%s\n"  # t,tau,x1,x2,x3,H,C
+_CSV_ROW = "%.17g,%s,%.17g,%.17g,%.17g,%s,%s\n"  # t,tau,x1,x2,x3,H,C
+
+
+def _formatted(col) -> list[str]:
+    """'%.17g' % v for each v of a float64 column, each distinct bit pattern formatted once.
+
+    Bit patterns, not float equality, so -0.0 and 0.0 keep their own text.
+    """
+    bits, where = np.unique(col.view(np.uint64), return_inverse=True)
+    return np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)[where].tolist()
 
 
 def _write_trajectory_csv(path: str, traj) -> None:
     """CSV with header t,tau,x1,x2,x3,H,C; rows stably sorted by the t column, x mapped back for reduced runs.
 
-    Every number is written as %.17g, which CPython formats as format(v, ".17g") does.
+    Every number is written as %.17g, which CPython formats as format(v, ".17g") does.  The
+    invariants H and C repeat along a run, so these columns and tau format each distinct value once.
     """
     xs = traj.states if traj.states_x is None else traj.states_x
-    tau, c = (["%.17g" % v for v in col.tolist()] if col is not None else [""] * len(traj)
-              for col in (traj.tau, traj.C))
-    rows = list(zip(traj.t.tolist(), tau, *xs.T.tolist(), traj.H.tolist(), c))
+    tau, h, c = (_formatted(col) if col is not None else [""] * len(traj) for col in (traj.tau, traj.H, traj.C))
+    rows = list(zip(traj.t.tolist(), tau, *xs.T.tolist(), h, c))
     rows.sort(key=itemgetter(0))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,tau,x1,x2,x3,H,C\n")

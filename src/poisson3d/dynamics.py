@@ -9,17 +9,17 @@ tau; the original clock is recovered by accumulating dt = dtau / factor
 with the trapezoid rule.  A negative factor is legal and simply runs t
 backwards relative to tau.
 
-Both integrators run on one step loop, _run, which only steps.  What is
-computed about a row and never read by the next step (the finiteness and
-domain tests, the invariant ledger, the chart map, the factor and the
-recovered t) runs as one array pass over each block of at most BLOCK
-rows, which yields the block's rows of the run's one table; the
-trajectory's columns are slices of that table.  A fault or a flag anywhere
-in a block replays its rows in order through the per-row reference code,
-so a run ends with the error, state and partial trajectory of the
-row-by-row loop, found at most one block of steps late.  A step whose
-evaluation faults ends either run as a domain exit at the last recorded
-row (docs/decisions.md, D9).
+Both integrators run on one step loop, _run, which only steps: a step's
+stages run on unpacked floats, one job-kernel call each, and a step in
+which the kernel raises runs again whole on the per-expression path.  What
+is computed about a row and never read by the next step (the finiteness
+and domain tests, the invariant ledger, the chart map, the factor and the
+recovered t) runs as one array pass over each block of at most BLOCK rows.
+A fault or a flag anywhere in a block replays its rows in order through
+the per-row reference code, so a run ends with the error, state and
+partial trajectory of the row-by-row loop, found at most one block of
+steps late.  A step whose evaluation faults ends either run as a domain
+exit at the last recorded row (docs/decisions.md, D9).
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ def _j_grad_h(spec: PoissonFamilySpec, H: Field3, x1: float, x2: float, x3: floa
 # ---------------------------------------------------------------------------
 # Job kernels (docs/decisions.md, D6): one compiled function per integrator
 # job, over the trees of the per-expression path's own operations.  The
-# per-expression path runs where there is no kernel, and replays every call
-# on which a kernel raises, so values and errors are the same either way.
+# per-expression path runs where there is no kernel, and replays every ledger
+# call and every step in which a kernel raises: values and errors stay alike.
 
 
 def _with_replay(kernel, replay):
@@ -194,29 +194,46 @@ def hamiltonian_vector_field(spec: PoissonFamilySpec, h, x, check_domain: bool =
     return np.array(_j_grad_h(spec, H, *(float(v) for v in x)))
 
 
-def _stepper(method: str, rhs, dt: float):
-    if method == "rk4":
+def _stepper(method: str, dt: float, kernel, per_expression, y_k: float | None):
+    """step(state): one step of dt on unpacked floats, each stage one call of f, the kernel where there is one.
 
-        def step(state):
-            k1 = rhs(state)
-            k2 = rhs([s + 0.5 * dt * k for s, k in zip(state, k1)])
-            k3 = rhs([s + 0.5 * dt * k for s, k in zip(state, k2)])
-            k4 = rhs([s + dt * k for s, k in zip(state, k3)])
-            return [
-                s + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-                for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-            ]
-
-    elif method == "midpoint":
-
-        def step(state):
-            k1 = rhs(state)
-            k2 = rhs([s + 0.5 * dt * k for s, k in zip(state, k1)])
-            return [s + dt * k for s, k in zip(state, k2)]
-
-    else:
+    With y_k None it steps (x1, x2, x3) by f(x1, x2, x3), else the pair (y_i, y_j) by f(y_i, y_j, y_k),
+    y_k held.  Each stage's s + 0.5 * dt * k and the update keep their operation order.  Where the kernel
+    raises anywhere in a step, the whole step runs again from its state with f = per_expression (D9).
+    """
+    if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    return step
+    h, w = 0.5 * dt, dt / 6.0  # the groups (0.5 * dt) * k and (dt / 6.0) * (k1 + ...) of the formulas
+
+    def stepper(f):
+        if method == "rk4" and y_k is None:
+            def step(x1, x2, x3):
+                a1, a2, a3 = f(x1, x2, x3)
+                b1, b2, b3 = f(x1 + h * a1, x2 + h * a2, x3 + h * a3)
+                c1, c2, c3 = f(x1 + h * b1, x2 + h * b2, x3 + h * b3)
+                d1, d2, d3 = f(x1 + dt * c1, x2 + dt * c2, x3 + dt * c3)
+                return (x1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1), x2 + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+                        x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3))
+        elif method == "rk4":
+            def step(p, q):
+                a1, a2 = f(p, q, y_k)
+                b1, b2 = f(p + h * a1, q + h * a2, y_k)
+                c1, c2 = f(p + h * b1, q + h * b2, y_k)
+                d1, d2 = f(p + dt * c1, q + dt * c2, y_k)
+                return (p + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1), q + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
+        elif y_k is None:
+            def step(x1, x2, x3):
+                a1, a2, a3 = f(x1, x2, x3)
+                b1, b2, b3 = f(x1 + h * a1, x2 + h * a2, x3 + h * a3)
+                return (x1 + dt * b1, x2 + dt * b2, x3 + dt * b3)
+        else:
+            def step(p, q):
+                a1, a2 = f(p, q, y_k)
+                b1, b2 = f(p + h * a1, q + h * a2, y_k)
+                return (p + dt * b1, q + dt * b2)
+        return step
+
+    return _with_replay(None if kernel is None else stepper(kernel), stepper(per_expression))
 
 
 def _run(
@@ -304,8 +321,7 @@ def integrate(
         casimir_k = default_casimir_index(spec)
 
     dt_eff = t_end / n_steps
-    rhs = _with_replay(_rhs_kernel(spec, H), lambda *x: _j_grad_h(spec, H, *x))
-    step = _stepper(method, rhs, dt_eff)
+    step = _stepper(method, dt_eff, _rhs_kernel(spec, H), lambda *x: _j_grad_h(spec, H, *x), None)
 
     def invariants(*x):
         h = H.value(*x)
@@ -439,8 +455,12 @@ def integrate_reduced(
         gi = H_y.partial(i, *y)
         return (H_y.partial(j, *y), -gi)  # dy_i/dtau = +dH/dy_j, dy_j/dtau = -dH/dy_i
 
-    grad = _with_replay(_reduced_kernel(H_y, i, j), canonical)
-    step = _stepper(method, lambda pair: grad(assemble(pair)), dtau_eff)
+    def pair_first(f):  # f(y1, y2, y3) as a function of (y_i, y_j, y_k); None stays None
+        if k == 3 or f is None:
+            return f
+        return (lambda p, q, c: f(c, p, q)) if k == 1 else (lambda p, q, c: f(q, c, p))
+
+    step = _stepper(method, dtau_eff, pair_first(_reduced_kernel(H_y, i, j)), pair_first(canonical), y0[k - 1])
 
     def factor_at(y, x) -> float:
         try:

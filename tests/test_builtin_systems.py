@@ -71,6 +71,20 @@ class TestHalphen:
             # a predicate that fails to exclude coincidences
             halphen_structure(DomainBox(((0.0, 1.0),) * 3, ex.parse("1 + 0*x1")))
 
+    @pytest.mark.parametrize("build", [halphen_structure, circle_maps_structure])
+    @pytest.mark.parametrize(
+        "predicate, point",
+        [
+            ("(x1 - x2)*((x2 - x3)^2 + 1)", "(0.31486305440911366, 0.8174915052668215, 0.8174915052668215)"),
+            ("1 + x1*0", "(0.13870941014555427, 0.13870941014555427, 0.1296456182997474)"),
+        ],
+    )
+    def test_predicate_admitting_a_coincidence_names_the_first_probe(self, build, predicate, point):
+        # the probes run plane by plane (x1 = x2, x2 = x3, x3 = x1); the first admitted one is named
+        with pytest.raises(FamilyValidationError) as info:
+            build(DomainBox(((0.0, 1.0),) * 3, ex.parse(predicate)))
+        assert str(info.value) == f"predicate admits the coincidence point {point}"
+
     def test_verify_analytic_on_full_box(self):
         spec = halphen_structure()
         report = verify_structure(matrix_field_from_spec(spec), spec.domain, 1000, 1e-6, seed=42)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poisson3d.cli import main
 from poisson3d.testing import random_family_spec
@@ -593,9 +594,8 @@ def test_byte_identical_reruns(tmp_path, wide_spec_file):
     assert ra.stdout.replace(str(csv_a).encode(), b"X") == rb.stdout.replace(str(csv_b).encode(), b"X")
 
 
-def _per_value_csv(traj, states_x) -> str:
-    """The trajectory CSV formatted value by value with format(v, ".17g"), rows stably sorted by t."""
-    fmt = lambda v: format(float(v), ".17g")
+def _per_value_csv(traj, states_x, fmt=lambda v: format(float(v), ".17g")) -> str:
+    """The trajectory CSV formatted value by value with fmt, by default format(v, ".17g"), rows stably sorted by t."""
     rows = sorted(
         (
             (float(traj.t[m]), fmt(traj.tau[m]) if traj.tau is not None else "", states_x[m],
@@ -638,3 +638,38 @@ def test_trajectory_csv_is_the_per_value_format(tmp_path):
         path = tmp_path / f"{n}.csv"
         _write_trajectory_csv(str(path), traj)
         assert path.read_bytes() == _per_value_csv(traj, states_x).encode(), n
+
+
+# repeats come from a small pool; every column also holds these, -0.0 next to 0.0
+_CSV_SPECIALS = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308]
+
+
+@st.composite
+def _csv_columns(draw, count: int):
+    n = len(_CSV_SPECIALS) + draw(st.integers(0, 12))
+    pool = draw(st.lists(st.floats(), min_size=1, max_size=3))
+    value = st.sampled_from(pool) | st.floats()
+    columns = []
+    for _ in range(count):
+        extra = draw(st.lists(value, min_size=n - len(_CSV_SPECIALS), max_size=n - len(_CSV_SPECIALS)))
+        columns.append(np.array(draw(st.permutations(_CSV_SPECIALS + extra)), dtype=float))
+    return columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_columns(10), st.sampled_from(["direct", "direct without C", "reduced"]))
+def test_trajectory_csv_writes_each_number_as_percent_17g(tmp_path_factory, cols, shape):
+    # a memo keyed on float equality would write -0.0 as 0 (or 0.0 as -0)
+    from poisson3d.cli import _write_trajectory_csv
+    from poisson3d.dynamics import Trajectory
+
+    t, tau, h, c, *xs = cols
+    states, states_x = np.column_stack(xs[:3]), np.column_stack(xs[3:])
+    if shape == "reduced":
+        traj = Trajectory(t, tau, states, h, c, 3, 0.1, "rk4", coords="y", states_x=states_x)
+    else:
+        traj = Trajectory(t, None, states, h, c if shape == "direct" else None, 3, 0.1, "rk4")
+        states_x = states
+    path = tmp_path_factory.mktemp("csv") / "traj.csv"
+    _write_trajectory_csv(str(path), traj)
+    assert path.read_text() == _per_value_csv(traj, states_x, fmt=lambda v: "%.17g" % v)

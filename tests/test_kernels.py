@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from poisson3d import dynamics, expr as ex
 from poisson3d.builtin_systems import build_system
-from poisson3d.casimir import casimir_value
+from poisson3d.casimir import casimir_value, cyclic
 from poisson3d.cli import main
 from poisson3d.darboux import build_chart, forward_map, inverse_map
 from poisson3d.dynamics import integrate, integrate_reduced
@@ -291,6 +291,17 @@ def _cases():
 CASES = _cases()
 
 
+def _charts(spec):
+    """The spec's charts at k = 1, 2, 3, leaving out those whose hypothesis fails."""
+    charts = []
+    for k in (1, 2, 3):
+        try:
+            charts.append(build_chart(spec, k=k))
+        except HypothesisViolationError:
+            pass
+    return charts
+
+
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_job_kernels_equal_the_per_expression_jobs(case):
     # bit for bit at sampled points: a one-ulp change in the RHS often rounds
@@ -304,17 +315,16 @@ def test_job_kernels_equal_the_per_expression_jobs(case):
         ledger = dynamics._ledger_kernel(spec, H, k)
         want = [(H.value(*x), casimir_value(spec, k, x)) for x in points]
         assert [_hex(ledger(*x)) for x in points] == [_hex(v) for v in want]
-    try:
-        chart = build_chart(spec, k=3)
-    except HypothesisViolationError:
-        return
-    H_y = dynamics._reduced_hamiltonian(chart, H)
-    reduced = dynamics._reduced_kernel(H_y, 1, 2)
-    if reduced is None:  # an axis without zeta: H(x(y)) is a callable, and the run keeps the per-point path
-        assert H_y.expr is None
-        return
-    ys = [tuple(map(float, forward_map(chart, x))) for x in points]
-    assert [_hex(reduced(*y)) for y in ys] == [_hex((H_y.partial(2, *y), -H_y.partial(1, *y))) for y in ys]
+    for chart in _charts(spec):
+        i, j, _ = cyclic(chart.k)
+        H_y = dynamics._reduced_hamiltonian(chart, H)
+        reduced = dynamics._reduced_kernel(H_y, i, j)
+        if reduced is None:  # an axis without zeta: H(x(y)) is a callable, and the run keeps the per-point path
+            assert H_y.expr is None
+            continue
+        ys = [tuple(map(float, forward_map(chart, x))) for x in points]
+        want = [_hex((H_y.partial(j, *y), -H_y.partial(i, *y))) for y in ys]
+        assert [_hex(reduced(*y)) for y in ys] == want, chart.k
 
 
 @pytest.mark.parametrize("method", ["rk4", "midpoint"])
@@ -327,13 +337,101 @@ def test_integrate_kernel_equals_replay(monkeypatch, case, method):
 @pytest.mark.parametrize("method", ["rk4", "midpoint"])
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_integrate_reduced_kernel_equals_replay(monkeypatch, case, method):
+    # every chart index: a reduced step places y_k in the kernel's k-th argument
     _, spec, h, x0, _ = case
-    try:
-        chart = build_chart(spec, k=3)
-    except HypothesisViolationError:
+    charts = _charts(spec)
+    if not charts:
         pytest.skip("chart hypothesis fails for this member")
-    y0 = forward_map(chart, x0)
-    _assert_same_outcome(monkeypatch, lambda: integrate_reduced(chart, h, y0, 0.05, 1e-3, method))
+    for chart in charts:
+        y0 = forward_map(chart, x0)
+        _assert_same_outcome(monkeypatch, lambda: integrate_reduced(chart, h, y0, 0.05, 1e-3, method))
+
+
+def _formula_step(method, rhs, dt, state):
+    """One step of the method's formula over lists, stage by stage: the reference for the float steppers."""
+    k1 = rhs(state)
+    k2 = rhs([s + 0.5 * dt * k for s, k in zip(state, k1)])
+    if method == "midpoint":
+        return [s + dt * k for s, k in zip(state, k2)]
+    k3 = rhs([s + 0.5 * dt * k for s, k in zip(state, k2)])
+    k4 = rhs([s + dt * k for s, k in zip(state, k3)])
+    return [s + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d) for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+
+
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+@pytest.mark.parametrize("k", [None, 1, 2, 3])
+def test_steps_are_the_formula_bit_for_bit(method, k):
+    # direct (k None) and reduced at each chart index, where y_k takes the kernel's k-th argument
+    _, spec, h, x0, dt = CASES[0]
+    H = dynamics.as_hamiltonian(h)
+    if k is None:
+        traj = integrate(spec, h, x0, 30 * dt, dt, method, casimir_k=None)
+        rhs, rows, got = lambda x: dynamics._j_grad_h(spec, H, *x), [list(x0)], traj.states
+    else:
+        chart = build_chart(spec, k=k)
+        i, j, _ = cyclic(k)
+        y0 = [float(v) for v in forward_map(chart, x0)]
+        traj = integrate_reduced(chart, h, y0, 0.03, 1e-3, method)
+        H_y = dynamics._reduced_hamiltonian(chart, H)
+
+        def rhs(pair):
+            y = list(y0)
+            y[i - 1], y[j - 1] = pair
+            return (H_y.partial(j, *y), -H_y.partial(i, *y))
+
+        rows, got = [[y0[i - 1], y0[j - 1]]], traj.states[:, [i - 1, j - 1]]
+        assert _hex(traj.states[:, k - 1]) == _hex([y0[k - 1]] * len(traj))
+    for _ in range(len(traj) - 1):
+        rows.append(_formula_step(method, rhs, traj.dt, rows[-1]))
+    assert _hex(got.ravel()) == _hex(np.array(rows).ravel())
+
+
+def _kernels_raising_once(call: int, raised: list):
+    """compile_kernel whose kernels raise on their call-th scalar call only (noted in raised); .batch stays."""
+    compile_kernel = ex.compile_kernel
+
+    def compile_raising(*args, **kwargs):
+        kernel = compile_kernel(*args, **kwargs)
+        if kernel is None:
+            return None
+        calls = 0
+
+        def once(*x):
+            nonlocal calls
+            calls += 1
+            if calls == call:
+                raised.append(x)
+                raise RuntimeError("forced fault")
+            return kernel(*x)
+
+        once.batch = kernel.batch
+        return once
+
+    return compile_raising
+
+
+# stage 3 of step 7 (rk4) and stage 2 of step 7 (midpoint): the fault comes after stages of its step
+@pytest.mark.parametrize("method, call", [("rk4", 6 * 4 + 3), ("midpoint", 6 * 2 + 2)])
+@pytest.mark.parametrize("k", [None, 1, 2, 3])
+def test_a_fault_inside_a_step_replays_the_whole_step(monkeypatch, method, call, k):
+    # the step must run again from its state: no stage value of the faulted attempt may leak into it
+    _, spec, h, x0, dt = CASES[0]
+    if k is None:
+        run = lambda: integrate(spec, h, x0, 20 * dt, dt, method, casimir_k=3)
+    else:
+        chart = build_chart(spec, k=k)
+        y0 = forward_map(chart, x0)
+        run = lambda: integrate_reduced(chart, h, y0, 0.02, 1e-3, method)
+    raised = []
+    with monkeypatch.context() as m:
+        m.setattr(ex, "compile_kernel", _kernels_raising_once(call, raised))
+        traj, error = run_outcome(run)
+    assert error is None and len(raised) == 1
+    with monkeypatch.context() as m:
+        m.setattr(ex, "compile_kernel", _raising_kernels)
+        replay_traj, replay_error = run_outcome(run)
+    assert replay_error is None
+    assert_same_trajectory(traj, replay_traj)
 
 
 def test_integrators_take_the_kernels(monkeypatch):
