@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr as ex
-from .errors import InvalidAxisError, UndefinedAtPointError
+from .errors import DomainEvalError, InvalidAxisError, UndefinedAtPointError
 from .family import PoissonFamilySpec, axis_exprs, chi, chi_triple, structure_matrix_at
 from .scalar_fields import central_difference, coordinates, element, fd_step, first_flagged, point_at
 
@@ -71,13 +71,21 @@ def casimir_expr(spec: PoissonFamilySpec, k: int) -> ex.Expr:
     return chis[j - 1] / chis[i - 1]
 
 
+def _finite(values, what: str, x):
+    """values, or DomainEvalError naming x where any of them is not finite."""
+    if not np.isfinite(values).all():
+        raise DomainEvalError(f"{what} is not finite at {tuple(float(v) for v in x)}")
+    return values
+
+
 def casimir_gradient(spec: PoissonFamilySpec, k: int, x) -> np.ndarray:
-    """Closed-form gradient -(eta chi_ij^2)^(-1) (J23, J31, J12)."""
+    """Closed-form gradient -(eta chi_ij^2)^(-1) (J23, J31, J12); DomainEvalError where it is not finite."""
     denom, _ = _guarded_chis(spec, k, x)
     J = structure_matrix_at(spec, x, check_domain=False)
     eta = spec.eta_value(float(x[0]), float(x[1]), float(x[2]))
-    factor = -1.0 / (eta * denom * denom)
-    return factor * np.array([J.j23, J.j31, J.j12])
+    with np.errstate(all="ignore"):  # eta chi_ij^2 may underflow to 0.0: _finite names the point instead
+        gradient = np.float64(-1.0) / (eta * denom * denom) * np.array([J.j23, J.j31, J.j12])
+    return _finite(gradient, f"grad C_{k}", x)
 
 
 def casimir_gradient_fd(spec: PoissonFamilySpec, k: int, x) -> np.ndarray:
@@ -103,11 +111,13 @@ def casimir_gradient_fd(spec: PoissonFamilySpec, k: int, x) -> np.ndarray:
 
 
 def annihilation_residual(spec: PoissonFamilySpec, k: int, x, gradient: np.ndarray | None = None) -> float:
-    """Max-norm of J(x) grad(C_k)(x); ~0 certifies the Casimir property."""
+    """Max-norm of J(x) grad(C_k)(x); ~0 certifies the Casimir property.  DomainEvalError where it is not finite."""
     if gradient is None:
         gradient = casimir_gradient(spec, k, x)
     J = structure_matrix_at(spec, x, check_domain=False).as_matrix()
-    return float(np.max(np.abs(J @ gradient)))
+    with np.errstate(all="ignore"):
+        residual = float(np.max(np.abs(J @ gradient)))
+    return _finite(residual, f"the annihilation residual of C_{k}", x)
 
 
 CHART_SAMPLES = 512

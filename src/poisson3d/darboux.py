@@ -222,8 +222,9 @@ def _pushforward(chart: DarbouxChart, y, scheme: str, kernel):
 def reparam_factor(chart: DarbouxChart, y):
     """J_ij(x(y)) via the closed form eta(x(y)) chi_ij(y_i, y_j) phi_k(x_k(y)).
 
-    Nonvanishing on the chart image; values at the 1e-12 floor raise a
-    hypothesis violation.  y may be three coordinate arrays.
+    Nonvanishing on the chart image; values at the 1e-12 floor, and values
+    that are not finite, raise a hypothesis violation.  y may be three
+    coordinate arrays.
     """
     return reparam_factor_from(chart, y, inverse_map(chart, y))
 
@@ -234,11 +235,11 @@ def reparam_factor_from(chart: DarbouxChart, y, x):
     spec = chart.spec
     x = coordinates(x)
     factor = spec.eta_value(*x) * chi(spec, i, j, y) * spec.phi(k, x[k - 1])
-    bad = first_flagged(abs(factor) <= FACTOR_FLOOR)
+    bad = first_flagged((abs(factor) <= FACTOR_FLOOR) | ~np.isfinite(factor))
     if bad is not None:
-        raise HypothesisViolationError(
-            f"reparametrization factor {element(factor, bad)!r} vanishes at y = {point_at(y, bad)}"
-        )
+        value = element(factor, bad)
+        what = "vanishes" if abs(value) <= FACTOR_FLOOR else "is not finite"
+        raise HypothesisViolationError(f"reparametrization factor {value!r} {what} at y = {point_at(y, bad)}")
     return factor
 
 
@@ -290,7 +291,8 @@ def canonical_check(
         return batch_report("canonical", values, ys, scheme, seed, tol)
 
     def measure(x):
-        value, y = _deviation(chart, x, scheme, None)
+        with np.errstate(all="ignore"):  # a value that is not finite raises, naming its point, in sampled_check
+            value, y = _deviation(chart, x, scheme, None)
         return float(value), tuple(float(v) for v in y)
 
     return sampled_check("canonical", measure, points, scheme, seed, tol)

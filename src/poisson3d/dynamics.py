@@ -5,17 +5,19 @@ midpoint), so invariant-drift behaves like a clean power of the step.
 Every trajectory carries the Hamiltonian and a Casimir alongside the
 states.  In Darboux coordinates the dynamics reduces to one conjugate
 pair at constant Casimir coordinate, evolving in the reparametrized time
-tau; the original clock is recovered by accumulating dt = dtau / factor
-with the trapezoid rule.  A negative factor is legal and simply runs t
-backwards relative to tau.
+tau; each row records dt/dtau = 1/factor, and the original clock is
+recovered from that column by the trapezoid rule when the trajectory is
+built.  A negative factor is legal and simply runs t backwards relative
+to tau.
 
 Both integrators run on one step loop, _run, which only steps: a step's
 stages run on unpacked floats, one job-kernel call each, and a step in
 which the kernel raises runs again whole on the per-expression path.  What
 is computed about a row and never read by the next step (the finiteness
-and domain tests, the invariant ledger, the chart map, the factor and the
-recovered t) runs as one array pass over each block of at most BLOCK rows.
-A fault or a flag anywhere in a block replays its rows in order through
+and domain tests, the invariant ledger, the chart map and the factor) runs
+as one array pass over each block of at most BLOCK rows, through the same
+per-expression callables as a single row.  A fault or a flag anywhere in
+a block, or a job with no array binding, replays its rows in order through
 the per-row reference code, so a run ends with the error, state and
 partial trajectory of the row-by-row loop, found at most one block of
 steps late.  A step whose evaluation faults ends either run as a domain
@@ -31,7 +33,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import expr as ex
-from .casimir import casimir_expr, casimir_value, cyclic, default_casimir_index, denominator_threshold
+from .casimir import casimir_value, cyclic, default_casimir_index
 from .darboux import DarbouxChart, inverse_map, inverse_target, reparam_factor_from
 from .errors import (
     DomainEvalError,
@@ -43,7 +45,7 @@ from .errors import (
     UndefinedAtPointError,
 )
 from .family import PoissonFamilySpec, axis_exprs, structure_entries, structure_matrix_at
-from .scalar_fields import Field3, first_flagged
+from .scalar_fields import Field3
 
 METHODS = ("rk4", "midpoint")
 MAX_STEPS = 10**6  # every step is kept in memory
@@ -123,9 +125,9 @@ def _j_grad_h(spec: PoissonFamilySpec, H: Field3, x1: float, x2: float, x3: floa
 
 # ---------------------------------------------------------------------------
 # Job kernels (docs/decisions.md, D6): one compiled function per integrator
-# job, over the trees of the per-expression path's own operations.  The
-# per-expression path runs where there is no kernel, and replays every ledger
-# call and every step in which a kernel raises: values and errors stay alike.
+# right-hand side, over the trees of the per-expression path's own operations.
+# The per-expression path runs where there is no kernel, and replays every step
+# in which a kernel raises: values and errors stay alike.
 
 
 def _with_replay(kernel, replay):
@@ -150,40 +152,6 @@ def _rhs_kernel(spec: PoissonFamilySpec, H: Field3):
     grad = tuple(H.partial_expr(axis) for axis in (1, 2, 3))
     entries = structure_entries(spec.kappa.triple, psis, phis, spec.eta_chain)
     return ex.compile_kernel(_flow(*entries, *grad), (*psis, *phis, *spec.eta_chain, *grad))
-
-
-def _ledger_kernel(spec: PoissonFamilySpec, H: Field3, casimir_k: int | None):
-    """(H,), or (H, C_k), at (x1, x2, x3); checks H and each psi, and raises BatchFault below the C_k guard.
-
-    Its .batch takes coordinate arrays, as the kernel's does, and raises
-    BatchFault if the guard fails at any point.
-    """
-    if H.expr is None:
-        return None
-    if casimir_k is None:
-        return ex.compile_kernel((H.expr,), (H.expr,))
-    i, j, _ = cyclic(casimir_k)
-    psis, _ = axis_exprs(spec)
-    c_k = casimir_expr(spec, casimir_k)  # c_k.right is its denominator chi_ij
-    kernel = ex.compile_kernel((H.expr, c_k, c_k.right, psis[i - 1], psis[j - 1]), (H.expr, *psis))
-    if kernel is None:
-        return None
-
-    def guarded(h, c, denom, psi_i, psi_j):
-        if first_flagged(abs(denom) <= denominator_threshold(psi_i, psi_j)) is not None:
-            raise ex.BatchFault("Casimir denominator below its guard")
-        return h, c
-
-    def ledger(*x):
-        return guarded(*kernel(*x))
-
-    def batch(*x):
-        values = kernel.batch(*x)
-        with ex.batch_arithmetic():
-            return guarded(*values)
-
-    ledger.batch = batch
-    return ledger
 
 
 def hamiltonian_vector_field(spec: PoissonFamilySpec, h, x, check_domain: bool = True) -> np.ndarray:
@@ -324,14 +292,12 @@ def integrate(
     step = _stepper(method, dt_eff, _rhs_kernel(spec, H), lambda *x: _j_grad_h(spec, H, *x), None)
 
     def invariants(*x):
+        """(H,), or (H, C_k), at a point or per point of three coordinate arrays."""
         h = H.value(*x)
         return (h,) if casimir_k is None else (h, casimir_value(spec, casimir_k, x))
 
-    ledger_kernel = _ledger_kernel(spec, H, casimir_k)
-    ledger = _with_replay(ledger_kernel, invariants)
-
     def row(state) -> tuple:
-        return (*state, *ledger(state))
+        return (*state, *invariants(*state))
 
     def check(t: float, state) -> tuple:
         """The reference checks of the state at t, then its row; its ledger's faults end the run."""
@@ -345,13 +311,12 @@ def integrate(
             raise DomainExitError(f"invariant ledger failed at t = {t}: {exc}", t, tuple(state)) from None
 
     def block_pass(states):
-        """The rows (x1, x2, x3, H[, C_k]) of the states in one array pass; None on any flag."""
+        """The rows (x1, x2, x3, H[, C_k]) of the states in one array pass; None on any flag, or for a callable H."""
         xs = np.array(states)
-        if not (np.isfinite(xs).all() and spec.domain.admissible(xs).all()):
+        if H.expr is None or not (np.isfinite(xs).all() and spec.domain.admissible(xs).all()):
             return None
-        if ledger_kernel is None:  # no array binding: the ledger runs per row
-            return np.array([row(state) for state in states])
-        return np.column_stack((xs, *ledger_kernel.batch(*xs.T)))
+        with ex.batch_arithmetic():
+            return np.column_stack((xs, *invariants(*xs.T)))
 
     def trajectory(rows) -> Trajectory:
         return Trajectory(
@@ -398,16 +363,6 @@ def _reduced_kernel(H_y: Field3, i: int, j: int):
     return ex.compile_kernel((d_j, -d_i), (d_i, d_j))
 
 
-def _recovered_t(t0: float, dtau: float, g0: float, g: np.ndarray) -> list[float]:
-    """t after each row from t0: the trapezoid rule on dt/dtau = g = 1/factor, accumulated row by row.
-
-    g0 is g at the row before the first; every value is the per-row check's
-    t_prev + dtau * 0.5 * (g_prev + g_new), in row order.
-    """
-    g = [g0, *g.tolist()]
-    return list(accumulate((dtau * 0.5 * (a + b) for a, b in zip(g, g[1:])), initial=t0))[1:]
-
-
 def integrate_reduced(
     chart: DarbouxChart,
     h,
@@ -420,9 +375,10 @@ def integrate_reduced(
 
     tau_end may be negative (with a negative reparametrization factor that
     is how t is driven forward).  The factor is evaluated at every state; a
-    magnitude at the 1e-12 floor aborts with a breakdown error, and an
-    inverse image outside the spec domain, or a fault in H(x(y)) or in a
-    step's partials of it, aborts with a domain exit.  The states are
+    magnitude at the 1e-12 floor, or one that is not finite, aborts with a
+    breakdown error, and an inverse image outside the spec domain, or a
+    fault in H(x(y)) or in a step's partials of it, aborts with a domain
+    exit.  The states are
     mapped back to x, checked and recorded a block at a time (D9): the
     error and the partial trajectory are those of a step-by-step check, and
     at most BLOCK steps run past the abort.
@@ -470,11 +426,10 @@ def integrate_reduced(
 
     def check(tau: float, pair) -> tuple:
         """The reference bookkeeping of the state at tau: raise where the run ends, else its row."""
-        nonlocal t_prev, g_prev
         y = assemble(pair)
         try:
             x = inverse_map(chart, y)
-            g_new = 1.0 / factor_at(y, x)  # breakdown outranks domain exit
+            g = 1.0 / factor_at(y, x)  # breakdown outranks domain exit
             inside = spec.domain.contains(x)
         except OutOfRangeError:  # x_k(y) lies beyond the box edge
             inside = False
@@ -484,12 +439,15 @@ def integrate_reduced(
             h = H_y.value(*y)
         except DomainEvalError as exc:
             raise DomainExitError(f"H(x(y)) failed at tau = {tau}: {exc}", tau, tuple(y)) from None
-        t_prev, g_prev = t_prev + dtau_eff * 0.5 * (g_prev + g_new), g_new
-        return (t_prev, *y, *x, h)
+        return (g, *y, *x, h)
 
     def block_pass(pairs):
-        """The rows (t, y1, y2, y3, x1, x2, x3, H) of the states in one array pass; None on any flag."""
-        nonlocal t_prev, g_prev
+        """The rows (1/factor, y1, y2, y3, x1, x2, x3, H) of the states in one array pass; None on any flag.
+
+        None also where H(x(y)) has no array binding (no zeta_k): the block then replays per row.
+        """
+        if H_y.expr is None:
+            return None
         y = np.empty((len(pairs), 3))
         y[:, [i - 1, j - 1]] = pairs
         y[:, k - 1] = y0[k - 1]
@@ -497,20 +455,19 @@ def integrate_reduced(
         with ex.batch_arithmetic():
             x = inverse_map(chart, cols)
             g = 1.0 / reparam_factor_from(chart, cols, x)
-            h = H_y.value(*cols) if H_y.expr is not None else None
+            h = H_y.value(*cols)
         if not spec.domain.admissible(x.T).all():
             return None
-        if h is None:
-            h = [H_y.value(*v) for v in y.tolist()]
-        t = _recovered_t(t_prev, dtau_eff, g_prev, g)
-        t_prev, g_prev = t[-1], float(g[-1])
-        return np.column_stack((t, y, x.T, h))
+        return np.column_stack((g, y, x.T, h))
 
     def trajectory(rows) -> Trajectory:
+        """The run of the table; t by the trapezoid rule on dt/dtau = 1/factor, accumulated in row order."""
+        g = rows[:, 0].tolist()
+        t = accumulate((dtau_eff * 0.5 * (a + b) for a, b in zip(g, g[1:])), initial=0.0)
         tau = np.arange(len(rows)) * dtau_eff
         tau[0] = 0.0  # not -0.0 when tau runs backwards
         return Trajectory(
-            rows[:, 0],
+            np.fromiter(t, float, len(rows)),
             tau,
             rows[:, 1:4],
             rows[:, 7],
@@ -524,8 +481,7 @@ def integrate_reduced(
 
     pair = (y0[i - 1], y0[j - 1])
     y = assemble(pair)
-    t_prev, g_prev = 0.0, 1.0 / factor_at(y, x_start)
-    first_row = (0.0, *y, *x_start, H_y.value(*y))
+    first_row = (1.0 / factor_at(y, x_start), *y, *x_start, H_y.value(*y))
     step_errors = {
         (DomainEvalError, UndefinedAtPointError): "reduced step failed at tau",
         OutOfRangeError: "reduced step left the domain at tau",  # a stage's x(y) lies beyond the box edge

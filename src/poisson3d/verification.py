@@ -162,12 +162,15 @@ def sampled_check(kind: str, measure, points, scheme: str, seed: int, tol: float
     """Apply measure(point) -> (value, reported point) to every sample point.
 
     The first point with the largest value is the worst point; the verdict
-    passes when that value is at most tol.
+    passes when that value is at most tol.  A value that is not finite
+    raises DomainEvalError naming its sample point.
     """
     worst = -1.0
     worst_point = (0.0, 0.0, 0.0)
     for pt in points:
         value, where = measure(pt)
+        if not math.isfinite(value):
+            raise DomainEvalError(f"non-finite {kind} value {value!r} at {tuple(float(v) for v in pt)}")
         if value > worst:
             worst, worst_point = value, where
     return _report(kind, len(points), worst, worst_point, scheme, seed, tol)

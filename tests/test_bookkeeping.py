@@ -1,11 +1,15 @@
 """Block bookkeeping in the integrators (docs/decisions.md, D9).
 
 The integrators step in a loop and check and record the states a block of
-dynamics.BLOCK rows at a time.  With BLOCK = 1 every state is checked right
-after its step, as the row-by-row loop did; with BLOCK = 3 faults land
-inside blocks and every run crosses a block edge every third row.  Every run
-must end the same way at each size: the same trajectory, or the same error
-with the same t, state and partial trajectory.
+dynamics.BLOCK rows at a time, in one array pass through the per-expression
+callables.  With BLOCK = 1 every state is checked right after its step, as
+the row-by-row loop did; with BLOCK = 3 faults land inside blocks and every
+run crosses a block edge every third row.  Every run must end the same way
+at each size: the same trajectory, or the same error with the same t, state
+and partial trajectory.  A run whose array passes all return None, so that
+every row goes through the per-row check, must equal the run bit for bit;
+a reduced run's t is recovered from its rows' 1/factor when the trajectory
+is built, so it is the same either way.
 """
 
 import math
@@ -200,3 +204,38 @@ def test_an_early_exit_runs_at_most_one_block_of_extra_steps():
     exit_step = round(err.value.t / 0.01)
     assert exit_step < 200
     assert calls[0] <= (exit_step + dynamics.BLOCK + 1) * per_step
+
+
+def _run_recording(passes: list, replay: bool):
+    """dynamics._run whose block passes note whether they return rows; with replay, every one returns None."""
+    run = dynamics._run
+
+    def recording(step, start, n_steps, dt, first_row, block_pass, *rest):
+        def noted(states):
+            rows = None if replay else block_pass(states)
+            passes.append(rows is not None)
+            return rows
+
+        return run(step, start, n_steps, dt, first_row, noted, *rest)
+
+    return recording
+
+
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+@pytest.mark.parametrize("kind", ["direct", "direct-casimir", "reduced"])
+def test_array_rows_equal_the_per_row_checks(monkeypatch, kind, method):
+    halphen = make_halphen(((-4.0, 6.0),) * 3)
+    if kind == "reduced":
+        chart = build_chart(halphen, k=3)
+        run = lambda: integrate_reduced(chart, QUADRATIC, forward_map(chart, (1.0, 2.0, 4.0)), -0.5, 1e-3, method)
+    else:
+        k = 3 if kind == "direct-casimir" else None
+        run = lambda: integrate(halphen, QUADRATIC, (1.0, 2.0, 4.0), 1.0, 1e-3, method, k)
+    outcomes = {}
+    for replay in (False, True):
+        passes = []
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_run", _run_recording(passes, replay))
+            outcomes[replay] = run()
+        assert len(passes) > 1 and set(passes) == {not replay}
+    assert_same_trajectory(outcomes[False], outcomes[True])

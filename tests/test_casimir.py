@@ -175,8 +175,8 @@ def test_a_ledger_record_evaluates_psi_once_per_axis(monkeypatch, halphen_wide):
     monkeypatch.setattr(PoissonFamilySpec, "psi", counting)
     traj = integrate(halphen_wide, ex.parse("x1 + x2 + x3"), (1.0, 2.0, 4.0), 0.01, 1e-3, casimir_k=3)
     assert len(traj) == 11
-    assert calls == []  # the ledger kernel computes psi inside its one function
-    # the per-expression path, which replays every record a kernel cannot take
-    monkeypatch.setattr(ex, "compile_kernel", lambda *args, **kwargs: None)
-    traj = integrate(halphen_wide, ex.parse("x1 + x2 + x3"), (1.0, 2.0, 4.0), 0.01, 1e-3, casimir_k=3)
+    assert calls == [1, 2, 3] * 2  # row 0, then one array pass over the block of the other ten rows
+    # a callable H has no array binding: every block replays per row
+    calls.clear()
+    traj = integrate(halphen_wide, lambda x1, x2, x3: x1 + x2 + x3, (1.0, 2.0, 4.0), 0.01, 1e-3, casimir_k=3)
     assert calls == [1, 2, 3] * len(traj)

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,27 @@ BROKEN_SPEC = {
     "matrix": {"j12": "x1", "j23": "x2", "j31": "x3"},
     "domain": {"box": [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]},
 }
+
+
+# eta * chi_ij * phi_k overflows on the whole box: the reparametrization factor and J are infinite
+BIG_AXIS = {"phi": "1e10", "psi": "1e10*u", "zeta": "u/1e10"}
+BIG_SPEC = {
+    "name": "big",
+    "eta": "1e300",
+    "axes": [BIG_AXIS, BIG_AXIS, BIG_AXIS],
+    "kappa": [0, 0],
+    "domain": {"box": [[1, 2], [3, 4], [5, 6]]},
+    "hamiltonian": "x1 + x2 + x3",
+}
+# on halphen, eta underflows to 0.0 at the first point and to a subnormal at the second
+HUGE_POINTS = ("0.1,0.5,1e155", "0.1,0.5,1.1e154")
+
+
+@pytest.fixture()
+def big_spec_file(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(BIG_SPEC))
+    return str(path)
 
 
 @pytest.fixture()
@@ -407,19 +429,25 @@ def test_eta_vanishing_message_names_floats(capsys, tmp_path):
     )
 
 
-def test_random_argv_exit_codes(capsys, tmp_path, wide_spec_file, broken_spec_file):
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_random_argv_exit_codes(capsys, tmp_path, wide_spec_file, broken_spec_file, big_spec_file):
     """Changes of a valid argv exit with 0, 1 or 2 and never show a traceback.
 
     Every single-option change is run, then random pairs of changes up to
-    200 runs in all.
+    200 runs in all.  The JSON of every run that exits 0 or 1 is strict: no
+    NaN and no Infinity.
     """
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
     numbers = ("nan", "inf", "-1", "0", "abc", "0.5", "2")
-    points = ("nan,1,2", "inf,0,1", "1,2", "abc", "0.5,0.5,0.9", "1,2,4", None)
+    points = ("nan,1,2", "inf,0,1", "1,2", "abc", "0.5,0.5,0.9", "1,2,4", *HUGE_POINTS, None)
     systems = (
         ("--system", "circle-maps"), ("--system", "euler-top"), ("--system", "bogus"),
         ("--spec", wide_spec_file), ("--spec", broken_spec_file), ("--spec", str(bad_json)),
+        ("--spec", big_spec_file),
         ("--spec", str(tmp_path / "missing.json")), ("--system", "euler-top", "--I", "1,1,3"),
         ("--system", "euler-top", "--I", "nan,1,2"), (),
     )
@@ -476,9 +504,34 @@ def test_random_argv_exit_codes(capsys, tmp_path, wide_spec_file, broken_spec_fi
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the argv
             code = exc.code
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err, argv
+        if code in (0, 1) and argv[0] != "list":
+            json.loads(out, parse_constant=_no_constant)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("darboux", "--spec", "BIG", "--check-samples", "20"), "reparametrization factor inf is not finite at y = ("),
+    (("darboux", "--spec", "BIG", "--check-samples", "20", "--point", "1.5,3.5,5.5"),
+     "reparametrization factor inf is not finite at y = ("),
+    (("simulate", "--spec", "BIG", "--x0", "1.5,3.5,5.5", "--t-end", "0.01", "--dt", "0.001", "--reduced"),
+     "reparametrization factor "),
+    (("casimir", "--spec", "BIG", "--k", "3", "--point", "1.5,3.5,5.5"), "grad C_3 is not finite at (1.5, 3.5, 5.5)"),
+    (("casimir", "--system", "halphen", "--k", "3", "--point", HUGE_POINTS[0]),
+     "grad C_3 is not finite at (0.1, 0.5, 1e+155)"),
+    (("casimir", "--system", "halphen", "--k", "3", "--point", HUGE_POINTS[1]),
+     "grad C_3 is not finite at (0.1, 0.5, 1.1e+154)"),
+], ids=["darboux", "darboux-point", "simulate-reduced", "casimir-big", "casimir-1e155", "casimir-1.1e154"])
+def test_values_that_are_not_finite_are_bad_input(capsys, tmp_path, big_spec_file, argv, message):
+    argv = [big_spec_file if a == "BIG" else a for a in argv]
+    if argv[0] == "simulate":
+        argv += ["--out", str(tmp_path / "big.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out, caught) == (2, "", [])
+    assert err.startswith("error: " + message) and err.count("\n") == 1, err
 
 
 def test_verify_fd_scheme_flag(capsys, tmp_path):

@@ -1,7 +1,7 @@
-"""Job kernels (docs/decisions.md, D6): one fused function per integrator job.
+"""Job kernels (docs/decisions.md, D6): one fused function per integrator right-hand side.
 
 A kernel must give the per-expression path's values bit for bit, and every
-call it cannot take must replay through that path, so runs end with the
+step it cannot take must replay through that path, so runs end with the
 same trajectory, or the same error and partial trajectory, either way.
 """
 
@@ -311,10 +311,6 @@ def test_job_kernels_equal_the_per_expression_jobs(case):
     points = [tuple(map(float, x)) for x in spec.domain.sample(300, 6)]
     rhs = dynamics._rhs_kernel(spec, H)
     assert [_hex(rhs(*x)) for x in points] == [_hex(dynamics._j_grad_h(spec, H, *x)) for x in points]
-    for k in (1, 2, 3):
-        ledger = dynamics._ledger_kernel(spec, H, k)
-        want = [(H.value(*x), casimir_value(spec, k, x)) for x in points]
-        assert [_hex(ledger(*x)) for x in points] == [_hex(v) for v in want]
     for chart in _charts(spec):
         i, j, _ = cyclic(chart.k)
         H_y = dynamics._reduced_hamiltonian(chart, H)
@@ -435,12 +431,19 @@ def test_a_fault_inside_a_step_replays_the_whole_step(monkeypatch, method, call,
 
 
 def test_integrators_take_the_kernels(monkeypatch):
-    calls = []
+    # one kernel, the right-hand side's; the ledger is casimir_value, once for row 0 and once per block of rows
+    calls, kernels, ledger = [], [], []
+    compile_kernel = ex.compile_kernel
+    monkeypatch.setattr(ex, "compile_kernel", lambda *a, **k: kernels.append(a) or compile_kernel(*a, **k))
     monkeypatch.setattr(dynamics, "structure_matrix_at", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(dynamics, "casimir_value", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(
+        dynamics, "casimir_value", lambda spec, k, x: ledger.append(type(x[0])) or casimir_value(spec, k, x)
+    )
+    monkeypatch.setattr(dynamics, "BLOCK", 4)
     halphen = make_halphen(WIDE_BOX)
-    integrate(halphen, ex.parse("x1*x2 + x3"), (1.0, 2.0, 4.0), 0.1, 0.01, casimir_k=3)
-    assert calls == []
+    traj = integrate(halphen, ex.parse("x1*x2 + x3"), (1.0, 2.0, 4.0), 0.1, 0.01, casimir_k=3)
+    assert calls == [] and len(kernels) == 1 and len(traj) == 11
+    assert ledger == [float, np.ndarray, np.ndarray, np.ndarray]  # the ten steps in blocks of 4, 4 and 2
 
 
 def test_halphen_run_into_a_coincidence_plane(monkeypatch):

@@ -21,6 +21,13 @@ def test_drift_study_runs():
     lines = proc.stdout.decode().splitlines()
     assert lines[0].startswith("method = rk4")
     assert sum("|dH|" in line for line in lines) == 8  # four steps for each of two Hamiltonians
+    reduced = [line for line in lines if "dtau =" in line]
+    assert len(reduced) == 5 and lines[-6].startswith("reduced, chart k = 3")
+    ratios = [line.split("ratios t")[1].split("y1") for line in reduced[2:]]
+    assert len(ratios) == 3
+    for t_ratio, y1_ratio in ratios:
+        # rk4 in y; the recovered t is the trapezoid rule's, 2nd order (ROADMAP item 2 makes it 16)
+        assert 15.0 < float(y1_ratio) < 17.0 and 3.9 < float(t_ratio) < 4.1
 
 
 def test_output_digest_prints_one_stable_digest_per_command():

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from poisson3d import expr as ex
+from poisson3d.errors import DomainEvalError
 from poisson3d.family import structure_matrix_at
 from poisson3d.scalar_fields import DomainBox
 from poisson3d.testing import random_family_spec, random_polynomial_field
@@ -11,6 +12,7 @@ from poisson3d.verification import (
     jacobi_residual,
     matrix_field_from_spec,
     reduction_identity_check,
+    sampled_check,
     verify_structure,
 )
 from conftest import make_flat_spec, make_halphen, ORDERED_BOX
@@ -191,3 +193,21 @@ def test_spec_backed_field_matches_structure_matrix():
         got = field.entries(*map(float, x))
         for w, g in zip(want, got):
             assert g == pytest.approx(w, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_sampled_check_rejects_a_value_that_is_not_finite(bad):
+    # a NaN is never the largest value: without the test the report would pass on the -1.0 sentinel
+    points = [(0.5, 1.0, 1.5), (2.0, 3.0, 4.0), (5.0, 6.0, 7.0)]
+    seen = []
+
+    def measure(x):
+        seen.append(x)
+        return (bad if x[0] == 2.0 else 0.0), (9.0, 9.0, 9.0)
+
+    with pytest.raises(DomainEvalError, match=r"^non-finite canonical value (nan|inf) at \(2\.0, 3\.0, 4\.0\)$"):
+        sampled_check("canonical", measure, points, "analytic", 42, 1e-8)
+    assert seen == points[:2]  # the first such point ends the check
+    everywhere = lambda x: (math.nan, x)
+    with pytest.raises(DomainEvalError, match=r"at \(0\.5, 1\.0, 1\.5\)$"):
+        sampled_check("jacobi", everywhere, points, "fd", 42, 1e-6)
