@@ -13,12 +13,10 @@ undefined (it backs the derivative of abs, which has no value at 0).
 
 from __future__ import annotations
 
-import contextlib
 import math
-import re
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import count, repeat
+from types import FunctionType
 
 import numpy as np
 
@@ -449,20 +447,19 @@ def _eval(e: Expr, env) -> float:
     return v
 
 
-def _gen(e: Expr, operand=None) -> str:
-    """Python source of one node; operand(child) renders its children, inline by default."""
-    sub = operand or _gen
-    if isinstance(e, Lit):
-        return f"({e.value!r})"
+def _gen(e: Expr, operand) -> str:
+    """Python source of one node; operand(child) renders each child."""
+    if isinstance(e, Bin):
+        if e.op == "^":
+            return f"_pow({operand(e.left)}, {operand(e.right)})"
+        return f"({operand(e.left)} {e.op} {operand(e.right)})"
     if isinstance(e, Var):
         return e.name
-    if isinstance(e, Neg):
-        return f"(-{sub(e.operand)})"
+    if isinstance(e, Lit):
+        return f"({e.value!r})"
     if isinstance(e, Call):
-        return f"{e.fn}({sub(e.arg)})"
-    if e.op == "^":
-        return f"_pow({sub(e.left)}, {sub(e.right)})"
-    return f"({sub(e.left)} {e.op} {sub(e.right)})"
+        return f"{e.fn}({operand(e.arg)})"
+    return f"(-{operand(e.operand)})"
 
 
 # --------------------------------------------------------------------------
@@ -475,8 +472,6 @@ def _gen(e: Expr, operand=None) -> str:
 # implementations elementwise, because numpy's vectorized versions differ
 # from math.* in the last ulp (docs/decisions.md, D4).
 
-_SCALAR_NS = {**_FN_IMPL, "_pow": _pow}
-
 
 class BatchFault(Exception):
     """A batch evaluation or a kernel faulted somewhere; replay through the per-expression scalar path."""
@@ -485,18 +480,18 @@ class BatchFault(Exception):
 _FAULTS = (DomainEvalError, ValueError, OverflowError, ZeroDivisionError, FloatingPointError)
 
 
-@contextlib.contextmanager
-def batch_arithmetic():
-    """The batch binding's fault rule, also for array arithmetic on its results.
+class batch_arithmetic:
+    """The batch binding's fault rule, also for array arithmetic on its results: floating-point
+    exceptions other than underflow raise, and a domain fault or floating-point exception is a BatchFault."""
 
-    Floating-point exceptions other than underflow raise, and any domain
-    fault or floating-point exception becomes a BatchFault.
-    """
-    try:
-        with np.errstate(all="raise", under="ignore"):
-            yield
-    except _FAULTS as exc:
-        raise BatchFault(str(exc)) from None
+    def __enter__(self):
+        self.state = np.errstate(all="raise", under="ignore")
+        self.state.__enter__()
+
+    def __exit__(self, kind, exc, tb):
+        self.state.__exit__(kind, exc, tb)
+        if kind is not None and issubclass(kind, _FAULTS):
+            raise BatchFault(str(exc)) from None
 
 
 def _elementwise(fn):
@@ -526,216 +521,221 @@ def _batch_sign(a):
     return np.sign(a)
 
 
+def _all_finite(v) -> bool:
+    """The batch binding's isfinite: every element finite."""
+    return bool(np.isfinite(v).all())
+
+
+def _shaped(v, shape):
+    """v broadcast to shape, read-only, as np.broadcast_to gives it; an array of that shape as a cheaper view."""
+    if not (isinstance(v, np.ndarray) and v.shape == shape):
+        return np.broadcast_to(v, shape)
+    v = v.view()
+    v.flags.writeable = False
+    return v
+
+
+_SCALAR_NS = {**_FN_IMPL, "_pow": _pow, "isfinite": math.isfinite, "BatchFault": BatchFault, "__builtins__": {}}
 _BATCH_NS = {
     **{name: _elementwise(_FN_IMPL[name]) for name in ("exp", "ln", "sin", "cos")},
     "sqrt": np.sqrt,
     "abs": np.abs,
     "sign": _batch_sign,
     "_pow": _batch_pow,
+    "isfinite": _all_finite,
+    "BatchFault": BatchFault,
+    "__builtins__": {},
 }
+_XS = ("x1", "x2", "x3")
 
 
-def compile_expr(e: Expr, varnames: tuple[str, ...] = ("x1", "x2", "x3")):
+def compile_expr(e: Expr, varnames: tuple[str, ...] = _XS):
     """Compile a tree into one positional callable f(*varnames) for floats or arrays.
 
-    The first argument picks the binding.  Floats (np.float64 included) run
-    the scalar binding, which raises DomainEvalError on out-of-domain input
-    or a non-finite result.  Float arrays of one shape run the batch
-    binding and give an array of that shape, elementwise equal to the
-    scalar values; any domain fault, floating-point exception (underflow
-    aside) or non-finite result raises BatchFault instead of naming the
-    point, and the caller replays the points through the scalar binding,
-    which raises the first fault in index order.
-
-    UnboundVariableError is raised here if the tree references a variable
-    outside varnames.  The source is generated here, compiled on the first
-    call, and bound to each namespace the first time that binding is used.
+    It runs the tree's one-output kernel (compile_kernel's writer's for (e,)), written and compiled on
+    its first call.  Floats (np.float64 included) run the scalar binding, which raises DomainEvalError,
+    with the text of the first error a walk of the tree raises, on out-of-domain input or a non-finite
+    result.  Float arrays of one shape run kernel.batch: an array of that shape, elementwise equal, or
+    BatchFault on any fault, after which the caller replays the points on floats.  UnboundVariableError
+    is raised here, ParseError on the first call for a tree deeper than _MAX_DEPTH.
     """
     missing = free_vars(e) - set(varnames)
     if missing:
         raise UnboundVariableError(f"variables {sorted(missing)} not provided by {varnames}")
-    src = _gen(e)
-    code = None
-    # closure cells, not globals or keyword defaults: the cheapest lookups per scalar call
-    ndarray, isfinite = np.ndarray, math.isfinite
+    return _OneOutput(e, varnames)
 
-    def bind(namespace):
-        nonlocal code
-        if code is None:
-            try:
-                code = compile(f"lambda {', '.join(varnames)}: {src}", "<expr>", "eval")
-            except (SyntaxError, RecursionError):  # _gen's source is well formed: only its depth can fail
-                raise ParseError(_TOO_DEEP, 0) from None
-        return eval(code, dict(namespace, __builtins__={}))
 
-    # each stub binds on its first call and replaces itself with the bound lambda
-    def on_floats(*args):
-        nonlocal on_floats
-        on_floats = bind(_SCALAR_NS)
-        return on_floats(*args)
+class _OneOutput:
+    """compile_expr's callable."""
 
-    def on_arrays(*args):
-        nonlocal on_arrays
-        on_arrays = bind(_BATCH_NS)
-        return on_arrays(*args)
+    __slots__ = ("tree", "varnames", "_kernel")
 
-    def fn(*args):
+    def __init__(self, tree: Expr, varnames: tuple[str, ...]):
+        self.tree, self.varnames, self._kernel = tree, varnames, None
+
+    @property
+    def source(self):
+        """The kernel's source; None for a tree deeper than _MAX_DEPTH."""
+        return self._kernel.source if self._kernel else _kernel_source((self.tree,), (), self.varnames)
+
+    def __call__(self, *args):
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = _kernel_of(_kernel_source((self.tree,), (), self.varnames))
+            if kernel is None:
+                raise ParseError(_TOO_DEEP, 0)
         a = args[0] if args else 0.0  # a tree without variables takes no arguments
         # exact floats, the integrators' per-step case, skip the slower isinstance test
-        if a.__class__ is not float and isinstance(a, ndarray):
-            with batch_arithmetic():
-                v = np.broadcast_to(on_arrays(*args), np.shape(a))
-            if not np.all(np.isfinite(v)):
-                raise BatchFault("non-finite result")
-            return v
+        if a.__class__ is not float and isinstance(a, np.ndarray):
+            return kernel.batch(*args)[0]
         try:
-            v = on_floats(*args)
+            (v,) = kernel(*args)
         except DomainEvalError:
             raise
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise DomainEvalError(str(exc)) from None
-        if not isfinite(v):
+        if not math.isfinite(v):
             raise DomainEvalError(f"non-finite result {v!r}")
         return v
-
-    fn.source = src
-    fn.varnames = varnames
-    return fn
 
 
 def compile_kernel(outputs, checked=()):
     """Compile trees in x1, x2, x3 into one function f(x1, x2, x3) -> tuple of their values.
 
-    Each distinct subtree is computed once, into a local: a node's key is
-    the source _gen gives it with its children replaced by their locals, so
-    equal subtrees share a local and Lit(0.0) and Lit(-0.0), whose reprs
-    differ, do not.  A local that only one other subtree reads is written
-    inline there, as compile_expr writes it.  The function runs the scalar
-    binding's primitives in each tree's own operation order, so every value
-    equals the one that compile_expr's callable of that tree returns.
-
-    It raises BatchFault when the value of a tree in checked is not finite,
-    and lets the primitives' errors out in its own order; either way the
-    caller replays the call through its per-expression path, which raises
-    the first error with its usual message (docs/decisions.md, D6).
-
-    f.batch(x1, x2, x3) runs the same source over float arrays of one
-    shape, bound to the batch namespace on its first call and run under
-    batch_arithmetic: every output is an array of that shape, elementwise
-    equal to compile_expr's array callable of its tree, and any fault, a
-    non-finite output or a checked value with a non-finite element raises
-    BatchFault.
-
-    It returns None when a tree is deeper than parse admits: compile_expr
-    may fail to compile that tree, so the caller keeps its per-expression
-    path, which stays the reference for values and errors.
+    Each value is compile_expr's of its tree, each distinct subtree computed once (_kernel_source).  It
+    raises BatchFault when the sum of the checked trees' values is not finite, and the primitives' errors
+    in walk order; either way the caller replays the call on its per-expression path (docs/decisions.md,
+    D6).  f.batch(x1, x2, x3) runs the same code on float arrays of one shape under batch_arithmetic and
+    raises BatchFault on any fault, non-finite output or non-finite checked element.  None for a tree
+    deeper than _MAX_DEPTH: the caller keeps its per-expression path.
     """
-    lines, local, seen, names = [], {}, {}, set()  # seen: id(node) -> operand, so a shared node is walked once
-    height = {}  # id(node) -> levels below and including it
+    fn = _kernel_of(_kernel_source(outputs, checked, _XS))
+    missing = set(fn.__code__.co_names) & set(VARIABLES) if fn is not None else ()  # read, not passed
+    if missing:
+        raise UnboundVariableError(f"variables {sorted(missing)} not provided by {_XS}")
+    return fn
 
-    def operand(e: Expr) -> str:
-        if isinstance(e, Var):
-            names.add(e.name)
-        if isinstance(e, (Lit, Var)):
-            return _gen(e)
-        if id(e) not in seen:
-            src = _gen(e, operand)
-            if src not in local:
-                local[src] = f"_t{len(local)}"
-                lines.append((local[src], src))
-            seen[id(e)] = local[src]
-            children = (e.left, e.right) if isinstance(e, Bin) else (e.arg,) if isinstance(e, Call) else (e.operand,)
-            height[id(e)] = 1 + max(height.get(id(c), 1) for c in children)
-        return seen[id(e)]
 
+def _kernel_source(outputs, checked, varnames):
+    """Source of def kernel(*varnames) returning the outputs' values; None for a tree deeper than _MAX_DEPTH.
+
+    A subtree's key is its inline _gen text.  A subtree read once, by another or by the return, is
+    written into its reader; every other one, and each checked tree, gets a line, in post-order.  Before
+    a line that can raise, each pending inline text that can raise gets its own line, so the kernel
+    raises the first error a walk of the trees raises.  A local's name is reused once the line of its
+    last reader has run (docs/decisions.md, D6).
+    """
+    seen, order, again, dups = {}, {}, [], []  # id(node) -> text; text -> first node; later reads; second nodes
+
+    def walk(e):
+        if type(e) is Var or type(e) is Lit:  # a leaf is written where it is read
+            return _gen(e, walk)
+        i = id(e)
+        t = seen.get(i)
+        if t is None:
+            t = seen[i] = _gen(e, walk)
+            if order.setdefault(t, e) is e:
+                return t
+            dups.append(e)  # a second node of an equal subtree
+        again.append(t)
+        return t
+
+    n = len(outputs)
+    trees = [*outputs, *[e for e in checked if not (isinstance(e, Lit) and math.isfinite(e.value))]]
     try:
-        results = [operand(e) for e in outputs]
-        # a finite literal needs no test
-        checks = [operand(e) for e in checked if not (isinstance(e, Lit) and math.isfinite(e.value))]
+        texts = list(map(walk, trees))
     except RecursionError:  # far deeper than _MAX_DEPTH
         return None
-    if max(height.get(id(e), 1) for e in (*outputs, *checked)) > _MAX_DEPTH:
-        return None
-    missing = names - {"x1", "x2", "x3"}
-    if missing:
-        raise UnboundVariableError(f"variables {sorted(missing)} not provided by ('x1', 'x2', 'x3')")
-    lines, name = _kernel_body(lines, {*results, *checks})
-    results = [name.get(r, r) for r in results]
-    tests = dict.fromkeys(f"isfinite({name.get(c, c)})" for c in checks)
-    if tests:
-        lines.append(f"    if not ({' and '.join(tests)}):")
+    # no subtree read twice, no checked tree but leaves, none of over _MAX_DEPTH levels (each of which
+    # writes 3 characters or more): every output is written into the return, as the layout would write it
+    if not again and not order.keys() & texts[n:] and max(map(len, texts)) <= 3 * _MAX_DEPTH:
+        lines, value = [], {}
+    else:
+        roots = dict.fromkeys(t for t in texts if t in order)
+        tested = roots.keys() & texts[n:]
+        uses = dict.fromkeys(order, 1)  # reads by distinct subtrees, the return and the test
+        for t in again:
+            uses[t] += 1
+        for e in dups:  # the reads of a second node of an equal subtree are not new
+            for c in vars(e).values():
+                if id(c) in seen:
+                    uses[seen[id(c)]] -= 1
+        name, left, pending, height = {}, {}, {}, {}  # kept text -> local; local -> reads to run; inline text
+        lines, free, fresh = [], [], count()
+        read, acc = [], [1, False]  # the node being written: locals read; deepest child, inline part raises
+
+        def operand(c):
+            ct = seen.get(id(c))
+            if ct is None:  # a leaf
+                return _gen(c, operand)
+            if height[ct] > acc[0]:
+                acc[0] = height[ct]
+            if ct in name:
+                read.append(ct)
+                return name[ct]
+            src, its_reads, raises = pending.pop(ct)
+            read.extend(its_reads)
+            acc[1] = acc[1] or raises
+            return src
+
+        def emit(t, src, its_reads, n):
+            for k in its_reads:  # a read counts at the line that runs it
+                if k in left:
+                    left[k] -= 1
+                    if not left[k]:
+                        del left[k]
+                        free.append(name[k])
+            name[t] = free.pop() if free else f"_t{next(fresh)}"
+            if t not in roots:
+                left[t] = n
+            lines.append(f"    {name[t]} = {src}")
+
+        for t, e in order.items():
+            read = []
+            acc[0], acc[1] = 1, False
+            src = _gen(e, operand)
+            height[t] = acc[0] + 1
+            raises = acc[1] or (e.fn != "abs" if isinstance(e, Call) else isinstance(e, Bin) and e.op in "/^")
+            if uses[t] == 1 and t not in tested:
+                pending[t] = (src, read, raises)
+            else:
+                if raises:  # the order rule
+                    for p in [p for p, entry in pending.items() if entry[2]]:
+                        emit(p, *pending.pop(p)[:2], 1)
+                emit(t, src, read, uses[t])
+        if max(height[t] for t in roots) > _MAX_DEPTH:
+            return None
+        value = {**name, **{t: entry[0] for t, entry in pending.items()}}  # the return reads what is pending
+    values = [value.get(t, t) for t in texts]
+    if len(values) > n:
+        lines.append(f"    if not isfinite({' + '.join(dict.fromkeys(values[n:]))}):")
         lines.append('        raise BatchFault("non-finite value")')
-    src = "\n".join(["def kernel(x1, x2, x3):", *lines, f"    return ({', '.join(results)},)"])
-    code = compile(src, "<kernel>", "exec")  # a line nests no deeper than its tree
+    return "\n".join([f"def kernel({', '.join(varnames)}):", *lines, f"    return {', '.join(values[:n])},"])
 
-    def bind(namespace, isfinite):
-        namespace = dict(namespace, isfinite=isfinite, BatchFault=BatchFault, __builtins__={})
-        exec(code, namespace)
-        return namespace["kernel"]
 
+def _kernel_of(src):
+    """The kernel compiled from src on the scalar binding, with .batch and .source; None without one."""
+    if src is None:
+        return None
+    try:
+        code = compile(src, "<kernel>", "exec").co_consts[0]  # def kernel's code
+    except (SyntaxError, RecursionError):  # the writer's source is well formed: only its depth can fail
+        return None
     on_arrays = None
 
-    def batch(x1, x2, x3):
+    def batch(*xs):
         nonlocal on_arrays
         if on_arrays is None:
-            on_arrays = bind(_BATCH_NS, _all_finite)
+            on_arrays = FunctionType(code, _BATCH_NS)
         with batch_arithmetic():
-            values = tuple(np.broadcast_to(v, np.shape(x1)) for v in on_arrays(x1, x2, x3))
+            values = tuple(map(_shaped, on_arrays(*xs), repeat(np.shape(xs[0]))))
         if not all(map(_all_finite, values)):
             raise BatchFault("non-finite result")
         return values
 
-    fn = bind(_SCALAR_NS, math.isfinite)  # the scalar calls run this function itself, with no wrapper
-    fn.batch = batch
-    fn.source = src
+    fn = FunctionType(code, _SCALAR_NS)  # the scalar calls run this function itself, with no wrapper
+    fn.batch, fn.source = batch, src
     return fn
-
-
-_LOCAL = re.compile(r"_t\d+")
-
-
-def _kernel_body(assignments, roots):
-    """Body lines from the walk's (local, source) pairs, and the new name of each local kept.
-
-    A local that just one later source reads, and that is no root, is
-    written into that source, as compile_expr would write it, so its value
-    lives on the interpreter's stack.  Each local kept gives its name to
-    the next new value once its last reader has run, so on arrays a dead
-    value is released there instead of at the return.  No operation,
-    operand or line order changes.
-    """
-    reads = [_LOCAL.findall(src) for _, src in assignments]
-    uses = Counter(chain.from_iterable(reads))
-    inline = {t for t, _ in assignments if uses[t] == 1 and t not in roots}
-    reader = {k: n for n, names in enumerate(reads) for k in names}
-    home = list(range(len(assignments)))  # the kept line that holds line n's value
-    for n in reversed(range(len(assignments))):
-        if assignments[n][0] in inline:
-            home[n] = home[reader[assignments[n][0]]]
-    last = {}  # a kept local's last reader; an inlined reader reads it where it is written in
-    for n, names in enumerate(reads):
-        for k in names:
-            if k not in inline:
-                last[k] = max(last.get(k, 0), home[n])
-    dies = {}
-    for k, n in last.items():
-        if k not in roots:
-            dies.setdefault(n, []).append(k)
-    name, text, free, fresh, lines = {}, {}, [], count(), []
-    for n, (target, src) in enumerate(assignments):
-        src = _LOCAL.sub(lambda m: text.pop(m.group()) if m.group() in inline else name[m.group()], src)
-        if target in inline:
-            text[target] = src
-            continue
-        free += [name[k] for k in dies.get(n, ())]
-        name[target] = free.pop() if free else f"_t{next(fresh)}"
-        lines.append(f"    {name[target]} = {src}")
-    return lines, name
-
-
-def _all_finite(v) -> bool:
-    """The batch binding's isfinite: every element finite."""
-    return bool(np.isfinite(v).all())
 
 
 # --------------------------------------------------------------------------

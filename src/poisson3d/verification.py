@@ -211,7 +211,7 @@ def verify_structure(
     analytic scheme one kernel gives the entries and the combination.  A
     batch that faults anywhere, and any field with a callable entry or
     partial, goes through the per-point loop, which raises the first fault
-    in index order.
+    in index order, naming its sample point.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -227,7 +227,10 @@ def verify_structure(
 
     def measure(pt):
         x = float(pt[0]), float(pt[1]), float(pt[2])
-        *entries, combination = _jacobi_terms(field, *x, scheme)
+        try:
+            *entries, combination = _jacobi_terms(field, *x, scheme)
+        except DomainEvalError as exc:
+            raise DomainEvalError(f"{exc} at {x}") from None
         scale = 1.0 + max(abs(v) for v in entries)
         return abs(_finite_residual(combination, x)) / scale, x
 

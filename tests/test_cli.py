@@ -522,7 +522,10 @@ def test_random_argv_exit_codes(capsys, tmp_path, wide_spec_file, broken_spec_fi
      "grad C_3 is not finite at (0.1, 0.5, 1e+155)"),
     (("casimir", "--system", "halphen", "--k", "3", "--point", HUGE_POINTS[1]),
      "grad C_3 is not finite at (0.1, 0.5, 1.1e+154)"),
-], ids=["darboux", "darboux-point", "simulate-reduced", "casimir-big", "casimir-1e155", "casimir-1.1e154"])
+    (("verify", "--spec", "BIG", "--samples", "20"), "non-finite result -inf at ("),
+    (("verify", "--spec", "BIG", "--samples", "20", "--scheme", "fd"), "non-finite result -inf at ("),
+], ids=["darboux", "darboux-point", "simulate-reduced", "casimir-big", "casimir-1e155", "casimir-1.1e154", "verify",
+        "verify-fd"])
 def test_values_that_are_not_finite_are_bad_input(capsys, tmp_path, big_spec_file, argv, message):
     argv = [big_spec_file if a == "BIG" else a for a in argv]
     if argv[0] == "simulate":

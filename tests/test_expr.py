@@ -180,7 +180,8 @@ def test_source_is_compiled_once_on_first_call(monkeypatch):
     fn(1.0, 2.0, 3.0)
     fn(np.ones(4), np.ones(4), np.ones(4))
     fn(1.0, 2.0, 3.0)
-    assert compiled == ["lambda x1, x2, x3: ((x1 * x2) + sin(x3))"]
+    # the tree's one-output kernel, compiled once for both bindings
+    assert compiled == ["def kernel(x1, x2, x3):\n    return ((x1 * x2) + sin(x3)),"]
 
 
 def test_unbound_variable_is_raised_before_any_call():
@@ -190,10 +191,10 @@ def test_unbound_variable_is_raised_before_any_call():
 
 def test_callable_carries_source_and_varnames():
     fn = ex.compile_expr(ex.parse("u^2 - 1"), ("u",))
-    assert fn.source == "(_pow(u, (2.0)) - (1.0))"
+    assert fn.source == "def kernel(u):\n    return (_pow(u, (2.0)) - (1.0)),"
     assert fn.varnames == ("u",)
     constant = ex.compile_expr(ex.parse("2.5"), ())
-    assert (constant.source, constant.varnames, constant()) == ("(2.5)", (), 2.5)
+    assert (constant.source, constant.varnames, constant()) == ("def kernel():\n    return (2.5),", (), 2.5)
 
 
 @settings(max_examples=300, deadline=None)

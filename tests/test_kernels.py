@@ -5,6 +5,7 @@ step it cannot take must replay through that path, so runs end with the
 same trajectory, or the same error and partial trajectory, either way.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -76,6 +77,87 @@ def test_kernel_equals_the_per_expression_path(forest, x):
         assert got_error is not None  # the kernel faults too, maybe first elsewhere
         _, replay_error = _first_error(lambda: dynamics._with_replay(kernel, per_expression)(x))
         assert replay_error == want_error
+
+
+def _inline(e):
+    return ex._gen(e, _inline)
+
+
+def _walked(e):
+    """A walk of the tree: its inline text as one lambda, with compile_expr's error mapping."""
+    fn = eval(compile(f"lambda x1, x2, x3: {_inline(e)}", "<walk>", "eval"), dict(ex._SCALAR_NS))
+
+    def run(*x):
+        try:
+            v = fn(*x)
+        except ex.DomainEvalError:
+            raise
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise ex.DomainEvalError(str(exc)) from None
+        if not math.isfinite(v):
+            raise ex.DomainEvalError(f"non-finite result {v!r}")
+        return v
+
+    return run
+
+
+def _outcome(fn, x):
+    """The value's float.hex, or the exception's type and text."""
+    try:
+        return float(fn(*x)).hex()
+    except Exception as exc:  # the type and text are what the test compares
+        return type(exc), str(exc)
+
+
+_DIAGONAL = [(c, c, c) for c in _COORDS]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(forests(), st.lists(st.tuples(*(st.sampled_from(_COORDS) | st.floats(-4.0, 4.0),) * 3), max_size=4))
+def test_one_output_kernels_raise_the_first_error_of_a_walk(forest, points):
+    # shared subtrees get lines and single reads are written inline, yet every outcome, error text included, is
+    # a walk's; the sum reads each checked tree once and each output twice, after them
+    outputs, checked = forest
+    total = functools.reduce(ex.Expr.__add__, (*checked, *outputs, *outputs))
+    for e in {id(e): e for e in (*outputs, *checked, total)}.values():
+        fn, walked = ex.compile_expr(e, XS), _walked(e)
+        assert fn.source == ex.compile_kernel((e,)).source  # one writer
+        for x in (*_DIAGONAL, *points):
+            assert _outcome(fn, x) == _outcome(walked, x)
+
+
+def test_an_inline_text_that_can_raise_runs_before_a_later_line_that_can():
+    # ln(u - 5) is read once but sqrt(u) twice: ln gets its own line before sqrt's, so a walk's error comes first
+    fn = ex.compile_expr(ex.parse("ln(u - 5) + sqrt(u) * sqrt(u)"), ("u",))
+    with pytest.raises(ex.DomainEvalError, match=r"^ln of non-positive value -6\.0$"):
+        fn(-1.0)
+    assert fn(9.0) == math.log(4.0) + 9.0
+
+
+def test_the_partial_of_a_deep_chain_compiles():
+    # each sin(...) is read by the next sin and by the partial's cos: they get lines, and the partial's 150
+    # nested products stay one line, as deep as the tree
+    e = ex.Var("u")
+    for _ in range(149):
+        e = ex.Call("sin", e)
+    d = ex.differentiate(e, "u")
+    fn = ex.compile_expr(d, ("u",))
+    for u in (0.3, -1.2, 2.0):
+        assert fn(u) == ex.eval_expr(d, {"u": u})
+
+
+def test_a_checked_sum_that_overflows_replays():
+    # one isfinite of the checked values' sum: finite values whose sum overflows send the call to its replay
+    x1, x2 = ex.Var("x1"), ex.Var("x2")
+    kernel = ex.compile_kernel((x1 - x2,), (x1, x2))
+    assert kernel.source.count("isfinite(") == 1
+    with pytest.raises(ex.BatchFault):
+        kernel(1e308, 1e308, 0.0)
+    with pytest.raises(ex.BatchFault):
+        kernel.batch(np.array([1.0, 1e308]), np.array([1.0, 1e308]), np.zeros(2))
+    fn = ex.compile_expr(x1 - x2, XS)
+    assert dynamics._with_replay(kernel, lambda *x: (fn(*x),))((1e308, 1e308, 0.0)) == (0.0,)
+    assert kernel(1.0, 2.0, 0.0) == (-1.0,)
 
 
 def test_signed_zero_literals_get_separate_locals():
@@ -159,13 +241,14 @@ def test_scalar_binding_is_the_generated_function_itself():
 
 def test_single_reads_are_inlined_and_dead_locals_give_their_names_away():
     # each level is read twice by the next, so it gets a local that the next level kills; its sin,
-    # read once, is written inline: twelve lines, one name
+    # read once, is written inline, and the last level, read by the return alone, into the return:
+    # eleven lines, one name
     e = ex.Var("x1")
     for n in range(12):
         e = ex.Call("sin", e) * e + float(n)
     kernel = ex.compile_kernel((e,))
     body = kernel.source.splitlines()[1:-1]
-    assert len(body) == 12 and kernel.source.count("sin(") == 12
+    assert len(body) == 11 and kernel.source.count("sin(") == 12
     assert {line.split(" = ")[0].strip() for line in body} == {"_t0"}
     x = 0.3
     for n in range(12):
@@ -174,15 +257,20 @@ def test_single_reads_are_inlined_and_dead_locals_give_their_names_away():
 
 
 def test_a_local_read_by_an_inlined_subtree_lives_until_that_subtree_is_read():
-    # exp(s / 2) is read once, so it is written into the output's line: s must keep its value until then
     x1, x2, x3 = ex.Var("x1"), ex.Var("x2"), ex.Var("x3")
-    s = x1 - x2
+    s, two = x1 - x2, ex.Lit(2.0)
     d = (s * x3) * (s + x3)
-    out = ex.Call("exp", s * 0.5) + d * d
-    kernel = ex.compile_kernel((out,))
-    assert kernel.source.splitlines()[-2].count("exp(") == 1
-    for x in ((0.7, 0.2, 1.3), (-1.5, 2.0, 0.25)):
-        assert _hex(kernel(*x)) == _hex([ex.compile_expr(out, XS)(*x)])
+    cases = (
+        # exp(s / 2) is read once, so it is written into the return: s must keep its value until then
+        ("exp", ex.Call("exp", s * 0.5) + d * d),
+        # -(2.0) is read by -(-(2.0)), whose line runs before the return reads -(2.0) / sqrt(x2)
+        ("sqrt", ex.Neg(two) / ex.Call("sqrt", x2) + ex.Neg(ex.Neg(two)) / ex.Neg(ex.Neg(two))),
+    )
+    for fn_name, out in cases:
+        kernel = ex.compile_kernel((out,))
+        assert kernel.source.splitlines()[-1].count(f"{fn_name}(") == 1  # the return
+        for x in ((0.7, 0.2, 1.3), (-1.5, 2.0, 0.25)):
+            assert _hex(kernel(*x)) == _hex([ex.eval_expr(out, dict(zip(XS, x)))])
 
 
 def _chain(levels, step):
