@@ -86,22 +86,20 @@ def _identity_fields(domain: DomainBox):
     )
 
 
-def halphen_structure(domain: DomainBox | None = None) -> PoissonFamilySpec:
+def _difference_structure(eta: str, name: str, domain: DomainBox | None) -> PoissonFamilySpec:
+    """The identity-axis member with the given eta, on a domain that excludes coordinate coincidences."""
     if domain is None:
         domain = default_halphen_domain()
     _check_difference_predicate(domain)
-    return make_family_spec(
-        ex.parse(_HALPHEN_ETA), _identity_fields(domain), make_kappa(0.0, 0.0), domain, "halphen"
-    )
+    return make_family_spec(ex.parse(eta), _identity_fields(domain), make_kappa(0.0, 0.0), domain, name)
+
+
+def halphen_structure(domain: DomainBox | None = None) -> PoissonFamilySpec:
+    return _difference_structure(_HALPHEN_ETA, "halphen", domain)
 
 
 def circle_maps_structure(domain: DomainBox | None = None) -> PoissonFamilySpec:
-    if domain is None:
-        domain = default_halphen_domain()
-    _check_difference_predicate(domain)
-    return make_family_spec(
-        ex.parse(_CIRCLE_ETA), _identity_fields(domain), make_kappa(0.0, 0.0), domain, "circle-maps"
-    )
+    return _difference_structure(_CIRCLE_ETA, "circle-maps", domain)
 
 
 @dataclass(frozen=True)

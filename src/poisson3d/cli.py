@@ -47,7 +47,10 @@ def _parse_point(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
+    point = tuple(float(p) for p in parts)
+    if not all(math.isfinite(v) for v in point):
+        raise ValueError(f"expected three finite numbers, got {text!r}")
+    return point
 
 
 def _object(value, what: str) -> dict:
@@ -91,6 +94,8 @@ def load_spec_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         doc = _object(json.load(fh), "the spec file")
     name = doc.get("name", os.path.basename(path))
+    if not isinstance(name, str):
+        raise ValueError(f"'name' must be a string, got {name!r}")
     hamiltonian = _expr(doc, "hamiltonian", required=False)
     domain = _load_domain(doc.get("domain", {}))
     if "matrix" in doc:

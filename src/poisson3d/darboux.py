@@ -38,6 +38,7 @@ from .scalar_fields import first_vanishing
 from .verification import SampledCheckReport, batch_report, sampled_check
 
 FACTOR_FLOOR = 1e-12
+CANONICAL_TOL = 1e-8  # canonical_check passes when every sampled deviation is at most this
 PROBE = 32  # the exact stage probes chi_ij's zero set on a PROBE x PROBE grid of (x_i, x_k)
 
 
@@ -57,11 +58,6 @@ class DarbouxChart:
     sign_branch: tuple[int, int, int]
     image_box: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
     casimir: Field3 = field(repr=False, compare=False)
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        i, j, _ = cyclic(self.k)
-        return i, j
 
 
 def build_chart(spec: PoissonFamilySpec, k: int | None = None, seed: int = 0) -> DarbouxChart:
@@ -166,16 +162,12 @@ def inverse_map(chart: DarbouxChart, y) -> np.ndarray:
     return x
 
 
-def jacobian_forward(chart: DarbouxChart, x, scheme: str = "analytic") -> np.ndarray:
-    """d y / d x at a domain point; row k is the negated Casimir gradient.
+def jacobian_forward(chart: DarbouxChart, x) -> np.ndarray:
+    """d y / d x at a domain point; row k is the negated Casimir gradient, differentiated symbolically.
 
-    analytic differentiates the Casimir ratio symbolically; fd applies
-    central differences to it.  For three coordinate arrays the result is
-    an (n, 3, 3) stack.
+    For three coordinate arrays the result is an (n, 3, 3) stack.
     """
-    if scheme not in ("analytic", "fd"):
-        raise ValueError(f"scheme must be analytic or fd, got {scheme!r}")
-    return _jacobian(chart.k, x, chart.casimir.gradient(*coordinates(x), scheme))
+    return _jacobian(chart.k, x, chart.casimir.gradient(*coordinates(x)))
 
 
 def _jacobian(k: int, x, gradient) -> np.ndarray:
@@ -186,25 +178,23 @@ def _jacobian(k: int, x, gradient) -> np.ndarray:
     return M
 
 
-def _gradient_kernel(chart: DarbouxChart, scheme: str):
-    """C_k's analytic gradient as one expr.compile_kernel; None for fd, a callable Casimir, or where it gives none."""
-    if scheme != "analytic" or not chart.casimir.batchable():
-        return None
+def _gradient_kernel(chart: DarbouxChart):
+    """C_k's analytic gradient as one expr.compile_kernel; None where it gives none."""
     return ex.compile_kernel(tuple(chart.casimir.partial_expr(axis) for axis in (1, 2, 3)))
 
 
-def pushforward_matrix(chart: DarbouxChart, y, scheme: str = "analytic") -> StructureMatrixValue:
+def pushforward_matrix(chart: DarbouxChart, y) -> StructureMatrixValue:
     """J'(y) = (dy/dx) J(x(y)) (dy/dx)^T as a StructureMatrixValue.
 
     y may be three coordinate arrays; the entries are then arrays.  A stack
     of points goes through the same BLAS product per 3x3 slice as a single
     point, so every slice equals the single-point result.
     """
-    return _pushforward(chart, y, scheme, None)[1]
+    return _pushforward(chart, y, None)[1]
 
 
-def _pushforward(chart: DarbouxChart, y, scheme: str, kernel):
-    """x(y) and pushforward_matrix(chart, y, scheme); with a kernel, C_k's gradient on arrays is kernel.batch's."""
+def _pushforward(chart: DarbouxChart, y, kernel):
+    """x(y) and pushforward_matrix(chart, y); with a kernel, C_k's gradient on arrays is kernel.batch's."""
     x = inverse_map(chart, y)
     bad = chart.spec.domain.first_outside(x)
     if bad is not None:
@@ -213,7 +203,7 @@ def _pushforward(chart: DarbouxChart, y, scheme: str, kernel):
             "left the spec domain; y is not in the chart image"
         )
     J = structure_matrix_at(chart.spec, x, check_domain=False).as_matrix()
-    M = jacobian_forward(chart, x, scheme) if kernel is None else _jacobian(chart.k, x, kernel.batch(*x))
+    M = jacobian_forward(chart, x) if kernel is None else _jacobian(chart.k, x, kernel.batch(*x))
     P = M @ J @ np.swapaxes(M, -1, -2)
     entries = (P[..., 0, 1], P[..., 1, 2], P[..., 2, 0])
     return x, StructureMatrixValue(*(entries if P.ndim == 3 else (float(v) for v in entries)))
@@ -243,40 +233,35 @@ def reparam_factor_from(chart: DarbouxChart, y, x):
     return factor
 
 
-def _deviation(chart: DarbouxChart, x, scheme: str, kernel):
+def _deviation(chart: DarbouxChart, x, kernel):
     """(max |J'(y) / J_ij(x(y)) - canonical|, y) at a domain point, or per point for coordinate arrays.
 
     x(y) is computed once, for J'(y) and the factor; kernel is _pushforward's.
     """
     y = forward_map(chart, x)
-    x_y, P = _pushforward(chart, y, scheme, kernel)
+    x_y, P = _pushforward(chart, y, kernel)
     factor = reparam_factor_from(chart, y, x_y)
     deviation = np.abs(P.as_matrix() / np.expand_dims(factor, (-2, -1)) - canonical_matrix(chart.k))
     return np.max(deviation, axis=(-2, -1)), y
 
 
-def _batch_deviations(chart: DarbouxChart, points: np.ndarray, scheme: str, kernel):
+def _batch_deviations(chart: DarbouxChart, points: np.ndarray, kernel):
     """_deviation of every sample point in one array pass, and the y of each as rows.
 
     Raises expr.BatchFault, PoissonError or ValueError wherever the
     per-point loop has to replay the points.
     """
     with ex.batch_arithmetic():
-        values, ys = _deviation(chart, np.ascontiguousarray(points.T), scheme, kernel)
+        values, ys = _deviation(chart, np.ascontiguousarray(points.T), kernel)
     return values, ys.T
 
 
-def canonical_check(
-    chart: DarbouxChart,
-    n_samples: int = 1000,
-    seed: int = 42,
-    tol: float = 1e-8,
-    scheme: str = "analytic",
-) -> SampledCheckReport:
+def canonical_check(chart: DarbouxChart, n_samples: int = 1000, seed: int = 42) -> SampledCheckReport:
     """Pushforward over factor must equal the constant canonical matrix.
 
     Sampled over the chart domain; reports the worst entrywise deviation
-    of J'(y) / J_ij(x(y)) from the canonical pattern.  All points go
+    of J'(y) / J_ij(x(y)) from the canonical pattern, which passes at most
+    CANONICAL_TOL (docs/decisions.md, D11).  All points go
     through one array pass, bit-identical to the per-point loop, with the
     analytic gradient of C_k from one kernel; a fault or a failed guard
     anywhere in it replays the per-point loop, which raises the first
@@ -284,15 +269,15 @@ def canonical_check(
     """
     points = chart.spec.domain.sample(n_samples, seed)
     try:
-        values, ys = _batch_deviations(chart, points, scheme, _gradient_kernel(chart, scheme))
+        values, ys = _batch_deviations(chart, points, _gradient_kernel(chart))
     except (ex.BatchFault, PoissonError, ValueError):
         pass
     else:
-        return batch_report("canonical", values, ys, scheme, seed, tol)
+        return batch_report("canonical", values, ys, "analytic", seed, CANONICAL_TOL)
 
     def measure(x):
         with np.errstate(all="ignore"):  # a value that is not finite raises, naming its point, in sampled_check
-            value, y = _deviation(chart, x, scheme, None)
+            value, y = _deviation(chart, x, None)
         return float(value), tuple(float(v) for v in y)
 
-    return sampled_check("canonical", measure, points, scheme, seed, tol)
+    return sampled_check("canonical", measure, points, "analytic", seed, CANONICAL_TOL)

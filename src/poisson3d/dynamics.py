@@ -92,9 +92,7 @@ class Trajectory:
 @dataclass(frozen=True)
 class DriftReport:
     max_abs_dH: float
-    rel_dH: float
     max_abs_dC: float | None
-    rel_dC: float | None
 
 
 def invariant_drift(traj: Trajectory) -> DriftReport:
@@ -102,11 +100,7 @@ def invariant_drift(traj: Trajectory) -> DriftReport:
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
     dH = float(np.max(np.abs(traj.H - traj.H[0])))
-    rel_dH = dH / max(1.0, abs(float(traj.H[0])))
-    if traj.C is None:
-        return DriftReport(dH, rel_dH, None, None)
-    dC = float(np.max(np.abs(traj.C - traj.C[0])))
-    return DriftReport(dH, rel_dH, dC, dC / max(1.0, abs(float(traj.C[0]))))
+    return DriftReport(dH, None if traj.C is None else float(np.max(np.abs(traj.C - traj.C[0]))))
 
 
 def _flow(j12, j23, j31, g1, g2, g3) -> tuple:
@@ -146,7 +140,7 @@ def _with_replay(kernel, replay):
 
 def _rhs_kernel(spec: PoissonFamilySpec, H: Field3):
     """J grad H at (x1, x2, x3); checks each psi, phi, eta factor and grad H value, as their callables do."""
-    if not H.batchable():
+    if H.expr is None:
         return None
     psis, phis = axis_exprs(spec)
     grad = tuple(H.partial_expr(axis) for axis in (1, 2, 3))
@@ -154,10 +148,10 @@ def _rhs_kernel(spec: PoissonFamilySpec, H: Field3):
     return ex.compile_kernel(_flow(*entries, *grad), (*psis, *phis, *spec.eta_chain, *grad))
 
 
-def hamiltonian_vector_field(spec: PoissonFamilySpec, h, x, check_domain: bool = True) -> np.ndarray:
-    """J(x) grad H(x)."""
+def hamiltonian_vector_field(spec: PoissonFamilySpec, h, x) -> np.ndarray:
+    """J(x) grad H(x) at a point of the domain."""
     H = as_hamiltonian(h)
-    if check_domain and not spec.domain.contains(x):
+    if not spec.domain.contains(x):
         raise DomainMembershipError(f"point {tuple(float(v) for v in x)} is outside the domain")
     return np.array(_j_grad_h(spec, H, *(float(v) for v in x)))
 
@@ -357,7 +351,7 @@ def _reduced_hamiltonian(chart: DarbouxChart, H: Field3) -> Field3:
 
 def _reduced_kernel(H_y: Field3, i: int, j: int):
     """(dH_y/dy_j, -dH_y/dy_i) at (y1, y2, y3); checks both partials, as their callables do."""
-    if not H_y.batchable():
+    if H_y.expr is None:
         return None
     d_i, d_j = H_y.partial_expr(i), H_y.partial_expr(j)
     return ex.compile_kernel((d_j, -d_i), (d_i, d_j))

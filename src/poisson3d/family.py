@@ -221,16 +221,16 @@ class StructureMatrixValue:
     def entries(self) -> tuple[float, float, float]:
         return (self.j12, self.j23, self.j31)
 
-    def rank(self, tol: float | None = None) -> int:
+    def rank(self) -> int:
         """Rank classification: 0 when all entries vanish, 2 otherwise.
 
-        Exactly two near-zero entries with the third far above tolerance is
-        impossible under the chi zero-sum relation, so that pattern raises a
-        consistency alarm instead of returning a rank.
+        An entry vanishes at or below tol = 1e-12 (1 + max |entry|).  Exactly
+        two such entries with the third far above tol is impossible under the
+        chi zero-sum relation, so that pattern raises a consistency alarm
+        instead of returning a rank.
         """
         entries = self.entries()
-        if tol is None:
-            tol = 1e-12 * (1.0 + max(map(abs, entries)))
+        tol = 1e-12 * (1.0 + max(map(abs, entries)))
         n_small = sum(abs(v) <= tol for v in entries)
         if n_small == 2 and max(map(abs, entries)) > 100.0 * tol:
             raise ConsistencyAlarmError(
@@ -275,8 +275,8 @@ def structure_entries(kappa: tuple[float, float, float], psis, phis, etas):
     return j12, j23, j31
 
 
-def rank_at(spec: PoissonFamilySpec, x, tol: float | None = None) -> int:
-    return structure_matrix_at(spec, x).rank(tol)
+def rank_at(spec: PoissonFamilySpec, x) -> int:
+    return structure_matrix_at(spec, x).rank()
 
 
 def rescale(spec: PoissonFamilySpec, factor: ex.Expr) -> PoissonFamilySpec:

@@ -85,66 +85,40 @@ def point_at(x, index) -> tuple[float, float, float]:
 _XS = ("x1", "x2", "x3")
 
 
-def _compiled(obj, what: str):
-    if isinstance(obj, ex.Expr):
-        return ex.compile_expr(obj, _XS)
-    if callable(obj):
-        return obj
-    raise TypeError(f"{what} must be an expression or a callable, got {type(obj)!r}")
-
-
 class Field3:
     """A scalar function of (x1, x2, x3) and the one place its partials are decided.
 
-    f is an expression or a callable f(x1, x2, x3); partials, when given, is
-    a (d/dx1, d/dx2, d/dx3) triple of expressions, callables or None.  Under
-    the "analytic" scheme a supplied partial wins for its axis, and the
-    expression's partial is differentiated symbolically on first use and
-    cached.  "fd" takes central differences of the value; "auto" is
-    "analytic" when symbolic() holds and "fd" otherwise.
+    f is an expression or a callable f(x1, x2, x3).  An expression's
+    partials are differentiated symbolically on first use and cached; the
+    "fd" scheme, and every partial of a callable, take central differences
+    of the value.
 
-    value and partial() also take coordinate arrays when batchable() holds;
-    the expr.compile_expr callables then run their batch binding.
+    value and partial() also take coordinate arrays for an expression; the
+    expr.compile_expr callables then run their batch binding.
     """
 
-    def __init__(self, f, partials=None):
-        self.value = _compiled(f, "f")
+    def __init__(self, f):
+        if not (isinstance(f, ex.Expr) or callable(f)):
+            raise TypeError(f"f must be an expression or a callable, got {type(f)!r}")
         self.expr = f if isinstance(f, ex.Expr) else None
-        self._supplied = tuple(partials or (None, None, None))
-        self._partials = [
-            None if p is None else _compiled(p, f"partial d/dx{axis}")
-            for axis, p in zip((1, 2, 3), self._supplied)
-        ]
+        self.value = f if self.expr is None else ex.compile_expr(f, _XS)
+        self._partials = [None, None, None]
 
-    def symbolic(self) -> bool:
-        return self.expr is not None or None not in self._partials
-
-    def batchable(self) -> bool:
-        """True when the value and every supplied partial are expressions."""
-        return self.expr is not None and all(p is None or isinstance(p, ex.Expr) for p in self._supplied)
-
-    def partial(self, axis: int, x1, x2, x3, scheme: str = "auto"):
+    def partial(self, axis: int, x1, x2, x3, scheme: str = "analytic"):
         """d f / d x_axis (axis 1, 2 or 3) at a point, or at arrays of points."""
-        if scheme == "fd" or (scheme == "auto" and not self.symbolic()):
+        if scheme == "fd" or self.expr is None:
             return central_difference(self.value, (x1, x2, x3), axis - 1)
-        if scheme not in ("analytic", "auto"):
-            raise ValueError(f"scheme must be analytic, fd or auto, got {scheme!r}")
         fn = self._partials[axis - 1]
         if fn is None:
             fn = self._partials[axis - 1] = ex.compile_expr(self.partial_expr(axis), _XS)
         return fn(x1, x2, x3)
 
-    def partial_expr(self, axis: int):
-        """The analytic partial along x_axis as partial() takes it: the supplied one, else the symbolic one."""
-        supplied = self._supplied[axis - 1]
-        if supplied is not None:
-            return supplied
-        if self.expr is None:
-            raise ValueError(f"no expression or supplied partial along x{axis}")
+    def partial_expr(self, axis: int) -> ex.Expr:
+        """The symbolic partial along x_axis of the expression."""
         return ex.differentiate(self.expr, f"x{axis}")
 
-    def gradient(self, x1: float, x2: float, x3: float, scheme: str = "auto") -> tuple[float, float, float]:
-        return tuple(self.partial(axis, x1, x2, x3, scheme) for axis in (1, 2, 3))
+    def gradient(self, x1: float, x2: float, x3: float) -> tuple[float, float, float]:
+        return tuple(self.partial(axis, x1, x2, x3) for axis in (1, 2, 3))
 
 
 def axis_sign(interval: tuple[float, float]) -> int:

@@ -84,8 +84,8 @@ def random_family_spec(index: int, seed: int = 0) -> PoissonFamilySpec:
     return make_family_spec(eta, fields, kappa, domain, name=f"random-{seed}-{index}")
 
 
-def random_polynomial_field(index: int, seed: int = 0, coeff_range: float = 2.0) -> MatrixField3:
-    """Random degree-<=2 polynomial skew field; generically not Poisson."""
+def random_polynomial_field(index: int, seed: int = 0) -> MatrixField3:
+    """Random degree-<=2 polynomial skew field, coefficients in [-2, 2]; generically not Poisson."""
     rng = _rng(seed + 7_777_777, index)
     monomials = (
         ex.lit(1.0),
@@ -103,7 +103,7 @@ def random_polynomial_field(index: int, seed: int = 0, coeff_range: float = 2.0)
     def entry():
         tree = ex.lit(0.0)
         for m in monomials:
-            tree = tree + ex.lit(rng.uniform(-coeff_range, coeff_range)) * m
+            tree = tree + ex.lit(rng.uniform(-2.0, 2.0)) * m
         return tree
 
     return MatrixField3(entry(), entry(), entry())

@@ -6,9 +6,9 @@ equation in the independent entries (J12, J23, J31):
     J12 d1J31 - J31 d1J12 + J23 d2J12 - J12 d2J23 + J31 d3J23 - J23 d3J31 = 0
 
 Skew-symmetry holds by representation (only the upper entries are stored).
-Entry derivatives come either from symbolic differentiation of expression
-entries / user-supplied partials ("analytic") or central differences
-("fd").  Residuals are normalized per point by 1 + max |entry|.
+Entry derivatives come either from symbolic differentiation of the entry
+expressions ("analytic") or central differences ("fd").  Residuals are
+normalized per point by 1 + max |entry|.
 """
 
 from __future__ import annotations
@@ -29,29 +29,21 @@ ENTRY_NAMES = ("j12", "j23", "j31")
 class MatrixField3:
     """A 3-D skew matrix field given by its three independent entries.
 
-    Entries may be expressions (enabling the analytic derivative scheme) or
-    plain callables f(x1, x2, x3); each becomes a Field3.  partials, when
-    given, maps (entry_name, axis) to the function for that partial
-    derivative and takes precedence over symbolic differentiation.
+    Each entry is an expression in x1, x2, x3 and becomes a Field3.
     """
 
-    def __init__(self, j12, j23, j31, partials: dict | None = None):
-        supplied = {name: [None, None, None] for name in ENTRY_NAMES}
-        for (name, axis), obj in (partials or {}).items():
-            supplied[name][int(axis) - 1] = obj
-        self.fields = tuple(
-            Field3(obj, supplied[name]) for name, obj in zip(ENTRY_NAMES, (j12, j23, j31))
-        )
+    def __init__(self, j12, j23, j31):
+        for name, entry in zip(ENTRY_NAMES, (j12, j23, j31)):
+            if not isinstance(entry, ex.Expr):
+                raise TypeError(f"{name} must be an expression, got {type(entry)!r}")
+        self.fields = (Field3(j12), Field3(j23), Field3(j31))
 
     def entries(self, x1: float, x2: float, x3: float) -> tuple[float, float, float]:
         return tuple(f.value(x1, x2, x3) for f in self.fields)
 
-    def analytic_available(self) -> bool:
-        return all(f.symbolic() for f in self.fields)
-
 
 def matrix_field_from_spec(spec: PoissonFamilySpec) -> MatrixField3:
-    """Expression-backed field for a family member (analytic scheme works).
+    """The field of a family member.
 
     The entries are structure_entries applied to trees, so they are the
     trees of the operations structure_matrix_at performs.
@@ -60,19 +52,18 @@ def matrix_field_from_spec(spec: PoissonFamilySpec) -> MatrixField3:
     return MatrixField3(*structure_entries(spec.kappa.triple, psis, phis, spec.eta_chain))
 
 
-def resolve_scheme(field: MatrixField3, scheme: str) -> str:
+def resolve_scheme(scheme: str) -> str:
+    """analytic or fd; auto is analytic, which every field's expression entries allow."""
     if scheme == "auto":
-        return "analytic" if field.analytic_available() else "fd"
+        return "analytic"
     if scheme not in ("analytic", "fd"):
         raise ValueError(f"scheme must be analytic, fd or auto, got {scheme!r}")
-    if scheme == "analytic" and not field.analytic_available():
-        raise ValueError("analytic scheme requested but no expressions or partials available")
     return scheme
 
 
 def jacobi_residual(field: MatrixField3, x, scheme: str = "auto") -> float:
     """The single independent 3-D Jacobi combination at a point."""
-    scheme = resolve_scheme(field, scheme)
+    scheme = resolve_scheme(scheme)
     x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
     return _finite_residual(_jacobi_terms(field, x1, x2, x3, scheme)[3], (x1, x2, x3))
 
@@ -153,37 +144,32 @@ class SampledCheckReport:
         }
 
 
-def _report(kind: str, samples: int, worst: float, worst_point, scheme: str, seed: int, tol: float) -> SampledCheckReport:
-    verdict = "pass" if worst <= tol else "fail"
-    return SampledCheckReport(kind, samples, worst, worst_point, verdict, scheme, seed, tol)
-
-
 def sampled_check(kind: str, measure, points, scheme: str, seed: int, tol: float) -> SampledCheckReport:
-    """Apply measure(point) -> (value, reported point) to every sample point.
+    """batch_report of measure(point) -> (value, reported point) applied to every sample point in order.
 
-    The first point with the largest value is the worst point; the verdict
-    passes when that value is at most tol.  A value that is not finite
-    raises DomainEvalError naming its sample point.
+    A value that is not finite raises DomainEvalError naming its sample
+    point, before any later point is measured.
     """
-    worst = -1.0
-    worst_point = (0.0, 0.0, 0.0)
+    values, where = [], []
     for pt in points:
-        value, where = measure(pt)
+        value, at = measure(pt)
         if not math.isfinite(value):
             raise DomainEvalError(f"non-finite {kind} value {value!r} at {tuple(float(v) for v in pt)}")
-        if value > worst:
-            worst, worst_point = value, where
-    return _report(kind, len(points), worst, worst_point, scheme, seed, tol)
+        values.append(value)
+        where.append(at)
+    return batch_report(kind, np.array(values), np.array(where), scheme, seed, tol)
 
 
 def batch_report(kind: str, values: np.ndarray, points: np.ndarray, scheme: str, seed: int, tol: float) -> SampledCheckReport:
-    """The report of per-point values computed in one batch, the row of points reported with each.
+    """The report of per-point values, the row of points reported with each.
 
-    The first maximum is the worst point, as sampled_check keeps it.
+    The first point with the largest value is the worst point; the verdict
+    passes when that value is at most tol.
     """
     worst = int(np.argmax(values))
+    value = float(values[worst])
     where = tuple(float(v) for v in points[worst])
-    return _report(kind, len(values), float(values[worst]), where, scheme, seed, tol)
+    return SampledCheckReport(kind, len(values), value, where, "pass" if value <= tol else "fail", scheme, seed, tol)
 
 
 def _batch_residuals(field: MatrixField3, points: np.ndarray, scheme: str, kernel) -> np.ndarray:
@@ -206,24 +192,22 @@ def verify_structure(
     """Sample the domain and report the worst scale-normalized residual.
 
     Points derive from (seed, index) alone, so the report is reproducible
-    regardless of evaluation order or worker count.  Expression fields are
-    checked in one batch, bit-identical to the per-point loop: under the
-    analytic scheme one kernel gives the entries and the combination.  A
-    batch that faults anywhere, and any field with a callable entry or
-    partial, goes through the per-point loop, which raises the first fault
-    in index order, naming its sample point.
+    regardless of evaluation order or worker count.  All points are checked
+    in one batch, bit-identical to the per-point loop: under the analytic
+    scheme one kernel gives the entries and the combination.  A batch that
+    faults anywhere goes through the per-point loop, which raises the first
+    fault in index order, naming its sample point.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    scheme = resolve_scheme(field, scheme)
+    scheme = resolve_scheme(scheme)
     points = domain.sample(n_samples, seed)
-    if all(f.batchable() for f in field.fields):
-        try:
-            values = _batch_residuals(field, points, scheme, _jacobi_kernel(field, scheme))
-        except ex.BatchFault:
-            pass
-        else:
-            return batch_report("jacobi", values, points, scheme, seed, tol)
+    try:
+        values = _batch_residuals(field, points, scheme, _jacobi_kernel(field, scheme))
+    except ex.BatchFault:
+        pass
+    else:
+        return batch_report("jacobi", values, points, scheme, seed, tol)
 
     def measure(pt):
         x = float(pt[0]), float(pt[1]), float(pt[2])

@@ -22,6 +22,7 @@ from poisson3d.casimir import (
     CHART_SAMPLES,
     best_casimir_index,
     casimir_expr,
+    casimir_gradient_fd,
     chi_table,
     cyclic,
     denominator_threshold,
@@ -243,6 +244,10 @@ def batch_outcomes(monkeypatch):
     return outcomes
 
 
+def _refuse(*args):
+    raise ex.BatchFault("forced per-point loop")
+
+
 def _assert_same_report(monkeypatch, field, domain, n, seed, scheme):
     """The kernel, the per-expression batch and the per-point loop give one report."""
     run = lambda: verify_structure(field, domain, n, 1e-6, seed=seed, scheme=scheme)
@@ -250,7 +255,7 @@ def _assert_same_report(monkeypatch, field, domain, n, seed, scheme):
     with monkeypatch.context() as m:
         m.setattr(verification, "_jacobi_kernel", lambda *args: None)
         per_expression = run()
-        m.setattr(Field3, "batchable", lambda self: False)
+        m.setattr(verification, "_batch_residuals", _refuse)
         per_point = run()
     assert report.to_dict() == per_expression.to_dict() == per_point.to_dict()
     assert report == per_expression == per_point
@@ -301,13 +306,6 @@ def test_verify_kernel_checks_the_six_partials_it_reads(monkeypatch):
     assert verification._jacobi_kernel(field, "fd") is None and len(kernels) == 1
 
 
-def test_callable_entries_take_the_scalar_loop(batch_outcomes):
-    field = verification.MatrixField3(lambda x1, x2, x3: x1, ex.parse("x2"), ex.parse("x3"))
-    report = verify_structure(field, DomainBox(((1.0, 2.0),) * 3), 50, 1e-6, seed=1, scheme="fd")
-    assert report.verdict == "fail"
-    assert batch_outcomes == []
-
-
 def test_each_sampled_check_compiles_one_kernel(monkeypatch):
     spec, _ = build_system("halphen")
     chart = build_chart(spec, seed=42)
@@ -329,11 +327,12 @@ def test_too_deep_partials_keep_the_per_expression_path(monkeypatch, batch_outco
     field = verification.MatrixField3(ex.parse("x3"), ex.parse(entry), ex.parse("x2"))
     box = DomainBox(((0.5, 1.0), (0.9, 1.1), (0.1, 1.0)))
     assert verification._jacobi_kernel(field, "analytic") is None
-    for batchable in (True, False):
-        with monkeypatch.context() as m:
-            m.setattr(Field3, "batchable", lambda self: batchable)
-            with pytest.raises(ex.ParseError, match="nested too deeply"):
-                verify_structure(field, box, 50, 1e-6, seed=7, scheme="analytic")
+    with pytest.raises(ex.ParseError, match="nested too deeply"):
+        verify_structure(field, box, 50, 1e-6, seed=7, scheme="analytic")
+    with monkeypatch.context() as m:
+        m.setattr(verification, "_batch_residuals", _refuse)
+        with pytest.raises(ex.ParseError, match="nested too deeply"):
+            verify_structure(field, box, 50, 1e-6, seed=7, scheme="analytic")
     assert batch_outcomes == ["fault"]  # the per-expression pass, which raised the compile error
 
 
@@ -369,7 +368,7 @@ def test_fault_replay_matches_scalar_cli(tmp_path, capsys, monkeypatch, batch_ou
     with monkeypatch.context() as m:
         m.setattr(verification, "_jacobi_kernel", lambda *args: None)
         per_expression = run()
-        m.setattr(Field3, "batchable", lambda self: False)
+        m.setattr(verification, "_batch_residuals", _refuse)
         scalar = run()
     assert batch == per_expression == scalar
     assert batch_outcomes == ["fault"] * 2
@@ -397,29 +396,25 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-def _assert_same_canonical(monkeypatch, chart, n, seed, scheme):
+def _assert_same_canonical(monkeypatch, chart, n, seed):
     """The kernel, per-expression batch and forced per-point canonical checks agree exactly; returns the outcome."""
-    run = lambda: _outcome(lambda: canonical_check(chart, n, seed=seed, scheme=scheme))
+    run = lambda: _outcome(lambda: canonical_check(chart, n, seed=seed))
     batch = run()
-
-    def refuse(*args):
-        raise ex.BatchFault("forced per-point loop")
-
     with monkeypatch.context() as m:
         m.setattr(darboux, "_gradient_kernel", lambda *args: None)
         per_expression = run()
-        m.setattr(darboux, "_batch_deviations", refuse)
+        m.setattr(darboux, "_batch_deviations", _refuse)
         scalar = run()
     assert batch == per_expression == scalar
     return batch
 
 
-def _deviations_from_public_maps(chart, points, scheme):
+def _deviations_from_public_maps(chart, points):
     """max |pushforward / reparam_factor - canonical| at each point, from the public chart functions."""
     out = []
     for x in points:
         y = forward_map(chart, x)
-        P = pushforward_matrix(chart, y, scheme).as_matrix() / darboux.reparam_factor(chart, y)
+        P = pushforward_matrix(chart, y).as_matrix() / darboux.reparam_factor(chart, y)
         out.append(float(np.max(np.abs(P - darboux.canonical_matrix(chart.k)))))
     return out
 
@@ -428,17 +423,23 @@ def _deviations_from_public_maps(chart, points, scheme):
 CHARTED_BUILTINS = [(name, k) for name in BUILTIN_NAMES for k in (None, 1, 2, 3) if (name, k) != ("euler-top", 2)]
 
 
-@pytest.mark.parametrize("scheme", ["analytic", "fd"])
+@pytest.mark.parametrize("oracle", ["analytic", "fd"])
 @pytest.mark.parametrize("name, k", CHARTED_BUILTINS)
-def test_canonical_batch_equals_scalar_on_builtins(monkeypatch, canonical_outcomes, name, k, scheme):
+def test_canonical_batch_equals_scalar_on_builtins(monkeypatch, canonical_outcomes, name, k, oracle):
     spec, _ = build_system(name)
     chart = build_chart(spec, k, seed=42)
-    report = _assert_same_canonical(monkeypatch, chart, 1000, 42, scheme)
+    report = _assert_same_canonical(monkeypatch, chart, 1000, 42)
     assert report["samples"] == 1000
-    assert canonical_outcomes == _batch_paths(scheme)
-    # every path above shares _deviation: the worst value must also be the public maps' one
+    assert canonical_outcomes == _batch_paths("analytic")
     points = chart.spec.domain.sample(1000, 42)
-    assert report["max_deviation"] == max(_deviations_from_public_maps(chart, points, scheme))
+    if oracle == "analytic":
+        # every path above shares _deviation: the worst value must also be the public maps' one
+        assert report["max_deviation"] == max(_deviations_from_public_maps(chart, points))
+    else:
+        # the Casimir row of dy/dx that every path uses, against the independent finite-difference route
+        for x in points:
+            row = jacobian_forward(chart, x)[chart.k - 1]
+            assert np.max(np.abs(row + casimir_gradient_fd(spec, chart.k, x))) <= 1e-6 * np.max(np.abs(row))
 
 
 @pytest.mark.parametrize("seed", [1, 42])
@@ -450,13 +451,12 @@ def test_canonical_batch_equals_scalar_on_random_specs(monkeypatch, canonical_ou
             chart = build_chart(spec, seed=seed)
         except HypothesisViolationError:
             continue  # rightly rejected charts have no canonical check
-        for scheme in ("analytic", "fd"):
-            _assert_same_canonical(monkeypatch, chart, 100, seed, scheme)
-            checked += 1
+        _assert_same_canonical(monkeypatch, chart, 100, seed)
+        checked += 1
         without_zeta += spec.field(chart.k).zeta is None
-    assert checked >= 60
+    assert checked >= 30
     assert without_zeta >= 5  # these solve every x_k with the per-point root-finder
-    assert canonical_outcomes == (_batch_paths("analytic") + _batch_paths("fd")) * (checked // 2)
+    assert canonical_outcomes == _batch_paths("analytic") * checked
 
 
 def _unchecked_chart(spec, k):
@@ -473,7 +473,7 @@ def test_canonical_worst_point_is_the_first_maximum(monkeypatch, canonical_outco
     assert report.worst == 0.0
     assert report.worst_point == tuple(forward_map(chart, spec.domain.sample(200, 3)[0]).tolist())
     assert canonical_outcomes == ["kernel"]
-    _assert_same_canonical(monkeypatch, chart, 200, 3, "fd")
+    _assert_same_canonical(monkeypatch, chart, 200, 3)
 
 
 def _field(phi, psi, zeta, interval):
@@ -481,23 +481,21 @@ def _field(phi, psi, zeta, interval):
     return ScalarField1D(ex.parse(phi), ex.parse(psi), ex.parse(zeta) if zeta else None, interval)
 
 
-@pytest.mark.parametrize("scheme", ["analytic", "fd"])
-def test_canonical_guard_failure_is_the_scalar_failure(monkeypatch, canonical_outcomes, scheme):
+def test_canonical_guard_failure_is_the_scalar_failure(monkeypatch, canonical_outcomes):
     # psi_1 = u - |u| and psi_2 = 0: chi_12 is exactly 0 wherever x1 >= 0
     box = ((-1.0, 1.0), (0.5, 1.5), (0.5, 1.5))
     fields = (_field("1 - sign(u)", "u - abs(u)", None, box[0]), _field("0", "0*u", None, box[1]),
               _field("1", "u", "u", box[2]))
     spec = make_family_spec(ex.parse("1"), fields, make_kappa(0.0, 3.0), DomainBox(box))
     chart = _unchecked_chart(spec, 3)
-    got = _assert_same_canonical(monkeypatch, chart, 300, 4, scheme)
+    got = _assert_same_canonical(monkeypatch, chart, 300, 4)
     first = next(x for x in spec.domain.sample(300, 4) if x[0] >= 0.0)
     assert got == (UndefinedAtPointError, f"chi_12 = 0.0 at {tuple(first.tolist())}; C_3 undefined there")
     assert spec.domain.sample(300, 4)[0][0] < 0.0  # earlier points pass every stage
     assert canonical_outcomes == ["fault"] * 2
 
 
-@pytest.mark.parametrize("scheme", ["analytic", "fd"])
-def test_canonical_domain_exit_is_the_scalar_failure(monkeypatch, canonical_outcomes, scheme):
+def test_canonical_domain_exit_is_the_scalar_failure(monkeypatch, canonical_outcomes):
     # psi_3 = 1e-13 u is flat to the solve tolerance, so zeta = 0.9 passes its
     # residual test; x(y) = (x1, x2, 0.9) leaves the domain wherever x1 >= 1
     box = ((0.5, 1.5), (0.5, 1.5), (0.5, 1.5))
@@ -506,7 +504,7 @@ def test_canonical_domain_exit_is_the_scalar_failure(monkeypatch, canonical_outc
     domain = DomainBox(box, ex.parse("x3 - 0.9 + abs(x1 - 1) - (x1 - 1)"))
     spec = make_family_spec(ex.parse("1000"), fields, make_kappa(5.0, 0.0), domain)
     chart = _unchecked_chart(spec, 3)
-    kind, message = _assert_same_canonical(monkeypatch, chart, 300, 5, scheme)
+    kind, message = _assert_same_canonical(monkeypatch, chart, 300, 5)
     first = next(x for x in spec.domain.sample(300, 5) if x[0] >= 1.0)
     assert kind is DomainMembershipError
     assert message.startswith(f"inverse image {(float(first[0]), float(first[1]), 0.9)} of ")
@@ -530,20 +528,19 @@ def test_stacked_matmul_equals_per_slice_matmul(n, k):
     assert np.array_equal(stacked, per_slice)
 
 
-@pytest.mark.parametrize("scheme", ["analytic", "fd"])
-def test_pushforward_is_the_blas_product(scheme):
+def test_pushforward_is_the_blas_product():
     # reports pin worst points, so J' must stay the 3x3 @ product of D4, at
     # one point and on coordinate arrays alike, not a closed form
     spec, _ = build_system("euler-top")
     chart = build_chart(spec, 3, seed=42)
     ys = forward_map(chart, np.ascontiguousarray(spec.domain.sample(200, 1).T))
-    stacked = pushforward_matrix(chart, ys, scheme).as_matrix()
+    stacked = pushforward_matrix(chart, ys).as_matrix()
     for n, y in enumerate(ys.T):
         x = inverse_map(chart, y)
-        M = jacobian_forward(chart, x, scheme)
+        M = jacobian_forward(chart, x)
         P = M @ structure_matrix_at(spec, x).as_matrix() @ M.T
         want = StructureMatrixValue(float(P[0, 1]), float(P[1, 2]), float(P[2, 0]))
-        assert pushforward_matrix(chart, y, scheme) == want
+        assert pushforward_matrix(chart, y) == want
         assert stacked[n].tolist() == want.as_matrix().tolist()
 
 

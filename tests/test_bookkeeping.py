@@ -22,12 +22,11 @@ from poisson3d.darboux import build_chart, forward_map
 from poisson3d.dynamics import integrate, integrate_reduced
 from poisson3d.errors import DomainExitError, ReparametrizationBreakdownError
 from poisson3d.family import make_family_spec, make_kappa
-from poisson3d.scalar_fields import DomainBox, Field3, build_scalar_field
+from poisson3d.scalar_fields import DomainBox, build_scalar_field
 from conftest import ORDERED_BOX, make_flat_spec, make_halphen
 from helpers import assert_same_error, assert_same_trajectory, run_outcome
 
 QUADRATIC = ex.parse("(x1^2 + x2^2 + x3^2)/2")
-ZERO_LN = Field3(ex.parse("x1 + 0*ln(x2)"), (ex.parse("1"), ex.parse("0"), ex.parse("0")))
 # exp overflows below x2 = 0.629; the symbolic partials drop the term, so only the value faults
 ZERO_EXP = ex.parse("x1 + 0*exp(10000*(0.7 - x2))")
 
@@ -95,9 +94,9 @@ def _direct_cases():
         # on x2 = x3, chi_12 = x1 - x2 decays like exp(-3t) until C_3's denominator guard fails
         ("casimir-guard", lambda m: integrate(flat, ex.parse("-(x1 + x2 + x3)"), (0.9, 0.1, 0.1), 12.0, 0.01, m, 3),
          DomainExitError, r"invariant ledger failed at t = 8\.96: chi_12 = \S+ at \(.*\); C_3 undefined there$"),
-        # x2 falls through 0, where the ledger's H faults; its supplied gradient does not
-        ("ledger-h-fault", lambda m: integrate(wide_flat, ZERO_LN, (1.0, 0.5, 0.0), 3.0, 0.001, m, None),
-         DomainExitError, r"invariant ledger failed at t = \S+: ln of non-positive value "),
+        # x2 falls below 0.629, where the ledger's H overflows; its gradient (1, 0, 0) does not
+        ("ledger-h-fault", lambda m: integrate(wide_flat, ZERO_EXP, (1.0, 0.8, 0.0), 3.0, 0.001, m, None),
+         DomainExitError, r"invariant ledger failed at t = \S+: math range error"),
         # the same guard with a callable H, whose ledger has no array binding
         ("casimir-guard-callable", lambda m: integrate(flat, lambda *x: -sum(x), (0.9, 0.1, 0.1), 12.0, 0.01, m, 3),
          DomainExitError, r"invariant ledger failed at t = 8\.96: chi_12 = "),

@@ -321,6 +321,7 @@ MALFORMED_SPECS = {
     "matrix list": _edited(BROKEN_SPEC, ("matrix",), ["x1", "x2", "x3"]),
     "matrix string": _edited(BROKEN_SPEC, ("matrix",), "x1"),
     "eta number": _edited(HALPHEN_WIDE_SPEC, ("eta",), 2),
+    "name number": _edited(HALPHEN_WIDE_SPEC, ("name",), 5),
     "hamiltonian number": _edited(HALPHEN_WIDE_SPEC, ("hamiltonian",), 1.5),
     "predicate number": _edited(HALPHEN_WIDE_SPEC, ("domain", "predicate"), 3),
     "phi number": _edited(HALPHEN_WIDE_SPEC, ("axes", 0, "phi"), 1),
@@ -349,6 +350,7 @@ MALFORMED_ERRORS = {
     "box width overflow": "error: need three intervals lo < hi with finite bounds and width, "
                           "got ((-1e+308, 1e+308), (1.0, 2.0), (1.0, 2.0))\n",
     "kappa overflow": "error: kappa constants and kappa_31 = -(k12 + k23) must be finite, got (1e+308, 1e+308)\n",
+    "name number": "error: 'name' must be a string, got 5\n",
     "eta 199-term sum": "error: expression is nested too deeply (offset 0)\n",
     "eta 1500-term sum": "error: expression is nested too deeply (offset 0)\n",
 }
@@ -524,8 +526,10 @@ def test_random_argv_exit_codes(capsys, tmp_path, wide_spec_file, broken_spec_fi
      "grad C_3 is not finite at (0.1, 0.5, 1.1e+154)"),
     (("verify", "--spec", "BIG", "--samples", "20"), "non-finite result -inf at ("),
     (("verify", "--spec", "BIG", "--samples", "20", "--scheme", "fd"), "non-finite result -inf at ("),
+    (("casimir", "--system", "halphen", "--k", "3", "--point", "0.1,0.5,nan"),
+     "expected three finite numbers, got '0.1,0.5,nan'\n"),
 ], ids=["darboux", "darboux-point", "simulate-reduced", "casimir-big", "casimir-1e155", "casimir-1.1e154", "verify",
-        "verify-fd"])
+        "verify-fd", "casimir-nan-point"])
 def test_values_that_are_not_finite_are_bad_input(capsys, tmp_path, big_spec_file, argv, message):
     argv = [big_spec_file if a == "BIG" else a for a in argv]
     if argv[0] == "simulate":

@@ -63,17 +63,6 @@ class TestVectorField:
         with pytest.raises(DomainMembershipError):
             hamiltonian_vector_field(halphen, H_SUM, (9.0, 9.5, 9.9))
 
-    def test_supplied_gradient_matches_fd(self, halphen):
-        H = Field3(
-            ex.parse("x1^2 + sin(x2)"),
-            partials=(ex.parse("2*x1"), ex.parse("cos(x2)"), ex.parse("0")),
-        )
-        fd = Field3(lambda x1, x2, x3: x1**2 + math.sin(x2))
-        for x in halphen.domain.sample(25, seed=9):
-            a = np.array(H.gradient(*map(float, x)))
-            b = np.array(fd.gradient(*map(float, x)))
-            assert np.max(np.abs(a - b)) <= 1e-6 * max(1.0, np.max(np.abs(a)))
-
 
 class TestIntegrate:
     def test_benchmark_drift_bounds(self, halphen):
@@ -190,7 +179,7 @@ class TestReduced:
         t_common = reduced.t[keep]
         mapped = np.array([inverse_map(chart, y) for y in reduced.states[keep]])
         resampled = hermite_resample(
-            direct, t_common, lambda s: hamiltonian_vector_field(halphen, H_SUM, s, check_domain=False)
+            direct, t_common, lambda s: hamiltonian_vector_field(halphen, H_SUM, s)
         )
         assert np.max(np.abs(mapped - resampled)) <= 1e-6
 
@@ -277,7 +266,7 @@ class TestReduced:
 
 def test_hermite_resample_reproduces_grid_and_midpoints(halphen):
     direct = integrate(halphen, H_SUM, X0, 0.2, 1e-3, casimir_k=3)
-    deriv = lambda s: hamiltonian_vector_field(halphen, H_SUM, s, check_domain=False)
+    deriv = lambda s: hamiltonian_vector_field(halphen, H_SUM, s)
     on_grid = hermite_resample(direct, direct.t[::50], deriv)
     assert np.max(np.abs(on_grid - direct.states[::50])) == 0.0
     fine = integrate(halphen, H_SUM, X0, 0.2, 2.5e-4, casimir_k=3)

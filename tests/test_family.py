@@ -170,7 +170,7 @@ class TestRank:
             StructureMatrixValue(0.0, 0.0, 1.0).rank()
 
     def test_two_small_near_tolerance_is_rank_two(self):
-        assert StructureMatrixValue(0.0, 0.0, 1e-11).rank(tol=1e-12) == 2
+        assert StructureMatrixValue(0.0, 0.0, 1e-11).rank() == 2
 
 
 class TestRescale:

@@ -168,21 +168,16 @@ def test_degenerate_interval_rejected():
 
 
 def test_field3_mixed_derivative_sources():
-    f = ex.parse("x1^2 * x2 + sin(x3)")
-    # the supplied d/dx1 is deliberately not the true partial 2 x1 x2
-    mixed = Field3(f, partials=(ex.parse("7 + x2"), None, None))
+    # an expression's partials are symbolic, or central differences under "fd"; a callable's are always the latter
+    symbolic = Field3(ex.parse("x1^2 * x2 + sin(x3)"))
     plain = Field3(lambda x1, x2, x3: x1**2 * x2 + math.sin(x3))
-    assert mixed.symbolic() and not plain.symbolic()
     for x1, x2, x3 in ((0.5, -1.25, 2.0), (1.5, 0.75, -0.3)):
-        for scheme in ("analytic", "auto"):
-            assert mixed.partial(1, x1, x2, x3, scheme) == 7.0 + x2
-            assert mixed.partial(2, x1, x2, x3, scheme) == pytest.approx(x1**2, rel=1e-15)
-            assert mixed.partial(3, x1, x2, x3, scheme) == pytest.approx(math.cos(x3), rel=1e-15)
         exact = (2.0 * x1 * x2, x1**2, math.cos(x3))
-        for got in (plain.gradient(x1, x2, x3, "fd"), plain.gradient(x1, x2, x3)):
+        assert symbolic.gradient(x1, x2, x3) == pytest.approx(exact, rel=1e-15)
+        for field, scheme in ((symbolic, "fd"), (plain, "fd"), (plain, "analytic")):
+            got = [field.partial(axis, x1, x2, x3, scheme) for axis in (1, 2, 3)]
             assert np.max(np.abs(np.subtract(got, exact))) <= 1e-6
-        with pytest.raises(ValueError):
-            plain.partial(2, x1, x2, x3, "analytic")
+        assert plain.gradient(x1, x2, x3) == tuple(plain.partial(a, x1, x2, x3, "fd") for a in (1, 2, 3))
 
 
 @pytest.mark.parametrize("phi, psi, want", [("3*u^2", "u^3", (1.0, 8.0)), ("-3*u^2", "-u^3", (-8.0, -1.0))])

@@ -53,3 +53,10 @@ def test_output_digest_all_prefixes_each_workload():
     assert [line for line in lines if line.split(" ")[1] == "sampled-checks"] == [
         line.replace(" ", " sampled-checks ", 1) for line in run("sampled-checks")
     ]
+
+
+def test_output_digest_src_names_the_package_it_runs():
+    argv = [str(SCRIPTS / "output_digest.py"), "--workload", "sampled-checks", "--seed", "3"]
+    default = run_python_subprocess(argv).stdout.decode()
+    assert len(default.splitlines()) == 7
+    assert run_python_subprocess(argv + ["--src", str(REPO_ROOT / "src")]).stdout.decode() == default

@@ -43,30 +43,9 @@ def test_family_members_satisfy_jacobi(halphen_unit):
         assert abs(jacobi_residual(field, x, "analytic")) <= 1e-9 * scale
 
 
-def test_callable_entries_fall_back_to_fd():
-    field = MatrixField3(
-        lambda x1, x2, x3: x1,
-        lambda x1, x2, x3: x2,
-        lambda x1, x2, x3: x3,
-    )
-    assert not field.analytic_available()
-    assert jacobi_residual(field, (1.0, 1.0, 1.0)) == pytest.approx(-3.0, rel=1e-9)
-    with pytest.raises(ValueError):
-        jacobi_residual(field, (1.0, 1.0, 1.0), "analytic")
-
-
-def test_user_partials_enable_analytic_scheme():
-    zero = lambda x1, x2, x3: 0.0
-    one = lambda x1, x2, x3: 1.0
-    partials = {}
-    for name, fns in (("j12", (one, zero, zero)), ("j23", (zero, one, zero)), ("j31", (zero, zero, one))):
-        for axis, fn in zip((1, 2, 3), fns):
-            partials[(name, axis)] = fn
-    field = MatrixField3(
-        lambda x1, x2, x3: x1, lambda x1, x2, x3: x2, lambda x1, x2, x3: x3, partials
-    )
-    assert field.analytic_available()
-    assert jacobi_residual(field, (1.0, 1.0, 1.0), "analytic") == -3.0
+def test_entries_must_be_expressions():
+    with pytest.raises(TypeError, match="^j23 must be an expression, got "):
+        MatrixField3(ex.parse("x1"), lambda x1, x2, x3: x2, ex.parse("x3"))
 
 
 class TestVerifyStructure:
@@ -197,7 +176,7 @@ def test_spec_backed_field_matches_structure_matrix():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_sampled_check_rejects_a_value_that_is_not_finite(bad):
-    # a NaN is never the largest value: without the test the report would pass on the -1.0 sentinel
+    # a value that is not finite ends the check, naming its point, before it can reach the report
     points = [(0.5, 1.0, 1.5), (2.0, 3.0, 4.0), (5.0, 6.0, 7.0)]
     seen = []
 
