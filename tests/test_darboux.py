@@ -41,6 +41,13 @@ def top_chart():
     return build_chart(make_euler_top(), k=3)
 
 
+def _fd_pushforward(chart, x):
+    """(dy/dx) J(x) (dy/dx)^T with the Casimir row of dy/dx from the fd oracle."""
+    M = jacobian_forward(chart, x)
+    M[chart.k - 1] = -casimir_gradient_fd(chart.spec, chart.k, x)
+    return M @ structure_matrix_at(chart.spec, x).as_matrix() @ M.T
+
+
 class TestForwardInverse:
     def test_halphen_forward_124(self, halphen_wide_chart):
         np.testing.assert_array_equal(
@@ -103,14 +110,20 @@ class TestPushforwardAndFactor:
                 P = pushforward_matrix(chart, y)
                 assert getattr(P, idx) == pytest.approx(reparam_factor(chart, y), rel=1e-8)
 
-    def test_casimir_row_matches_fd_oracle(self, halphen_ordered_chart, top_chart):
+    def test_decoupled_rows_fd_scheme(self, halphen_ordered_chart, top_chart):
         # the symbolic Casimir row of dy/dx against the independent
-        # finite-difference route, to stencil accuracy
+        # finite-difference route, to stencil accuracy; with the fd row in
+        # place the Casimir row/column of J' must still vanish
         for chart in (halphen_ordered_chart, top_chart):
+            i, j, k = cyclic(chart.k)
             for x in chart.spec.domain.sample(100, seed=21):
-                row = jacobian_forward(chart, x)[chart.k - 1]
-                fd = casimir_gradient_fd(chart.spec, chart.k, x)
+                row = jacobian_forward(chart, x)[k - 1]
+                fd = casimir_gradient_fd(chart.spec, k, x)
                 assert np.max(np.abs(row + fd)) <= 1e-6 * np.max(np.abs(row))
+                P = _fd_pushforward(chart, x)
+                scale = 1.0 + abs(P[i - 1, j - 1])
+                assert abs(P[j - 1, k - 1]) <= 1e-6 * scale
+                assert abs(P[k - 1, i - 1]) <= 1e-6 * scale
 
     def test_factor_constant_sign_on_connected_image(self, halphen_ordered_chart):
         signs = set()
@@ -138,6 +151,13 @@ class TestCanonicalCheck:
     def test_euler_top(self, top_chart):
         report = canonical_check(top_chart, 1000, seed=42)
         assert report.verdict == "pass"
+
+    def test_fd_scheme_still_canonical(self, top_chart):
+        # J' from the fd Casimir row, over the factor, is canonical to stencil accuracy
+        for x in top_chart.spec.domain.sample(200, seed=7):
+            y = forward_map(top_chart, x)
+            P = _fd_pushforward(top_chart, x) / reparam_factor(top_chart, y)
+            assert np.max(np.abs(P - canonical_matrix(top_chart.k))) <= 1e-6
 
     def test_k1_k2_charts_by_cyclic_relabeling(self):
         spec = make_halphen(ORDERED_BOX)
