@@ -134,18 +134,19 @@ def chi_table(spec: PoissonFamilySpec, points) -> tuple[np.ndarray, np.ndarray]:
 
     Column n holds point n.  Each chi is computed as chi() computes it, so
     values are float-identical.  All points are evaluated at once; a batch
-    fault replays them one by one.
+    fault replays them one by one (expr.batched).
     """
     points = np.asarray(points, dtype=float)
-    try:
-        with ex.batch_arithmetic():
-            psis = tuple(spec.psi(a, np.ascontiguousarray(points[:, a - 1])) for a in (1, 2, 3))
-            chis = _denominators(spec, psis)
-    except ex.BatchFault:
+
+    def on_arrays():
+        psis = tuple(spec.psi(a, np.ascontiguousarray(points[:, a - 1])) for a in (1, 2, 3))
+        return np.array(psis), np.array(_denominators(spec, psis))
+
+    def per_point():
         psis = [tuple(spec.psi(a, float(x[a - 1])) for a in (1, 2, 3)) for x in points]
-        chis = [_denominators(spec, p) for p in psis]
-        return np.array(psis).T, np.array(chis).T
-    return np.array(psis), np.array(chis)
+        return np.array(psis).T, np.array([_denominators(spec, p) for p in psis]).T
+
+    return ex.batched(on_arrays, per_point)
 
 
 def best_casimir_index(chis: np.ndarray) -> int:

@@ -31,11 +31,11 @@ from .casimir import (
     denominator_threshold,
 )
 from . import expr as ex
-from .errors import DomainMembershipError, HypothesisViolationError, PoissonError
+from .errors import DomainMembershipError, HypothesisViolationError
 from .family import PoissonFamilySpec, StructureMatrixValue, chi, chi_from_psi, structure_matrix_at
 from .scalar_fields import Field3, axis_sign, coordinates, element, first_flagged, point_at, psi_inverse
 from .scalar_fields import first_vanishing
-from .verification import SampledCheckReport, batch_report, sampled_check
+from .verification import SampledCheckReport, sampled_check
 
 FACTOR_FLOOR = 1e-12
 CANONICAL_TOL = 1e-8  # canonical_check passes when every sampled deviation is at most this
@@ -245,17 +245,6 @@ def _deviation(chart: DarbouxChart, x, kernel):
     return np.max(deviation, axis=(-2, -1)), y
 
 
-def _batch_deviations(chart: DarbouxChart, points: np.ndarray, kernel):
-    """_deviation of every sample point in one array pass, and the y of each as rows.
-
-    Raises expr.BatchFault, PoissonError or ValueError wherever the
-    per-point loop has to replay the points.
-    """
-    with ex.batch_arithmetic():
-        values, ys = _deviation(chart, np.ascontiguousarray(points.T), kernel)
-    return values, ys.T
-
-
 def canonical_check(chart: DarbouxChart, n_samples: int = 1000, seed: int = 42) -> SampledCheckReport:
     """Pushforward over factor must equal the constant canonical matrix.
 
@@ -268,16 +257,14 @@ def canonical_check(chart: DarbouxChart, n_samples: int = 1000, seed: int = 42) 
     failure in sample order.
     """
     points = chart.spec.domain.sample(n_samples, seed)
-    try:
-        values, ys = _batch_deviations(chart, points, _gradient_kernel(chart))
-    except (ex.BatchFault, PoissonError, ValueError):
-        pass
-    else:
-        return batch_report("canonical", values, ys, "analytic", seed, CANONICAL_TOL)
+
+    def on_arrays():
+        values, ys = _deviation(chart, np.ascontiguousarray(points.T), _gradient_kernel(chart))
+        return values, ys.T
 
     def measure(x):
         with np.errstate(all="ignore"):  # a value that is not finite raises, naming its point, in sampled_check
             value, y = _deviation(chart, x, None)
         return float(value), tuple(float(v) for v in y)
 
-    return sampled_check("canonical", measure, points, "analytic", seed, CANONICAL_TOL)
+    return sampled_check("canonical", on_arrays, measure, points, "analytic", seed, CANONICAL_TOL)

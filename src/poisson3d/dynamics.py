@@ -204,14 +204,15 @@ def _run(
     """Step n_steps times from start, one row per state; trajectory(table) of the table of rows.
 
     first_row is start's row.  After each block of at most BLOCK steps,
-    block_pass(states) returns the block's rows as one array; where it
-    returns None or raises, row_check(clock, state) replays the states in
-    order, each at its clock n * dt after n steps, and returns its row or
-    raises the abort that ends the run.  A step's exception is held until
-    the rows before it pass (docs/decisions.md, D9): where step_errors maps
-    its type to a message head, the run ends in DomainExitError at the last
-    row's clock and state, else it is raised as it is.  Every abort carries
-    the partial trajectory of the rows recorded before it.
+    block_pass(states) returns the block's rows as one array, through
+    expr.batched; where it returns None or faults, row_check(clock, state)
+    replays the states in order, each at its clock n * dt after n steps,
+    and returns its row or raises the abort that ends the run.  A step's
+    exception is held until the rows before it pass (docs/decisions.md,
+    D9): where step_errors maps its type to a message head, the run ends in
+    DomainExitError at the last row's clock and state, else it is raised as
+    it is.  Every abort carries the partial trajectory of the rows recorded
+    before it.
     """
     table = [np.array([first_row])]
 
@@ -228,10 +229,7 @@ def _run(
                 failure = exc
                 break
             states.append(state)
-        try:
-            rows = block_pass(states) if states else None
-        except Exception:  # the replay raises the run's error, or records what the pass could not
-            rows = None
+        rows = ex.batched(lambda: block_pass(states), lambda: None) if states else None
         if rows is not None:
             table.append(rows)
         else:
@@ -309,8 +307,7 @@ def integrate(
         xs = np.array(states)
         if H.expr is None or not (np.isfinite(xs).all() and spec.domain.admissible(xs).all()):
             return None
-        with ex.batch_arithmetic():
-            return np.column_stack((xs, *invariants(*xs.T)))
+        return np.column_stack((xs, *invariants(*xs.T)))
 
     def trajectory(rows) -> Trajectory:
         return Trajectory(
@@ -446,10 +443,9 @@ def integrate_reduced(
         y[:, [i - 1, j - 1]] = pairs
         y[:, k - 1] = y0[k - 1]
         cols = tuple(y.T)
-        with ex.batch_arithmetic():
-            x = inverse_map(chart, cols)
-            g = 1.0 / reparam_factor_from(chart, cols, x)
-            h = H_y.value(*cols)
+        x = inverse_map(chart, cols)
+        g = 1.0 / reparam_factor_from(chart, cols, x)
+        h = H_y.value(*cols)
         if not spec.domain.admissible(x.T).all():
             return None
         return np.column_stack((g, y, x.T, h))

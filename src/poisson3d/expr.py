@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DomainEvalError,
     ParseError,
+    PoissonError,
     UnboundVariableError,
     UnknownIdentifierError,
 )
@@ -492,6 +493,21 @@ class batch_arithmetic:
         self.state.__exit__(kind, exc, tb)
         if kind is not None and issubclass(kind, _FAULTS):
             raise BatchFault(str(exc)) from None
+
+
+def batched(on_arrays, per_point):
+    """on_arrays() under batch_arithmetic; per_point(), outside it, where that raises BatchFault or a PoissonError.
+
+    The one fault rule of every array pass (docs/decisions.md, D12): the per-point
+    reference replays the pass and returns its result or raises the first failure in
+    point order.  Any other exception is a program error and propagates.
+    """
+    try:
+        with batch_arithmetic():  # looked up per call
+            return on_arrays()
+    except (BatchFault, PoissonError):
+        pass
+    return per_point()
 
 
 def _elementwise(fn):

@@ -223,17 +223,11 @@ def first_vanishing(fn, sample, floor, sign_rule: bool):
 def batch_certificate(flags, per_point):
     """A sampled certificate: flags() on arrays, per_point() where that faults or flags a sample.
 
-    flags runs under expr.batch_arithmetic and returns a boolean array.
-    The per-point loop then names the first failing sample, as its result
-    or as the error it raises on its own; None when no sample is flagged.
+    flags returns a boolean array, through expr.batched.  The per-point
+    loop then names the first failing sample, as its result or as the
+    error it raises on its own; None when no sample is flagged.
     """
-    try:
-        with ex.batch_arithmetic():
-            if not flags().any():
-                return None
-    except ex.BatchFault:
-        pass
-    return per_point()
+    return per_point() if ex.batched(lambda: flags().any(), lambda: True) else None
 
 
 def build_scalar_field(
@@ -306,10 +300,7 @@ def build_scalar_field(
 
     batch_certificate(primitive_flags, primitive_loop)
 
-    try:
-        psis = fld.psi_fn(grid)
-    except ex.BatchFault:
-        psis = np.array([fld.psi_fn(float(x)) for x in grid])
+    psis = ex.batched(lambda: fld.psi_fn(grid), lambda: np.array([fld.psi_fn(float(x)) for x in grid]))
     diffs = np.diff(psis)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise FieldValidationError("psi is not strictly monotone on the sampled grid")
@@ -467,14 +458,15 @@ class DomainBox:
         ok = np.ones(len(xs), dtype=bool)
         for a, (lo, hi) in enumerate(self.intervals):
             ok &= (lo <= xs[:, a]) & (xs[:, a] <= hi)
-        if self.predicate_fn is not None:
-            inside = np.flatnonzero(ok)
-            try:
-                p = self.predicate_fn(*(xs[inside, a] for a in range(3)))
-            except ex.BatchFault:
-                return np.array([self.contains(x) for x in xs], dtype=bool)
-            ok[inside] = np.abs(p) > ZERO_FLOOR
-        return ok
+        if self.predicate_fn is None:
+            return ok
+        inside = np.flatnonzero(ok)
+
+        def on_arrays():
+            ok[inside] = np.abs(self.predicate_fn(*(xs[inside, a] for a in range(3)))) > ZERO_FLOOR
+            return ok
+
+        return ex.batched(on_arrays, lambda: np.array([self.contains(x) for x in xs], dtype=bool))
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n admissible points, derived deterministically from (seed, index).

@@ -144,41 +144,32 @@ class SampledCheckReport:
         }
 
 
-def sampled_check(kind: str, measure, points, scheme: str, seed: int, tol: float) -> SampledCheckReport:
-    """batch_report of measure(point) -> (value, reported point) applied to every sample point in order.
+def sampled_check(kind: str, on_arrays, measure, points, scheme: str, seed: int, tol: float) -> SampledCheckReport:
+    """The report of one array pass over the sample points, or of the per-point loop where it faults.
 
-    A value that is not finite raises DomainEvalError naming its sample
-    point, before any later point is measured.
+    on_arrays() returns every point's value at once and the row of points
+    reported with each; where it faults (expr.batched), measure(point)
+    returns (value, reported point) for each sample point in order.  A value that is not finite raises
+    DomainEvalError naming its sample point, before any later point is
+    measured.  The first point with the largest value is the worst point;
+    the verdict passes when that value is at most tol.
     """
-    values, where = [], []
-    for pt in points:
-        value, at = measure(pt)
-        if not math.isfinite(value):
-            raise DomainEvalError(f"non-finite {kind} value {value!r} at {tuple(float(v) for v in pt)}")
-        values.append(value)
-        where.append(at)
-    return batch_report(kind, np.array(values), np.array(where), scheme, seed, tol)
 
+    def in_order():
+        values, where = [], []
+        for pt in points:
+            value, at = measure(pt)
+            if not math.isfinite(value):
+                raise DomainEvalError(f"non-finite {kind} value {value!r} at {tuple(float(v) for v in pt)}")
+            values.append(value)
+            where.append(at)
+        return np.array(values), np.array(where)
 
-def batch_report(kind: str, values: np.ndarray, points: np.ndarray, scheme: str, seed: int, tol: float) -> SampledCheckReport:
-    """The report of per-point values, the row of points reported with each.
-
-    The first point with the largest value is the worst point; the verdict
-    passes when that value is at most tol.
-    """
+    values, where = ex.batched(on_arrays, in_order)
     worst = int(np.argmax(values))
     value = float(values[worst])
-    where = tuple(float(v) for v in points[worst])
-    return SampledCheckReport(kind, len(values), value, where, "pass" if value <= tol else "fail", scheme, seed, tol)
-
-
-def _batch_residuals(field: MatrixField3, points: np.ndarray, scheme: str, kernel) -> np.ndarray:
-    """The scale-normalized residual of every point at once, through kernel.batch if given; BatchFault on any fault."""
-    xs = tuple(np.ascontiguousarray(points[:, a]) for a in range(3))
-    with ex.batch_arithmetic():
-        j12, j23, j31, combination = kernel.batch(*xs) if kernel is not None else _jacobi_terms(field, *xs, scheme)
-        scale = 1.0 + np.maximum(np.maximum(np.abs(j12), np.abs(j23)), np.abs(j31))
-        return np.abs(combination) / scale
+    at = tuple(float(v) for v in where[worst])
+    return SampledCheckReport(kind, len(values), value, at, "pass" if value <= tol else "fail", scheme, seed, tol)
 
 
 def verify_structure(
@@ -202,12 +193,11 @@ def verify_structure(
         raise ValueError("n_samples must be >= 1")
     scheme = resolve_scheme(scheme)
     points = domain.sample(n_samples, seed)
-    try:
-        values = _batch_residuals(field, points, scheme, _jacobi_kernel(field, scheme))
-    except ex.BatchFault:
-        pass
-    else:
-        return batch_report("jacobi", values, points, scheme, seed, tol)
+
+    def on_arrays():
+        kernel, xs = _jacobi_kernel(field, scheme), tuple(np.ascontiguousarray(points[:, a]) for a in range(3))
+        j12, j23, j31, combination = kernel.batch(*xs) if kernel is not None else _jacobi_terms(field, *xs, scheme)
+        return np.abs(combination) / (1.0 + np.maximum(np.maximum(np.abs(j12), np.abs(j23)), np.abs(j31))), points
 
     def measure(pt):
         x = float(pt[0]), float(pt[1]), float(pt[2])
@@ -218,7 +208,7 @@ def verify_structure(
         scale = 1.0 + max(abs(v) for v in entries)
         return abs(_finite_residual(combination, x)) / scale, x
 
-    return sampled_check("jacobi", measure, points, scheme, seed, tol)
+    return sampled_check("jacobi", on_arrays, measure, points, scheme, seed, tol)
 
 
 def reduction_identity_check(

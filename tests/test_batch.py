@@ -7,9 +7,11 @@ must reproduce the scalar path bit for bit, and where it faults the scalar
 path must run and report exactly what it reports on its own.
 """
 
+import ast
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +79,93 @@ EXACT_CASES = (
 
 def _points(n, seed, lo=0.1, hi=2.0):
     return np.random.default_rng(seed).uniform(lo, hi, (n, 3))
+
+
+# ---------------------------------------------------------------------------
+# The one fault rule: ex.batched (docs/decisions.md, D12)
+
+
+def _not_called():
+    raise AssertionError("per_point ran")
+
+
+def test_batched_returns_the_array_value():
+    value = np.array([1.0, 2.0])
+    assert ex.batched(lambda: value, _not_called) is value
+
+
+def _divide_by_zero():
+    return np.array([1.0]) / np.array([0.0])
+
+
+def _raising(error):
+    def on_arrays():
+        raise error
+
+    return on_arrays
+
+
+@pytest.mark.parametrize("on_arrays", [
+    _divide_by_zero,  # a floating-point exception, a BatchFault under batch_arithmetic
+    lambda: ex.compile_expr(ex.parse("ln(x1)"))(np.array([-1.0]), np.array([0.0]), np.array([0.0])),
+    _raising(UndefinedAtPointError("a guard on arrays")),  # a PoissonError
+    _raising(OutOfRangeError("a target on arrays")),
+], ids=["divide", "domain", "guard", "range"])
+def test_batched_replays_on_a_fault_or_a_package_error(on_arrays):
+    assert ex.batched(on_arrays, lambda: "replayed") == "replayed"
+
+
+def test_batched_runs_the_arrays_under_the_fault_rule_and_the_replay_outside_it():
+    outside = np.geterr()
+    seen = {}
+
+    def on_arrays():
+        seen["arrays"] = np.geterr()
+        return _divide_by_zero()
+
+    def per_point():
+        seen["replay"] = np.geterr()
+        return np.array([1.0]) / np.array([0.0])  # inf, with numpy's own warning rule
+
+    with np.errstate(divide="ignore"):
+        assert ex.batched(on_arrays, per_point).tolist() == [math.inf]
+        assert seen["replay"] == {**outside, "divide": "ignore"}
+    assert seen["arrays"] == {"divide": "raise", "over": "raise", "under": "ignore", "invalid": "raise"}
+
+
+@pytest.mark.parametrize("error", [TypeError("a program error"), KeyError("x1"), AssertionError()])
+def test_batched_lets_other_exceptions_through(error):
+    with pytest.raises(type(error)):
+        ex.batched(_raising(error), _not_called)
+
+
+def test_batched_looks_the_fault_rule_up_per_call(monkeypatch):
+    monkeypatch.setattr(ex, "batch_arithmetic", _faulting_batch_arithmetic)
+    assert ex.batched(_not_called, lambda: "replayed") == "replayed"
+
+
+_FAULT_RULE = {"BatchFault", "batch_arithmetic"}
+
+
+def _fault_rule_uses(path):
+    """The lines of path's code (not its docstrings) that name BatchFault or batch_arithmetic."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        names = (
+            [node.id] if isinstance(node, ast.Name)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+        uses += [node.lineno for name in names if name in _FAULT_RULE]
+    return uses
+
+
+def test_only_expr_names_the_fault_rule():
+    modules = sorted((Path(__file__).resolve().parents[1] / "src" / "poisson3d").glob("*.py"))
+    assert len(modules) >= 13 and _fault_rule_uses(modules[0].with_name("expr.py"))
+    elsewhere = {path.name: _fault_rule_uses(path) for path in modules if path.name != "expr.py"}
+    assert {name: lines for name, lines in elsewhere.items() if lines} == {}
 
 
 @pytest.mark.parametrize("source", EXACT_CASES)
@@ -221,30 +310,44 @@ def test_predicate_at_the_zero_floor_is_rejected():
 # verify_structure: batch report equals the per-point report
 
 
-def _recording(outcomes, batch_pass):
-    """batch_pass(..., kernel), recording "kernel" or "per-expression" when it returns, "fault" when it raises."""
+def _recording(monkeypatch, module, kernel_of):
+    """Records how each array pass of module's sampled check went, through ex.batched.
 
-    def recording(*args):
-        try:
-            values = batch_pass(*args)
-        except Exception:
-            outcomes.append("fault")
-            raise
-        outcomes.append("per-expression" if args[-1] is None else "kernel")
-        return values
+    "kernel" or "per-expression" when it returns, as module.<kernel_of>
+    gave the pass a kernel or none; "fault" when it raises.  A pass that
+    ex.batch_arithmetic refuses never runs and is not recorded.
+    """
+    outcomes, kernels = [], []
+    make_kernel, batched = getattr(module, kernel_of), ex.batched
+    monkeypatch.setattr(module, kernel_of, lambda *args: kernels.append(make_kernel(*args)) or kernels[-1])
 
-    return recording
+    def recording(on_arrays, per_point):
+        if on_arrays.__module__ != module.__name__:  # the sampler's, the chart's and the grid's passes
+            return batched(on_arrays, per_point)
+
+        def noted():
+            kernels.clear()
+            try:
+                values = on_arrays()
+            except Exception:
+                outcomes.append("fault")
+                raise
+            outcomes.append("kernel" if kernels and kernels[-1] is not None else "per-expression")
+            return values
+
+        return batched(noted, per_point)
+
+    monkeypatch.setattr(ex, "batched", recording)
+    return outcomes
 
 
 @pytest.fixture()
 def batch_outcomes(monkeypatch):
     """Records how each batch residual pass went: through the kernel, per expression, or to a fault."""
-    outcomes = []
-    monkeypatch.setattr(verification, "_batch_residuals", _recording(outcomes, verification._batch_residuals))
-    return outcomes
+    return _recording(monkeypatch, verification, "_jacobi_kernel")
 
 
-def _refuse(*args):
+def _faulting_batch_arithmetic():
     raise ex.BatchFault("forced per-point loop")
 
 
@@ -255,7 +358,7 @@ def _assert_same_report(monkeypatch, field, domain, n, seed, scheme):
     with monkeypatch.context() as m:
         m.setattr(verification, "_jacobi_kernel", lambda *args: None)
         per_expression = run()
-        m.setattr(verification, "_batch_residuals", _refuse)
+        m.setattr(ex, "batch_arithmetic", _faulting_batch_arithmetic)
         per_point = run()
     assert report.to_dict() == per_expression.to_dict() == per_point.to_dict()
     assert report == per_expression == per_point
@@ -330,7 +433,7 @@ def test_too_deep_partials_keep_the_per_expression_path(monkeypatch, batch_outco
     with pytest.raises(ex.ParseError, match="nested too deeply"):
         verify_structure(field, box, 50, 1e-6, seed=7, scheme="analytic")
     with monkeypatch.context() as m:
-        m.setattr(verification, "_batch_residuals", _refuse)
+        m.setattr(ex, "batch_arithmetic", _faulting_batch_arithmetic)
         with pytest.raises(ex.ParseError, match="nested too deeply"):
             verify_structure(field, box, 50, 1e-6, seed=7, scheme="analytic")
     assert batch_outcomes == ["fault"]  # the per-expression pass, which raised the compile error
@@ -368,7 +471,7 @@ def test_fault_replay_matches_scalar_cli(tmp_path, capsys, monkeypatch, batch_ou
     with monkeypatch.context() as m:
         m.setattr(verification, "_jacobi_kernel", lambda *args: None)
         per_expression = run()
-        m.setattr(verification, "_batch_residuals", _refuse)
+        m.setattr(ex, "batch_arithmetic", _faulting_batch_arithmetic)
         scalar = run()
     assert batch == per_expression == scalar
     assert batch_outcomes == ["fault"] * 2
@@ -384,9 +487,7 @@ def test_fault_replay_matches_scalar_cli(tmp_path, capsys, monkeypatch, batch_ou
 @pytest.fixture()
 def canonical_outcomes(monkeypatch):
     """Records how each batch canonical pass went: through the gradient kernel, per expression, or handed over."""
-    outcomes = []
-    monkeypatch.setattr(darboux, "_batch_deviations", _recording(outcomes, darboux._batch_deviations))
-    return outcomes
+    return _recording(monkeypatch, darboux, "_gradient_kernel")
 
 
 def _outcome(fn):
@@ -403,7 +504,7 @@ def _assert_same_canonical(monkeypatch, chart, n, seed):
     with monkeypatch.context() as m:
         m.setattr(darboux, "_gradient_kernel", lambda *args: None)
         per_expression = run()
-        m.setattr(darboux, "_batch_deviations", _refuse)
+        m.setattr(ex, "batch_arithmetic", _faulting_batch_arithmetic)
         scalar = run()
     assert batch == per_expression == scalar
     return batch
@@ -599,10 +700,6 @@ def _outcome_of(fn):
         return fn()
     except Exception as exc:  # the exception itself is the outcome to compare
         return type(exc), str(exc)
-
-
-def _faulting_batch_arithmetic():
-    raise ex.BatchFault("forced per-point loop")
 
 
 def _on_scalar_path(monkeypatch, fn):

@@ -20,7 +20,7 @@ import pytest
 from poisson3d import dynamics, expr as ex
 from poisson3d.darboux import build_chart, forward_map
 from poisson3d.dynamics import integrate, integrate_reduced
-from poisson3d.errors import DomainExitError, ReparametrizationBreakdownError
+from poisson3d.errors import DomainExitError, ReparametrizationBreakdownError, UndefinedAtPointError
 from poisson3d.family import make_family_spec, make_kappa
 from poisson3d.scalar_fields import DomainBox, build_scalar_field
 from conftest import ORDERED_BOX, make_flat_spec, make_halphen
@@ -238,3 +238,42 @@ def test_array_rows_equal_the_per_row_checks(monkeypatch, kind, method):
             outcomes[replay] = run()
         assert len(passes) > 1 and set(passes) == {not replay}
     assert_same_trajectory(outcomes[False], outcomes[True])
+
+
+def _run_raising(error):
+    """dynamics._run whose block passes raise error."""
+    run = dynamics._run
+
+    def raising(step, start, n_steps, dt, first_row, block_pass, *rest):
+        def fails(states):
+            raise error
+
+        return run(step, start, n_steps, dt, first_row, fails, *rest)
+
+    return raising
+
+
+@pytest.mark.parametrize("error, replays", [
+    (UndefinedAtPointError("a guard on arrays"), True),
+    (ValueError("a fault on arrays"), True),  # a BatchFault under batch_arithmetic
+    (RuntimeError("a program error"), False),
+    (KeyError("x1"), False),
+], ids=["package-error", "fault", "runtime-error", "key-error"])
+@pytest.mark.parametrize("kind", ["direct", "reduced"])
+def test_only_faults_and_package_errors_replay_a_block(monkeypatch, kind, error, replays):
+    # expr.batched's rule (docs/decisions.md, D12): any other exception from a block pass is a bug, not a replay
+    halphen = make_halphen(((-4.0, 6.0),) * 3)
+    if kind == "reduced":
+        chart = build_chart(halphen, k=3)
+        run = lambda: integrate_reduced(chart, QUADRATIC, forward_map(chart, (1.0, 2.0, 4.0)), -0.05, 1e-3)
+    else:
+        run = lambda: integrate(halphen, QUADRATIC, (1.0, 2.0, 4.0), 0.1, 1e-3, "rk4", 3)
+    want = run()
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_run", _run_raising(error))
+        if replays:
+            assert_same_trajectory(run(), want)
+        else:
+            with pytest.raises(type(error)) as got:
+                run()
+            assert got.value is error

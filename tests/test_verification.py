@@ -174,6 +174,10 @@ def test_spec_backed_field_matches_structure_matrix():
             assert g == pytest.approx(w, rel=1e-12, abs=1e-14)
 
 
+def _faulting():
+    raise ex.BatchFault("every point in order")
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_sampled_check_rejects_a_value_that_is_not_finite(bad):
     # a value that is not finite ends the check, naming its point, before it can reach the report
@@ -185,8 +189,8 @@ def test_a_sampled_check_rejects_a_value_that_is_not_finite(bad):
         return (bad if x[0] == 2.0 else 0.0), (9.0, 9.0, 9.0)
 
     with pytest.raises(DomainEvalError, match=r"^non-finite canonical value (nan|inf) at \(2\.0, 3\.0, 4\.0\)$"):
-        sampled_check("canonical", measure, points, "analytic", 42, 1e-8)
+        sampled_check("canonical", _faulting, measure, points, "analytic", 42, 1e-8)
     assert seen == points[:2]  # the first such point ends the check
     everywhere = lambda x: (math.nan, x)
     with pytest.raises(DomainEvalError, match=r"at \(0\.5, 1\.0, 1\.5\)$"):
-        sampled_check("jacobi", everywhere, points, "fd", 42, 1e-6)
+        sampled_check("jacobi", _faulting, everywhere, points, "fd", 42, 1e-6)
