@@ -92,7 +92,10 @@ def load_spec_file(path: str):
     kind "raw": payload is (MatrixField3, DomainBox).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = _object(json.load(fh), "the spec file")
+        try:
+            doc = _object(json.load(fh), "the spec file")
+        except RecursionError:  # json's decoder recurses once per level of nesting
+            raise ValueError("the spec file is nested too deeply to parse") from None
     name = doc.get("name", os.path.basename(path))
     if not isinstance(name, str):
         raise ValueError(f"'name' must be a string, got {name!r}")

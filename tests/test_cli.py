@@ -384,6 +384,15 @@ def test_deep_expressions_name_their_depth(capsys, tmp_path):
     assert code == 0 and json.loads(out)["verdict"] == "pass"
 
 
+def test_deeply_nested_json_is_bad_input(capsys, tmp_path):
+    # json's decoder recurses once per level: too deep a file is bad input, not a failed check
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (("verify", "--samples", "5"), ("darboux",)):
+        code, out, err = run_cli(capsys, *argv, "--spec", str(path))
+        assert (code, out, err) == (2, "", "error: the spec file is nested too deeply to parse\n"), argv
+
+
 def test_zero_set_rejection_passes_the_benchmark_validator(capsys, tmp_path, monkeypatch):
     # chi_23 of this plain box vanishes on a corner that the chart's 512 samples miss
     loader = importlib.util.spec_from_file_location(
