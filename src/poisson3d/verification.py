@@ -81,10 +81,24 @@ def _jacobi_combination(j12, j23, j31, d1j31, d1j12, d2j12, d2j23, d3j23, d3j31)
     return j12 * d1j31 - j31 * d1j12 + j23 * d2j12 - j12 * d2j23 + j31 * d3j23 - j23 * d3j31
 
 
+def _named(name: str, fn, *args):
+    """fn(*args); a DomainEvalError names the entry or partial it came from."""
+    try:
+        return fn(*args)
+    except DomainEvalError as exc:
+        raise DomainEvalError(f"{exc} in {name}") from None
+
+
 def _jacobi_terms(field: MatrixField3, x1, x2, x3, scheme: str) -> tuple:
-    """(J12, J23, J31, the Jacobi combination) at a point, or elementwise at arrays, through each entry's callables."""
-    entries = tuple(f.value(x1, x2, x3) for f in field.fields)
-    partials = tuple(field.fields[idx].partial(axis, x1, x2, x3, scheme) for idx, axis in _PARTIALS)
+    """(J12, J23, J31, the Jacobi combination) at a point, or elementwise at arrays, through each entry's callables.
+
+    A DomainEvalError names its entry, or its partial as _jacobi_combination does (d1j31, ...).
+    """
+    entries = tuple(_named(name, f.value, x1, x2, x3) for name, f in zip(ENTRY_NAMES, field.fields))
+    partials = tuple(
+        _named(f"d{axis}{ENTRY_NAMES[idx]}", field.fields[idx].partial, axis, x1, x2, x3, scheme)
+        for idx, axis in _PARTIALS
+    )
     return (*entries, _jacobi_combination(*entries, *partials))
 
 

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import random
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -533,8 +534,8 @@ def test_random_argv_exit_codes(capsys, tmp_path, wide_spec_file, broken_spec_fi
      "grad C_3 is not finite at (0.1, 0.5, 1e+155)"),
     (("casimir", "--system", "halphen", "--k", "3", "--point", HUGE_POINTS[1]),
      "grad C_3 is not finite at (0.1, 0.5, 1.1e+154)"),
-    (("verify", "--spec", "BIG", "--samples", "20"), "non-finite result -inf at ("),
-    (("verify", "--spec", "BIG", "--samples", "20", "--scheme", "fd"), "non-finite result -inf at ("),
+    (("verify", "--spec", "BIG", "--samples", "20"), "non-finite result -inf in j12 at ("),
+    (("verify", "--spec", "BIG", "--samples", "20", "--scheme", "fd"), "non-finite result -inf in j12 at ("),
     (("casimir", "--system", "halphen", "--k", "3", "--point", "0.1,0.5,nan"),
      "expected three finite numbers, got '0.1,0.5,nan'\n"),
 ], ids=["darboux", "darboux-point", "simulate-reduced", "casimir-big", "casimir-1e155", "casimir-1.1e154", "verify",
@@ -548,6 +549,18 @@ def test_values_that_are_not_finite_are_bad_input(capsys, tmp_path, big_spec_fil
         code, out, err = run_cli(capsys, *argv)
     assert (code, out, caught) == (2, "", [])
     assert err.startswith("error: " + message) and err.count("\n") == 1, err
+
+
+def test_verify_names_the_partial_that_is_not_finite(capsys, tmp_path):
+    # J31 stays below 1e307, its partial in x1 reaches 1e309: the first term read past the entries
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({
+        "matrix": {"j12": "x3", "j23": "x1", "j31": "1e307*sin(100*x1)"},
+        "domain": {"box": [[0.1, 1.0], [0.1, 1.0], [0.1, 1.0]]},
+    }))
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path), "--samples", "20")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: non-finite result -?inf in d1j31 at \(\S+, \S+, \S+\)\n", err), err
 
 
 def test_verify_fd_scheme_flag(capsys, tmp_path):
