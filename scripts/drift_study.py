@@ -12,8 +12,9 @@ Three sections on the product-form structure from x0 = (1, 2, 4):
                                 y0 = y(x0), tau from 0 to -0.3; the final t
                                 and y1 under step halving, with the ratios of
                                 successive differences (16 for 4th order, 4
-                                for 2nd).  The recovered t is 2nd order: the
-                                trapezoid rule on dt/dtau = 1/factor.
+                                for 2nd).  The recovered t is 4th order: a
+                                4-point Adams-Moulton sum on dt/dtau =
+                                1/factor.
 
 Usage: python3 scripts/drift_study.py [--t-end T] [--method rk4|midpoint]
 """

@@ -6,8 +6,8 @@ Every trajectory carries the Hamiltonian and a Casimir alongside the
 states.  In Darboux coordinates the dynamics reduces to one conjugate
 pair at constant Casimir coordinate, evolving in the reparametrized time
 tau; each row records dt/dtau = 1/factor, and the original clock is
-recovered from that column by the trapezoid rule when the trajectory is
-built.  A negative factor is legal and simply runs t backwards relative
+recovered from that column by a 4th-order Adams-Moulton sum when the
+trajectory is built (the trapezoid rule for a run of fewer than 4 rows).  A negative factor is legal and simply runs t backwards relative
 to tau.
 
 Both integrators run on one step loop, _run, which only steps: a step's
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -354,6 +353,24 @@ def _reduced_kernel(H_y: Field3, i: int, j: int):
     return ex.compile_kernel((d_j, -d_i), (d_i, d_j))
 
 
+def _recovered_t(g: np.ndarray, dtau: float) -> np.ndarray:
+    """t at every row from dt/dtau = g, t = 0 at row 0, to 4th order in dtau, summed in row order.
+
+    Interval [n, n+1] adds the causal 4-point Adams-Moulton sum
+    dtau/24 (9 g[n+1] + 19 g[n] - 5 g[n-1] + g[n-2]) for n >= 2, and the
+    first two take the cubic through g[0..3], with weights (9, 19, -5, 1)
+    and (-1, 13, 13, -1) over 24; so only rows 1 and 2 read later rows, up
+    to row 3.  A run of fewer than 4 rows has no cubic and keeps the
+    trapezoid rule, 2nd order.
+    """
+    if len(g) < 4:
+        steps = (dtau * 0.5) * (g[:-1] + g[1:])
+    else:
+        head = (9.0 * g[0] + 19.0 * g[1] - 5.0 * g[2] + g[3], -g[0] + 13.0 * g[1] + 13.0 * g[2] - g[3])
+        steps = (dtau / 24.0) * np.concatenate((head, 9.0 * g[3:] + 19.0 * g[2:-1] - 5.0 * g[1:-2] + g[:-3]))
+    return np.cumsum(np.concatenate(([0.0], steps)))
+
+
 def integrate_reduced(
     chart: DarbouxChart,
     h,
@@ -369,10 +386,12 @@ def integrate_reduced(
     magnitude at the 1e-12 floor, or one that is not finite, aborts with a
     breakdown error, and an inverse image outside the spec domain, or a
     fault in H(x(y)) or in a step's partials of it, aborts with a domain
-    exit.  The states are
-    mapped back to x, checked and recorded a block at a time (D9): the
-    error and the partial trajectory are those of a step-by-step check, and
-    at most BLOCK steps run past the abort.
+    exit.  The states are mapped back to x, checked and recorded a block at
+    a time (D9): the error and the partial trajectory are those of a
+    step-by-step check, and at most BLOCK steps run past the abort.  t is
+    recovered from dt/dtau = 1/factor to 4th order, as RK4 steps the pair;
+    a trajectory, or a partial one, of fewer than 4 rows keeps the
+    trapezoid rule (_recovered_t).
     """
     if dtau <= 0.0:
         raise ValueError(f"dtau must be positive, got {dtau!r}")
@@ -451,13 +470,11 @@ def integrate_reduced(
         return np.column_stack((g, y, x.T, h))
 
     def trajectory(rows) -> Trajectory:
-        """The run of the table; t by the trapezoid rule on dt/dtau = 1/factor, accumulated in row order."""
-        g = rows[:, 0].tolist()
-        t = accumulate((dtau_eff * 0.5 * (a + b) for a, b in zip(g, g[1:])), initial=0.0)
+        """The run of the table; t recovered from its dt/dtau = 1/factor column."""
         tau = np.arange(len(rows)) * dtau_eff
         tau[0] = 0.0  # not -0.0 when tau runs backwards
         return Trajectory(
-            np.fromiter(t, float, len(rows)),
+            _recovered_t(rows[:, 0], dtau_eff),
             tau,
             rows[:, 1:4],
             rows[:, 7],

@@ -26,8 +26,8 @@ def test_drift_study_runs():
     ratios = [line.split("ratios t")[1].split("y1") for line in reduced[2:]]
     assert len(ratios) == 3
     for t_ratio, y1_ratio in ratios:
-        # rk4 in y; the recovered t is the trapezoid rule's, 2nd order (ROADMAP item 2 makes it 16)
-        assert 15.0 < float(y1_ratio) < 17.0 and 3.9 < float(t_ratio) < 4.1
+        # rk4 in y, and the recovered t's 4-point Adams-Moulton sum: both 4th order
+        assert 15.0 < float(y1_ratio) < 17.0 and 15.0 < float(t_ratio) < 17.0
 
 
 def test_output_digest_prints_one_stable_digest_per_command():
