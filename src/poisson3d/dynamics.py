@@ -7,8 +7,8 @@ states.  In Darboux coordinates the dynamics reduces to one conjugate
 pair at constant Casimir coordinate, evolving in the reparametrized time
 tau; each row records dt/dtau = 1/factor, and the original clock is
 recovered from that column by a 4th-order Adams-Moulton sum when the
-trajectory is built (the trapezoid rule for a run of fewer than 4 rows).  A negative factor is legal and simply runs t backwards relative
-to tau.
+trajectory is built (the trapezoid rule for a run of fewer than 4 rows).
+A negative factor is legal and simply runs t backwards relative to tau.
 
 Both integrators run on one step loop, _run, which only steps: a step's
 stages run on unpacked floats, one job-kernel call each, and a step in

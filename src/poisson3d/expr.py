@@ -498,12 +498,13 @@ class batch_arithmetic:
 def batched(on_arrays, per_point):
     """on_arrays() under batch_arithmetic; per_point(), outside it, where that raises BatchFault or a PoissonError.
 
-    The one fault rule of every array pass (docs/decisions.md, D12): the per-point
-    reference replays the pass and returns its result or raises the first failure in
-    point order.  Any other exception is a program error and propagates.
+    The one fault rule of every array pass (docs/decisions.md, D12): the
+    per-point reference replays the pass and returns its result or raises
+    the first failure in point order.  Any other exception is a program
+    error and propagates.
     """
     try:
-        with batch_arithmetic():  # looked up per call
+        with batch_arithmetic():  # looked up per call, so a test can force every per-point path
             return on_arrays()
     except (BatchFault, PoissonError):
         pass

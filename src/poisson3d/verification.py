@@ -163,10 +163,11 @@ def sampled_check(kind: str, on_arrays, measure, points, scheme: str, seed: int,
 
     on_arrays() returns every point's value at once and the row of points
     reported with each; where it faults (expr.batched), measure(point)
-    returns (value, reported point) for each sample point in order.  A value that is not finite raises
-    DomainEvalError naming its sample point, before any later point is
-    measured.  The first point with the largest value is the worst point;
-    the verdict passes when that value is at most tol.
+    returns (value, reported point) for each sample point in order.  A
+    value that is not finite raises DomainEvalError naming its sample
+    point, before any later point is measured.  The first point with the
+    largest value is the worst point; the verdict passes when that value
+    is at most tol.
     """
 
     def in_order():

@@ -116,8 +116,7 @@ def test_batched_replays_on_a_fault_or_a_package_error(on_arrays):
 
 
 def test_batched_runs_the_arrays_under_the_fault_rule_and_the_replay_outside_it():
-    outside = np.geterr()
-    seen = {}
+    default, seen = np.geterr(), {}
 
     def on_arrays():
         seen["arrays"] = np.geterr()
@@ -125,12 +124,11 @@ def test_batched_runs_the_arrays_under_the_fault_rule_and_the_replay_outside_it(
 
     def per_point():
         seen["replay"] = np.geterr()
-        return np.array([1.0]) / np.array([0.0])  # inf, with numpy's own warning rule
+        return "replayed"
 
-    with np.errstate(divide="ignore"):
-        assert ex.batched(on_arrays, per_point).tolist() == [math.inf]
-        assert seen["replay"] == {**outside, "divide": "ignore"}
-    assert seen["arrays"] == {"divide": "raise", "over": "raise", "under": "ignore", "invalid": "raise"}
+    assert ex.batched(on_arrays, per_point) == "replayed"
+    assert seen == {"arrays": {"divide": "raise", "over": "raise", "under": "ignore", "invalid": "raise"},
+                    "replay": default}
 
 
 @pytest.mark.parametrize("error", [TypeError("a program error"), KeyError("x1"), AssertionError()])
