@@ -179,8 +179,8 @@ def _jacobian(k: int, x, gradient) -> np.ndarray:
 
 
 def _gradient_kernel(chart: DarbouxChart):
-    """C_k's analytic gradient as one expr.compile_kernel; None where it gives none."""
-    return ex.compile_kernel(tuple(chart.casimir.partial_expr(axis) for axis in (1, 2, 3)))
+    """C_k's analytic gradient as one expr.plan_kernel; None where it gives none."""
+    return ex.plan_kernel(tuple(chart.casimir.partial_expr(axis) for axis in (1, 2, 3)))
 
 
 def pushforward_matrix(chart: DarbouxChart, y) -> StructureMatrixValue:

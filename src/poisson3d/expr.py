@@ -14,6 +14,7 @@ undefined (it backs the derivative of abs, which has no value at 0).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import count, repeat
 from types import FunctionType
@@ -569,12 +570,13 @@ _XS = ("x1", "x2", "x3")
 def compile_expr(e: Expr, varnames: tuple[str, ...] = _XS):
     """Compile a tree into one positional callable f(*varnames) for floats or arrays.
 
-    It runs the tree's one-output kernel (compile_kernel's writer's for (e,)), written and compiled on
-    its first call.  Floats (np.float64 included) run the scalar binding, which raises DomainEvalError,
-    with the text of the first error a walk of the tree raises, on out-of-domain input or a non-finite
-    result.  Float arrays of one shape run kernel.batch: an array of that shape, elementwise equal, or
-    BatchFault on any fault, after which the caller replays the points on floats.  UnboundVariableError
-    is raised here, ParseError on the first call for a tree deeper than _MAX_DEPTH.
+    Floats (np.float64 included) run the tree's one-output kernel (compile_kernel's writer's for (e,)),
+    written and compiled on the first float call, on the scalar binding, which raises DomainEvalError, with
+    the text of the first error a walk of the tree raises, on out-of-domain input or a non-finite result.
+    Float arrays of one shape run kernel.batch once the kernel is compiled, else the tree's register plan
+    (plan_kernel), which writes no source: an array of that shape, elementwise equal, or BatchFault on any
+    fault, after which the caller replays the points on floats.  UnboundVariableError is raised here,
+    ParseError on the first call for a tree deeper than _MAX_DEPTH.
     """
     missing = free_vars(e) - set(varnames)
     if missing:
@@ -585,10 +587,10 @@ def compile_expr(e: Expr, varnames: tuple[str, ...] = _XS):
 class _OneOutput:
     """compile_expr's callable."""
 
-    __slots__ = ("tree", "varnames", "_kernel")
+    __slots__ = ("tree", "varnames", "_kernel", "_plan")
 
     def __init__(self, tree: Expr, varnames: tuple[str, ...]):
-        self.tree, self.varnames, self._kernel = tree, varnames, None
+        self.tree, self.varnames, self._kernel, self._plan = tree, varnames, None, None
 
     @property
     def source(self):
@@ -597,14 +599,21 @@ class _OneOutput:
 
     def __call__(self, *args):
         kernel = self._kernel
+        a = args[0] if args else 0.0  # a tree without variables takes no arguments
+        # exact floats, the integrators' per-step case, skip the slower isinstance test
+        if a.__class__ is not float and isinstance(a, np.ndarray):
+            if kernel is not None:  # compiled for floats already: its batch binding costs less per call
+                return kernel.batch(*args)[0]
+            plan = self._plan
+            if plan is None:
+                plan = self._plan = _plan_of((self.tree,), (), self.varnames)
+                if plan is None:
+                    raise ParseError(_TOO_DEEP, 0)
+            return plan.batch(*args)[0]
         if kernel is None:
             kernel = self._kernel = _kernel_of(_kernel_source((self.tree,), (), self.varnames))
             if kernel is None:
                 raise ParseError(_TOO_DEEP, 0)
-        a = args[0] if args else 0.0  # a tree without variables takes no arguments
-        # exact floats, the integrators' per-step case, skip the slower isinstance test
-        if a.__class__ is not float and isinstance(a, np.ndarray):
-            return kernel.batch(*args)[0]
         try:
             (v,) = kernel(*args)
         except DomainEvalError:
@@ -624,7 +633,8 @@ def compile_kernel(outputs, checked=()):
     in walk order; either way the caller replays the call on its per-expression path (docs/decisions.md,
     D6).  f.batch(x1, x2, x3) runs the same code on float arrays of one shape under batch_arithmetic and
     raises BatchFault on any fault, non-finite output or non-finite checked element.  None for a tree
-    deeper than _MAX_DEPTH: the caller keeps its per-expression path.
+    deeper than _MAX_DEPTH: the caller keeps its per-expression path.  A caller that runs the trees on
+    arrays alone takes plan_kernel, which compiles nothing.
     """
     fn = _kernel_of(_kernel_source(outputs, checked, _XS))
     missing = set(fn.__code__.co_names) & set(VARIABLES) if fn is not None else ()  # read, not passed
@@ -753,6 +763,149 @@ def _kernel_of(src):
     fn = FunctionType(code, _SCALAR_NS)  # the scalar calls run this function itself, with no wrapper
     fn.batch, fn.source = batch, src
     return fn
+
+
+# --------------------------------------------------------------------------
+# The register plan: a second binding of the writer's trees, for array calls,
+# with no source to write or compile (docs/decisions.md, D13).
+
+_PLAN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": _batch_pow}
+
+
+def plan_kernel(outputs, checked=()):
+    """The trees in x1, x2, x3 as a kernel for arrays alone: kernel.batch(x1, x2, x3) is compile_kernel's.
+
+    It runs the trees' register plan, so no source is written or compiled.  None for a tree deeper than
+    _MAX_DEPTH: the caller keeps its per-expression path.  UnboundVariableError for a variable that is
+    not x1, x2 or x3.
+    """
+    return _plan_of(outputs, checked, _XS)
+
+
+def _plan_of(outputs, checked, varnames):
+    """The _Plan of the trees, keyed and checked as _kernel_source keys and checks them; None for a tree
+    deeper than _MAX_DEPTH.
+
+    A subtree's key is its operator and the numbers of its operands, a variable's its name and a
+    literal's its repr, so Lit(0.0) and Lit(-0.0) stay apart, and two subtrees share a key exactly when
+    their _gen texts are equal.  Each distinct subtree is one step, in post-order, which calls the
+    _BATCH_NS primitive or array operator of _gen's text on its operands' registers; a literal's
+    register holds its Python float.  A step takes a register whose last reader has run, as the writer
+    reuses a local's name; the registers of the outputs and checked trees are never given away.
+    """
+    number, keyed = {}, {name: i for i, name in enumerate(varnames)}  # id(node) -> number; key -> number
+    last, steps, consts, missing = [0] * len(varnames), [], [], []  # per number, the number of its last reader
+
+    def walk(e):
+        kind = e.__class__
+        if kind is Var or kind is Lit:  # a leaf is keyed wherever it is read
+            key = e.name if kind is Var else repr(e.value)
+            n = keyed.get(key)
+            if n is None:
+                n = keyed[key] = len(last)
+                last.append(n)
+                if kind is Lit:
+                    consts.append((n, e.value))
+                else:
+                    missing.append(e.name)
+            return n
+        n = number.get(id(e))
+        if n is not None:
+            return n
+        if kind is Bin:
+            key = (e.op, walk(e.left), walk(e.right))
+        elif kind is Call:
+            key = (e.fn, walk(e.arg))
+        else:
+            key = ("-", walk(e.operand))
+        n = keyed.get(key)
+        if n is None:
+            n = keyed[key] = len(last)
+            last.append(n)
+            last[key[1]] = n
+            if kind is Bin:
+                last[key[2]] = n
+            steps.append((n, key))
+        number[id(e)] = n
+        return n
+
+    n_out = len(outputs)
+    trees = [*outputs, *[e for e in checked if not (isinstance(e, Lit) and math.isfinite(e.value))]]
+    try:
+        roots = list(map(walk, trees))
+    except RecursionError:  # far deeper than _MAX_DEPTH
+        return None
+    if len(last) > _MAX_DEPTH:  # a tree has at most one level per distinct subtree
+        height = [1] * len(last)
+        for n, key in steps:
+            height[n] = 1 + max(height[k] for k in key[1:])
+        if max(height) > _MAX_DEPTH:
+            return None
+    if missing:
+        raise UnboundVariableError(f"variables {sorted(set(missing))} not provided by {varnames}")
+    for n in roots:
+        last[n] = -1
+    reg = list(range(len(last)))  # number -> register: the arguments', then the literals', then the steps'
+    registers, free, plan = [], [], []
+    for n, value in consts:
+        reg[n] = len(varnames) + len(registers)
+        registers.append(value)
+    for n, key in steps:
+        a, b = key[1], key[-1]  # b is a for a step of one operand
+        died = 0
+        if last[a] == n:  # n is a's last reader
+            free.append(reg[a])
+            died += 1
+        if last[b] == n and b != a:
+            free.append(reg[b])
+            died += 1
+        if free:
+            r = free.pop()
+        else:
+            r = len(varnames) + len(registers)
+            registers.append(None)
+        reg[n] = r
+        if len(key) == 3:
+            fn, b = _PLAN_OPS[key[0]], reg[b]
+        else:
+            fn, b = operator.neg if key[0] == "-" else _BATCH_NS[key[0]], -1
+        # where both operands die, the register the step does not take is emptied after it
+        plan.append((fn, r, reg[a], b, free[-1] if died == 2 else -1))
+    return _Plan(len(varnames), registers, plan, [reg[n] for n in roots[:n_out]],
+                 [reg[n] for n in dict.fromkeys(roots[n_out:])])
+
+
+class _Plan:
+    """A register plan (_plan_of) and its one call, batch."""
+
+    __slots__ = ("arity", "registers", "steps", "outputs", "checked")
+
+    def __init__(self, arity, registers, steps, outputs, checked):
+        self.arity, self.registers, self.steps, self.outputs, self.checked = arity, registers, steps, outputs, checked
+
+    def batch(self, *xs):
+        """The outputs' values on float arrays of one shape, as compiled .batch gives them, and its faults:
+        BatchFault on any fault, non-finite output or non-finite sum of the distinct checked values."""
+        if len(xs) != self.arity:
+            raise TypeError(f"kernel() takes {self.arity} positional arguments but {len(xs)} were given")
+        regs = [*xs, *self.registers]
+        with batch_arithmetic():
+            for fn, r, a, b, dead in self.steps:
+                regs[r] = fn(regs[a]) if b < 0 else fn(regs[a], regs[b])
+                if dead >= 0:
+                    regs[dead] = None
+            if self.checked:
+                first, *rest = self.checked
+                total = regs[first]
+                for r in rest:
+                    total = total + regs[r]
+                if not _all_finite(total):
+                    raise BatchFault("non-finite value")
+            shape = np.shape(xs[0])
+            values = tuple([_shaped(regs[r], shape) for r in self.outputs])
+        if not all(map(_all_finite, values)):
+            raise BatchFault("non-finite result")
+        return values
 
 
 # --------------------------------------------------------------------------

@@ -82,11 +82,18 @@ def _jacobi_combination(j12, j23, j31, d1j31, d1j12, d2j12, d2j23, d3j23, d3j31)
 
 
 def _named(name: str, fn, *args):
-    """fn(*args); a DomainEvalError names the entry or partial it came from."""
+    """fn(*args); a DomainEvalError, or a float value that is not finite, names the entry or partial it came from.
+
+    The fd scheme's central differences return inf where the values they subtract overflow; an array
+    value passes as it is.
+    """
     try:
-        return fn(*args)
+        v = fn(*args)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise DomainEvalError(f"non-finite result {v!r}")
     except DomainEvalError as exc:
         raise DomainEvalError(f"{exc} in {name}") from None
+    return v
 
 
 def _jacobi_terms(field: MatrixField3, x1, x2, x3, scheme: str) -> tuple:
@@ -103,12 +110,12 @@ def _jacobi_terms(field: MatrixField3, x1, x2, x3, scheme: str) -> tuple:
 
 
 def _jacobi_kernel(field: MatrixField3, scheme: str):
-    """_jacobi_terms as one expr.compile_kernel that checks the six partials; None for fd, or where it gives none."""
+    """_jacobi_terms as one expr.plan_kernel that checks the six partials; None for fd, or where it gives none."""
     if scheme != "analytic":
         return None
     entries = tuple(f.expr for f in field.fields)
     partials = tuple(field.fields[idx].partial_expr(axis) for idx, axis in _PARTIALS)
-    return ex.compile_kernel((*entries, _jacobi_combination(*entries, *partials)), partials)
+    return ex.plan_kernel((*entries, _jacobi_combination(*entries, *partials)), partials)
 
 
 def _finite_residual(r: float, x) -> float:

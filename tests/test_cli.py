@@ -551,14 +551,25 @@ def test_values_that_are_not_finite_are_bad_input(capsys, tmp_path, big_spec_fil
     assert err.startswith("error: " + message) and err.count("\n") == 1, err
 
 
-def test_verify_names_the_partial_that_is_not_finite(capsys, tmp_path):
+def _steep_spec(tmp_path):
     # J31 stays below 1e307, its partial in x1 reaches 1e309: the first term read past the entries
     path = tmp_path / "steep.json"
     path.write_text(json.dumps({
         "matrix": {"j12": "x3", "j23": "x1", "j31": "1e307*sin(100*x1)"},
         "domain": {"box": [[0.1, 1.0], [0.1, 1.0], [0.1, 1.0]]},
     }))
-    code, out, err = run_cli(capsys, "verify", "--spec", str(path), "--samples", "20")
+    return str(path)
+
+
+def test_verify_names_the_partial_that_is_not_finite(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "verify", "--spec", _steep_spec(tmp_path), "--samples", "20")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: non-finite result -?inf in d1j31 at \(\S+, \S+, \S+\)\n", err), err
+
+
+def test_verify_fd_names_the_partial_that_is_not_finite(capsys, tmp_path):
+    # the central difference of d1j31 overflows to -inf without raising; the partial is named all the same
+    code, out, err = run_cli(capsys, "verify", "--spec", _steep_spec(tmp_path), "--samples", "20", "--scheme", "fd")
     assert (code, out) == (2, "")
     assert re.fullmatch(r"error: non-finite result -?inf in d1j31 at \(\S+, \S+, \S+\)\n", err), err
 

@@ -335,6 +335,79 @@ def test_a_runtime_exponent_takes_the_square_rule_per_element():
 
 
 # ---------------------------------------------------------------------------
+# The register plan: array calls that compile nothing (docs/decisions.md, D13)
+
+
+def _assert_plan_is_the_scalar_kernel(outputs, checked, points):
+    """The plan's outputs are the compiled scalar kernel's at each point, by float.hex.  It faults exactly
+    when a point's kernel call raises, or a walk of a tree there (eval_expr) meets a value that is not
+    finite: the array arithmetic raises on every overflow, where float arithmetic may carry an inf on."""
+    xs = tuple(np.array(c, dtype=float) for c in zip(*points))
+    kernel = ex.compile_kernel(outputs, checked)
+    got, error = _first_error(lambda: ex.plan_kernel(outputs, checked).batch(*xs))
+    scalar = [_first_error(lambda: kernel(*x)) for x in points]
+    walks = [_first_error(lambda: [ex.eval_expr(e, dict(zip(XS, x))) for e in (*outputs, *checked)]) for x in points]
+    assert (error is not None) == any(e is not None for _, e in scalar + walks)
+    if error is None:
+        assert len(got) == len(outputs)
+        for i, value in enumerate(got):
+            assert value.shape == xs[0].shape and _hex(value) == _hex(v[i] for v, _ in scalar)
+    else:
+        assert error[0] is ex.BatchFault
+
+
+@settings(max_examples=400, deadline=None)
+@given(forests(), st.lists(st.tuples(*(st.sampled_from(_COORDS) | st.floats(-4.0, 4.0),) * 3), min_size=1, max_size=5))
+def test_plan_equals_the_compiled_scalar_kernel(forest, points):
+    outputs, checked = forest
+    _assert_plan_is_the_scalar_kernel(outputs, checked, points)
+
+
+def test_plan_cases():
+    x1, x2, two = ex.Var("x1"), ex.Var("x2"), ex.Lit(2.0)
+    # D10's liveness tree: -(-(2.0)) takes a register only once -(2.0) / sqrt(x2) has read -(2.0)
+    liveness = ex.Neg(two) / ex.Call("sqrt", x2) + ex.Neg(ex.Neg(two)) / ex.Neg(ex.Neg(two))
+    _assert_plan_is_the_scalar_kernel((liveness,), (), [(0.7, 0.2, 1.3), (-1.5, 2.0, 0.25)])
+    _assert_plan_is_the_scalar_kernel((liveness,), (), [(0.7, 0.2, 1.3), (0.7, -0.2, 1.3)])  # sqrt faults
+    # constant trees, broadcast to the input shape
+    constants = (ex.Lit(2.5), ex.Call("exp", ex.Lit(1.0)), ex.Lit(1.0) - ex.Lit(3.0), ex.Lit(-0.0))
+    _assert_plan_is_the_scalar_kernel(constants, (), [(0.1, 0.2, 0.3), (1.0, 2.0, 3.0), (-1.0, 0.0, 5.0)])
+    assert ex.compile_expr(ex.Lit(2.5), XS)(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3))).shape == (2, 3)
+    # a runtime exponent: _pow per element, the square rule included
+    bases, exponents = (*POW_IS_OFF, -2.5, 1.25, 3.0), (2.0, 2.0, 2.0, 0.5, -1.0)
+    power = ex.pow_(x1, x2)
+    _assert_plan_is_the_scalar_kernel((power,), (), [(a, b, 0.0) for a, b in zip(bases, exponents)])
+    _assert_plan_is_the_scalar_kernel((power,), (), [(-2.5, 0.5, 0.0)])  # a negative base, a non-integer exponent
+    # finite checked values whose sum overflows
+    _assert_plan_is_the_scalar_kernel((x1 - x2,), (x1, x2), [(1.0, 2.0, 0.0), (1e308, 1e308, 0.0)])
+    _assert_plan_is_the_scalar_kernel((x1 - x2,), (x1, x2), [(1.0, 2.0, 0.0), (1e308, -1e308, 0.0)])
+
+
+def test_an_array_call_runs_the_plan_until_a_float_call_compiles(monkeypatch):
+    sources, plans = [], []
+    monkeypatch.setattr(ex, "compile", lambda src, *args: sources.append(src) or compile(src, *args), raising=False)
+    batch = ex._Plan.batch
+    monkeypatch.setattr(ex._Plan, "batch", lambda plan, *xs: plans.append(plan) or batch(plan, *xs))
+    fn = ex.compile_expr(ex.parse("x1^2 + sin(x2)"), XS)
+    xs = (np.array([0.5, 1.5]), np.array([1.0, 2.0]), np.zeros(2))
+    first = fn(*xs)
+    assert (len(sources), len(plans)) == (0, 1)
+    assert fn(0.5, 1.0, 0.0) == first[0] and len(sources) == 1  # compiled on its first float call
+    assert _hex(fn(*xs)) == _hex(first) and (len(sources), len(plans)) == (1, 1)  # then its .batch runs
+
+
+def test_plan_depth_and_variables_follow_the_writer():
+    assert ex.plan_kernel((_chain(200, ex.Neg),)) is not None
+    assert ex.plan_kernel((ex.Var("x2"),), (_chain(201, ex.Neg),)) is None
+    assert ex.plan_kernel((_chain(5000, ex.Neg),)) is None  # far too deep to walk: None, not a RecursionError
+    with pytest.raises(ex.UnboundVariableError):
+        ex.plan_kernel((ex.Var("x1") + ex.Var("u"),))
+    deep = ex.compile_expr(_chain(201, ex.Neg), XS)
+    with pytest.raises(ex.ParseError, match="nested too deeply"):
+        deep(np.zeros(2), np.zeros(2), np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
 # Integrators: kernel path against forced replay
 
 
