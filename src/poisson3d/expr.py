@@ -14,7 +14,6 @@ undefined (it backs the derivative of abs, which has no value at 0).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import count, repeat
 from types import FunctionType
@@ -553,6 +552,19 @@ def _shaped(v, shape):
     return v
 
 
+def _run_on_arrays(run, xs):
+    """run(*xs) on float arrays of one shape under batch_arithmetic, each value broadcast to that shape.
+
+    The batch binding's one ending, for the compiled kernels and the register plans (plan.py): BatchFault
+    on any fault, or where a value has an element that is not finite.
+    """
+    with batch_arithmetic():
+        values = tuple(map(_shaped, run(*xs), repeat(np.shape(xs[0]))))
+    if not all(map(_all_finite, values)):
+        raise BatchFault("non-finite result")
+    return values
+
+
 _SCALAR_NS = {**_FN_IMPL, "_pow": _pow, "isfinite": math.isfinite, "BatchFault": BatchFault, "__builtins__": {}}
 _BATCH_NS = {
     **{name: _elementwise(_FN_IMPL[name]) for name in ("exp", "ln", "sin", "cos")},
@@ -754,158 +766,11 @@ def _kernel_of(src):
         nonlocal on_arrays
         if on_arrays is None:
             on_arrays = FunctionType(code, _BATCH_NS)
-        with batch_arithmetic():
-            values = tuple(map(_shaped, on_arrays(*xs), repeat(np.shape(xs[0]))))
-        if not all(map(_all_finite, values)):
-            raise BatchFault("non-finite result")
-        return values
+        return _run_on_arrays(on_arrays, xs)
 
     fn = FunctionType(code, _SCALAR_NS)  # the scalar calls run this function itself, with no wrapper
     fn.batch, fn.source = batch, src
     return fn
-
-
-# --------------------------------------------------------------------------
-# The register plan: a second binding of the writer's trees, for array calls,
-# with no source to write or compile (docs/decisions.md, D13).
-
-_PLAN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": _batch_pow}
-
-
-def plan_kernel(outputs, checked=()):
-    """The trees in x1, x2, x3 as a kernel for arrays alone: kernel.batch(x1, x2, x3) is compile_kernel's.
-
-    It runs the trees' register plan, so no source is written or compiled.  None for a tree deeper than
-    _MAX_DEPTH: the caller keeps its per-expression path.  UnboundVariableError for a variable that is
-    not x1, x2 or x3.
-    """
-    return _plan_of(outputs, checked, _XS)
-
-
-def _plan_of(outputs, checked, varnames):
-    """The _Plan of the trees, keyed and checked as _kernel_source keys and checks them; None for a tree
-    deeper than _MAX_DEPTH.
-
-    A subtree's key is its operator and the numbers of its operands, a variable's its name and a
-    literal's its repr, so Lit(0.0) and Lit(-0.0) stay apart, and two subtrees share a key exactly when
-    their _gen texts are equal.  Each distinct subtree is one step, in post-order, which calls the
-    _BATCH_NS primitive or array operator of _gen's text on its operands' registers; a literal's
-    register holds its Python float.  A step takes a register whose last reader has run, as the writer
-    reuses a local's name; the registers of the outputs and checked trees are never given away.
-    """
-    number, keyed = {}, {name: i for i, name in enumerate(varnames)}  # id(node) -> number; key -> number
-    last, steps, consts, missing = [0] * len(varnames), [], [], []  # per number, the number of its last reader
-
-    def walk(e):
-        kind = e.__class__
-        if kind is Var or kind is Lit:  # a leaf is keyed wherever it is read
-            key = e.name if kind is Var else repr(e.value)
-            n = keyed.get(key)
-            if n is None:
-                n = keyed[key] = len(last)
-                last.append(n)
-                if kind is Lit:
-                    consts.append((n, e.value))
-                else:
-                    missing.append(e.name)
-            return n
-        n = number.get(id(e))
-        if n is not None:
-            return n
-        if kind is Bin:
-            key = (e.op, walk(e.left), walk(e.right))
-        elif kind is Call:
-            key = (e.fn, walk(e.arg))
-        else:
-            key = ("-", walk(e.operand))
-        n = keyed.get(key)
-        if n is None:
-            n = keyed[key] = len(last)
-            last.append(n)
-            last[key[1]] = n
-            if kind is Bin:
-                last[key[2]] = n
-            steps.append((n, key))
-        number[id(e)] = n
-        return n
-
-    n_out = len(outputs)
-    trees = [*outputs, *[e for e in checked if not (isinstance(e, Lit) and math.isfinite(e.value))]]
-    try:
-        roots = list(map(walk, trees))
-    except RecursionError:  # far deeper than _MAX_DEPTH
-        return None
-    if len(last) > _MAX_DEPTH:  # a tree has at most one level per distinct subtree
-        height = [1] * len(last)
-        for n, key in steps:
-            height[n] = 1 + max(height[k] for k in key[1:])
-        if max(height) > _MAX_DEPTH:
-            return None
-    if missing:
-        raise UnboundVariableError(f"variables {sorted(set(missing))} not provided by {varnames}")
-    for n in roots:
-        last[n] = -1
-    reg = list(range(len(last)))  # number -> register: the arguments', then the literals', then the steps'
-    registers, free, plan = [], [], []
-    for n, value in consts:
-        reg[n] = len(varnames) + len(registers)
-        registers.append(value)
-    for n, key in steps:
-        a, b = key[1], key[-1]  # b is a for a step of one operand
-        died = 0
-        if last[a] == n:  # n is a's last reader
-            free.append(reg[a])
-            died += 1
-        if last[b] == n and b != a:
-            free.append(reg[b])
-            died += 1
-        if free:
-            r = free.pop()
-        else:
-            r = len(varnames) + len(registers)
-            registers.append(None)
-        reg[n] = r
-        if len(key) == 3:
-            fn, b = _PLAN_OPS[key[0]], reg[b]
-        else:
-            fn, b = operator.neg if key[0] == "-" else _BATCH_NS[key[0]], -1
-        # where both operands die, the register the step does not take is emptied after it
-        plan.append((fn, r, reg[a], b, free[-1] if died == 2 else -1))
-    return _Plan(len(varnames), registers, plan, [reg[n] for n in roots[:n_out]],
-                 [reg[n] for n in dict.fromkeys(roots[n_out:])])
-
-
-class _Plan:
-    """A register plan (_plan_of) and its one call, batch."""
-
-    __slots__ = ("arity", "registers", "steps", "outputs", "checked")
-
-    def __init__(self, arity, registers, steps, outputs, checked):
-        self.arity, self.registers, self.steps, self.outputs, self.checked = arity, registers, steps, outputs, checked
-
-    def batch(self, *xs):
-        """The outputs' values on float arrays of one shape, as compiled .batch gives them, and its faults:
-        BatchFault on any fault, non-finite output or non-finite sum of the distinct checked values."""
-        if len(xs) != self.arity:
-            raise TypeError(f"kernel() takes {self.arity} positional arguments but {len(xs)} were given")
-        regs = [*xs, *self.registers]
-        with batch_arithmetic():
-            for fn, r, a, b, dead in self.steps:
-                regs[r] = fn(regs[a]) if b < 0 else fn(regs[a], regs[b])
-                if dead >= 0:
-                    regs[dead] = None
-            if self.checked:
-                first, *rest = self.checked
-                total = regs[first]
-                for r in rest:
-                    total = total + regs[r]
-                if not _all_finite(total):
-                    raise BatchFault("non-finite value")
-            shape = np.shape(xs[0])
-            values = tuple([_shaped(regs[r], shape) for r in self.outputs])
-        if not all(map(_all_finite, values)):
-            raise BatchFault("non-finite result")
-        return values
 
 
 # --------------------------------------------------------------------------
@@ -1061,3 +926,7 @@ def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
     if isinstance(e, Bin):
         return Bin(e.op, substitute(e.left, name, replacement), substitute(e.right, name, replacement))
     return e
+
+
+# imported last, since plan.py imports the node classes and the batch binding above from this module
+from .plan import build as _plan_of, plan_kernel  # noqa: E402

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poisson3d import dynamics, expr as ex
+from poisson3d import dynamics, expr as ex, plan
 from poisson3d.builtin_systems import build_system
 from poisson3d.casimir import casimir_value, cyclic
 from poisson3d.cli import main
@@ -386,8 +386,8 @@ def test_plan_cases():
 def test_an_array_call_runs_the_plan_until_a_float_call_compiles(monkeypatch):
     sources, plans = [], []
     monkeypatch.setattr(ex, "compile", lambda src, *args: sources.append(src) or compile(src, *args), raising=False)
-    batch = ex._Plan.batch
-    monkeypatch.setattr(ex._Plan, "batch", lambda plan, *xs: plans.append(plan) or batch(plan, *xs))
+    batch = plan._Plan.batch
+    monkeypatch.setattr(plan._Plan, "batch", lambda p, *xs: plans.append(p) or batch(p, *xs))
     fn = ex.compile_expr(ex.parse("x1^2 + sin(x2)"), XS)
     xs = (np.array([0.5, 1.5]), np.array([1.0, 2.0]), np.zeros(2))
     first = fn(*xs)
