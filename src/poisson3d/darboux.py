@@ -34,7 +34,7 @@ from . import expr as ex
 from .errors import DomainMembershipError, HypothesisViolationError
 from .family import PoissonFamilySpec, StructureMatrixValue, chi, chi_from_psi, structure_matrix_at
 from .scalar_fields import Field3, axis_sign, coordinates, element, first_flagged, point_at, psi_inverse
-from .scalar_fields import first_vanishing
+from .scalar_fields import clip, first_vanishing, psi_values
 from .verification import SampledCheckReport, sampled_check
 
 FACTOR_FLOOR = 1e-12
@@ -112,10 +112,12 @@ def _zero_set_probe(spec: PoissonFamilySpec, i: int, j: int, k: int):
     k_ij = spec.kappa.entry(i, j)
     if abs(min(max(0.0, a_i - b_j + k_ij), b_i - a_j + k_ij)) > denominator_threshold(max(-a_i, b_i), max(-a_j, b_j)):
         return np.empty((0, 3)), np.empty(0), np.empty(0)
-    x_i = np.linspace(*sorted(psi_inverse(f_i, min(max(t - k_ij, a_i), b_i)) for t in (a_j, b_j)), PROBE).tolist()
+    with np.errstate(all="ignore"):  # a target that overflows clips to the range end, as it does on floats
+        x_i = np.linspace(*sorted(psi_inverse(f_i, clip(np.array([a_j, b_j]) - k_ij, a_i, b_i)).tolist()), PROBE)
+        x_j = psi_inverse(f_j, clip(psi_values(f_i, x_i) + k_ij, a_j, b_j))
     grid = np.empty((PROBE * PROBE, 3))
     grid[:, i - 1] = np.repeat(x_i, PROBE)
-    grid[:, j - 1] = np.repeat([psi_inverse(f_j, min(max(f_i.psi_fn(u) + k_ij, a_j), b_j)) for u in x_i], PROBE)
+    grid[:, j - 1] = np.repeat(x_j, PROBE)
     grid[:, k - 1] = np.tile(np.linspace(*spec.domain.intervals[k - 1], PROBE), PROBE)
     psis, chis = chi_table(spec, grid[::PROBE])  # chi_ij and its threshold do not change along a row of x_k
     with np.errstate(all="ignore"):

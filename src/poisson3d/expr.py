@@ -469,9 +469,10 @@ def _gen(e: Expr, operand) -> str:
 # bit-identical to the scalar binding wherever it does not fault: + - * /
 # and negation are IEEE-exact array operators, and sqrt and abs are
 # correctly rounded, so they stay numpy, and so does ^2, which _pow takes
-# as one multiplication; exp, ln, sin, cos and other powers run the scalar
-# implementations elementwise, because numpy's vectorized versions differ
-# from math.* in the last ulp (docs/decisions.md, D4).
+# as one multiplication; exp, ln, sin, cos and other powers run the math.*
+# functions elementwise (ln and ^ after their domain rule as one array test),
+# because numpy's vectorized versions differ from math.* in the last ulp
+# (docs/decisions.md, D4).
 
 
 class BatchFault(Exception):
@@ -532,6 +533,14 @@ def _batch_pow(a, b):
     return np.array(list(map(_pow, a.ravel().tolist(), b.ravel().tolist()))).reshape(a.shape)
 
 
+def _batch_ln(a):
+    # _ln's domain rule as one array test, then math.log per element
+    a = np.asarray(a, dtype=float)
+    if np.any(a <= 0.0):
+        raise DomainEvalError("ln of non-positive value")
+    return np.array(list(map(math.log, a.ravel().tolist()))).reshape(a.shape)
+
+
 def _batch_sign(a):
     if np.any(a == 0.0):
         raise DomainEvalError("sign(0) is undefined")
@@ -567,7 +576,8 @@ def _run_on_arrays(run, xs):
 
 _SCALAR_NS = {**_FN_IMPL, "_pow": _pow, "isfinite": math.isfinite, "BatchFault": BatchFault, "__builtins__": {}}
 _BATCH_NS = {
-    **{name: _elementwise(_FN_IMPL[name]) for name in ("exp", "ln", "sin", "cos")},
+    **{name: _elementwise(_FN_IMPL[name]) for name in ("exp", "sin", "cos")},
+    "ln": _batch_ln,
     "sqrt": np.sqrt,
     "abs": np.abs,
     "sign": _batch_sign,

@@ -220,14 +220,28 @@ def first_vanishing(fn, sample, floor, sign_rule: bool):
     return batch_certificate(flags, in_order)
 
 
-def batch_certificate(flags, per_point):
-    """A sampled certificate: flags() on arrays, per_point() where that faults or flags a sample.
+def batch_certificate(flags, per_point, *values):
+    """A sampled certificate: flags(*values) on arrays, per_point() where that faults or flags a sample.
 
-    flags returns a boolean array, through expr.batched.  The per-point
-    loop then names the first failing sample, as its result or as the
-    error it raises on its own; None when no sample is flagged.
+    values are the arrays of earlier passes that flags reads, None for a
+    pass that faulted, which runs per_point() too.  flags returns a boolean
+    array, through expr.batched.  The per-point loop then names the first
+    failing sample, as its result or as the error it raises on its own;
+    None when no sample is flagged.
     """
-    return per_point() if ex.batched(lambda: flags().any(), lambda: True) else None
+    if any(v is None for v in values) or ex.batched(lambda: flags(*values).any(), lambda: True):
+        return per_point()
+    return None
+
+
+def _values(fn, u):
+    """fn(u) on the array u, or None where that faults (expr.batched)."""
+    return ex.batched(lambda: fn(u), lambda: None)
+
+
+def psi_values(fld: ScalarField1D, u: np.ndarray) -> np.ndarray:
+    """psi on the array u, per point where that faults, so the first fault raises DomainEvalError."""
+    return ex.batched(lambda: fld.psi_fn(u), lambda: np.array([fld.psi_fn(v) for v in u.tolist()]))
 
 
 def build_scalar_field(
@@ -240,9 +254,9 @@ def build_scalar_field(
 
     Checks, on a 256-point grid: phi nonvanishing, psi' = phi (central
     differences, relative 1e-6), psi strictly monotone, and zeta(psi(x)) = x
-    to 1e-9 when zeta is supplied.  Each check runs on arrays through the
-    field's callables, bit-identical to its per-point loop, which runs
-    only where the arrays fault or flag a point.
+    to 1e-9 when zeta is supplied.  One array pass of each callable gives
+    the checks their values, bit-identical to each check's per-point loop,
+    which runs only where a pass it reads faults or the check flags a point.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (lo < hi and math.isfinite(hi - lo)):  # a finite width needs finite bounds
@@ -254,6 +268,16 @@ def build_scalar_field(
 
     fld = ScalarField1D(phi, psi, zeta, (lo, hi))
     grid = np.linspace(lo, hi, _GRID)
+    # psi' = phi on interior points; the stencil must stay inside the
+    # interval, where the expressions are guaranteed to be defined
+    width = hi - lo
+    xs = lo + width * (np.arange(_GRID) + 0.5) / _GRID
+    steps = np.minimum(fd_step(xs), 0.49 * np.minimum(xs - lo, hi - xs) + 1e-300)
+    inner = steps > 0.0
+    # one array pass per callable; the certificates below read their values
+    phis = _values(fld.phi_fn, np.concatenate([grid, xs[inner]]))
+    psis = _values(fld.psi_fn, np.concatenate([grid, xs[inner] + steps[inner], xs[inner] - steps[inner]]))
+    zetas = _values(fld.zeta_fn, psis[:_GRID]) if zeta is not None and psis is not None else None
 
     fails = "phi must be nonvanishing on the interval: "
 
@@ -263,23 +287,20 @@ def build_scalar_field(
         except DomainEvalError as exc:
             raise FieldValidationError(f"{fails}evaluation failed: {exc} (u = {u})") from None
 
-    failure = first_vanishing(phi_at, (grid,), ZERO_FLOOR, True)
+    if phis is None:  # phi on the grid again, per point where that faults
+        failure = first_vanishing(phi_at, (grid,), ZERO_FLOOR, True)
+    else:
+        failure = first_vanishing(lambda v: v, (phis[:_GRID],), ZERO_FLOOR, True)
     if failure is not None:
         u = float(grid[failure[0]])
         if failure[1] == "zero":
             raise FieldValidationError(f"{fails}|f| = {abs(fld.phi_fn(u)):.3e} at sample (u = {u})")
         raise FieldValidationError(f"{fails}sign change between adjacent samples (u = {u})")
 
-    # psi' = phi on interior points; the stencil must stay inside the
-    # interval, where the expressions are guaranteed to be defined
-    width = hi - lo
-    xs = lo + width * (np.arange(_GRID) + 0.5) / _GRID
-    steps = np.minimum(fd_step(xs), 0.49 * np.minimum(xs - lo, hi - xs) + 1e-300)
-
-    def primitive_flags():
-        x, h = xs[steps > 0.0], steps[steps > 0.0]
-        dpsi = central_difference(fld.psi_fn, (x,), 0, h)
-        phival = fld.phi_fn(x)
+    def primitive_flags(phis, psis):
+        up, down = np.split(psis[_GRID:], 2)
+        dpsi = (up - down) / (2.0 * steps[inner])  # central_difference's quotient, on the pass's stencil values
+        phival = phis[_GRID:]
         return np.abs(dpsi - phival) > 1e-6 * np.maximum(1.0, np.abs(phival))
 
     def primitive_loop():
@@ -298,10 +319,10 @@ def build_scalar_field(
                     f"psi is not a primitive of phi: psi'({x}) = {dpsi!r} but phi({x}) = {phival!r}"
                 )
 
-    batch_certificate(primitive_flags, primitive_loop)
+    batch_certificate(primitive_flags, primitive_loop, phis, psis)
 
-    psis = ex.batched(lambda: fld.psi_fn(grid), lambda: np.array([fld.psi_fn(float(x)) for x in grid]))
-    diffs = np.diff(psis)
+    on_grid = psi_values(fld, grid) if psis is None else psis[:_GRID]
+    diffs = np.diff(on_grid)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise FieldValidationError("psi is not strictly monotone on the sampled grid")
 
@@ -315,13 +336,16 @@ def build_scalar_field(
             if abs(back - x) > 1e-9 * max(1.0, abs(x)):
                 raise FieldValidationError(f"zeta(psi({x})) = {back!r}, not the identity")
 
-    if fld.zeta is not None:
-        batch_certificate(lambda: np.abs(fld.zeta_fn(psis) - grid) > 1e-9 * np.maximum(1.0, np.abs(grid)), zeta_loop)
-
+    if zeta is not None:
+        batch_certificate(lambda back: np.abs(back - grid) > 1e-9 * np.maximum(1.0, np.abs(grid)), zeta_loop, zetas)
+    # np.linspace ends the grid at lo and hi exactly (but starts a lo of -0.0 at 0.0): psi_range is at hand
+    if float(grid[0]).hex() == lo.hex():
+        a, b = float(on_grid[0]), float(on_grid[-1])
+        object.__setattr__(fld, "_psi_range", (a, b) if a <= b else (b, a))
     return fld
 
 
-def _clip(v, lo: float, hi: float):
+def clip(v, lo: float, hi: float):
     """min(max(v, lo), hi); elementwise, with the same pick on ties, for an array."""
     if isinstance(v, np.ndarray):
         v = np.where(lo > v, lo, v)
@@ -335,12 +359,19 @@ def psi_inverse(fld: ScalarField1D, target):
     Uses zeta when available (polished by the root-finder if its residual
     is above tolerance), otherwise a bisection-safeguarded secant search;
     monotonicity of psi guarantees the bracket.  target may be an array:
-    zeta and its residual test then run on arrays (which raise
-    expr.BatchFault on any fault), only the elements they miss (all
-    of them without zeta) take the root-finder, one at a time, and every
-    element equals the scalar solve.  An out-of-range error names the first
-    such element.
+    zeta, its residual test and the root-finder on the elements zeta
+    misses (all of them without zeta, in lockstep) then run on arrays
+    through expr.batched, whose replay solves the elements one by one, so
+    every element equals the scalar solve and an error is the first
+    element's.
     """
+    if isinstance(target, np.ndarray):
+        return ex.batched(lambda: _solve(fld, target), lambda: np.array([_solve(fld, v) for v in target.tolist()]))
+    return _solve(fld, target)
+
+
+def _solve(fld: ScalarField1D, target):
+    """psi_inverse of a float, or of an array on the batch binding (a fault raises)."""
     lo, hi = fld.interval
     rlo, rhi = fld.psi_range()
     batch = isinstance(target, np.ndarray)
@@ -348,22 +379,22 @@ def psi_inverse(fld: ScalarField1D, target):
     bad = first_flagged((target < rlo - tol) | (target > rhi + tol))
     if bad is not None:
         raise OutOfRangeError(f"target {element(target, bad)!r} outside psi range [{rlo!r}, {rhi!r}]")
-    target = _clip(target, rlo, rhi)
+    target = clip(target, rlo, rhi)
 
     if not batch:
         if fld.zeta_fn is not None:
-            x = _clip(fld.zeta_fn(target), lo, hi)
+            x = clip(fld.zeta_fn(target), lo, hi)
             if abs(fld.psi_fn(x) - target) <= tol:
                 return x
             # fall through and let the root-finder polish a sloppy zeta
         return _bracketed_solve(fld.psi_fn, lo, hi, target, tol)
 
-    x, polish = np.empty_like(target), np.ones(target.shape, dtype=bool)
-    if fld.zeta_fn is not None:
-        x = _clip(fld.zeta_fn(target), lo, hi)
-        polish = ~(np.abs(fld.psi_fn(x) - target) <= tol)
-    for n in np.flatnonzero(polish):
-        x[n] = _bracketed_solve(fld.psi_fn, lo, hi, float(target[n]), float(tol[n]))
+    if fld.zeta_fn is None:
+        return _lockstep_solve(fld.psi_fn, lo, hi, target, tol)
+    x = clip(fld.zeta_fn(target), lo, hi)
+    polish = ~(np.abs(fld.psi_fn(x) - target) <= tol)
+    if polish.any():
+        x[polish] = _lockstep_solve(fld.psi_fn, lo, hi, target[polish], tol[polish])
     return x
 
 
@@ -403,6 +434,64 @@ def _bracketed_solve(psi, lo: float, hi: float, target: float, tol: float) -> fl
     if abs(psi(x_best) - target) <= max(tol, 4.0 * _EPS * max(1.0, abs(target))):
         return x_best
     raise OutOfRangeError(f"root-finder failed to reach tolerance for target {target!r}")
+
+
+def _lockstep_solve(psi, lo: float, hi: float, target: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """_bracketed_solve of each element of target with its tol, all elements in step.
+
+    Each element takes the scalar solve's IEEE operations in its order, with
+    masks for its branches: the secant step only where its denominator is
+    nonzero, so no division runs that the scalar solve skips.  An element
+    leaves where the scalar solve returns or breaks; one psi call on arrays
+    per step.  The first element whose scalar solve raises raises its
+    OutOfRangeError here; a fault in psi faults the call.
+    """
+    ends = psi(np.array([lo, hi]))
+    fa, fb = ends[0] - target, ends[1] - target
+    out = np.where(fa == 0.0, lo, hi)
+    live = (fa != 0.0) & (fb != 0.0)
+    unbracketed = live & (np.copysign(1.0, fa) == np.copysign(1.0, fb))
+    n = np.flatnonzero(live & ~unbracketed)
+    a, b, fa, fb, t, s = np.full(n.size, lo), np.full(n.size, hi), fa[n], fb[n], target[n], tol[n]
+    x_prev, f_prev, x_cur, f_cur = a, fa, b, fb
+    ended = []  # (indices, a, b) of the elements that leave the loop without a return
+    for _ in range(_MAX_SOLVE_ITER):
+        if not n.size:
+            break
+        mid = 0.5 * (a + b)
+        denom = f_cur - f_prev
+        secant = denom != 0.0
+        x_new = np.where(secant, x_cur - np.divide(f_cur * (x_cur - x_prev), denom, where=secant, out=mid.copy()), mid)
+        x_new = np.where((np.minimum(a, b) < x_new) & (x_new < np.maximum(a, b)), x_new, mid)
+        f_new = psi(x_new) - t
+        done = np.abs(f_new) <= s
+        left = np.copysign(1.0, f_new) == np.copysign(1.0, fa)
+        a, fa = np.where(left, x_new, a), np.where(left, f_new, fa)
+        b, fb = np.where(left, b, x_new), np.where(left, fb, f_new)
+        x_prev, f_prev, x_cur, f_cur = x_cur, f_cur, x_new, f_new
+        narrow = ~done & (np.abs(b - a) <= _EPS * np.maximum(1.0, np.abs(a) + np.abs(b)))
+        keep = ~(done | narrow)
+        if not keep.all():
+            out[n[done]] = x_new[done]
+            ended.append((n[narrow], a[narrow], b[narrow]))
+            n, a, b, fa, fb, t, s = n[keep], a[keep], b[keep], fa[keep], fb[keep], t[keep], s[keep]
+            x_prev, f_prev, x_cur, f_cur = x_prev[keep], f_prev[keep], x_cur[keep], f_cur[keep]
+    ended.append((n, a, b))
+    n, a, b = (np.concatenate(v) for v in zip(*ended))
+    missed = np.zeros(target.shape, dtype=bool)
+    if n.size:  # the better end, as min((a, b), key=...) picks it: a on a tie
+        t = target[n]
+        r_a, r_b = np.split(np.abs(psi(np.concatenate([a, b])) - np.concatenate([t, t])), 2)
+        to_b = r_b < r_a
+        out[n] = np.where(to_b, b, a)
+        missed[n] = ~(np.where(to_b, r_b, r_a) <= np.maximum(tol[n], 4.0 * _EPS * np.maximum(1.0, np.abs(t))))
+    first = first_flagged(unbracketed | missed)
+    if first is not None:
+        v = float(target[first])
+        if unbracketed[first]:
+            raise OutOfRangeError(f"target {v!r} not bracketed by psi on [{lo}, {hi}]")
+        raise OutOfRangeError(f"root-finder failed to reach tolerance for target {v!r}")
+    return out
 
 
 @dataclass(frozen=True)
