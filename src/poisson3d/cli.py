@@ -60,10 +60,11 @@ def _object(value, what: str) -> dict:
 
 
 def _pair(value, what: str) -> tuple[float, float]:
+    # JSON numbers only: a bool, a numeric string or an integer too large for a float is not one
     try:
-        if isinstance(value, list) and len(value) == 2:
+        if isinstance(value, list) and len(value) == 2 and {type(v) for v in value} <= {int, float}:
             return float(value[0]), float(value[1])
-    except (TypeError, ValueError):
+    except OverflowError:
         pass
     raise ValueError(f"{what} must be a pair of numbers, got {value!r}")
 

@@ -14,8 +14,9 @@ undefined (it backs the derivative of abs, which has no value at 0).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import repeat
 from types import FunctionType
 
 import numpy as np
@@ -464,15 +465,15 @@ def _gen(e: Expr, operand) -> str:
 
 
 # --------------------------------------------------------------------------
-# Bindings of _gen's source.  The scalar binding runs the primitives above on
-# floats.  The batch binding runs the same source over numpy arrays,
-# bit-identical to the scalar binding wherever it does not fault: + - * /
-# and negation are IEEE-exact array operators, and sqrt and abs are
-# correctly rounded, so they stay numpy, and so does ^2, which _pow takes
-# as one multiplication; exp, ln, sin, cos and other powers run the math.*
-# functions elementwise (ln and ^ after their domain rule as one array test),
-# because numpy's vectorized versions differ from math.* in the last ulp
-# (docs/decisions.md, D4).
+# Bindings.  The scalar binding runs _gen's source on floats with the
+# primitives above.  The batch binding is the register plan (plan.py), which
+# runs the same operations over numpy arrays, bit-identical to the scalar
+# binding wherever it does not fault: + - * / and negation are IEEE-exact
+# array operators, and sqrt and abs are correctly rounded, so they stay
+# numpy, and so does ^2, which _pow takes as one multiplication; exp, ln,
+# sin, cos and other powers run the math.* functions elementwise (ln and ^
+# after their domain rule as one array test), because numpy's vectorized
+# versions differ from math.* in the last ulp (docs/decisions.md, D4).
 
 
 class BatchFault(Exception):
@@ -548,7 +549,7 @@ def _batch_sign(a):
 
 
 def _all_finite(v) -> bool:
-    """The batch binding's isfinite: every element finite."""
+    """Every element of v finite."""
     return bool(np.isfinite(v).all())
 
 
@@ -564,8 +565,8 @@ def _shaped(v, shape):
 def _run_on_arrays(run, xs):
     """run(*xs) on float arrays of one shape under batch_arithmetic, each value broadcast to that shape.
 
-    The batch binding's one ending, for the compiled kernels and the register plans (plan.py): BatchFault
-    on any fault, or where a value has an element that is not finite.
+    The register plan's ending (plan.py), here with D12's fault rule: BatchFault on any fault, or where a
+    value has an element that is not finite.
     """
     with batch_arithmetic():
         values = tuple(map(_shaped, run(*xs), repeat(np.shape(xs[0]))))
@@ -575,16 +576,18 @@ def _run_on_arrays(run, xs):
 
 
 _SCALAR_NS = {**_FN_IMPL, "_pow": _pow, "isfinite": math.isfinite, "BatchFault": BatchFault, "__builtins__": {}}
-_BATCH_NS = {
+_BATCH_NS = {  # a plan step's function, by its node's operator, "neg" for negation, or function name
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": _batch_pow,
+    "neg": operator.neg,
     **{name: _elementwise(_FN_IMPL[name]) for name in ("exp", "sin", "cos")},
     "ln": _batch_ln,
     "sqrt": np.sqrt,
     "abs": np.abs,
     "sign": _batch_sign,
-    "_pow": _batch_pow,
-    "isfinite": _all_finite,
-    "BatchFault": BatchFault,
-    "__builtins__": {},
 }
 _XS = ("x1", "x2", "x3")
 
@@ -595,10 +598,10 @@ def compile_expr(e: Expr, varnames: tuple[str, ...] = _XS):
     Floats (np.float64 included) run the tree's one-output kernel (compile_kernel's writer's for (e,)),
     written and compiled on the first float call, on the scalar binding, which raises DomainEvalError, with
     the text of the first error a walk of the tree raises, on out-of-domain input or a non-finite result.
-    Float arrays of one shape run kernel.batch once the kernel is compiled, else the tree's register plan
-    (plan_kernel), which writes no source: an array of that shape, elementwise equal, or BatchFault on any
-    fault, after which the caller replays the points on floats.  UnboundVariableError is raised here,
-    ParseError on the first call for a tree deeper than _MAX_DEPTH.
+    Float arrays of one shape run the tree's register plan (plan_kernel), built on the first array call,
+    which writes no source: an array of that shape, elementwise equal, or BatchFault on any fault, after
+    which the caller replays the points on floats.  UnboundVariableError is raised here, ParseError on the
+    first call for a tree deeper than _MAX_DEPTH.
     """
     missing = free_vars(e) - set(varnames)
     if missing:
@@ -620,18 +623,16 @@ class _OneOutput:
         return self._kernel.source if self._kernel else _kernel_source((self.tree,), (), self.varnames)
 
     def __call__(self, *args):
-        kernel = self._kernel
         a = args[0] if args else 0.0  # a tree without variables takes no arguments
         # exact floats, the integrators' per-step case, skip the slower isinstance test
         if a.__class__ is not float and isinstance(a, np.ndarray):
-            if kernel is not None:  # compiled for floats already: its batch binding costs less per call
-                return kernel.batch(*args)[0]
             plan = self._plan
             if plan is None:
                 plan = self._plan = _plan_of((self.tree,), (), self.varnames)
                 if plan is None:
                     raise ParseError(_TOO_DEEP, 0)
             return plan.batch(*args)[0]
+        kernel = self._kernel
         if kernel is None:
             kernel = self._kernel = _kernel_of(_kernel_source((self.tree,), (), self.varnames))
             if kernel is None:
@@ -650,13 +651,11 @@ class _OneOutput:
 def compile_kernel(outputs, checked=()):
     """Compile trees in x1, x2, x3 into one function f(x1, x2, x3) -> tuple of their values.
 
-    Each value is compile_expr's of its tree, each distinct subtree computed once (_kernel_source).  It
-    raises BatchFault when the sum of the checked trees' values is not finite, and the primitives' errors
-    in walk order; either way the caller replays the call on its per-expression path (docs/decisions.md,
-    D6).  f.batch(x1, x2, x3) runs the same code on float arrays of one shape under batch_arithmetic and
-    raises BatchFault on any fault, non-finite output or non-finite checked element.  None for a tree
-    deeper than _MAX_DEPTH: the caller keeps its per-expression path.  A caller that runs the trees on
-    arrays alone takes plan_kernel, which compiles nothing.
+    Each value is compile_expr's of its tree on floats, each distinct subtree computed once
+    (_kernel_source).  It raises BatchFault when the sum of the checked trees' values is not finite, and
+    the primitives' errors in walk order; either way the caller replays the call on its per-expression
+    path (docs/decisions.md, D6).  None for a tree deeper than _MAX_DEPTH: the caller keeps its
+    per-expression path.  The same trees on float arrays are plan_kernel's, which compiles nothing.
     """
     fn = _kernel_of(_kernel_source(outputs, checked, _XS))
     missing = set(fn.__code__.co_names) & set(VARIABLES) if fn is not None else ()  # read, not passed
@@ -671,8 +670,7 @@ def _kernel_source(outputs, checked, varnames):
     A subtree's key is its inline _gen text.  A subtree read once, by another or by the return, is
     written into its reader; every other one, and each checked tree, gets a line, in post-order.  Before
     a line that can raise, each pending inline text that can raise gets its own line, so the kernel
-    raises the first error a walk of the trees raises.  A local's name is reused once the line of its
-    last reader has run (docs/decisions.md, D6).
+    raises the first error a walk of the trees raises (docs/decisions.md, D6 and D10).
     """
     seen, order, again, dups = {}, {}, [], []  # id(node) -> text; text -> first node; later reads; second nodes
 
@@ -709,9 +707,8 @@ def _kernel_source(outputs, checked, varnames):
             for c in vars(e).values():
                 if id(c) in seen:
                     uses[seen[id(c)]] -= 1
-        name, left, pending, height = {}, {}, {}, {}  # kept text -> local; local -> reads to run; inline text
-        lines, free, fresh = [], [], count()
-        read, acc = [], [1, False]  # the node being written: locals read; deepest child, inline part raises
+        name, pending, height, lines = {}, {}, {}, []  # kept text -> local; inline text -> (text, raises)
+        acc = [1, False]  # the node being written: deepest child, inline part raises
 
         def operand(c):
             ct = seen.get(id(c))
@@ -720,38 +717,27 @@ def _kernel_source(outputs, checked, varnames):
             if height[ct] > acc[0]:
                 acc[0] = height[ct]
             if ct in name:
-                read.append(ct)
                 return name[ct]
-            src, its_reads, raises = pending.pop(ct)
-            read.extend(its_reads)
+            src, raises = pending.pop(ct)
             acc[1] = acc[1] or raises
             return src
 
-        def emit(t, src, its_reads, n):
-            for k in its_reads:  # a read counts at the line that runs it
-                if k in left:
-                    left[k] -= 1
-                    if not left[k]:
-                        del left[k]
-                        free.append(name[k])
-            name[t] = free.pop() if free else f"_t{next(fresh)}"
-            if t not in roots:
-                left[t] = n
+        def emit(t, src):
+            name[t] = f"_t{len(name)}"
             lines.append(f"    {name[t]} = {src}")
 
         for t, e in order.items():
-            read = []
             acc[0], acc[1] = 1, False
             src = _gen(e, operand)
             height[t] = acc[0] + 1
             raises = acc[1] or (e.fn != "abs" if isinstance(e, Call) else isinstance(e, Bin) and e.op in "/^")
             if uses[t] == 1 and t not in tested:
-                pending[t] = (src, read, raises)
+                pending[t] = (src, raises)
             else:
                 if raises:  # the order rule
-                    for p in [p for p, entry in pending.items() if entry[2]]:
-                        emit(p, *pending.pop(p)[:2], 1)
-                emit(t, src, read, uses[t])
+                    for p in [p for p, entry in pending.items() if entry[1]]:
+                        emit(p, pending.pop(p)[0])
+                emit(t, src)
         if max(height[t] for t in roots) > _MAX_DEPTH:
             return None
         value = {**name, **{t: entry[0] for t, entry in pending.items()}}  # the return reads what is pending
@@ -763,23 +749,15 @@ def _kernel_source(outputs, checked, varnames):
 
 
 def _kernel_of(src):
-    """The kernel compiled from src on the scalar binding, with .batch and .source; None without one."""
+    """The kernel compiled from src on the scalar binding, with .source; None without one."""
     if src is None:
         return None
     try:
         code = compile(src, "<kernel>", "exec").co_consts[0]  # def kernel's code
     except (SyntaxError, RecursionError):  # the writer's source is well formed: only its depth can fail
         return None
-    on_arrays = None
-
-    def batch(*xs):
-        nonlocal on_arrays
-        if on_arrays is None:
-            on_arrays = FunctionType(code, _BATCH_NS)
-        return _run_on_arrays(on_arrays, xs)
-
     fn = FunctionType(code, _SCALAR_NS)  # the scalar calls run this function itself, with no wrapper
-    fn.batch, fn.source = batch, src
+    fn.source = src
     return fn
 
 
@@ -938,5 +916,6 @@ def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
     return e
 
 
-# imported last, since plan.py imports the node classes and the batch binding above from this module
-from .plan import build as _plan_of, plan_kernel  # noqa: E402
+# imported last, since plan.py imports the node classes and the array primitives above from this module;
+# _OneOutput builds its plan through its own name, so replacing plan_kernel here leaves it alone
+from .plan import plan_kernel, plan_kernel as _plan_of  # noqa: E402

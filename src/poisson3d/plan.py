@@ -1,43 +1,32 @@
-"""Register plans: the trees that expr's writer lays out, as steps over a register file.
+"""Register plans: the array binding of the trees that expr's writer lays out, as steps over a register file.
 
-A plan is a second binding of those trees, for float arrays: each step
-calls the batch binding's primitive or array operator (expr._BATCH_NS)
+Each step calls the primitive or array operator of its node (expr._BATCH_NS)
 on the registers of its operands, so no source is written or compiled
-(docs/decisions.md, D13).  A plan ends as the compiled batch binding
-ends, through expr._run_on_arrays.
+(docs/decisions.md, D13 and D15).  A plan ends through
+expr._run_on_arrays, under D12's fault rule.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 
 from .errors import DomainEvalError, UnboundVariableError
-from .expr import _BATCH_NS, _MAX_DEPTH, _XS, Bin, Call, Lit, Var, _all_finite, _batch_pow, _run_on_arrays
-
-_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": _batch_pow}
+from .expr import _BATCH_NS, _MAX_DEPTH, _XS, Bin, Call, Lit, Var, _all_finite, _run_on_arrays
 
 
-def plan_kernel(outputs, checked=()):
-    """The trees in x1, x2, x3 as a kernel for arrays alone: kernel.batch(x1, x2, x3) is compile_kernel's.
+def plan_kernel(outputs, checked=(), varnames=_XS):
+    """The trees in varnames as a kernel for arrays: kernel.batch(*xs) gives each output's values, the
+    scalar kernel's (compile_kernel's) elementwise, and no source is written or compiled.  None for a tree
+    deeper than _MAX_DEPTH: the caller keeps its per-expression path.  UnboundVariableError for a variable
+    not in varnames.
 
-    It runs the trees' register plan, so no source is written or compiled.  None for a tree deeper than
-    _MAX_DEPTH: the caller keeps its per-expression path.  UnboundVariableError for a variable that is
-    not x1, x2 or x3.
-    """
-    return build(outputs, checked, _XS)
-
-
-def build(outputs, checked, varnames):
-    """The _Plan of the trees, keyed and checked as _kernel_source keys and checks them; None for a tree
-    deeper than _MAX_DEPTH.
-
-    A subtree's key is its operator and the numbers of its operands, a variable's its name and a
-    literal's its repr, so Lit(0.0) and Lit(-0.0) stay apart, and two subtrees share a key exactly when
-    their _gen texts are equal.  Each distinct subtree is one step, in post-order, which calls the
-    _BATCH_NS primitive or array operator of _gen's text on its operands' registers; a literal's
-    register holds its Python float.  A step takes a register whose last reader has run, as the writer
-    reuses a local's name; the registers of the outputs and checked trees are never given away.
+    The trees are keyed and checked as _kernel_source keys and checks them.  A subtree's key is its
+    operator ("neg" for negation) and the numbers of its operands, a variable's its name and a literal's
+    its repr, so Lit(0.0) and Lit(-0.0) stay apart, and two subtrees share a key exactly when their _gen
+    texts are equal.  Each distinct subtree is one step, in post-order, which calls the _BATCH_NS function
+    of its operator on its operands' registers; a literal's register holds its Python float.  A step takes
+    a register whose last reader has run; the registers of the outputs and checked trees are never given
+    away.
     """
     number, keyed = {}, {name: i for i, name in enumerate(varnames)}  # id(node) -> number; key -> number
     last, nodes, consts, missing = [0] * len(varnames), [], [], []  # per number, the number of its last reader
@@ -63,7 +52,7 @@ def build(outputs, checked, varnames):
         elif kind is Call:
             key = (e.fn, walk(e.arg))
         else:
-            key = ("-", walk(e.operand))
+            key = ("neg", walk(e.operand))
         n = keyed.get(key)
         if n is None:
             n = keyed[key] = len(last)
@@ -111,18 +100,14 @@ def build(outputs, checked, varnames):
             r = len(varnames) + len(registers)
             registers.append(None)
         reg[n] = r
-        if len(key) == 3:
-            fn, b = _OPS[key[0]], reg[b]
-        else:
-            fn, b = operator.neg if key[0] == "-" else _BATCH_NS[key[0]], -1
         # where both operands die, the register the step does not take is emptied after it
-        steps.append((fn, r, reg[a], b, free[-1] if died == 2 else -1))
+        steps.append((_BATCH_NS[key[0]], r, reg[a], reg[b] if len(key) == 3 else -1, free[-1] if died == 2 else -1))
     return _Plan(len(varnames), registers, steps, [reg[n] for n in roots[:n_out]],
                  [reg[n] for n in dict.fromkeys(roots[n_out:])])
 
 
 class _Plan:
-    """A register plan (build): its register file, steps, outputs and checked values."""
+    """A register plan (plan_kernel): its register file, steps, outputs and checked values."""
 
     __slots__ = ("arity", "registers", "steps", "outputs", "checked")
 
@@ -130,7 +115,7 @@ class _Plan:
         self.arity, self.registers, self.steps, self.outputs, self.checked = arity, registers, steps, outputs, checked
 
     def batch(self, *xs):
-        """The outputs' values on float arrays of one shape, as compiled .batch gives them, and its faults:
+        """The outputs' values on float arrays of one shape, each broadcast to that shape, and its faults:
         BatchFault on any fault, non-finite output or non-finite sum of the distinct checked values."""
         if len(xs) != self.arity:
             raise TypeError(f"kernel() takes {self.arity} positional arguments but {len(xs)} were given")
@@ -147,6 +132,6 @@ class _Plan:
             total = regs[first]
             for r in rest:
                 total = total + regs[r]
-            if not _all_finite(total):  # a domain fault, so a BatchFault, as the compiled kernel raises
+            if not _all_finite(total):  # a domain fault, so a BatchFault, as the scalar kernel's test raises
                 raise DomainEvalError("non-finite value")
         return [regs[r] for r in self.outputs]

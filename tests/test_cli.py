@@ -299,6 +299,9 @@ def test_non_finite_literal_is_bad_input(capsys, tmp_path):
     assert err == "error: numeric literal '1e999' overflows to inf (offset 11)\n"
 
 
+HUGE = 10**400  # a JSON integer that float() cannot take
+
+
 def _edited(doc, path, value):
     """A deep copy of doc with the entry at path (keys and indices) replaced."""
     doc = json.loads(json.dumps(doc))
@@ -333,6 +336,12 @@ MALFORMED_SPECS = {
     "box bound nan": _edited(HALPHEN_WIDE_SPEC, ("domain", "box"), [[math.nan, 2], [1, 2], [1, 2]]),
     "box width overflow": _edited(HALPHEN_WIDE_SPEC, ("domain", "box"), [[-1e308, 1e308], [1, 2], [1, 2]]),
     "kappa overflow": _edited(HALPHEN_WIDE_SPEC, ("kappa",), [1e308, 1e308]),
+    # JSON numbers only: an integer too large for a float, a boolean or a numeric string is not a number
+    "kappa huge integer": _edited(HALPHEN_WIDE_SPEC, ("kappa",), [HUGE, 1]),
+    "box bound huge integer": _edited(HALPHEN_WIDE_SPEC, ("domain", "box", 1, 1), HUGE),
+    "kappa boolean": _edited(HALPHEN_WIDE_SPEC, ("kappa",), [True, 1]),
+    "kappa strings": _edited(HALPHEN_WIDE_SPEC, ("kappa",), ["1.5", " 2 "]),
+    "box bound strings": _edited(HALPHEN_WIDE_SPEC, ("domain", "box", 0), ["0", "1"]),
     # too deep for Python's compile of the generated source
     "eta 199-term sum": _edited(HALPHEN_WIDE_SPEC, ("eta",), "+".join(["x1*x2"] * 199)),
     # too deep for the parser's recursion
@@ -351,6 +360,8 @@ MALFORMED_ERRORS = {
     "box width overflow": "error: need three intervals lo < hi with finite bounds and width, "
                           "got ((-1e+308, 1e+308), (1.0, 2.0), (1.0, 2.0))\n",
     "kappa overflow": "error: kappa constants and kappa_31 = -(k12 + k23) must be finite, got (1e+308, 1e+308)\n",
+    "kappa huge integer": f"error: kappa must be a pair of numbers, got [{HUGE}, 1]\n",
+    "box bound huge integer": f"error: domain.box entry must be a pair of numbers, got [0.0, {HUGE}]\n",
     "name number": "error: 'name' must be a string, got 5\n",
     "eta 199-term sum": "error: expression is nested too deeply (offset 0)\n",
     "eta 1500-term sum": "error: expression is nested too deeply (offset 0)\n",

@@ -330,7 +330,7 @@ def test_a_batch_square_that_overflows_faults_and_replays_with_pow_error():
     with pytest.raises(ex.BatchFault):
         fn(xs, ys)
     with pytest.raises(ex.BatchFault):
-        ex.compile_kernel((ex.parse("x1^2 + x2"),)).batch(xs, ys, ys)
+        ex.plan_kernel((ex.parse("x1^2 + x2"),)).batch(xs, ys, ys)
     with pytest.raises(DomainEvalError, match="^math range error$"):
         [fn(x, y) for x, y in zip(xs.tolist(), ys.tolist())]  # the per-point replay
     for a in (math.inf, math.nan):  # a non-finite base is a non-finite result, as before

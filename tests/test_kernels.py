@@ -154,7 +154,7 @@ def test_a_checked_sum_that_overflows_replays():
     with pytest.raises(ex.BatchFault):
         kernel(1e308, 1e308, 0.0)
     with pytest.raises(ex.BatchFault):
-        kernel.batch(np.array([1.0, 1e308]), np.array([1.0, 1e308]), np.zeros(2))
+        ex.plan_kernel((x1 - x2,), (x1, x2)).batch(np.array([1.0, 1e308]), np.array([1.0, 1e308]), np.zeros(2))
     fn = ex.compile_expr(x1 - x2, XS)
     assert dynamics._with_replay(kernel, lambda *x: (fn(*x),))((1e308, 1e308, 0.0)) == (0.0,)
     assert kernel(1.0, 2.0, 0.0) == (-1.0,)
@@ -180,7 +180,7 @@ def test_unbound_variable_is_raised_at_compile_time():
 
 
 # ---------------------------------------------------------------------------
-# The batch binding: kernel.batch runs the same source over arrays
+# The batch binding: plan_kernel(...).batch runs the same trees over arrays
 
 
 @settings(max_examples=300, deadline=None)
@@ -189,7 +189,7 @@ def test_kernel_batch_equals_compile_expr_on_arrays(forest, points):
     outputs, checked = forest
     xs = tuple(np.array(c) for c in zip(*points))
     per_tree = [_first_error(lambda: ex.compile_expr(e, XS)(*xs)) for e in (*outputs, *checked)]
-    got, error = _first_error(lambda: ex.compile_kernel(outputs, checked).batch(*xs))
+    got, error = _first_error(lambda: ex.plan_kernel(outputs, checked).batch(*xs))
     # the kernel evaluates every subtree of every tree, so it faults exactly when one of the trees does
     assert (error is not None) == any(e is not None for _, e in per_tree)
     if error is None:
@@ -205,19 +205,19 @@ def test_faulting_forest_raises_batch_fault_on_arrays():
     xs = (np.array([1.0, 2.0, -1.0]), np.array([1.0, 0.5, 0.25]), np.zeros(3))
     ln_x1 = ex.Call("ln", x1)
     with pytest.raises(ex.BatchFault):  # a domain fault in an output
-        ex.compile_kernel((ln_x1 + x2,)).batch(*xs)
+        ex.plan_kernel((ln_x1 + x2,)).batch(*xs)
     with pytest.raises(ex.BatchFault):  # a domain fault in a checked value alone
-        ex.compile_kernel((x2,), (ln_x1,)).batch(*xs)
+        ex.plan_kernel((x2,), (ln_x1,)).batch(*xs)
     with pytest.raises(ex.BatchFault):  # an overflow
-        ex.compile_kernel((ex.Call("exp", x2 * 1000.0),)).batch(*xs)
+        ex.plan_kernel((ex.Call("exp", x2 * 1000.0),)).batch(*xs)
     with pytest.raises(ex.BatchFault):  # a division by zero
-        ex.compile_kernel((x2 / ex.Var("x3"),)).batch(*xs)
-    kernel = ex.compile_kernel((ln_x1 + x2,))
+        ex.plan_kernel((x2 / ex.Var("x3"),)).batch(*xs)
+    kernel = ex.plan_kernel((ln_x1 + x2,))
     assert _hex(kernel.batch(*(c[:2] for c in xs))[0]) == _hex([1.0, math.log(2.0) + 0.5])  # no fault, no BatchFault
 
 
 def test_constant_outputs_broadcast_to_the_input_shape():
-    kernel = ex.compile_kernel((ex.Lit(2.5), ex.Call("exp", ex.Lit(1.0)), ex.Lit(1.0) - ex.Lit(3.0), ex.Var("x2")))
+    kernel = ex.plan_kernel((ex.Lit(2.5), ex.Call("exp", ex.Lit(1.0)), ex.Lit(1.0) - ex.Lit(3.0), ex.Var("x2")))
     xs = tuple(np.linspace(0.0, 1.0, 6).reshape(2, 3) + a for a in range(3))
     got = kernel.batch(*xs)
     assert [v.shape for v in got] == [(2, 3)] * 4
@@ -233,23 +233,21 @@ def test_scalar_binding_is_the_generated_function_itself():
     assert kernel.__globals__["_pow"] is ex._pow and kernel.__globals__["isfinite"] is math.isfinite
     before = kernel(3.0, 1.0, 0.0)
     assert all(type(v) is float for v in before)
-    kernel.batch(np.array([3.0, 2.0]), np.array([1.0, 1.0]), np.zeros(2))
+    assert not hasattr(kernel, "batch")  # arrays run the trees' register plan, not this code
     assert _hex(kernel(3.0, 1.0, 0.0)) == _hex(before) == _hex([math.exp(2.0) * 2.0, math.pow(2.0, 0.5)])
     with pytest.raises(ex.DomainEvalError):  # the scalar primitives, not the batch ones
         kernel(1.0, 3.0, 0.0)
 
 
-def test_single_reads_are_inlined_and_dead_locals_give_their_names_away():
-    # each level is read twice by the next, so it gets a local that the next level kills; its sin,
-    # read once, is written inline, and the last level, read by the return alone, into the return:
-    # eleven lines, one name
+def test_single_reads_are_inlined_and_twice_read_levels_get_lines():
+    # each level is read twice by the next, so it gets a line; its sin, read once, is written inline,
+    # and the last level, read by the return alone, into the return: eleven lines
     e = ex.Var("x1")
     for n in range(12):
         e = ex.Call("sin", e) * e + float(n)
     kernel = ex.compile_kernel((e,))
     body = kernel.source.splitlines()[1:-1]
     assert len(body) == 11 and kernel.source.count("sin(") == 12
-    assert {line.split(" = ")[0].strip() for line in body} == {"_t0"}
     x = 0.3
     for n in range(12):
         x = math.sin(x) * x + float(n)
@@ -328,7 +326,7 @@ def test_a_runtime_exponent_takes_the_square_rule_per_element():
     fn = ex.compile_expr(tree, XS)
     assert _hex(fn(bases, exponents, zeros)) == _hex(want)
     assert _hex(fn(*x) for x in zip(bases.tolist(), exponents.tolist(), zeros.tolist())) == _hex(want)
-    kernel = ex.compile_kernel((tree,))
+    kernel = ex.plan_kernel((tree,))
     assert _hex(kernel.batch(bases, exponents, zeros)[0]) == _hex(want)
     with pytest.raises(ex.BatchFault):  # a square that overflows among other powers
         fn(np.array([2.0, 1e200]), np.array([3.0, 2.0]), np.zeros(2))
@@ -383,7 +381,7 @@ def test_plan_cases():
     _assert_plan_is_the_scalar_kernel((x1 - x2,), (x1, x2), [(1.0, 2.0, 0.0), (1e308, -1e308, 0.0)])
 
 
-def test_an_array_call_runs_the_plan_until_a_float_call_compiles(monkeypatch):
+def test_an_array_call_runs_the_plan_before_and_after_a_float_call(monkeypatch):
     sources, plans = [], []
     monkeypatch.setattr(ex, "compile", lambda src, *args: sources.append(src) or compile(src, *args), raising=False)
     batch = plan._Plan.batch
@@ -393,7 +391,8 @@ def test_an_array_call_runs_the_plan_until_a_float_call_compiles(monkeypatch):
     first = fn(*xs)
     assert (len(sources), len(plans)) == (0, 1)
     assert fn(0.5, 1.0, 0.0) == first[0] and len(sources) == 1  # compiled on its first float call
-    assert _hex(fn(*xs)) == _hex(first) and (len(sources), len(plans)) == (1, 1)  # then its .batch runs
+    assert _hex(fn(*xs)) == _hex(first) and len(sources) == 1  # arrays still run the same plan
+    assert len(plans) == 2 and plans[1] is plans[0]
 
 
 def test_plan_depth_and_variables_follow_the_writer():
@@ -544,7 +543,7 @@ def test_steps_are_the_formula_bit_for_bit(method, k):
 
 
 def _kernels_raising_once(call: int, raised: list):
-    """compile_kernel whose kernels raise on their call-th scalar call only (noted in raised); .batch stays."""
+    """compile_kernel whose kernels raise on their call-th scalar call only (noted in raised)."""
     compile_kernel = ex.compile_kernel
 
     def compile_raising(*args, **kwargs):
@@ -561,7 +560,6 @@ def _kernels_raising_once(call: int, raised: list):
                 raise RuntimeError("forced fault")
             return kernel(*x)
 
-        once.batch = kernel.batch
         return once
 
     return compile_raising
