@@ -655,97 +655,60 @@ def compile_kernel(outputs, checked=()):
     (_kernel_source).  It raises BatchFault when the sum of the checked trees' values is not finite, and
     the primitives' errors in walk order; either way the caller replays the call on its per-expression
     path (docs/decisions.md, D6).  None for a tree deeper than _MAX_DEPTH: the caller keeps its
-    per-expression path.  The same trees on float arrays are plan_kernel's, which compiles nothing.
+    per-expression path.  UnboundVariableError for a variable other than x1, x2, x3.  The same trees on
+    float arrays are plan_kernel's, which compiles nothing.
     """
-    fn = _kernel_of(_kernel_source(outputs, checked, _XS))
-    missing = set(fn.__code__.co_names) & set(VARIABLES) if fn is not None else ()  # read, not passed
-    if missing:
-        raise UnboundVariableError(f"variables {sorted(missing)} not provided by {_XS}")
-    return fn
+    return _kernel_of(_kernel_source(outputs, checked, _XS))
 
 
 def _kernel_source(outputs, checked, varnames):
     """Source of def kernel(*varnames) returning the outputs' values; None for a tree deeper than _MAX_DEPTH.
 
-    A subtree's key is its inline _gen text.  A subtree read once, by another or by the return, is
-    written into its reader; every other one, and each checked tree, gets a line, in post-order.  Before
-    a line that can raise, each pending inline text that can raise gets its own line, so the kernel
-    raises the first error a walk of the trees raises (docs/decisions.md, D6 and D10).
+    It renders the trees' layout (plan.layout), whose keys, read counts, depth test and unbound
+    variables it takes as they are.  A subtree read once, by another or by the return, is written into
+    its reader; every other one, and each checked tree, gets a line, in post-order.  Before a line that
+    can raise, each pending inline text that can raise gets its own line, so the kernel raises the first
+    error a walk of the trees raises (docs/decisions.md, D6, D10 and D16).
     """
-    seen, order, again, dups = {}, {}, [], []  # id(node) -> text; text -> first node; later reads; second nodes
-
-    def walk(e):
-        if type(e) is Var or type(e) is Lit:  # a leaf is written where it is read
-            return _gen(e, walk)
-        i = id(e)
-        t = seen.get(i)
-        if t is None:
-            t = seen[i] = _gen(e, walk)
-            if order.setdefault(t, e) is e:
-                return t
-            dups.append(e)  # a second node of an equal subtree
-        again.append(t)
-        return t
-
-    n = len(outputs)
-    trees = [*outputs, *[e for e in checked if not (isinstance(e, Lit) and math.isfinite(e.value))]]
-    try:
-        texts = list(map(walk, trees))
-    except RecursionError:  # far deeper than _MAX_DEPTH
+    laid = layout(outputs, checked, varnames)
+    if laid is None:
         return None
-    # no subtree read twice, no checked tree but leaves, none of over _MAX_DEPTH levels (each of which
-    # writes 3 characters or more): every output is written into the return, as the layout would write it
-    if not again and not order.keys() & texts[n:] and max(map(len, texts)) <= 3 * _MAX_DEPTH:
-        lines, value = [], {}
-    else:
-        roots = dict.fromkeys(t for t in texts if t in order)
-        tested = roots.keys() & texts[n:]
-        uses = dict.fromkeys(order, 1)  # reads by distinct subtrees, the return and the test
-        for t in again:
-            uses[t] += 1
-        for e in dups:  # the reads of a second node of an equal subtree are not new
-            for c in vars(e).values():
-                if id(c) in seen:
-                    uses[seen[id(c)]] -= 1
-        name, pending, height, lines = {}, {}, {}, []  # kept text -> local; inline text -> (text, raises)
-        acc = [1, False]  # the node being written: deepest child, inline part raises
+    nodes, reads, consts, roots = laid
+    text = [*varnames, *[None] * (len(reads) - len(varnames))]  # number -> what a reader writes for it
+    for n, value in consts:
+        text[n] = _gen(Lit(value), None)
+    tested = set(roots[len(outputs):])
+    pending, lines = {}, []  # inline number -> (text, raises)
 
-        def operand(c):
-            ct = seen.get(id(c))
-            if ct is None:  # a leaf
-                return _gen(c, operand)
-            if height[ct] > acc[0]:
-                acc[0] = height[ct]
-            if ct in name:
-                return name[ct]
-            src, raises = pending.pop(ct)
-            acc[1] = acc[1] or raises
-            return src
+    def operand(c):  # the text of the node's next operand
+        nonlocal raises
+        k = next(operands)
+        if k not in pending:
+            return text[k]
+        src, its = pending.pop(k)
+        raises = raises or its
+        return src
 
-        def emit(t, src):
-            name[t] = f"_t{len(name)}"
-            lines.append(f"    {name[t]} = {src}")
+    def emit(k, src):
+        text[k] = f"_t{len(lines)}"
+        lines.append(f"    {text[k]} = {src}")
 
-        for t, e in order.items():
-            acc[0], acc[1] = 1, False
-            src = _gen(e, operand)
-            height[t] = acc[0] + 1
-            raises = acc[1] or (e.fn != "abs" if isinstance(e, Call) else isinstance(e, Bin) and e.op in "/^")
-            if uses[t] == 1 and t not in tested:
-                pending[t] = (src, raises)
-            else:
-                if raises:  # the order rule
-                    for p in [p for p, entry in pending.items() if entry[1]]:
-                        emit(p, pending.pop(p)[0])
-                emit(t, src)
-        if max(height[t] for t in roots) > _MAX_DEPTH:
-            return None
-        value = {**name, **{t: entry[0] for t, entry in pending.items()}}  # the return reads what is pending
-    values = [value.get(t, t) for t in texts]
-    if len(values) > n:
-        lines.append(f"    if not isfinite({' + '.join(dict.fromkeys(values[n:]))}):")
+    for n, key, e in nodes:
+        operands, raises = iter(key[1:]), False  # _gen renders the operands in key order
+        src = _gen(e, operand)
+        raises = raises or key[0] not in ("+", "-", "*", "neg", "abs")  # IEEE gives these inf or NaN
+        if reads[n] == 1 and n not in tested:
+            pending[n] = (src, raises)
+            continue
+        if raises:  # the order rule
+            for p in [p for p, entry in pending.items() if entry[1]]:
+                emit(p, pending.pop(p)[0])
+        emit(n, src)
+    values = [pending[n][0] if n in pending else text[n] for n in roots]  # the return reads what is pending
+    if len(values) > len(outputs):
+        lines.append(f"    if not isfinite({' + '.join(dict.fromkeys(values[len(outputs):]))}):")
         lines.append('        raise BatchFault("non-finite value")')
-    return "\n".join([f"def kernel({', '.join(varnames)}):", *lines, f"    return {', '.join(values[:n])},"])
+    return "\n".join([f"def kernel({', '.join(varnames)}):", *lines, f"    return {', '.join(values[:len(outputs)])},"])
 
 
 def _kernel_of(src):
@@ -918,4 +881,4 @@ def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
 
 # imported last, since plan.py imports the node classes and the array primitives above from this module;
 # _OneOutput builds its plan through its own name, so replacing plan_kernel here leaves it alone
-from .plan import plan_kernel, plan_kernel as _plan_of  # noqa: E402
+from .plan import layout, plan_kernel, plan_kernel as _plan_of  # noqa: E402

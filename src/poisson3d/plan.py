@@ -1,9 +1,10 @@
-"""Register plans: the array binding of the trees that expr's writer lays out, as steps over a register file.
+"""The layout of generated trees, and register plans: their array binding, as steps over a register file.
 
-Each step calls the primitive or array operator of its node (expr._BATCH_NS)
-on the registers of its operands, so no source is written or compiled
-(docs/decisions.md, D13 and D15).  A plan ends through
-expr._run_on_arrays, under D12's fault rule.
+layout keys, counts and checks the trees once for both bindings: expr._kernel_source renders it as
+the float kernel's source, and plan_kernel as a plan, each of whose steps calls the primitive or array
+operator of its node (expr._BATCH_NS) on the registers of its operands, so no source is written or
+compiled (docs/decisions.md, D13, D15 and D16).  A plan ends through expr._run_on_arrays, under D12's
+fault rule.
 """
 
 from __future__ import annotations
@@ -14,31 +15,29 @@ from .errors import DomainEvalError, UnboundVariableError
 from .expr import _BATCH_NS, _MAX_DEPTH, _XS, Bin, Call, Lit, Var, _all_finite, _run_on_arrays
 
 
-def plan_kernel(outputs, checked=(), varnames=_XS):
-    """The trees in varnames as a kernel for arrays: kernel.batch(*xs) gives each output's values, the
-    scalar kernel's (compile_kernel's) elementwise, and no source is written or compiled.  None for a tree
-    deeper than _MAX_DEPTH: the caller keeps its per-expression path.  UnboundVariableError for a variable
-    not in varnames.
+def layout(outputs, checked, varnames):
+    """The distinct subtrees of the trees in varnames: (nodes, reads, consts, roots), or None for a tree
+    deeper than _MAX_DEPTH.  UnboundVariableError for a variable not in varnames, after the depth test.
 
-    The trees are keyed and checked as _kernel_source keys and checks them.  A subtree's key is its
-    operator ("neg" for negation) and the numbers of its operands, a variable's its name and a literal's
-    its repr, so Lit(0.0) and Lit(-0.0) stay apart, and two subtrees share a key exactly when their _gen
-    texts are equal.  Each distinct subtree is one step, in post-order, which calls the _BATCH_NS function
-    of its operator on its operands' registers; a literal's register holds its Python float.  A step takes
-    a register whose last reader has run; the registers of the outputs and checked trees are never given
-    away.
+    Each value has a number: the variables of varnames first, in order, then the other leaves and the
+    subtrees as the walk meets them.  A subtree's key is its operator ("neg" for negation) and the numbers
+    of its operands, a variable's its name and a literal's its repr, so Lit(0.0) and Lit(-0.0) stay apart;
+    a leaf is keyed wherever it is read and a node object once, by id.  nodes holds each distinct subtree
+    in post-order as (n, key, node), with node its first object; reads[n] counts the reads of value n by
+    distinct subtrees, plus one for each root it is; consts holds (n, value) per literal; roots are the
+    numbers of the outputs, then of the checked trees that are not finite literals.
     """
     number, keyed = {}, {name: i for i, name in enumerate(varnames)}  # id(node) -> number; key -> number
-    last, nodes, consts, missing = [0] * len(varnames), [], [], []  # per number, the number of its last reader
+    reads, nodes, consts, missing = [0] * len(varnames), [], [], []
 
     def walk(e):
         kind = e.__class__
-        if kind is Var or kind is Lit:  # a leaf is keyed wherever it is read
+        if kind is Var or kind is Lit:
             key = e.name if kind is Var else repr(e.value)
             n = keyed.get(key)
             if n is None:
-                n = keyed[key] = len(last)
-                last.append(n)
+                n = keyed[key] = len(reads)
+                reads.append(0)
                 if kind is Lit:
                     consts.append((n, e.value))
                 else:
@@ -55,43 +54,63 @@ def plan_kernel(outputs, checked=(), varnames=_XS):
             key = ("neg", walk(e.operand))
         n = keyed.get(key)
         if n is None:
-            n = keyed[key] = len(last)
-            last.append(n)
-            last[key[1]] = n
+            n = keyed[key] = len(reads)
+            reads.append(0)
+            reads[key[1]] += 1
             if kind is Bin:
-                last[key[2]] = n
-            nodes.append((n, key))
+                reads[key[2]] += 1
+            nodes.append((n, key, e))
         number[id(e)] = n
         return n
 
-    n_out = len(outputs)
     trees = [*outputs, *[e for e in checked if not (isinstance(e, Lit) and math.isfinite(e.value))]]
     try:
         roots = list(map(walk, trees))
     except RecursionError:  # far deeper than _MAX_DEPTH
         return None
-    if len(last) > _MAX_DEPTH:  # a tree has at most one level per distinct subtree
-        height = [1] * len(last)
-        for n, key in nodes:
+    if len(reads) > _MAX_DEPTH:  # a tree has at most one level per distinct subtree
+        height = [1] * len(reads)
+        for n, key, _ in nodes:
             height[n] = 1 + max(height[k] for k in key[1:])
         if max(height) > _MAX_DEPTH:
             return None
     if missing:
         raise UnboundVariableError(f"variables {sorted(set(missing))} not provided by {varnames}")
     for n in roots:
-        last[n] = -1
-    reg = list(range(len(last)))  # number -> register: the arguments', then the literals', then the steps'
+        reads[n] += 1
+    return nodes, reads, consts, roots
+
+
+def plan_kernel(outputs, checked=(), varnames=_XS):
+    """The trees in varnames as a kernel for arrays: kernel.batch(*xs) gives each output's values, the
+    scalar kernel's (compile_kernel's) elementwise, and no source is written or compiled.  None for a tree
+    deeper than _MAX_DEPTH: the caller keeps its per-expression path.  UnboundVariableError for a variable
+    not in varnames.
+
+    Each distinct subtree of the layout is one step, in post-order, which calls the _BATCH_NS function of
+    its operator on its operands' registers; a literal's register holds its Python float.  A step takes a
+    register whose value has no read left; a root's reads never run out, so the registers of the outputs
+    and checked trees are never given away.
+    """
+    laid = layout(outputs, checked, varnames)
+    if laid is None:
+        return None
+    nodes, reads, consts, roots = laid
+    reg = list(range(len(reads)))  # number -> register: the arguments', then the literals', then the steps'
     registers, free, steps = [], [], []
     for n, value in consts:
         reg[n] = len(varnames) + len(registers)
         registers.append(value)
-    for n, key in nodes:
+    for n, key, _ in nodes:
         a, b = key[1], key[-1]  # b is a for a step of one operand
+        reads[a] -= 1
+        if len(key) == 3:
+            reads[b] -= 1
         died = 0
-        if last[a] == n:  # n is a's last reader
+        if reads[a] == 0:  # n is a's last reader
             free.append(reg[a])
             died += 1
-        if last[b] == n and b != a:
+        if reads[b] == 0 and b != a:
             free.append(reg[b])
             died += 1
         if free:
@@ -102,6 +121,7 @@ def plan_kernel(outputs, checked=(), varnames=_XS):
         reg[n] = r
         # where both operands die, the register the step does not take is emptied after it
         steps.append((_BATCH_NS[key[0]], r, reg[a], reg[b] if len(key) == 3 else -1, free[-1] if died == 2 else -1))
+    n_out = len(outputs)
     return _Plan(len(varnames), registers, steps, [reg[n] for n in roots[:n_out]],
                  [reg[n] for n in dict.fromkeys(roots[n_out:])])
 

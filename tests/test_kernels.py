@@ -5,8 +5,10 @@ step it cannot take must replay through that path, so runs end with the
 same trajectory, or the same error and partial trajectory, either way.
 """
 
+import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,13 +33,16 @@ _COORDS = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 1e-300, 1e300)
 
 @st.composite
 def forests(draw):
-    """(outputs, checked): trees over x1..x3 that share subtrees and mix +0.0 and -0.0 literals."""
+    """(outputs, checked): trees over x1..x3 that share subtrees, hold equal subtrees as distinct node objects
+    and mix +0.0 and -0.0 literals."""
     pool = [ex.Var(name) for name in XS] + [ex.Lit(v) for v in _LITERALS]
     pick = lambda: pool[draw(st.integers(0, len(pool) - 1))]
     for _ in range(draw(st.integers(1, 14))):
-        kind = draw(st.sampled_from(("+", "-", "*", "/", "^", "neg", "call")))
+        kind = draw(st.sampled_from(("+", "-", "*", "/", "^", "neg", "call", "copy")))
         if kind == "neg":
             node = ex.Neg(pick())
+        elif kind == "copy":  # an equal subtree as a new node object, as symbolic partials make them
+            node = dataclasses.replace(pick())
         elif kind == "call":
             node = ex.Call(draw(st.sampled_from(ex.FUNCTIONS)), pick())
         else:
@@ -396,11 +401,14 @@ def test_an_array_call_runs_the_plan_before_and_after_a_float_call(monkeypatch):
 
 
 def test_plan_depth_and_variables_follow_the_writer():
-    assert ex.plan_kernel((_chain(200, ex.Neg),)) is not None
-    assert ex.plan_kernel((ex.Var("x2"),), (_chain(201, ex.Neg),)) is None
-    assert ex.plan_kernel((_chain(5000, ex.Neg),)) is None  # far too deep to walk: None, not a RecursionError
-    with pytest.raises(ex.UnboundVariableError):
-        ex.plan_kernel((ex.Var("x1") + ex.Var("u"),))
+    unbound = re.escape("variables ['u'] not provided by ('x1', 'x2', 'x3')")
+    for build in (ex.plan_kernel, ex.compile_kernel):  # both read the depth rule and the variables off one layout
+        assert build((_chain(200, ex.Neg),)) is not None
+        assert build((ex.Var("x2"),), (_chain(201, ex.Neg),)) is None
+        assert build((_chain(5000, ex.Neg),)) is None  # far too deep to walk: None, not a RecursionError
+        with pytest.raises(ex.UnboundVariableError, match=unbound):
+            build((ex.Var("x1") + ex.Var("u"),))
+        assert build((_chain(201, ex.Neg) + ex.Var("u"),)) is None  # the depth test comes first
     deep = ex.compile_expr(_chain(201, ex.Neg), XS)
     with pytest.raises(ex.ParseError, match="nested too deeply"):
         deep(np.zeros(2), np.zeros(2), np.zeros(2))
