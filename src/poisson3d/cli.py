@@ -294,36 +294,29 @@ def _add_system_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--I", help="moments of inertia i1,i2,i3 (euler-top only)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="poisson3d",
-        description="Construct, verify and globally reduce a family of 3-D Poisson structures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="sampled Jacobi-identity verification")
+def _verify_options(p: argparse.ArgumentParser) -> None:
     _add_system_args(p)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--scheme", choices=("analytic", "fd", "auto"), default="auto")
-    p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("casimir", help="Casimir value, gradient and annihilation residual")
+
+def _casimir_options(p: argparse.ArgumentParser) -> None:
     _add_system_args(p)
     p.add_argument("--k", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--point", required=True, help="x1,x2,x3")
-    p.set_defaults(fn=_cmd_casimir)
 
-    p = sub.add_parser("darboux", help="build the global chart and check the canonical form")
+
+def _darboux_options(p: argparse.ArgumentParser) -> None:
     _add_system_args(p)
     p.add_argument("--k", type=int, choices=(1, 2, 3), default=None)
     p.add_argument("--check-samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--point", default=None, help="report y(x), x(y) and the factor at x1,x2,x3")
-    p.set_defaults(fn=_cmd_darboux)
 
-    p = sub.add_parser("simulate", help="integrate the dynamics and write a CSV trajectory")
+
+def _simulate_options(p: argparse.ArgumentParser) -> None:
     _add_system_args(p)
     p.add_argument("--x0", required=True, help="initial state x1,x2,x3")
     p.add_argument("--t-end", type=float, required=True, dest="t_end",
@@ -335,17 +328,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, choices=(1, 2, 3), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("list", help="print built-in system names")
-    p.set_defaults(fn=_cmd_list)
 
+COMMANDS = {  # name: (help, handler, add_options), in the order the usage lists them
+    "verify": ("sampled Jacobi-identity verification", _cmd_verify, _verify_options),
+    "casimir": ("Casimir value, gradient and annihilation residual", _cmd_casimir, _casimir_options),
+    "darboux": ("build the global chart and check the canonical form", _cmd_darboux, _darboux_options),
+    "simulate": ("integrate the dynamics and write a CSV trajectory", _cmd_simulate, _simulate_options),
+    "list": ("print built-in system names", _cmd_list, lambda p: None),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser with every subcommand, or with the named one alone (docs/decisions.md, D17).
+
+    A parser with one subcommand still lists all five in its usage, so its
+    texts are the full parser's for any argv that starts with that name.
+    """
+    parser = argparse.ArgumentParser(
+        prog="poisson3d",
+        description="Construct, verify and globally reduce a family of 3-D Poisson structures.",
+    )
+    # no metavar on the full parser: its errors name the argument "command", as argparse does
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, handler, add_options) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            add_options(p)
+            p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named command's parser; any other first word gets the full parser and its texts
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _seed_default()

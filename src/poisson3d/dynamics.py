@@ -494,29 +494,3 @@ def integrate_reduced(
         OutOfRangeError: "reduced step left the domain at tau",  # a stage's x(y) lies beyond the box edge
     }
     return _run(step, pair, n_steps, dtau_eff, first_row, block_pass, check, step_errors, trajectory)
-
-
-def hermite_resample(traj: Trajectory, t_values, deriv_fn) -> np.ndarray:
-    """Cubic Hermite interpolation of a direct trajectory at given times.
-
-    deriv_fn(state) -> velocity; with exact endpoint derivatives the
-    interpolation error is O(dt^4), matching the integrator's order.
-    """
-    t = traj.t
-    X = traj.states
-    out = np.empty((len(t_values), X.shape[1]))
-    for row, tv in enumerate(np.asarray(t_values, float)):
-        if not (t[0] <= tv <= t[-1]):
-            raise ValueError(f"t = {tv!r} outside trajectory range [{t[0]}, {t[-1]}]")
-        seg = min(max(int(np.searchsorted(t, tv, side="right")) - 1, 0), len(t) - 2)
-        h = t[seg + 1] - t[seg]
-        s = (tv - t[seg]) / h
-        p0, p1 = X[seg], X[seg + 1]
-        v0 = np.asarray(deriv_fn(p0), float)
-        v1 = np.asarray(deriv_fn(p1), float)
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
-        out[row] = h00 * p0 + h10 * h * v0 + h01 * p1 + h11 * h * v1
-    return out

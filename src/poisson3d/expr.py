@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import repeat
 from types import FunctionType
@@ -483,16 +484,29 @@ class BatchFault(Exception):
 _FAULTS = (DomainEvalError, ValueError, OverflowError, ZeroDivisionError, FloatingPointError)
 
 
+_HELD = ContextVar("batch_arithmetic_held", default=False)  # the fault rule's errstate is in force here
+
+
 class batch_arithmetic:
     """The batch binding's fault rule, also for array arithmetic on its results: floating-point
-    exceptions other than underflow raise, and a domain fault or floating-point exception is a BatchFault."""
+    exceptions other than underflow raise, and a domain fault or floating-point exception is a BatchFault.
+
+    Nested in one that holds the errstate, in the same context, it enters no errstate of its own; code
+    inside a pass does not change numpy's errstate around an array call (docs/decisions.md, D12).
+    """
 
     def __enter__(self):
+        if _HELD.get():
+            self.state = None
+            return
         self.state = np.errstate(all="raise", under="ignore")
         self.state.__enter__()
+        self.token = _HELD.set(True)
 
     def __exit__(self, kind, exc, tb):
-        self.state.__exit__(kind, exc, tb)
+        if self.state is not None:
+            _HELD.reset(self.token)
+            self.state.__exit__(kind, exc, tb)
         if kind is not None and issubclass(kind, _FAULTS):
             raise BatchFault(str(exc)) from None
 

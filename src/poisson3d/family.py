@@ -67,10 +67,6 @@ class KappaMatrix:
             return self.triple[i - 1]
         return -self.triple[j - 1]
 
-    def shifted(self, k1: float, k2: float, k3: float) -> "KappaMatrix":
-        """Constants after replacing every psi_i by psi_i + k_i."""
-        return KappaMatrix(self.k12 + k1 - k2, self.k23 + k2 - k3)
-
 
 def make_kappa(k12: float, k23: float) -> KappaMatrix:
     if not math.isfinite(float(k12) + float(k23)):  # and so are both constants

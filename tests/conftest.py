@@ -5,7 +5,13 @@ catalog) so that builtin constructors can be checked against independent
 assemblies of the same structures.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# appended, not prepended: an explicit PYTHONPATH=<other checkout>/src tests that checkout
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 from poisson3d import expr as ex
 from poisson3d.family import make_family_spec, make_kappa

@@ -15,11 +15,17 @@ import numpy as np
 
 from poisson3d import expr as ex
 from poisson3d.errors import PoissonError
+from poisson3d.family import KappaMatrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC_DIR = REPO_ROOT / "src"
+SRC_DIR = Path(ex.__file__).resolve().parent.parent  # the package under test, for child processes too
 
 EPS3 = float.fromhex("0x1.0p-52") ** (1 / 3)  # cbrt machine epsilon
+
+
+def kappa_shifted(kappa: KappaMatrix, k1: float, k2: float, k3: float) -> KappaMatrix:
+    """kappa's constants after replacing every psi_i by psi_i + k_i."""
+    return KappaMatrix(kappa.k12 + k1 - k2, kappa.k23 + k2 - k3)
 
 
 def central_diff(f, x: float, h: float) -> float:
@@ -117,10 +123,10 @@ def fd_derivative_if_trustworthy(f, x: float):
 def run_python_subprocess(args, env_extra=None, cwd=None):
     """Run `python *args` in a fresh interpreter.
 
-    The child gets the absolute `src` directory first on PYTHONPATH (a
-    relative entry inherited from the caller would not resolve from the
-    child's working directory) and no POISSON3D_SEED unless `env_extra`
-    sets one.  It starts in `cwd`, or the repository root by default.
+    The child gets the absolute `src` directory of the package under test
+    first on PYTHONPATH (a relative entry inherited from the caller would
+    not resolve from the child's working directory) and no POISSON3D_SEED
+    unless `env_extra` sets one.  It starts in `cwd`, or the repository root by default.
     A nonzero exit fails the calling test with the child's stderr in the
     message, so a broken child environment reads as such.
     """

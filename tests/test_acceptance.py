@@ -36,7 +36,6 @@ from poisson3d.casimir import (
 from poisson3d.darboux import build_chart, canonical_check, forward_map, inverse_map, reparam_factor
 from poisson3d.dynamics import (
     hamiltonian_vector_field,
-    hermite_resample,
     integrate,
     integrate_reduced,
     invariant_drift,
@@ -44,7 +43,7 @@ from poisson3d.dynamics import (
 from poisson3d.errors import UndefinedAtPointError
 from poisson3d.family import structure_matrix_at
 from poisson3d.scalar_fields import DomainBox
-from poisson3d.testing import random_family_spec, random_polynomial_field
+from poisson3d.testing import hermite_resample, random_family_spec, random_polynomial_field
 from poisson3d.verification import (
     jacobi_residual,
     matrix_field_from_spec,

@@ -11,6 +11,7 @@ import ast
 import json
 import math
 import random
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -142,6 +143,30 @@ def test_batched_lets_other_exceptions_through(error):
 def test_batched_looks_the_fault_rule_up_per_call(monkeypatch):
     monkeypatch.setattr(ex, "batch_arithmetic", _faulting_batch_arithmetic)
     assert ex.batched(_not_called, lambda: "replayed") == "replayed"
+
+
+def test_an_array_call_enters_the_errstate_only_outside_a_pass(monkeypatch):
+    entered, errstate = [], np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **rule: entered.append(rule) or errstate(**rule))
+    reciprocal = ex.compile_expr(ex.parse("1/x1"))
+    call = lambda: reciprocal(np.array([1.0, 0.0]), np.zeros(2), np.zeros(2))
+
+    with pytest.raises(ex.BatchFault, match="divide by zero"):  # a direct call runs under its own errstate
+        call()
+    assert len(entered) == 1
+    with pytest.raises(ex.BatchFault, match="divide by zero"):  # nested: the pass's errstate, the call's BatchFault
+        with ex.batch_arithmetic():
+            call()
+    assert len(entered) == 2
+    assert ex.batched(call, lambda: "replayed") == "replayed"
+    assert len(entered) == 3
+
+    seen = []  # another thread is another context: it enters an errstate of its own
+    with ex.batch_arithmetic():
+        worker = threading.Thread(target=lambda: seen.append(ex.batched(call, lambda: "replayed")))
+        worker.start()
+        worker.join()
+    assert seen == ["replayed"] and len(entered) == 5
 
 
 _FAULT_RULE = {"BatchFault", "batch_arithmetic"}

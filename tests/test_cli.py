@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poisson3d.cli import main
+from poisson3d.cli import COMMANDS, build_parser, main
 from poisson3d.testing import random_family_spec
 from helpers import run_cli_subprocess
 
@@ -83,6 +84,59 @@ def test_list(capsys):
     code, out, _ = run_cli(capsys, "list")
     assert code == 0
     assert out.splitlines() == ["halphen", "circle-maps", "euler-top"]
+
+
+# every kind of argparse exit: each help, no argument, a bad or abbreviated command,
+# unrecognized and missing arguments, a bad choice, a bad type, exclusive options
+_ARGPARSE_CASES = [
+    [], ["-h"], ["--help"], ["--bogus"], ["bogus"], ["ver"],
+    ["verify", "-h"], ["casimir", "-h"], ["darboux", "-h"], ["simulate", "-h"], ["list", "-h"],
+    ["verify"], ["casimir", "--system", "halphen"], ["simulate", "--system", "halphen"],
+    ["verify", "--system", "halphen", "extra"], ["list", "extra"], ["darboux", "--system", "halphen", "--bogus"],
+    ["verify", "--system", "nope"], ["verify", "--system", "halphen", "--scheme", "bad"],
+    ["casimir", "--system", "halphen", "--k", "4", "--point", "0,0,0"],
+    ["verify", "--system", "halphen", "--spec", "x.json"], ["verify", "--samples", "abc", "--system", "halphen"],
+]
+
+
+def _exit_and_output(capsys, call):
+    with pytest.raises(SystemExit) as stop:
+        call()
+    captured = capsys.readouterr()
+    return stop.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _ARGPARSE_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_exits_as_the_full_parser_does(capsys, argv):
+    # main builds the named command's parser alone; its exit code, help, usage and errors stay the full parser's
+    expected = _exit_and_output(capsys, lambda: build_parser().parse_args(argv))
+    assert _exit_and_output(capsys, lambda: main(argv)) == expected
+
+
+def test_main_keeps_the_full_parsers_texts(capsys):
+    assert _exit_and_output(capsys, lambda: main([]))[2].endswith(
+        "poisson3d: error: the following arguments are required: command\n"
+    )
+    assert "poisson3d: error: argument command: invalid choice: 'bogus'" in _exit_and_output(
+        capsys, lambda: main(["bogus"])
+    )[2]
+    code, out, err = _exit_and_output(capsys, lambda: main(["verify", "--system", "halphen", "extra"]))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "usage: poisson3d [-h] {verify,casimir,darboux,simulate,list} ...",
+        "poisson3d: error: unrecognized arguments: extra",
+    ]
+
+
+def _commands_of(parser):
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_build_parser_adds_the_named_command_alone():
+    assert _commands_of(build_parser()) == list(COMMANDS) == ["verify", "casimir", "darboux", "simulate", "list"]
+    for name in COMMANDS:
+        assert _commands_of(build_parser(name)) == [name]
 
 
 def test_verify_halphen_passes(capsys):

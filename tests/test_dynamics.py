@@ -9,7 +9,6 @@ from poisson3d.darboux import build_chart, forward_map, inverse_map
 from poisson3d.dynamics import (
     Trajectory,
     hamiltonian_vector_field,
-    hermite_resample,
     integrate,
     integrate_reduced,
     invariant_drift,
@@ -21,6 +20,7 @@ from poisson3d.errors import (
 )
 from poisson3d.family import make_family_spec, make_kappa
 from poisson3d.scalar_fields import DomainBox, Field3, build_scalar_field
+from poisson3d.testing import hermite_resample
 from conftest import make_euler_top, make_flat_spec, make_halphen, ORDERED_BOX, WIDE_BOX
 
 H_SUM = ex.parse("x1 + x2 + x3")

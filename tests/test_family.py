@@ -26,6 +26,7 @@ from poisson3d.scalar_fields import DomainBox, build_scalar_field
 from poisson3d.testing import random_family_spec
 from poisson3d.verification import matrix_field_from_spec
 from conftest import make_halphen
+from helpers import kappa_shifted
 
 
 class TestKappa:
@@ -61,7 +62,7 @@ class TestKappa:
 
     def test_primitive_shift_updates_constants(self):
         k = make_kappa(1.0, 2.0)
-        shifted = k.shifted(1.0, 0.0, 0.0)
+        shifted = kappa_shifted(k, 1.0, 0.0, 0.0)
         assert shifted.k12 == k.k12 + 1.0
         assert shifted.k31 == k.k31 - 1.0
         assert (shifted.k12 + shifted.k23) + shifted.k31 == 0.0
@@ -256,7 +257,7 @@ def test_primitive_shift_gives_same_structure():
     kappa = make_kappa(1.0, 2.0)
     spec_shifted_psi = make_family_spec(ex.parse("1"), shifted_fields, kappa, domain)
     spec_shifted_kappa = make_family_spec(
-        ex.parse("1"), base_fields, kappa.shifted(*shifts), domain
+        ex.parse("1"), base_fields, kappa_shifted(kappa, *shifts), domain
     )
     for x in domain.sample(50, seed=10):
         a = structure_matrix_at(spec_shifted_psi, x)
