@@ -56,6 +56,7 @@ from .scalar_fields import (
     Field3,
     ScalarField1D,
     build_scalar_field,
+    build_scalar_fields,
     psi_inverse,
 )
 from .verification import (

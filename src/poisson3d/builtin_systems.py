@@ -25,7 +25,7 @@ import numpy as np
 from . import expr as ex
 from .errors import DegenerateParametersError, FamilyValidationError
 from .family import PoissonFamilySpec, StructureMatrixValue, make_family_spec, make_kappa
-from .scalar_fields import DomainBox, axis_sign, build_scalar_field, first_flagged, unit_uniforms
+from .scalar_fields import DomainBox, axis_sign, build_scalar_fields, first_flagged, unit_uniforms
 
 BUILTIN_NAMES = ("halphen", "circle-maps", "euler-top")
 
@@ -80,10 +80,7 @@ def _check_difference_predicate(domain: DomainBox) -> None:
 
 
 def _identity_fields(domain: DomainBox):
-    return tuple(
-        build_scalar_field(ex.parse("1"), ex.parse("u"), ex.parse("u"), iv)
-        for iv in domain.intervals
-    )
+    return build_scalar_fields([(ex.parse("1"), ex.parse("u"), ex.parse("u"))] * 3, domain.intervals)
 
 
 def _difference_structure(eta: str, name: str, domain: DomainBox | None) -> PoissonFamilySpec:
@@ -142,15 +139,14 @@ def euler_top_structure(params: EulerTopParams, domain: DomainBox | None = None)
         raise FamilyValidationError(
             f"axis interval [{lo}, {hi}] spans an axis plane; the top needs a fixed-sign octant"
         )
-    fields = []
+    axes = []
     u = ex.var("u")
-    for c, sigma, iv in zip(params.psi_coefficients, signs, domain.intervals):
+    for c, sigma in zip(params.psi_coefficients, signs):
         root = ex.call("sqrt", u / c)
-        zeta = root if sigma > 0 else -root
-        fields.append(build_scalar_field(ex.lit(2.0 * c) * u, ex.lit(c) * ex.pow_(u, ex.lit(2.0)), zeta, iv))
+        axes.append((ex.lit(2.0 * c) * u, ex.lit(c) * ex.pow_(u, ex.lit(2.0)), root if sigma > 0 else -root))
     a1, a2, a3 = params.alphas
     eta = ex.lit(1.0 / (2.0 * a1 * a2 * a3))
-    return make_family_spec(eta, tuple(fields), make_kappa(0.0, 0.0), domain, "euler-top")
+    return make_family_spec(eta, build_scalar_fields(axes, domain.intervals), make_kappa(0.0, 0.0), domain, "euler-top")
 
 
 def euler_top_raw_matrix(params: EulerTopParams, x) -> StructureMatrixValue:

@@ -79,10 +79,13 @@ def _finite(values, what: str, x):
 
 
 def casimir_gradient(spec: PoissonFamilySpec, k: int, x) -> np.ndarray:
-    """Closed-form gradient -(eta chi_ij^2)^(-1) (J23, J31, J12); DomainEvalError where it is not finite."""
+    """Closed-form gradient -(eta chi_ij^2)^(-1) (J23, J31, J12); DomainEvalError where undefined or not finite."""
     denom, _ = _guarded_chis(spec, k, x)
-    J = structure_matrix_at(spec, x, check_domain=False)
-    eta = spec.eta_value(float(x[0]), float(x[1]), float(x[2]))
+    try:
+        J = structure_matrix_at(spec, x, check_domain=False)
+        eta = spec.eta_value(float(x[0]), float(x[1]), float(x[2]))
+    except DomainEvalError as exc:
+        raise DomainEvalError(f"grad C_{k} is undefined at {tuple(float(v) for v in x)}: {exc}") from None
     with np.errstate(all="ignore"):  # eta chi_ij^2 may underflow to 0.0: _finite names the point instead
         gradient = np.float64(-1.0) / (eta * denom * denom) * np.array([J.j23, J.j31, J.j12])
     return _finite(gradient, f"grad C_{k}", x)

@@ -29,7 +29,7 @@ from .darboux import build_chart, canonical_check, forward_map, inverse_map, rep
 from .dynamics import integrate, integrate_reduced, invariant_drift
 from .errors import PoissonError
 from .family import make_family_spec, make_kappa
-from .scalar_fields import DomainBox, build_scalar_field
+from .scalar_fields import DomainBox, build_scalar_fields
 from .verification import MatrixField3, matrix_field_from_spec, verify_structure
 
 DEFAULT_SEED = 42
@@ -109,15 +109,15 @@ def load_spec_file(path: str):
     axes = doc.get("axes")
     if not (isinstance(axes, list) and len(axes) == 3):
         raise ValueError("spec file needs either a 'matrix' object or three 'axes'")
-    fields = tuple(
-        build_scalar_field(
-            _expr(_object(axis, f"axes[{n}]"), "phi"),
-            _expr(axis, "psi"),
-            _expr(axis, "zeta", required=False),
-            domain.intervals[n],
-        )
-        for n, axis in enumerate(axes)
-    )
+    triples = []
+    for n, axis in enumerate(axes):
+        try:
+            axis = _object(axis, f"axes[{n}]")
+            triples.append((_expr(axis, "phi"), _expr(axis, "psi"), _expr(axis, "zeta", required=False)))
+        except (ValueError, KeyError, PoissonError):
+            build_scalar_fields(triples, domain.intervals[:n])  # a failing axis before this one raises first
+            raise
+    fields = build_scalar_fields(triples, domain.intervals)
     spec = make_family_spec(
         _expr(doc, "eta"),
         fields,

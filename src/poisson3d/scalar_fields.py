@@ -18,6 +18,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainEvalError, DomainSamplingError, FieldValidationError, OutOfRangeError
+from .plan import plan_kernel
 
 _EPS = float(np.finfo(float).eps)
 _EPS3 = _EPS ** (1.0 / 3.0)
@@ -136,14 +137,23 @@ def axis_sign(interval: tuple[float, float]) -> int:
 # (seed, index), so reports never depend on scheduling or shared RNG state.
 
 _M64 = (1 << 64) - 1
+_GOLDEN, _MUL1, _MUL2 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
+_UNIT = float(1 << 53)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer over a uint64 array; the arithmetic wraps mod 2^64."""
-    z = z + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer of the uint64 array z, in z; tmp is scratch of z's shape.
+
+    The arithmetic wraps mod 2^64.
+    """
+    z += _GOLDEN
+    z ^= np.right_shift(z, _S30, out=tmp)
+    z *= _MUL1
+    z ^= np.right_shift(z, _S27, out=tmp)
+    z *= _MUL2
+    z ^= np.right_shift(z, _S31, out=tmp)
+    return z
 
 
 def unit_uniforms(seed: int, indices, count: int) -> np.ndarray:
@@ -151,12 +161,15 @@ def unit_uniforms(seed: int, indices, count: int) -> np.ndarray:
 
     Steele, Lea and Flood's splitmix64 (OOPSLA 2014), keyed by seed and index.
     """
-    index = np.asarray(indices, dtype=np.uint64).reshape(-1)
-    state = _mix64(np.uint64(seed & _M64) ^ _mix64(index))
-    out = np.empty((index.size, count))
+    state = np.array(indices, dtype=np.uint64).reshape(-1)  # a copy: the finalizer runs in place
+    tmp = np.empty_like(state)
+    _mix64(state, tmp)
+    state ^= np.uint64(seed & _M64)
+    _mix64(state, tmp)
+    out = np.empty((state.size, count))
     for c in range(count):
-        state = _mix64(state)
-        out[:, c] = (state >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+        _mix64(state, tmp)
+        np.divide(np.right_shift(state, _S11, out=tmp), _UNIT, out=out[:, c])
     return out
 
 
@@ -206,8 +219,7 @@ def first_vanishing(fn, sample, floor, sign_rule: bool):
     earlier point fails.
     """
     def flags():
-        v = fn(*sample)
-        return (np.abs(v) <= floor) | (sign_rule & (np.copysign(1.0, v) != np.copysign(1.0, v[:1])))
+        return _vanishing_flags(fn(*sample), floor, sign_rule)
 
     def in_order():
         signs = set()
@@ -232,6 +244,56 @@ def batch_certificate(flags, per_point, *values):
     if any(v is None for v in values) or ex.batched(lambda: flags(*values).any(), lambda: True):
         return per_point()
     return None
+
+
+# The grid certificates' flag formulas, each along the last axis: build_scalar_field runs them on one
+# axis's arrays, build_scalar_fields on the rows of k axes.
+
+
+def _vanishing_flags(v, floor, sign_rule):
+    """|v| at or below floor, or, under the sign rule, a sign other than the first element's."""
+    return (np.abs(v) <= floor) | (sign_rule & (np.copysign(1.0, v) != np.copysign(1.0, v[..., :1])))
+
+
+def _primitive_flags(up, down, steps, phival):
+    """psi' = phi off by more than 1e-6 relative; psi' is central_difference's quotient of psi at x + h and x - h."""
+    dpsi = (up - down) / (2.0 * steps)
+    return np.abs(dpsi - phival) > 1e-6 * np.maximum(1.0, np.abs(phival))
+
+
+def _monotone(on_grid):
+    """psi strictly monotone along the grid: a bool, or one per row."""
+    diffs = np.diff(on_grid)
+    return np.all(diffs > 0.0, axis=-1) | np.all(diffs < 0.0, axis=-1)
+
+
+def _round_trip_flags(back, grid):
+    """zeta(psi(x)) farther than 1e-9 relative from x."""
+    return np.abs(back - grid) > 1e-9 * np.maximum(1.0, np.abs(grid))
+
+
+def _grid(lo, hi):
+    """(grid, stencil centres, steps) of the certificates on [lo, hi], the psi' = phi stencil inside it.
+
+    lo and hi are floats, or arrays of k bounds for the rows of (k, _GRID) arrays; each row is
+    bit-identical to the arrays of its own bounds.
+    """
+    grid = np.linspace(lo, hi, _GRID, axis=-1)
+    if isinstance(lo, np.ndarray):  # the bounds as columns
+        lo, hi = lo[:, None], hi[:, None]
+    width = hi - lo
+    xs = lo + width * (np.arange(_GRID) + 0.5) / _GRID
+    return grid, xs, np.minimum(fd_step(xs), 0.49 * np.minimum(xs - lo, hi - xs) + 1e-300)
+
+
+def _keep_psi_range(fld: ScalarField1D, grid, on_grid) -> None:
+    """Sets fld's psi_range from psi on its grid, which np.linspace ends at lo and hi exactly.
+
+    It starts a lo of -0.0 at 0.0, though: then psi_range is left to its first use.
+    """
+    if float(grid[0]).hex() == fld.interval[0].hex():
+        a, b = float(on_grid[0]), float(on_grid[-1])
+        object.__setattr__(fld, "_psi_range", (a, b) if a <= b else (b, a))
 
 
 def _values(fn, u):
@@ -267,12 +329,9 @@ def build_scalar_field(
             raise FieldValidationError(f"{name} may only use the variable u, found {sorted(extra)}")
 
     fld = ScalarField1D(phi, psi, zeta, (lo, hi))
-    grid = np.linspace(lo, hi, _GRID)
     # psi' = phi on interior points; the stencil must stay inside the
     # interval, where the expressions are guaranteed to be defined
-    width = hi - lo
-    xs = lo + width * (np.arange(_GRID) + 0.5) / _GRID
-    steps = np.minimum(fd_step(xs), 0.49 * np.minimum(xs - lo, hi - xs) + 1e-300)
+    grid, xs, steps = _grid(lo, hi)
     inner = steps > 0.0
     # one array pass per callable; the certificates below read their values
     phis = _values(fld.phi_fn, np.concatenate([grid, xs[inner]]))
@@ -298,10 +357,7 @@ def build_scalar_field(
         raise FieldValidationError(f"{fails}sign change between adjacent samples (u = {u})")
 
     def primitive_flags(phis, psis):
-        up, down = np.split(psis[_GRID:], 2)
-        dpsi = (up - down) / (2.0 * steps[inner])  # central_difference's quotient, on the pass's stencil values
-        phival = phis[_GRID:]
-        return np.abs(dpsi - phival) > 1e-6 * np.maximum(1.0, np.abs(phival))
+        return _primitive_flags(*np.split(psis[_GRID:], 2), steps[inner], phis[_GRID:])
 
     def primitive_loop():
         for x in xs:
@@ -322,8 +378,7 @@ def build_scalar_field(
     batch_certificate(primitive_flags, primitive_loop, phis, psis)
 
     on_grid = psi_values(fld, grid) if psis is None else psis[:_GRID]
-    diffs = np.diff(on_grid)
-    if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
+    if not _monotone(on_grid):
         raise FieldValidationError("psi is not strictly monotone on the sampled grid")
 
     def zeta_loop():
@@ -337,12 +392,64 @@ def build_scalar_field(
                 raise FieldValidationError(f"zeta(psi({x})) = {back!r}, not the identity")
 
     if zeta is not None:
-        batch_certificate(lambda back: np.abs(back - grid) > 1e-9 * np.maximum(1.0, np.abs(grid)), zeta_loop, zetas)
-    # np.linspace ends the grid at lo and hi exactly (but starts a lo of -0.0 at 0.0): psi_range is at hand
-    if float(grid[0]).hex() == lo.hex():
-        a, b = float(on_grid[0]), float(on_grid[-1])
-        object.__setattr__(fld, "_psi_range", (a, b) if a <= b else (b, a))
+        batch_certificate(lambda back: _round_trip_flags(back, grid), zeta_loop, zetas)
+    _keep_psi_range(fld, grid, on_grid)
     return fld
+
+
+def build_scalar_fields(axes, intervals) -> tuple[ScalarField1D, ...]:
+    """build_scalar_field of each (phi, psi, zeta) triple of axes on its interval, validated together.
+
+    One array pass per callable kind covers every axis: one register plan of the phi trees, one of the
+    psi trees and one of the zeta trees, each tree's u renamed to its axis's variable, runs on the rows
+    of (k, 256) grids, and the certificates flag the (k, N) values.  Where anything is off, a failed
+    check or certificate, a fault, or a tree too deep for a plan, the call is its reference, the
+    fields built one by one, so every error and the first failing axis are the per-axis ones
+    (docs/decisions.md, D18).
+    """
+    axes, intervals = tuple(axes), tuple(intervals)
+    fields = ex.batched(lambda: _joint_fields(axes, intervals), lambda: None) if axes else ()
+    if fields is None:
+        return tuple(build_scalar_field(phi, psi, zeta, iv) for (phi, psi, zeta), iv in zip(axes, intervals))
+    return fields
+
+
+def _joint_fields(axes, intervals):
+    """build_scalar_fields' pass over all axes: the fields where every check passes, else None."""
+    lo, hi = (np.array([float(iv[e]) for iv in intervals]) for e in (0, 1))
+    # build_scalar_field's interval check; np.linspace gives each row the 1-D call's grid unless a step is 0
+    if not (np.all(lo < hi) and np.isfinite(hi - lo).all() and np.all((hi - lo) / (_GRID - 1) > 0.0)):
+        return None
+    # compile_expr raises UnboundVariableError for a variable other than u: the free-variable check
+    fields = [ScalarField1D(phi, psi, zeta, iv) for (phi, psi, zeta), iv in zip(axes, zip(lo.tolist(), hi.tolist()))]
+    grid, xs, steps = _grid(lo, hi)
+    if not (steps > 0.0).all():  # build_scalar_field drops a stencil point without room
+        return None
+    names = tuple(f"x{n + 1}" for n in range(len(fields)))
+    zs = [n for n, fld in enumerate(fields) if fld.zeta is not None]
+
+    def rows(kind, ns, args):  # one plan of axes ns's trees of a kind, run on their rows of args
+        trees = tuple(ex.substitute(getattr(fields[n], kind), "u", ex.Var(names[n])) for n in ns)
+        plan = plan_kernel(trees, (), tuple(names[n] for n in ns))
+        return None if plan is None else np.array(plan.batch(*args))
+
+    every = range(len(fields))
+    phis = rows("phi", every, np.concatenate([grid, xs], axis=1))
+    psis = rows("psi", every, np.concatenate([grid, xs + steps, xs - steps], axis=1))
+    if phis is None or psis is None:
+        return None
+    on_grid = psis[:, :_GRID]
+    if (_vanishing_flags(phis[:, :_GRID], ZERO_FLOOR, True).any()
+            or _primitive_flags(*np.split(psis[:, _GRID:], 2, axis=1), steps, phis[:, _GRID:]).any()
+            or not _monotone(on_grid).all()):
+        return None
+    if zs:
+        zetas = rows("zeta", zs, on_grid[zs])
+        if zetas is None or _round_trip_flags(zetas, grid[zs]).any():
+            return None
+    for fld, g, p in zip(fields, grid, on_grid):
+        _keep_psi_range(fld, g, p)
+    return tuple(fields)
 
 
 def clip(v, lo: float, hi: float):

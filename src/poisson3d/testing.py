@@ -17,7 +17,7 @@ import numpy as np
 from . import expr as ex
 from .dynamics import Trajectory
 from .family import PoissonFamilySpec, make_family_spec, make_kappa
-from .scalar_fields import DomainBox, build_scalar_field
+from .scalar_fields import DomainBox, build_scalar_fields
 from .verification import MatrixField3
 
 # intervals with pairwise-separated supports: with the product-form eta the
@@ -32,7 +32,8 @@ def _rng(seed: int, index: int) -> random.Random:
     return random.Random(1_000_003 * (seed + 1) + index)
 
 
-def _axis_field(rng: random.Random, interval: tuple[float, float]):
+def _axis_triple(rng: random.Random):
+    """A random (phi, psi, zeta) triple of the zoo; zeta is None for an affine phi."""
     kind = rng.choice(_PHI_KINDS)
     s = rng.choice((-1.0, 1.0))
     u = ex.var("u")
@@ -58,7 +59,7 @@ def _axis_field(rng: random.Random, interval: tuple[float, float]):
         phi = ex.call("exp", ex.lit(a) * u)
         psi = ex.call("exp", ex.lit(a) * u) / a
         zeta = ex.call("ln", ex.lit(a) * u) / a
-    return build_scalar_field(phi, psi, zeta, interval)
+    return phi, psi, zeta
 
 
 def random_family_spec(index: int, seed: int = 0) -> PoissonFamilySpec:
@@ -83,7 +84,7 @@ def random_family_spec(index: int, seed: int = 0) -> PoissonFamilySpec:
                 for v in ("x1", "x2", "x3")
             ]
             eta = parts[0] * parts[1] * parts[2]
-    fields = tuple(_axis_field(rng, iv) for iv in intervals)
+    fields = build_scalar_fields([_axis_triple(rng) for _ in intervals], intervals)
     domain = DomainBox(intervals, predicate)
     return make_family_spec(eta, fields, kappa, domain, name=f"random-{seed}-{index}")
 

@@ -282,7 +282,8 @@ def _mix64_int(z):
 
 @pytest.mark.parametrize("seed", [0, 1, 42, -1, 2**63 + 5])
 def test_unit_uniforms_match_integer_splitmix64(seed):
-    indices = [0, 1, 2, 99, 12345, 2**40 + 3]
+    # more indices than one _MIN_CHUNK draw, and the largest uint64
+    indices = [*range(2 * scalar_fields._MIN_CHUNK + 3), 12345, 2**40 + 3, 2**64 - 1]
     got = unit_uniforms(seed, indices, 3)
     for row, index in zip(got.tolist(), indices):
         state = _mix64_int((seed & _M64) ^ _mix64_int(index))
@@ -973,6 +974,151 @@ def test_failing_field_gives_the_scalar_error(monkeypatch, grid_replays, phi, ps
     assert got == (kind, message)
     assert grid_replays == ([loop] if loop else [])
     assert _on_scalar_path(monkeypatch, build) == got
+
+
+# ---------------------------------------------------------------------------
+# build_scalar_fields: the axes of a spec validated together, against the per-axis builds
+
+
+def _triple(fld):
+    return fld.phi, fld.psi, fld.zeta
+
+
+def _per_axis(axes, intervals):
+    return tuple(build_scalar_field(*axis, iv) for axis, iv in zip(axes, intervals))
+
+
+def _psi_range_hex(fld):
+    return None if fld._psi_range is None else [v.hex() for v in fld._psi_range]
+
+
+@pytest.fixture()
+def per_axis_builds(monkeypatch):
+    """Records scalar_fields' calls of build_scalar_field: build_scalar_fields makes them on its reference path."""
+    calls = []
+    recording = lambda *args: calls.append(args) or build_scalar_field(*args)
+    monkeypatch.setattr(scalar_fields, "build_scalar_field", recording)
+    return calls
+
+
+def _assert_joint_is_per_axis(axes, intervals):
+    got, want = scalar_fields.build_scalar_fields(axes, intervals), _per_axis(axes, intervals)
+    assert got == want
+    assert list(map(_psi_range_hex, got)) == list(map(_psi_range_hex, want))
+
+
+def test_build_scalar_fields_equals_the_per_axis_builds(per_axis_builds):
+    specs = [build_system(name)[0] for name in BUILTIN_NAMES]
+    specs += [random_family_spec(i, seed) for seed in (0, 42) for i in range(100)]
+    per_axis_builds.clear()
+    for spec in specs:
+        _assert_joint_is_per_axis([_triple(f) for f in spec.fields], spec.domain.intervals)
+    assert per_axis_builds == []  # the joint pass took every spec
+
+
+def test_build_scalar_fields_keeps_a_lower_bound_of_minus_zero(per_axis_builds):
+    axes = [(ex.parse("1"), ex.parse("u"), None), (ex.parse("2"), ex.parse("2*u"), ex.parse("u/2"))] * 2
+    intervals = [(-0.0, 1.0), (0.5, 2.0), (0.0, 1.0), (-3.0, -0.0)]
+    _assert_joint_is_per_axis(axes, intervals)
+    assert per_axis_builds == []
+    fields = scalar_fields.build_scalar_fields(axes, intervals)
+    assert fields[0]._psi_range is None and fields[2]._psi_range is not None  # the grid starts a -0.0 at 0.0
+    assert [v.hex() for v in fields[0].psi_range()] == [(-0.0).hex(), (1.0).hex()]
+
+
+def test_the_grid_rows_are_the_per_axis_grids():
+    intervals = [iv for i in range(100) for iv in random_family_spec(i, 42).domain.intervals]
+    intervals += [(-0.0, 1.0), (0.0, 1.0), (-5.0, 1e-3), (1e-300, 2e-300), (-1e300, 1e300), (1e16, 1e16 + 2.0)]
+    lo, hi = (np.array([iv[e] for iv in intervals]) for e in (0, 1))
+    rows = scalar_fields._grid(lo, hi)
+    for n, (a, b) in enumerate(intervals):
+        grid, xs, steps = scalar_fields._grid(a, b)
+        assert grid.tobytes() == np.linspace(a, b, 256).tobytes()
+        width = b - a
+        assert xs.tobytes() == (a + width * (np.arange(256) + 0.5) / 256).tobytes()
+        for row, want in zip(rows, (grid, xs, steps)):
+            assert row.shape == (len(intervals), 256) and row[n].tobytes() == want.tobytes()
+
+
+_CLEAN_AXES = [("1", "u", "u", (0.0, 1.0)), ("2*u", "u^2", "sqrt(u)", (0.5, 1.5)),
+               ("exp(u)", "exp(u)", None, (-1.0, 1.0))]
+
+
+def _parsed(phi, psi, zeta):
+    return ex.parse(phi), ex.parse(psi), ex.parse(zeta) if zeta else None
+
+
+@pytest.mark.parametrize("row", range(len(FAILING_FIELDS)))
+@pytest.mark.parametrize("place", [0, 1, 2])
+def test_build_scalar_fields_raises_the_first_failing_axis_error(monkeypatch, row, place):
+    phi, psi, zeta, interval, kind, message, _ = FAILING_FIELDS[row]
+    later = FAILING_FIELDS[(row + 1) % len(FAILING_FIELDS)]  # a second failing axis, after the first
+    cases = [_CLEAN_AXES[:place] + [(phi, psi, zeta, interval)] + _CLEAN_AXES[place:],
+             _CLEAN_AXES[:place] + [(phi, psi, zeta, interval), later[:4]] + _CLEAN_AXES[place:]]
+    for axes in cases:
+        triples, intervals = [_parsed(*axis[:3]) for axis in axes], [axis[3] for axis in axes]
+        got = _outcome_of(lambda: scalar_fields.build_scalar_fields(triples, intervals))
+        assert got == (kind, message)
+        assert got == _outcome_of(lambda: _per_axis(triples, intervals))
+        assert _on_scalar_path(monkeypatch, lambda: scalar_fields.build_scalar_fields(triples, intervals)) == got
+
+
+def test_build_scalar_fields_replays_a_bad_interval_or_variable():
+    one, u = ex.parse("1"), ex.parse("u")
+    for intervals, psi, message in [
+        ([(0.0, 1.0), (2.0, 1.0)], u, "bad interval [2.0, 1.0]: need lo < hi with finite bounds and width"),
+        ([(0.0, 1.0), (0.0, math.inf)], u, "bad interval [0.0, inf]: need lo < hi with finite bounds and width"),
+        ([(0.0, 1.0), (0.0, 1.0)], ex.parse("u + x1"), "psi may only use the variable u, found ['x1']"),
+    ]:
+        got = _outcome_of(lambda: scalar_fields.build_scalar_fields([(one, u, None), (one, psi, None)], intervals))
+        assert got == (FieldValidationError, message)
+
+
+def _field_plans(spec, built):
+    """The plans of built whose outputs are every axis's phi, psi or zeta as a tree in x1, x2, x3, or one
+    such tree in u."""
+    kinds = {}
+    for kind in ("phi", "psi", "zeta"):
+        trees = tuple(ex.substitute(getattr(f, kind), "u", ex.Var(x)) for f, x in zip(spec.fields, ex._XS))
+        kinds[trees] = kind
+    return [kinds.get(outputs, "one tree") for outputs, varnames in built if outputs in kinds or varnames == ("u",)]
+
+
+def test_a_spec_load_builds_one_field_plan_per_callable_kind(monkeypatch, capsys, tmp_path):
+    spec, _ = build_system("euler-top")  # every axis has a zeta: one plan per callable would be nine
+    path = _spec_file(spec, tmp_path / "top.json")
+    built = []
+
+    def counting(original):
+        return lambda outputs, checked=(), varnames=ex._XS: (
+            built.append((tuple(outputs), tuple(varnames))) or original(outputs, checked, varnames))
+
+    monkeypatch.setattr(scalar_fields, "plan_kernel", counting(scalar_fields.plan_kernel))
+    monkeypatch.setattr(ex, "_plan_of", counting(ex._plan_of))
+    assert main(["verify", "--spec", path, "--samples", "200"]) == 0
+    capsys.readouterr()
+    assert sorted(_field_plans(spec, built)) == ["phi", "psi", "zeta"]
+
+
+def test_a_spec_file_names_a_failing_axis_before_a_later_parse_error(capsys, tmp_path):
+    # the axes are parsed first and validated together, but each error is the one the parent raised
+    # building them in order: axis 0's vanishing phi before axis 1's psi that does not parse
+    good = {"phi": "1", "psi": "u", "zeta": "u"}
+    doc = {"eta": "1", "kappa": [1.0, 2.0], "domain": {"box": [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]}}
+    cases = [
+        ([{"phi": "u^2", "psi": "u^3/3"}, {"phi": "1", "psi": "u +"}, good],
+         "error: phi must be nonvanishing on the interval: |f| = 0.000e+00 at sample (u = 0.0)\n"),
+        ([good, {"phi": "1", "psi": "u +"}, {"phi": "u^2", "psi": "u^3/3"}],
+         "error: unexpected end of input (offset 3)\n"),
+        ([{"phi": "u^2", "psi": "u^3/3"}, "u", good], "error: phi must be nonvanishing on the interval: "
+         "|f| = 0.000e+00 at sample (u = 0.0)\n"),
+        ([good, {"phi": "1"}, {"phi": "u^2", "psi": "u^3/3"}], "error: 'psi'\n"),
+    ]
+    for axes, message in cases:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**doc, "axes": axes}))
+        assert main(["verify", "--spec", str(path)]) == 2
+        assert capsys.readouterr() == ("", message)
 
 
 def _oracle_charts(spec, seed, ks):

@@ -180,6 +180,27 @@ def test_casimir_undefined_point_is_exit_2(capsys):
     assert "undefined" in err
 
 
+def test_casimir_names_the_point_where_its_gradient_is_undefined(capsys):
+    # eta = 1/(2 (x1-x2)(x2-x3)(x3-x1)) divides by zero at x1 = x2, where C_1's denominator chi_23 is not 0
+    code, out, err = run_cli(capsys, "casimir", "--system", "halphen", "--k", "1", "--point", "0.1,0.1,0.3")
+    assert (code, out) == (2, "")
+    assert err == "error: grad C_1 is undefined at (0.1, 0.1, 0.3): float division by zero\n"
+
+
+def test_a_negative_coordinate_takes_the_equals_form(capsys, tmp_path):
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps({**HALPHEN_WIDE_SPEC, "eta": "1", "kappa": [1.0, 2.0],
+                                "domain": {"box": [[-6.0, 6.0], [-6.0, 6.0], [-6.0, 6.0]]}}))
+    code, out, _ = run_cli(capsys, "casimir", "--spec", str(path), "--k", "3", "--point=-5,0.5,0.5")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["point"] == [-5.0, 0.5, 0.5] and doc["value"] == (0.5 - 0.5 + 2.0) / (-5.0 - 0.5 + 1.0)
+    with pytest.raises(SystemExit) as exc:  # argparse reads "-5,0.5,0.5" after a space as an option
+        main(["casimir", "--spec", str(path), "--k", "3", "--point", "-5,0.5,0.5"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_darboux_report_with_point(capsys):
     code, out, _ = run_cli(
         capsys, "darboux", "--system", "halphen", "--k", "3",
