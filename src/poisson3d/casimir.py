@@ -59,8 +59,16 @@ def _guarded_chis(spec: PoissonFamilySpec, k: int, x):
 
 
 def casimir_value(spec: PoissonFamilySpec, k: int, x):
-    """C_k at a point, or per point of three coordinate arrays; UndefinedAtPointError below the denominator guard."""
-    denom, numer = _guarded_chis(spec, k, x)
+    """C_k at a point, or per point of three coordinate arrays; UndefinedAtPointError below the denominator guard.
+
+    Where psi fails at a point, the DomainEvalError names the point, as casimir_gradient's does.
+    """
+    try:
+        denom, numer = _guarded_chis(spec, k, x)
+    except DomainEvalError as exc:
+        if isinstance(x[0], np.ndarray):
+            raise
+        raise DomainEvalError(f"C_{k} is undefined at {tuple(float(v) for v in x)}: {exc}") from None
     return numer / denom
 
 

@@ -95,7 +95,7 @@ class Field3:
     of the value.
 
     value and partial() also take coordinate arrays for an expression; the
-    expr.compile_expr callables then run their batch binding.
+    expr.compile_expr callables then run their register plan (docs/decisions.md, D15).
     """
 
     def __init__(self, f):
@@ -229,25 +229,11 @@ def first_vanishing(fn, sample, floor, sign_rule: bool):
             if abs(v) <= element(floor, n) or (sign_rule and len(signs) > 1):
                 return n, "zero" if abs(v) <= element(floor, n) else "sign"
 
-    return batch_certificate(flags, in_order)
+    return in_order() if ex.batched(lambda: flags().any(), lambda: True) else None
 
 
-def batch_certificate(flags, per_point, *values):
-    """A sampled certificate: flags(*values) on arrays, per_point() where that faults or flags a sample.
-
-    values are the arrays of earlier passes that flags reads, None for a
-    pass that faulted, which runs per_point() too.  flags returns a boolean
-    array, through expr.batched.  The per-point loop then names the first
-    failing sample, as its result or as the error it raises on its own;
-    None when no sample is flagged.
-    """
-    if any(v is None for v in values) or ex.batched(lambda: flags(*values).any(), lambda: True):
-        return per_point()
-    return None
-
-
-# The grid certificates' flag formulas, each along the last axis: build_scalar_field runs them on one
-# axis's arrays, build_scalar_fields on the rows of k axes.
+# The grid certificates' flag formulas, each along the last axis: build_scalar_fields runs them on the
+# rows of k axes, first_vanishing on its sample.
 
 
 def _vanishing_flags(v, floor, sign_rule):
@@ -296,11 +282,6 @@ def _keep_psi_range(fld: ScalarField1D, grid, on_grid) -> None:
         object.__setattr__(fld, "_psi_range", (a, b) if a <= b else (b, a))
 
 
-def _values(fn, u):
-    """fn(u) on the array u, or None where that faults (expr.batched)."""
-    return ex.batched(lambda: fn(u), lambda: None)
-
-
 def psi_values(fld: ScalarField1D, u: np.ndarray) -> np.ndarray:
     """psi on the array u, per point where that faults, so the first fault raises DomainEvalError."""
     return ex.batched(lambda: fld.psi_fn(u), lambda: np.array([fld.psi_fn(v) for v in u.tolist()]))
@@ -312,14 +293,34 @@ def build_scalar_field(
     zeta: ex.Expr | None,
     interval: tuple[float, float],
 ) -> ScalarField1D:
-    """Validate and assemble a field triple on a closed interval.
+    """Validate and assemble a field triple on a closed interval: build_scalar_fields of one axis.
 
     Checks, on a 256-point grid: phi nonvanishing, psi' = phi (central
     differences, relative 1e-6), psi strictly monotone, and zeta(psi(x)) = x
-    to 1e-9 when zeta is supplied.  One array pass of each callable gives
-    the checks their values, bit-identical to each check's per-point loop,
-    which runs only where a pass it reads faults or the check flags a point.
+    to 1e-9 when zeta is supplied.
     """
+    return build_scalar_fields(((phi, psi, zeta),), (interval,))[0]
+
+
+def build_scalar_fields(axes, intervals) -> tuple[ScalarField1D, ...]:
+    """The validated field of each (phi, psi, zeta) triple of axes on its interval, validated together.
+
+    One array pass per callable kind covers every axis: one register plan of the phi trees, one of the
+    psi trees and one of the zeta trees, each tree's u renamed to its axis's variable, runs on the rows
+    of (k, 256) grids, and the certificates flag the (k, N) values.  Where anything is off, a failed
+    check or certificate, a fault, or a tree too deep for a plan, the call is its reference, the
+    per-point checks of each axis in order, so every error and the first failing axis are the
+    per-axis ones (docs/decisions.md, D18).
+    """
+    axes, intervals = tuple(axes), tuple(intervals)
+    fields = ex.batched(lambda: _joint_fields(axes, intervals), lambda: None) if axes else ()
+    if fields is None:
+        return tuple(_checked_field(phi, psi, zeta, iv) for (phi, psi, zeta), iv in zip(axes, intervals))
+    return fields
+
+
+def _checked_field(phi, psi, zeta, interval) -> ScalarField1D:
+    """build_scalar_fields' reference for one axis: the grid checks point by point, the first failure raised."""
     lo, hi = float(interval[0]), float(interval[1])
     if not (lo < hi and math.isfinite(hi - lo)):  # a finite width needs finite bounds
         raise FieldValidationError(f"bad interval [{lo}, {hi}]: need lo < hi with finite bounds and width")
@@ -329,15 +330,7 @@ def build_scalar_field(
             raise FieldValidationError(f"{name} may only use the variable u, found {sorted(extra)}")
 
     fld = ScalarField1D(phi, psi, zeta, (lo, hi))
-    # psi' = phi on interior points; the stencil must stay inside the
-    # interval, where the expressions are guaranteed to be defined
-    grid, xs, steps = _grid(lo, hi)
-    inner = steps > 0.0
-    # one array pass per callable; the certificates below read their values
-    phis = _values(fld.phi_fn, np.concatenate([grid, xs[inner]]))
-    psis = _values(fld.psi_fn, np.concatenate([grid, xs[inner] + steps[inner], xs[inner] - steps[inner]]))
-    zetas = _values(fld.zeta_fn, psis[:_GRID]) if zeta is not None and psis is not None else None
-
+    grid, xs, _ = _grid(lo, hi)
     fails = "phi must be nonvanishing on the interval: "
 
     def phi_at(u):
@@ -346,84 +339,55 @@ def build_scalar_field(
         except DomainEvalError as exc:
             raise FieldValidationError(f"{fails}evaluation failed: {exc} (u = {u})") from None
 
-    if phis is None:  # phi on the grid again, per point where that faults
-        failure = first_vanishing(phi_at, (grid,), ZERO_FLOOR, True)
-    else:
-        failure = first_vanishing(lambda v: v, (phis[:_GRID],), ZERO_FLOOR, True)
+    failure = first_vanishing(phi_at, (grid,), ZERO_FLOOR, True)
     if failure is not None:
         u = float(grid[failure[0]])
         if failure[1] == "zero":
             raise FieldValidationError(f"{fails}|f| = {abs(fld.phi_fn(u)):.3e} at sample (u = {u})")
         raise FieldValidationError(f"{fails}sign change between adjacent samples (u = {u})")
 
-    def primitive_flags(phis, psis):
-        return _primitive_flags(*np.split(psis[_GRID:], 2), steps[inner], phis[_GRID:])
+    # psi' = phi on interior points; the stencil must stay inside the
+    # interval, where the expressions are guaranteed to be defined
+    for x in xs.tolist():
+        h = min(fd_step(x), 0.49 * min(x - lo, hi - x) + 1e-300)
+        if h <= 0.0:
+            continue
+        try:
+            dpsi = central_difference(fld.psi_fn, (x,), 0, h)
+            phival = fld.phi_fn(x)
+        except DomainEvalError as exc:
+            raise FieldValidationError(f"evaluation failed during psi'=phi check at u={x}: {exc}") from None
+        if abs(dpsi - phival) > 1e-6 * max(1.0, abs(phival)):
+            raise FieldValidationError(
+                f"psi is not a primitive of phi: psi'({x}) = {dpsi!r} but phi({x}) = {phival!r}"
+            )
 
-    def primitive_loop():
-        for x in xs:
-            x = float(x)
-            h = min(fd_step(x), 0.49 * min(x - lo, hi - x) + 1e-300)
-            if h <= 0.0:
-                continue
-            try:
-                dpsi = central_difference(fld.psi_fn, (x,), 0, h)
-                phival = fld.phi_fn(x)
-            except DomainEvalError as exc:
-                raise FieldValidationError(f"evaluation failed during psi'=phi check at u={x}: {exc}") from None
-            if abs(dpsi - phival) > 1e-6 * max(1.0, abs(phival)):
-                raise FieldValidationError(
-                    f"psi is not a primitive of phi: psi'({x}) = {dpsi!r} but phi({x}) = {phival!r}"
-                )
-
-    batch_certificate(primitive_flags, primitive_loop, phis, psis)
-
-    on_grid = psi_values(fld, grid) if psis is None else psis[:_GRID]
+    on_grid = np.array([fld.psi_fn(x) for x in grid.tolist()])
     if not _monotone(on_grid):
         raise FieldValidationError("psi is not strictly monotone on the sampled grid")
 
-    def zeta_loop():
-        for x in grid:
-            x = float(x)
+    if zeta is not None:
+        for x in grid.tolist():
             try:
                 back = fld.zeta_fn(fld.psi_fn(x))
             except DomainEvalError as exc:
                 raise FieldValidationError(f"zeta round-trip failed to evaluate at u={x}: {exc}") from None
             if abs(back - x) > 1e-9 * max(1.0, abs(x)):
                 raise FieldValidationError(f"zeta(psi({x})) = {back!r}, not the identity")
-
-    if zeta is not None:
-        batch_certificate(lambda back: _round_trip_flags(back, grid), zeta_loop, zetas)
     _keep_psi_range(fld, grid, on_grid)
     return fld
-
-
-def build_scalar_fields(axes, intervals) -> tuple[ScalarField1D, ...]:
-    """build_scalar_field of each (phi, psi, zeta) triple of axes on its interval, validated together.
-
-    One array pass per callable kind covers every axis: one register plan of the phi trees, one of the
-    psi trees and one of the zeta trees, each tree's u renamed to its axis's variable, runs on the rows
-    of (k, 256) grids, and the certificates flag the (k, N) values.  Where anything is off, a failed
-    check or certificate, a fault, or a tree too deep for a plan, the call is its reference, the
-    fields built one by one, so every error and the first failing axis are the per-axis ones
-    (docs/decisions.md, D18).
-    """
-    axes, intervals = tuple(axes), tuple(intervals)
-    fields = ex.batched(lambda: _joint_fields(axes, intervals), lambda: None) if axes else ()
-    if fields is None:
-        return tuple(build_scalar_field(phi, psi, zeta, iv) for (phi, psi, zeta), iv in zip(axes, intervals))
-    return fields
 
 
 def _joint_fields(axes, intervals):
     """build_scalar_fields' pass over all axes: the fields where every check passes, else None."""
     lo, hi = (np.array([float(iv[e]) for iv in intervals]) for e in (0, 1))
-    # build_scalar_field's interval check; np.linspace gives each row the 1-D call's grid unless a step is 0
+    # the reference's interval check; np.linspace gives each row the 1-D call's grid unless a step is 0
     if not (np.all(lo < hi) and np.isfinite(hi - lo).all() and np.all((hi - lo) / (_GRID - 1) > 0.0)):
         return None
     # compile_expr raises UnboundVariableError for a variable other than u: the free-variable check
     fields = [ScalarField1D(phi, psi, zeta, iv) for (phi, psi, zeta), iv in zip(axes, zip(lo.tolist(), hi.tolist()))]
     grid, xs, steps = _grid(lo, hi)
-    if not (steps > 0.0).all():  # build_scalar_field drops a stencil point without room
+    if not (steps > 0.0).all():  # the reference drops a stencil point without room
         return None
     names = tuple(f"x{n + 1}" for n in range(len(fields)))
     zs = [n for n, fld in enumerate(fields) if fld.zeta is not None]
@@ -478,7 +442,7 @@ def psi_inverse(fld: ScalarField1D, target):
 
 
 def _solve(fld: ScalarField1D, target):
-    """psi_inverse of a float, or of an array on the batch binding (a fault raises)."""
+    """psi_inverse of a float, or of an array, whose psi and zeta calls run their register plans (a fault raises)."""
     lo, hi = fld.interval
     rlo, rhi = fld.psi_range()
     batch = isinstance(target, np.ndarray)

@@ -57,6 +57,7 @@ from poisson3d.scalar_fields import (
     Field3,
     ScalarField1D,
     axis_sign,
+    _checked_field,
     build_scalar_field,
     psi_inverse,
     unit_uniforms,
@@ -883,45 +884,37 @@ def _on_scalar_path(monkeypatch, fn):
 
 
 @pytest.fixture()
-def grid_replays(monkeypatch):
-    """Names the per-point loops that build_scalar_field's grid checks replay."""
-    replays = []
-    original = scalar_fields.batch_certificate
-
-    def recording(flags, per_point, *values):
-        def replay():
-            replays.append(per_point.__name__)
-            return per_point()
-
-        return original(flags, replay, *values)
-
-    monkeypatch.setattr(scalar_fields, "batch_certificate", recording)
-    return replays
+def reference_runs(monkeypatch):
+    """Records the runs of build_scalar_fields' per-axis reference, the per-point grid checks."""
+    runs = []
+    original = scalar_fields._checked_field
+    monkeypatch.setattr(scalar_fields, "_checked_field", lambda *args: runs.append(args) or original(*args))
+    return runs
 
 
 def _rebuild(fld):
     return lambda: build_scalar_field(fld.phi, fld.psi, fld.zeta, fld.interval)
 
 
-def _assert_same_field(monkeypatch, fld, replays):
+def _assert_same_field(monkeypatch, fld, runs):
     """Rebuilding fld passes on arrays alone, and on the forced per-point path."""
     assert _rebuild(fld)() == fld
-    assert replays == []
+    assert runs == []
     assert _on_scalar_path(monkeypatch, _rebuild(fld)) == fld
-    replays.clear()
+    runs.clear()
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_field_checks_batch_equals_scalar_on_builtins(monkeypatch, grid_replays, name):
+def test_field_checks_batch_equals_scalar_on_builtins(monkeypatch, reference_runs, name):
     for fld in build_system(name)[0].fields:
-        _assert_same_field(monkeypatch, fld, grid_replays)
+        _assert_same_field(monkeypatch, fld, reference_runs)
 
 
 @pytest.mark.parametrize("seed", [1, 42])
-def test_field_checks_batch_equals_scalar_on_random_specs(monkeypatch, grid_replays, seed):
+def test_field_checks_batch_equals_scalar_on_random_specs(monkeypatch, reference_runs, seed):
     for i in range(100):
         for fld in random_family_spec(i, seed).fields:
-            _assert_same_field(monkeypatch, fld, grid_replays)
+            _assert_same_field(monkeypatch, fld, reference_runs)
 
 
 def test_a_built_field_takes_its_psi_range_from_the_grid():
@@ -939,41 +932,46 @@ def test_a_built_field_takes_its_psi_range_from_the_grid():
 _STENCIL_POINT = "0.39258418045445237"
 
 FAILING_FIELDS = [
-    # (phi, psi, zeta, interval, exception type, the parent commit's message, the loop that names it)
+    # (phi, psi, zeta, interval, exception type, the parent commit's message)
     ("ln(u)", "u*ln(u) - u", None, (0.0, 1.0), FieldValidationError,
-     "phi must be nonvanishing on the interval: evaluation failed: ln of non-positive value 0.0 (u = 0.0)",
-     "in_order"),
+     "phi must be nonvanishing on the interval: evaluation failed: ln of non-positive value 0.0 (u = 0.0)"),
     ("2*u", "u^2", None, (-1.0, 3.0), FieldValidationError,
-     "phi must be nonvanishing on the interval: sign change between adjacent samples (u = 0.0039215686274509665)",
-     "in_order"),
+     "phi must be nonvanishing on the interval: sign change between adjacent samples (u = 0.0039215686274509665)"),
     ("u", "u^2", None, (1.0, 2.0), FieldValidationError,
-     "psi is not a primitive of phi: psi'(1.001953125) = 2.003906249993925 but phi(1.001953125) = 1.001953125",
-     "primitive_loop"),
+     "psi is not a primitive of phi: psi'(1.001953125) = 2.003906249993925 but phi(1.001953125) = 1.001953125"),
     # psi is flat to rounding, so the central difference reads 0 and passes
     # the 1e-6 test while adjacent grid values tie
     ("1e-11", "1e4 + 1e-11*u", None, (0.0, 1.0), FieldValidationError,
-     "psi is not strictly monotone on the sampled grid", None),
-    # psi faults at the grid's first point: its one pass faults, so the psi' = phi loop runs first and passes
-    ("1", "u + 0*ln(u)", None, (0.0, 1.0), DomainEvalError, "ln of non-positive value 0.0", "primitive_loop"),
-    ("1", "u", "u + 0.001", (0.0, 1.0), FieldValidationError, "zeta(psi(0.0)) = 0.001, not the identity", "zeta_loop"),
+     "psi is not strictly monotone on the sampled grid"),
+    # psi faults at the grid's first point, outside the psi' = phi stencil: the monotone test's values raise
+    ("1", "u + 0*ln(u)", None, (0.0, 1.0), DomainEvalError, "ln of non-positive value 0.0"),
+    ("1", "u", "u + 0.001", (0.0, 1.0), FieldValidationError, "zeta(psi(0.0)) = 0.001, not the identity"),
     ("1", "u", "ln(u - 0.5)", (0.0, 1.0), FieldValidationError,
-     "zeta round-trip failed to evaluate at u=0.0: ln of non-positive value -0.5", "zeta_loop"),
+     "zeta round-trip failed to evaluate at u=0.0: ln of non-positive value -0.5"),
     ("u^2", "u^3/3", None, (0.0, 1.0), FieldValidationError,
-     "phi must be nonvanishing on the interval: |f| = 0.000e+00 at sample (u = 0.0)", "in_order"),
+     "phi must be nonvanishing on the interval: |f| = 0.000e+00 at sample (u = 0.0)"),
     ("1", f"u + 0*ln(abs(u - {_STENCIL_POINT}))", None, (0.0, 1.0), FieldValidationError,
-     "evaluation failed during psi'=phi check at u=0.392578125: ln of non-positive value 0.0", "primitive_loop"),
+     "evaluation failed during psi'=phi check at u=0.392578125: ln of non-positive value 0.0"),
 ]
 
 
-@pytest.mark.parametrize("phi, psi, zeta, interval, kind, message, loop", FAILING_FIELDS)
-def test_failing_field_gives_the_scalar_error(monkeypatch, grid_replays, phi, psi, zeta, interval, kind, message, loop):
+@pytest.mark.parametrize("phi, psi, zeta, interval, kind, message", FAILING_FIELDS)
+def test_failing_field_gives_the_scalar_error(monkeypatch, reference_runs, phi, psi, zeta, interval, kind, message):
     def build():
         return build_scalar_field(ex.parse(phi), ex.parse(psi), ex.parse(zeta) if zeta else None, interval)
 
     got = _outcome_of(build)
     assert got == (kind, message)
-    assert grid_replays == ([loop] if loop else [])
+    assert len(reference_runs) == 1  # the joint pass finds the failure, the reference names it
     assert _on_scalar_path(monkeypatch, build) == got
+
+
+def test_a_clean_field_is_one_joint_pass(monkeypatch, reference_runs):
+    passes, joint = [], scalar_fields._joint_fields
+    monkeypatch.setattr(scalar_fields, "_joint_fields", lambda *args: passes.append(args) or joint(*args))
+    fld = build_scalar_field(ex.parse("2*u"), ex.parse("u^2"), ex.parse("sqrt(u)"), (0.5, 1.5))
+    assert fld.psi_range() == (0.25, 2.25)
+    assert len(passes) == 1 and reference_runs == []
 
 
 # ---------------------------------------------------------------------------
@@ -985,20 +983,12 @@ def _triple(fld):
 
 
 def _per_axis(axes, intervals):
-    return tuple(build_scalar_field(*axis, iv) for axis, iv in zip(axes, intervals))
+    """The per-point reference of each axis, called by this module's name, which reference_runs does not record."""
+    return tuple(_checked_field(*axis, iv) for axis, iv in zip(axes, intervals))
 
 
 def _psi_range_hex(fld):
     return None if fld._psi_range is None else [v.hex() for v in fld._psi_range]
-
-
-@pytest.fixture()
-def per_axis_builds(monkeypatch):
-    """Records scalar_fields' calls of build_scalar_field: build_scalar_fields makes them on its reference path."""
-    calls = []
-    recording = lambda *args: calls.append(args) or build_scalar_field(*args)
-    monkeypatch.setattr(scalar_fields, "build_scalar_field", recording)
-    return calls
 
 
 def _assert_joint_is_per_axis(axes, intervals):
@@ -1007,20 +997,20 @@ def _assert_joint_is_per_axis(axes, intervals):
     assert list(map(_psi_range_hex, got)) == list(map(_psi_range_hex, want))
 
 
-def test_build_scalar_fields_equals_the_per_axis_builds(per_axis_builds):
+def test_build_scalar_fields_equals_the_per_axis_builds(reference_runs):
     specs = [build_system(name)[0] for name in BUILTIN_NAMES]
     specs += [random_family_spec(i, seed) for seed in (0, 42) for i in range(100)]
-    per_axis_builds.clear()
+    assert reference_runs == []
     for spec in specs:
         _assert_joint_is_per_axis([_triple(f) for f in spec.fields], spec.domain.intervals)
-    assert per_axis_builds == []  # the joint pass took every spec
+    assert reference_runs == []  # the joint pass took every spec
 
 
-def test_build_scalar_fields_keeps_a_lower_bound_of_minus_zero(per_axis_builds):
+def test_build_scalar_fields_keeps_a_lower_bound_of_minus_zero(reference_runs):
     axes = [(ex.parse("1"), ex.parse("u"), None), (ex.parse("2"), ex.parse("2*u"), ex.parse("u/2"))] * 2
     intervals = [(-0.0, 1.0), (0.5, 2.0), (0.0, 1.0), (-3.0, -0.0)]
     _assert_joint_is_per_axis(axes, intervals)
-    assert per_axis_builds == []
+    assert reference_runs == []
     fields = scalar_fields.build_scalar_fields(axes, intervals)
     assert fields[0]._psi_range is None and fields[2]._psi_range is not None  # the grid starts a -0.0 at 0.0
     assert [v.hex() for v in fields[0].psi_range()] == [(-0.0).hex(), (1.0).hex()]
@@ -1051,7 +1041,7 @@ def _parsed(phi, psi, zeta):
 @pytest.mark.parametrize("row", range(len(FAILING_FIELDS)))
 @pytest.mark.parametrize("place", [0, 1, 2])
 def test_build_scalar_fields_raises_the_first_failing_axis_error(monkeypatch, row, place):
-    phi, psi, zeta, interval, kind, message, _ = FAILING_FIELDS[row]
+    phi, psi, zeta, interval, kind, message = FAILING_FIELDS[row]
     later = FAILING_FIELDS[(row + 1) % len(FAILING_FIELDS)]  # a second failing axis, after the first
     cases = [_CLEAN_AXES[:place] + [(phi, psi, zeta, interval)] + _CLEAN_AXES[place:],
              _CLEAN_AXES[:place] + [(phi, psi, zeta, interval), later[:4]] + _CLEAN_AXES[place:]]

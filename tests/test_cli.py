@@ -187,6 +187,17 @@ def test_casimir_names_the_point_where_its_gradient_is_undefined(capsys):
     assert err == "error: grad C_1 is undefined at (0.1, 0.1, 0.3): float division by zero\n"
 
 
+def test_casimir_names_the_point_where_its_value_is_undefined(capsys, tmp_path):
+    # axis 1's psi = ln(u) is defined on its interval [0.5, 2] but not at x1 = -1, outside the box
+    path = tmp_path / "ln.json"
+    path.write_text(json.dumps({**HALPHEN_WIDE_SPEC, "eta": "1", "kappa": [1.0, 2.0],
+                                "axes": [{"phi": "1/u", "psi": "ln(u)"}] + HALPHEN_WIDE_SPEC["axes"][1:],
+                                "domain": {"box": [[0.5, 2.0], [0.0, 1.0], [0.0, 1.0]]}}))
+    code, out, err = run_cli(capsys, "casimir", "--spec", str(path), "--k", "3", "--point=-1,0.5,0.2")
+    assert (code, out) == (2, "")
+    assert err == "error: C_3 is undefined at (-1.0, 0.5, 0.2): ln of non-positive value -1.0\n"
+
+
 def test_a_negative_coordinate_takes_the_equals_form(capsys, tmp_path):
     path = tmp_path / "plain.json"
     path.write_text(json.dumps({**HALPHEN_WIDE_SPEC, "eta": "1", "kappa": [1.0, 2.0],
