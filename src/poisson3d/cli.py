@@ -339,6 +339,14 @@ COMMANDS = {  # name: (help, handler, add_options), in the order the usage lists
 }
 
 
+def _command_options(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """parser with the options and the handler of the named command."""
+    _, handler, add_options = COMMANDS[name]
+    add_options(parser)
+    parser.set_defaults(fn=handler)
+    return parser
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser with every subcommand, or with the named one alone (docs/decisions.md, D17).
 
@@ -352,18 +360,23 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # no metavar on the full parser: its errors name the argument "command", as argparse does
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (text, handler, add_options) in COMMANDS.items():
+    for name, (text, _, _) in COMMANDS.items():
         if command in (None, name):
-            p = sub.add_parser(name, help=text)
-            add_options(p)
-            p.set_defaults(fn=handler)
+            _command_options(sub.add_parser(name, help=text), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # only the named command's parser; any other first word gets the full parser and its texts
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    if argv and argv[0] in COMMANDS:
+        # the named command's parser alone, the subparser the full parser would hand argv[1:] to;
+        # leftover words get build_parser(name), whose parse_args raises the full parser's error
+        parser = _command_options(argparse.ArgumentParser(prog=f"poisson3d {argv[0]}"), argv[0])
+        args, leftover = parser.parse_known_args(argv[1:])
+        if leftover:
+            args = build_parser(argv[0]).parse_args(argv)
+    else:
+        args = build_parser().parse_args(argv)
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _seed_default()

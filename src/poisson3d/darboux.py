@@ -34,7 +34,7 @@ from . import expr as ex
 from .errors import DomainMembershipError, HypothesisViolationError
 from .family import PoissonFamilySpec, StructureMatrixValue, chi, chi_from_psi, structure_matrix_at
 from .scalar_fields import Field3, axis_sign, coordinates, element, first_flagged, point_at, psi_inverse
-from .scalar_fields import clip, first_vanishing, psi_values
+from .scalar_fields import clip, first_vanishing, psi_values, sample_prefix
 from .verification import SampledCheckReport, sampled_check
 
 FACTOR_FLOOR = 1e-12
@@ -58,6 +58,11 @@ class DarbouxChart:
     sign_branch: tuple[int, int, int]
     image_box: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
     casimir: Field3 = field(repr=False, compare=False)
+    # build_chart's draw: its seed, its CHART_SAMPLES points as rows, their draw indices and their images y
+    seed: int | None = field(default=None, repr=False, compare=False)
+    points: np.ndarray | None = field(default=None, repr=False, compare=False)
+    draws: np.ndarray | None = field(default=None, repr=False, compare=False)
+    images: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def build_chart(spec: PoissonFamilySpec, k: int | None = None, seed: int = 0) -> DarbouxChart:
@@ -69,8 +74,9 @@ def build_chart(spec: PoissonFamilySpec, k: int | None = None, seed: int = 0) ->
     threshold, with the sign rule on a plain box (no predicate carving the
     domain apart); the exact stage then probes chi_ij's zero set.  The
     first failing point is named.  The image box spans the sample's images.
+    The chart keeps the sample and its images for canonical_check.
     """
-    points = spec.domain.sample(CHART_SAMPLES, seed)
+    points, draws = spec.domain.draw(CHART_SAMPLES, seed)
     psis, chis = chi_table(spec, points)
     i, j, k = cyclic(best_casimir_index(chis) if k is None else k)
 
@@ -95,6 +101,10 @@ def build_chart(spec: PoissonFamilySpec, k: int | None = None, seed: int = 0) ->
         tuple(axis_sign(iv) for iv in spec.domain.intervals),
         tuple((float(ys[:, a].min()), float(ys[:, a].max())) for a in range(3)),
         Field3(casimir_expr(spec, k)),
+        seed,
+        points,
+        draws,
+        ys,
     )
 
 
@@ -235,16 +245,26 @@ def reparam_factor_from(chart: DarbouxChart, y, x):
     return factor
 
 
-def _deviation(chart: DarbouxChart, x, kernel):
-    """(max |J'(y) / J_ij(x(y)) - canonical|, y) at a domain point, or per point for coordinate arrays.
+def _deviation(chart: DarbouxChart, y, kernel):
+    """max |J'(y) / J_ij(x(y)) - canonical| at a chart point y, or per point for coordinate arrays.
 
     x(y) is computed once, for J'(y) and the factor; kernel is _pushforward's.
     """
-    y = forward_map(chart, x)
     x_y, P = _pushforward(chart, y, kernel)
     factor = reparam_factor_from(chart, y, x_y)
     deviation = np.abs(P.as_matrix() / np.expand_dims(factor, (-2, -1)) - canonical_matrix(chart.k))
-    return np.max(deviation, axis=(-2, -1)), y
+    return np.max(deviation, axis=(-2, -1))
+
+
+def _own_draw(chart: DarbouxChart, n: int, seed: int):
+    """build_chart's first n points and their images, or None where canonical_check draws its own (D19).
+
+    They serve where the points are domain.sample(n, seed)'s and the images are finite.
+    """
+    if chart.points is None or seed != chart.seed or not sample_prefix(chart.draws, n):
+        return None
+    images = chart.images[:n]
+    return (chart.points[:n], images) if np.isfinite(images).all() else None
 
 
 def canonical_check(chart: DarbouxChart, n_samples: int = 1000, seed: int = 42) -> SampledCheckReport:
@@ -256,17 +276,21 @@ def canonical_check(chart: DarbouxChart, n_samples: int = 1000, seed: int = 42) 
     through one array pass, bit-identical to the per-point loop, with the
     analytic gradient of C_k from one kernel; a fault or a failed guard
     anywhere in it replays the per-point loop, which raises the first
-    failure in sample order.
+    failure in sample order.  Where the sample is build_chart's own, the
+    array pass starts from the chart's images (D19).
     """
-    points = chart.spec.domain.sample(n_samples, seed)
+    own = _own_draw(chart, n_samples, seed)
+    points, images = own if own is not None else (chart.spec.domain.sample(n_samples, seed), None)
 
     def on_arrays():
-        values, ys = _deviation(chart, np.ascontiguousarray(points.T), _gradient_kernel(chart))
-        return values, ys.T
+        kernel = _gradient_kernel(chart)
+        y = forward_map(chart, np.ascontiguousarray(points.T)) if images is None else np.ascontiguousarray(images.T)
+        return _deviation(chart, y, kernel), y.T
 
     def measure(x):
         with np.errstate(all="ignore"):  # a value that is not finite raises, naming its point, in sampled_check
-            value, y = _deviation(chart, x, None)
+            y = forward_map(chart, x)
+            value = _deviation(chart, y, None)
         return float(value), tuple(float(v) for v in y)
 
     return sampled_check("canonical", on_arrays, measure, points, "analytic", seed, CANONICAL_TOL)

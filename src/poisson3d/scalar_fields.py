@@ -26,8 +26,8 @@ _GRID = 256
 # sampled nonvanishing certificates treat magnitudes at or below this as zero
 ZERO_FLOOR = 1e-12
 _MAX_SOLVE_ITER = 80
-_MAX_DRAW_FACTOR = 100  # DomainBox.sample draws at most this many candidates per point
-_MIN_CHUNK, _SAMPLE_CHUNK = 64, 1 << 16  # bounds on the indices DomainBox.sample draws at once
+_MAX_DRAW_FACTOR = 100  # DomainBox.draw draws at most this many candidates per point
+_MIN_CHUNK, _SAMPLE_CHUNK = 64, 1 << 16  # bounds on the indices DomainBox.draw draws at once
 
 
 def fd_step(x):
@@ -629,22 +629,34 @@ class DomainBox:
         return ex.batched(on_arrays, lambda: np.array([self.contains(x) for x in xs], dtype=bool))
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        """n admissible points, derived deterministically from (seed, index).
+        """n admissible points, derived deterministically from (seed, index): draw's points."""
+        return self.draw(n, seed)[0]
 
-        The points are the first n admissible ones in index order, drawn in
-        chunks of indices.
+    def draw(self, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first n admissible points in index order, as rows, and the index each was drawn at.
+
+        Indices are drawn in chunks, at most _MAX_DRAW_FACTOR * n of them.
         """
         if n < 1:
             raise ValueError("need n >= 1 samples")
         budget = _MAX_DRAW_FACTOR * n
-        chunks, got, start = [], 0, 0
+        chunks, drawn, got, start = [], [], 0, 0
         while got < n and start < budget:
-            size = min(budget - start, _SAMPLE_CHUNK, max(n - got, _MIN_CHUNK))
-            xs = self._points(unit_uniforms(seed, np.arange(start, start + size), 3))
-            xs = xs[self.admissible(xs)]
-            chunks.append(xs)
-            got += len(xs)
-            start += size
+            indices = np.arange(start, start + min(budget - start, _SAMPLE_CHUNK, max(n - got, _MIN_CHUNK)))
+            xs = self._points(unit_uniforms(seed, indices, 3))
+            keep = self.admissible(xs)
+            chunks.append(xs[keep])
+            drawn.append(indices[keep])
+            got += len(chunks[-1])
+            start += len(indices)
         if got < n:
             raise DomainSamplingError(f"only {got} of {n} admissible points in {budget} draws")
-        return np.concatenate(chunks)[:n]
+        return np.concatenate(chunks)[:n], np.concatenate(drawn)[:n]
+
+
+def sample_prefix(draws, n: int) -> bool:
+    """Whether the first n points of a draw, given its indices, are sample(n, seed)'s at the same seed.
+
+    They are when the n-th was drawn within sample(n, seed)'s budget of indices.
+    """
+    return 1 <= n <= len(draws) and draws[n - 1] < _MAX_DRAW_FACTOR * n

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poisson3d import cli
 from poisson3d.cli import COMMANDS, build_parser, main
 from poisson3d.testing import random_family_spec
 from helpers import run_cli_subprocess
@@ -96,6 +97,30 @@ _ARGPARSE_CASES = [
     ["verify", "--system", "nope"], ["verify", "--system", "halphen", "--scheme", "bad"],
     ["casimir", "--system", "halphen", "--k", "4", "--point", "0,0,0"],
     ["verify", "--system", "halphen", "--spec", "x.json"], ["verify", "--samples", "abc", "--system", "halphen"],
+    # argv forms the command's own parser could read otherwise: "--", an option-like value, the "=" form,
+    # an abbreviation, a negative number, a repeated option, an ambiguous prefix
+    ["verify", "--system", "halphen", "--", "extra"], ["verify", "--system", "halphen", "--", "--seed", "1"],
+    ["darboux", "--", "--system", "halphen"], ["verify", "--spec", "--seed", "1"],
+    ["verify", "--system", "halphen", "--seed=x"], ["verify", "--system", "halphen", "--seed=42", "extra"],
+    ["verify", "--system", "halphen", "--samp", "x"], ["verify", "--s", "halphen"],
+    ["simulate", "--system", "halphen", "--t-end", "-0.5"], ["simulate", "--system", "halphen", "--t-end", "-x"],
+    ["darboux", "--system", "halphen", "--system", "nope"],
+    ["verify", "--samples", "5", "--samples", "x", "--system", "halphen"],
+    # leftover words after a well-formed command, for each command
+    ["verify", "--system", "halphen", "--samples", "10", "extra", "words"],
+    ["casimir", "--system", "halphen", "--k", "1", "--point", "1,2,3", "extra"],
+    ["darboux", "--system", "halphen", "--check-samples", "10", "extra"],
+    ["simulate", "--system", "halphen", "--x0", "1,2,3", "--t-end", "1", "--dt", "0.1", "--out", "t.csv", "extra"],
+    ["list", "extra", "--bogus"],
+]
+
+# well-formed argv in the same forms: the command's parser reads what the full parser reads
+_WELL_FORMED_CASES = [
+    ["verify", "--system", "halphen", "--seed=42"], ["verify", "--system", "halphen", "--samp", "10"],
+    ["verify", "--sys", "halphen", "--samples", "5", "--samples", "7", "--seed", "3"],
+    ["verify", "--system", "halphen", "--system", "euler-top", "--scheme=fd"],
+    ["simulate", "--system", "halphen", "--x0=1,2,3", "--t-end", "-0.5", "--dt=-1e-3", "--out", "t.csv"],
+    ["casimir", "--system", "halphen", "--k", "1", "--point=-1,2,3"], ["list"],
 ]
 
 
@@ -111,6 +136,48 @@ def test_main_exits_as_the_full_parser_does(capsys, argv):
     # main builds the named command's parser alone; its exit code, help, usage and errors stay the full parser's
     expected = _exit_and_output(capsys, lambda: build_parser().parse_args(argv))
     assert _exit_and_output(capsys, lambda: main(argv)) == expected
+
+
+@pytest.mark.parametrize("argv", _WELL_FORMED_CASES, ids=" ".join)
+def test_main_reads_well_formed_argv_as_the_full_parser_does(monkeypatch, argv):
+    seen = []
+    text, _, add_options = COMMANDS[argv[0]]
+    monkeypatch.setitem(COMMANDS, argv[0], (text, lambda args: seen.append(vars(args)) or 0, add_options))
+    assert main(argv) == 0
+    seen[0].pop("command", None)  # the subparsers' dest, which no handler reads
+    want = vars(build_parser().parse_args(argv))
+    assert want.pop("command") == argv[0]
+    if "seed" in want and want["seed"] is None:
+        want["seed"] = cli._seed_default()
+    assert seen == [want]
+
+
+@pytest.fixture()
+def parser_progs(monkeypatch):
+    """The prog of every argparse.ArgumentParser built, in order."""
+    progs = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return progs
+
+
+def test_a_command_builds_its_own_parser_alone(capsys, parser_progs):
+    assert main(["list"]) == 0
+    assert main(["verify", "--system", "halphen", "--samples", "10"]) == 0
+    assert parser_progs == ["poisson3d list", "poisson3d verify"]
+    # leftover words: build_parser(name), the top parser and the one subparser, raises the full parser's error
+    parser_progs.clear()
+    assert _exit_and_output(capsys, lambda: main(["list", "extra"]))[0] == 2
+    assert parser_progs == ["poisson3d list", "poisson3d", "poisson3d list"]
+    # any other first word: the full parser
+    parser_progs.clear()
+    assert _exit_and_output(capsys, lambda: main(["-h"]))[0] == 0
+    assert parser_progs == ["poisson3d"] + [f"poisson3d {name}" for name in COMMANDS]
 
 
 def test_main_keeps_the_full_parsers_texts(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -5,7 +7,8 @@ import pytest
 
 from poisson3d import darboux
 from poisson3d.builtin_systems import BUILTIN_NAMES, build_system
-from poisson3d.casimir import casimir_gradient_fd, chi_table, cyclic, denominator_threshold
+from poisson3d.casimir import CHART_SAMPLES, casimir_gradient_fd, chi_table, cyclic, denominator_threshold
+from poisson3d.cli import load_spec_file, main
 from poisson3d.darboux import (
     PROBE,
     _zero_set_probe,
@@ -18,7 +21,7 @@ from poisson3d.darboux import (
     pushforward_matrix,
     reparam_factor,
 )
-from poisson3d.errors import HypothesisViolationError, OutOfRangeError
+from poisson3d.errors import DomainSamplingError, HypothesisViolationError, OutOfRangeError, PoissonError
 from poisson3d.family import chi, structure_matrix_at
 from poisson3d.scalar_fields import DomainBox, psi_inverse
 from poisson3d.testing import random_family_spec
@@ -227,15 +230,15 @@ def test_chart_without_zeta_uses_root_finder():
 
 @pytest.fixture()
 def sample_calls(monkeypatch):
-    """Records every DomainBox.sample call as (n, seed)."""
+    """Records every DomainBox.draw call, which every DomainBox.sample call makes, as (n, seed)."""
     calls = []
-    original = DomainBox.sample
+    original = DomainBox.draw
 
     def counted(self, n, seed):
         calls.append((n, seed))
         return original(self, n, seed)
 
-    monkeypatch.setattr(DomainBox, "sample", counted)
+    monkeypatch.setattr(DomainBox, "draw", counted)
     return calls
 
 
@@ -359,3 +362,119 @@ def test_zero_set_probe_per_row_equals_the_full_grid(monkeypatch):
             assert [_chart_outcome(spec, k, seed) for k in (None, 1, 2, 3)] == outcomes, n
         rejected += sum(isinstance(o, str) and "chart hypothesis fails" in o for o in outcomes)
     assert probed > 100 and rejected > 10  # the probe runs, and rejects, on many of these
+
+
+# canonical_check on build_chart's own draw (docs/decisions.md, D19)
+
+
+def _check_outcome(chart, n, seed):
+    """canonical_check's report as a dict, or the type and text of the error it raises."""
+    try:
+        return canonical_check(chart, n, seed).to_dict()
+    except PoissonError as err:
+        return type(err).__name__, str(err)
+
+
+def _without_draw(chart):
+    """The chart without build_chart's draw, so canonical_check draws and maps its own points."""
+    return dataclasses.replace(chart, points=None)
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_canonical_check_on_the_charts_draw_equals_a_fresh_draw(seed, sample_calls):
+    specs = [build_system(name)[0] for name in BUILTIN_NAMES] + [random_family_spec(i, seed) for i in range(100)]
+    charts = reused = 0
+    for n_spec, spec in enumerate(specs):
+        try:
+            chart = build_chart(spec, seed=seed)
+        except HypothesisViolationError:
+            continue
+        charts += 1
+        for check_seed in (seed, seed + 1):
+            for n in (1, 100, CHART_SAMPLES, CHART_SAMPLES + 1):
+                sample_calls.clear()
+                got = _check_outcome(chart, n, check_seed)
+                own = not sample_calls
+                assert sample_calls in ([], [(n, check_seed)])
+                assert own == (check_seed == seed and n <= CHART_SAMPLES and np.isfinite(chart.images[:n]).all())
+                assert got == _check_outcome(_without_draw(chart), n, check_seed), (n_spec, n, check_seed)
+                reused += own
+    assert charts > 90 and reused > 3 * 90  # most charts are accepted, and their own draw serves n <= 512
+
+
+def test_chart_keeps_its_draw_out_of_equality_and_repr(halphen_wide_chart):
+    chart = halphen_wide_chart
+    assert chart == _without_draw(chart) and repr(chart) == repr(_without_draw(chart))
+    assert chart.seed == 0 and chart.points.shape == chart.images.shape == (CHART_SAMPLES, 3)
+    assert chart.points.tolist() == chart.spec.domain.sample(CHART_SAMPLES, 0).tolist()
+    assert chart.images.tolist() == [forward_map(chart, x).tolist() for x in chart.points]
+
+
+# a box where about one point in ninety is admissible: sample(100, seed) may fail where sample(512, seed) succeeds
+LOW_ACCEPTANCE_SPEC = {
+    "name": "low-acceptance",
+    "eta": "1",
+    "axes": [{"phi": "1", "psi": "u", "zeta": "u"}] * 3,
+    "kappa": [5.0, 5.0],
+    "domain": {"box": [[0.0, 1.0]] * 3, "predicate": "(0.011 - x1) + abs(0.011 - x1)"},
+}
+
+
+@pytest.fixture()
+def low_acceptance_spec_file(tmp_path):
+    path = tmp_path / "low_acceptance.json"
+    path.write_text(json.dumps(LOW_ACCEPTANCE_SPEC))
+    return str(path)
+
+
+def test_a_check_past_its_draw_budget_fails_as_a_fresh_draw(low_acceptance_spec_file, sample_calls, capsys):
+    spec = load_spec_file(low_acceptance_spec_file)[1]
+    # seed 2: the 100th admissible point is index 10000, the first past sample(100, 2)'s 10,000 draws
+    chart = build_chart(spec, seed=2)
+    assert chart.draws[99] == 10000
+    sample_calls.clear()
+    with pytest.raises(DomainSamplingError, match=r"^only 99 of 100 admissible points in 10000 draws$"):
+        canonical_check(chart, 100, 2)
+    assert sample_calls == [(100, 2)]
+    assert _check_outcome(chart, 100, 2) == _check_outcome(_without_draw(chart), 100, 2)
+    assert main(["darboux", "--spec", low_acceptance_spec_file, "--check-samples", "100", "--seed", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: only 99 of 100 admissible points in 10000 draws\n")
+    # seed 116: index 9988, inside the budget, so the chart's draw serves the check
+    chart = build_chart(spec, seed=116)
+    assert chart.draws[99] == 9988
+    sample_calls.clear()
+    assert _check_outcome(chart, 100, 116) == _check_outcome(_without_draw(chart), 100, 116)
+    assert sample_calls == [(100, 116)]  # the fresh draw's only
+
+
+# C_3 = chi_23 / chi_12 overflows where psi_3 = 1e308 x3 is largest: some of the chart's images are infinite
+HUGE_CASIMIR_SPEC = {
+    "name": "huge-casimir",
+    "eta": "1",
+    "axes": [{"phi": "1", "psi": "u", "zeta": "u"}] * 2 + [{"phi": "1e308", "psi": "1e308*u"}],
+    "kappa": [0.0, 0.0],
+    "domain": {"box": [[1.0, 2.0], [0.0, 0.5], [1.0, 1.5]]},
+}
+
+
+def test_a_chart_with_infinite_images_replays_as_a_fresh_draw(tmp_path, sample_calls, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_CASIMIR_SPEC))
+    chart = build_chart(load_spec_file(str(path))[1], k=3, seed=42)
+    finite = np.isfinite(chart.images).all(axis=1)
+    assert finite[0] and not finite[:100].all()
+    for n in (1, 100):
+        sample_calls.clear()
+        got = _check_outcome(chart, n, 42)
+        assert sample_calls == ([] if n == 1 else [(n, 42)])
+        assert got == _check_outcome(_without_draw(chart), n, 42)
+        assert got[0] == "DomainEvalError" and got[1].startswith("non-finite canonical value nan at ")
+    assert main(["darboux", "--spec", str(path), "--k", "3", "--check-samples", "100", "--seed", "42"]) == 2
+    assert capsys.readouterr().err == f"error: {got[1]}\n"
+
+
+@pytest.mark.parametrize("name", ["halphen", "euler-top"])
+def test_darboux_draws_once_at_its_seed(name, sample_calls, capsys):
+    assert main(["darboux", "--system", name, "--check-samples", "100", "--seed", "5"]) == 0
+    assert [call for call in sample_calls if call[1] == 5] == [(CHART_SAMPLES, 5)]  # the spec's own checks draw at 0
+    assert json.loads(capsys.readouterr().out)["canonical_check"]["samples"] == 100
