@@ -65,18 +65,16 @@ def _check_difference_predicate(domain: DomainBox) -> None:
     if not planes:
         return
     probes = np.arange(_PLANE_PROBES)
-    uv = unit_uniforms(0, np.concatenate([1000 * n + probes for n, *_ in planes]), 2)
-    uv = uv.reshape(len(planes), _PLANE_PROBES, 2).transpose(0, 2, 1)  # (u, v) rows of each plane's probes
-    xs = np.empty((len(planes), _PLANE_PROBES, 3))
-    for x, (u, v), (_, i, j, lo, hi) in zip(xs, uv, planes):
-        k = 3 - i - j
-        klo, khi = domain.intervals[k]
-        x[:, i] = x[:, j] = lo + (hi - lo) * u
-        x[:, k] = klo + (khi - klo) * v
-    xs = xs.reshape(-1, 3)
-    first = first_flagged(domain.admissible(xs))
+    u, v = unit_uniforms(0, np.concatenate([1000 * n + probes for n, *_ in planes]), 2).T
+    xs = np.empty((3, u.size))  # coordinate rows, _PLANE_PROBES columns per plane
+    for m, (_, i, j, lo, hi) in enumerate(planes):
+        at = slice(m * _PLANE_PROBES, (m + 1) * _PLANE_PROBES)
+        klo, khi = domain.intervals[3 - i - j]
+        xs[i, at] = xs[j, at] = lo + (hi - lo) * u[at]
+        xs[3 - i - j, at] = klo + (khi - klo) * v[at]
+    first = first_flagged(domain.admissible(xs.T))
     if first is not None:
-        raise FamilyValidationError(f"predicate admits the coincidence point {tuple(xs[first].tolist())}")
+        raise FamilyValidationError(f"predicate admits the coincidence point {tuple(xs[:, first].tolist())}")
 
 
 def _identity_fields(domain: DomainBox):

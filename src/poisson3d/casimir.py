@@ -150,7 +150,7 @@ def chi_table(spec: PoissonFamilySpec, points) -> tuple[np.ndarray, np.ndarray]:
     points = np.asarray(points, dtype=float)
 
     def on_arrays():
-        psis = tuple(spec.psi(a, np.ascontiguousarray(points[:, a - 1])) for a in (1, 2, 3))
+        psis = tuple(spec.psi(a, points[:, a - 1]) for a in (1, 2, 3))
         return np.array(psis), np.array(_denominators(spec, psis))
 
     def per_point():

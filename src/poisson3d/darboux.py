@@ -31,7 +31,7 @@ from .casimir import (
     denominator_threshold,
 )
 from . import expr as ex
-from .errors import DomainMembershipError, HypothesisViolationError
+from .errors import DomainEvalError, DomainMembershipError, HypothesisViolationError
 from .family import PoissonFamilySpec, StructureMatrixValue, chi, chi_from_psi, structure_matrix_at
 from .scalar_fields import Field3, axis_sign, coordinates, element, first_flagged, point_at, psi_inverse
 from .scalar_fields import clip, first_vanishing, psi_values, sample_prefix
@@ -58,7 +58,7 @@ class DarbouxChart:
     sign_branch: tuple[int, int, int]
     image_box: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
     casimir: Field3 = field(repr=False, compare=False)
-    # build_chart's draw: its seed, its CHART_SAMPLES points as rows, their draw indices and their images y
+    # build_chart's draw: its seed, CHART_SAMPLES points, their draw indices and images y, (n, 3) views of columns (D20)
     seed: int | None = field(default=None, repr=False, compare=False)
     points: np.ndarray | None = field(default=None, repr=False, compare=False)
     draws: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -83,8 +83,8 @@ def build_chart(spec: PoissonFamilySpec, k: int | None = None, seed: int = 0) ->
     where, at = points, chis[k - 1]  # chi_ij, the denominator of C_k
     with np.errstate(all="ignore"):
         floor = denominator_threshold(psis[i - 1], psis[j - 1])
-        ys = points.copy()
-        ys[:, k - 1] = -(chis[i - 1] / at)  # -C_k, as forward_map computes it
+        ys = np.array(points.T)  # the images as coordinate rows, as forward_map returns them
+        ys[k - 1] = -(chis[i - 1] / at)  # -C_k, as forward_map computes it
     failure = first_vanishing(lambda v: v, (at,), floor, spec.domain.predicate is None)
     if failure is None:
         where, at, floor = _zero_set_probe(spec, i, j, k)
@@ -99,12 +99,12 @@ def build_chart(spec: PoissonFamilySpec, k: int | None = None, seed: int = 0) ->
         spec,
         k,
         tuple(axis_sign(iv) for iv in spec.domain.intervals),
-        tuple((float(ys[:, a].min()), float(ys[:, a].max())) for a in range(3)),
+        tuple((float(y.min()), float(y.max())) for y in ys),
         Field3(casimir_expr(spec, k)),
         seed,
         points,
         draws,
-        ys,
+        ys.T,
     )
 
 
@@ -284,13 +284,16 @@ def canonical_check(chart: DarbouxChart, n_samples: int = 1000, seed: int = 42) 
 
     def on_arrays():
         kernel = _gradient_kernel(chart)
-        y = forward_map(chart, np.ascontiguousarray(points.T)) if images is None else np.ascontiguousarray(images.T)
+        y = forward_map(chart, points.T) if images is None else images.T
         return _deviation(chart, y, kernel), y.T
 
     def measure(x):
         with np.errstate(all="ignore"):  # a value that is not finite raises, naming its point, in sampled_check
-            y = forward_map(chart, x)
-            value = _deviation(chart, y, None)
+            y = forward_map(chart, x)  # its errors name the point already
+            try:
+                value = _deviation(chart, y, None)
+            except DomainEvalError as exc:
+                raise DomainEvalError(f"{exc} at {tuple(float(v) for v in x)}") from None
         return float(value), tuple(float(v) for v in y)
 
     return sampled_check("canonical", on_arrays, measure, points, "analytic", seed, CANONICAL_TOL)

@@ -27,6 +27,7 @@ import numpy as np
 from . import expr as ex
 from .errors import (
     ConsistencyAlarmError,
+    DomainEvalError,
     DomainMembershipError,
     FamilyValidationError,
     InvalidAxisError,
@@ -126,9 +127,20 @@ class PoissonFamilySpec:
 
 
 def _require_nonvanishing(fn, domain: DomainBox, what: str) -> None:
-    """first_vanishing of fn at NONVANISHING_SAMPLES domain points (seed 0), with the sign rule on a plain box."""
-    points = np.ascontiguousarray(domain.sample(NONVANISHING_SAMPLES, seed=0).T)
-    failure = first_vanishing(fn, points, ZERO_FLOOR, domain.predicate is None)
+    """first_vanishing of fn at NONVANISHING_SAMPLES domain points (seed 0), with the sign rule on a plain box.
+
+    Where fn fails to evaluate, the error names what is certified and the first such point.
+    """
+    points = domain.sample(NONVANISHING_SAMPLES, seed=0).T
+
+    def fn_at(*x):
+        try:
+            return fn(*x)
+        except DomainEvalError as exc:
+            fails = f"{what} must be nonvanishing on the domain: evaluation failed"
+            raise FamilyValidationError(f"{fails}: {exc} (x = {x})") from None
+
+    failure = first_vanishing(fn_at, points, ZERO_FLOOR, domain.predicate is None)
     if failure is not None:
         x = point_at(points, failure[0])
         raise FamilyValidationError(

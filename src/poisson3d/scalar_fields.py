@@ -160,17 +160,18 @@ def unit_uniforms(seed: int, indices, count: int) -> np.ndarray:
     """Row r holds count uniforms in [0, 1) derived from (seed, indices[r]).
 
     Steele, Lea and Flood's splitmix64 (OOPSLA 2014), keyed by seed and index.
+    The result is an (n, count) view of count contiguous columns (D20).
     """
     state = np.array(indices, dtype=np.uint64).reshape(-1)  # a copy: the finalizer runs in place
     tmp = np.empty_like(state)
     _mix64(state, tmp)
     state ^= np.uint64(seed & _M64)
     _mix64(state, tmp)
-    out = np.empty((state.size, count))
-    for c in range(count):
+    out = np.empty((count, state.size))
+    for column in out:
         _mix64(state, tmp)
-        np.divide(np.right_shift(state, _S11, out=tmp), _UNIT, out=out[:, c])
-    return out
+        np.divide(np.right_shift(state, _S11, out=tmp), _UNIT, out=column)
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -598,8 +599,8 @@ class DomainBox:
         return True
 
     def _points(self, us: np.ndarray) -> np.ndarray:
-        """Rows of unit uniforms mapped onto the box."""
-        return np.column_stack([lo + (hi - lo) * us[:, a] for a, (lo, hi) in enumerate(self.intervals)])
+        """Rows of unit uniforms mapped onto the box: an (n, 3) view of coordinate columns."""
+        return np.array([lo + (hi - lo) * u for u, (lo, hi) in zip(us.T, self.intervals)]).T
 
     def point_for_index(self, seed: int, index: int) -> np.ndarray:
         return self._points(unit_uniforms(seed, [index], 3))[0]
@@ -607,20 +608,22 @@ class DomainBox:
     def first_outside(self, x):
         """first_flagged of "not contained": None when every point of x lies in the domain.
 
-        x is a point, or three coordinate arrays.
+        x is a point, or three coordinate arrays; a (3, n) array of them is not copied.
         """
         if isinstance(x[0], np.ndarray):
-            return first_flagged(~self.admissible(np.column_stack(x)))
+            return first_flagged(~self.admissible(np.asarray(x).T))
         return None if self.contains(x) else ()
 
     def admissible(self, xs: np.ndarray) -> np.ndarray:
-        """contains() of every row, the predicate on arrays; per row where that faults."""
+        """contains() of every row of xs, (n, 3) rows or a view of coordinate columns, the predicate on arrays:
+        on whole columns when every row lies in the box, else on the rows inside, gathered; per row where that faults.
+        """
         ok = np.ones(len(xs), dtype=bool)
         for a, (lo, hi) in enumerate(self.intervals):
             ok &= (lo <= xs[:, a]) & (xs[:, a] <= hi)
         if self.predicate_fn is None:
             return ok
-        inside = np.flatnonzero(ok)
+        inside = slice(None) if ok.all() else np.flatnonzero(ok)
 
         def on_arrays():
             ok[inside] = np.abs(self.predicate_fn(*(xs[inside, a] for a in range(3)))) > ZERO_FLOOR
@@ -629,13 +632,14 @@ class DomainBox:
         return ex.batched(on_arrays, lambda: np.array([self.contains(x) for x in xs], dtype=bool))
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        """n admissible points, derived deterministically from (seed, index): draw's points."""
+        """n admissible points, derived deterministically from (seed, index): draw's (n, 3) view of columns."""
         return self.draw(n, seed)[0]
 
     def draw(self, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """The first n admissible points in index order, as rows, and the index each was drawn at.
+        """The first n admissible points in index order and the index each was drawn at.
 
-        Indices are drawn in chunks, at most _MAX_DRAW_FACTOR * n of them.
+        The points are an (n, 3) view of three contiguous coordinate columns (D20).  Indices are
+        drawn in chunks, at most _MAX_DRAW_FACTOR * n of them.
         """
         if n < 1:
             raise ValueError("need n >= 1 samples")
@@ -643,15 +647,19 @@ class DomainBox:
         chunks, drawn, got, start = [], [], 0, 0
         while got < n and start < budget:
             indices = np.arange(start, start + min(budget - start, _SAMPLE_CHUNK, max(n - got, _MIN_CHUNK)))
-            xs = self._points(unit_uniforms(seed, indices, 3))
-            keep = self.admissible(xs)
-            chunks.append(xs[keep])
-            drawn.append(indices[keep])
-            got += len(chunks[-1])
             start += len(indices)
+            cols = self._points(unit_uniforms(seed, indices, 3)).T
+            keep = self.admissible(cols.T)
+            if not keep.all():
+                cols, indices = np.compress(keep, cols, axis=1), indices[keep]  # rows stay contiguous
+            chunks.append(cols)
+            drawn.append(indices)
+            got += len(indices)
         if got < n:
             raise DomainSamplingError(f"only {got} of {n} admissible points in {budget} draws")
-        return np.concatenate(chunks)[:n], np.concatenate(drawn)[:n]
+        if len(chunks) > 1:
+            chunks, drawn = [np.concatenate(chunks, axis=1)], [np.concatenate(drawn)]
+        return chunks[0][:, :n].T, drawn[0][:n]
 
 
 def sample_prefix(draws, n: int) -> bool:

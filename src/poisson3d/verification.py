@@ -217,7 +217,7 @@ def verify_structure(
     points = domain.sample(n_samples, seed)
 
     def on_arrays():
-        kernel, xs = _jacobi_kernel(field, scheme), tuple(np.ascontiguousarray(points[:, a]) for a in range(3))
+        kernel, xs = _jacobi_kernel(field, scheme), tuple(points.T)
         j12, j23, j31, combination = kernel.batch(*xs) if kernel is not None else _jacobi_terms(field, *xs, scheme)
         return np.abs(combination) / (1.0 + np.maximum(np.maximum(np.abs(j12), np.abs(j23)), np.abs(j31))), points
 

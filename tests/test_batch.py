@@ -281,37 +281,46 @@ def _mix64_int(z):
     return z ^ (z >> 31)
 
 
+def _oracle_uniforms(seed, index, count):
+    """count uniforms of (seed, index) by integer splitmix64, as Python floats."""
+    state = _mix64_int((seed & _M64) ^ _mix64_int(index))
+    out = []
+    for _ in range(count):
+        state = _mix64_int(state)
+        out.append((state >> 11) / float(1 << 53))
+    return out
+
+
 @pytest.mark.parametrize("seed", [0, 1, 42, -1, 2**63 + 5])
 def test_unit_uniforms_match_integer_splitmix64(seed):
     # more indices than one _MIN_CHUNK draw, and the largest uint64
     indices = [*range(2 * scalar_fields._MIN_CHUNK + 3), 12345, 2**40 + 3, 2**64 - 1]
     got = unit_uniforms(seed, indices, 3)
-    for row, index in zip(got.tolist(), indices):
-        state = _mix64_int((seed & _M64) ^ _mix64_int(index))
-        want = []
-        for _ in range(3):
-            state = _mix64_int(state)
-            want.append((state >> 11) / float(1 << 53))
-        assert row == want
+    assert got.tolist() == [_oracle_uniforms(seed, index, 3) for index in indices]
+    assert all(got[:, c].flags.c_contiguous for c in range(3))
 
 
-def _oracle_sample(box, n, seed):
-    """DomainBox.sample as a per-index loop over point_for_index and contains."""
-    accepted, budget = [], 100 * n
+def _oracle_draw(box, n, seed):
+    """DomainBox.draw as a per-index loop in Python floats: lo + (hi - lo) u per axis, contains deciding."""
+    points, indices, budget = [], [], 100 * n
     for index in range(budget):
-        x = box.point_for_index(seed, index)
+        x = [lo + (hi - lo) * u for u, (lo, hi) in zip(_oracle_uniforms(seed, index, 3), box.intervals)]
         if box.contains(x):
-            accepted.append(x)
-            if len(accepted) == n:
-                return np.array(accepted)
-    raise DomainSamplingError(f"only {len(accepted)} of {n} admissible points in {budget} draws")
+            points.append(x)
+            indices.append(index)
+            if len(points) == n:
+                return points, indices
+    raise DomainSamplingError(f"only {len(points)} of {n} admissible points in {budget} draws")
 
 
 def _assert_same_sample(box, n, seed):
-    got = box.sample(n, seed)
-    want = _oracle_sample(box, n, seed)
-    assert got.shape == want.shape == (n, 3)
-    assert got.tolist() == want.tolist()
+    want, want_indices = _oracle_draw(box, n, seed)
+    points, indices = box.draw(n, seed)
+    for got in (box.sample(n, seed), points):
+        assert got.shape == (n, 3)
+        assert got.tolist() == want
+        assert all(got[:, a].flags.c_contiguous for a in range(3))  # coordinate columns (D20)
+    assert indices.tolist() == want_indices
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -335,12 +344,22 @@ def test_sample_with_faulting_predicate_matches_oracle():
     _assert_same_sample(box, 300, 3)
 
 
+def test_a_low_acceptance_draw_matches_oracle_across_chunks(monkeypatch):
+    # about one index in twenty is admissible: each chunk rejects some, and 300 points take several chunks
+    box = DomainBox(((0.0, 1.0),) * 3, ex.parse("(0.05 - x1) + abs(0.05 - x1)"))
+    kept, admissible = [], DomainBox.admissible
+    monkeypatch.setattr(DomainBox, "admissible", lambda self, xs: kept.append(admissible(self, xs)) or kept[-1])
+    _assert_same_sample(box, 300, 5)
+    assert len(kept) > 2 * 2  # sample and draw, more than one chunk each
+    assert not any(k.all() for k in kept)
+
+
 def test_sampling_error_text_matches_oracle():
     box = DomainBox(((0.0, 1.0),) * 3, ex.parse("(0.005 - x1) + abs(0.005 - x1)"))
     with pytest.raises(DomainSamplingError) as got:
         box.sample(100, 0)
     with pytest.raises(DomainSamplingError) as want:
-        _oracle_sample(box, 100, 0)
+        _oracle_draw(box, 100, 0)
     assert str(got.value) == str(want.value)
     assert str(got.value).endswith("of 100 admissible points in 10000 draws")
 
@@ -349,6 +368,66 @@ def test_predicate_at_the_zero_floor_is_rejected():
     box = DomainBox(((0.0, 1.0),) * 3, ex.parse("1e-12 + 0*x1"))
     with pytest.raises(DomainSamplingError, match="^only 0 of 10 admissible points in 1000 draws$"):
         box.sample(10, 0)
+
+
+# ---------------------------------------------------------------------------
+# DomainBox.admissible: whole columns, gathered rows or per-row replay, each equal to contains
+
+_ADMISSIBLE_PREDICATES = {
+    "plain box": None,
+    "difference product": "(x1 - x2)*(x2 - x3)*(x3 - x1)",
+    "faults on part of the box": "ln(x1 - 0.5)",
+}
+_ADMISSIBLE_LAYOUTS = {
+    "C-ordered rows": np.ascontiguousarray,  # as dynamics passes its states
+    "transposed view": lambda rows: np.array(rows.T).T,  # as the sampler hands its points out
+}
+
+
+def _recording_predicate(box):
+    """box with its predicate_fn recording each array call's arguments."""
+    calls, fn = [], box.predicate_fn
+
+    def record(*xs):
+        if isinstance(xs[0], np.ndarray):
+            calls.append(xs)
+        return fn(*xs)
+
+    object.__setattr__(box, "predicate_fn", record)
+    return calls
+
+
+@pytest.mark.parametrize("layout", sorted(_ADMISSIBLE_LAYOUTS))
+@pytest.mark.parametrize("predicate", sorted(_ADMISSIBLE_PREDICATES))
+@pytest.mark.parametrize("spread", [0.0, 0.25])
+def test_admissible_equals_contains_row_by_row(predicate, layout, spread):
+    # spread 0: every row in the box [0, 1]^3, some on its faces; else some rows outside it
+    text = _ADMISSIBLE_PREDICATES[predicate]
+    box = DomainBox(((0.0, 1.0),) * 3, None if text is None else ex.parse(text))
+    rows = np.random.default_rng(3).uniform(-spread, 1.0 + spread, (400, 3))
+    rows[:3] = [[0.0, 0.5, 1.0], [1.0, 0.0, 0.5], [0.5, 0.5, 0.25]]  # the last on x1 = x2 = 0.5
+    xs = _ADMISSIBLE_LAYOUTS[layout](rows)
+    calls = [] if text is None else _recording_predicate(box)
+    got = box.admissible(xs)
+    assert got.tolist() == [box.contains(x) for x in rows.tolist()]
+    assert got.any() and got.all() == (text is None and spread == 0.0)
+    if text is None:
+        return
+    (args,) = calls  # one array pass; a fault replays per row through contains
+    inside = np.flatnonzero([all(0.0 <= v <= 1.0 for v in x) for x in rows.tolist()])
+    if spread == 0.0:  # whole columns, not copied
+        assert all(np.shares_memory(a, xs) for a in args) and len(args[0]) == len(rows)
+    else:  # the rows inside, gathered
+        assert [a.tolist() for a in args] == [rows[inside, c].tolist() for c in range(3)]
+
+
+def test_first_outside_reads_a_coordinate_array_in_place():
+    box = DomainBox(((0.0, 1.0),) * 3, ex.parse("x1 + 1"))
+    calls = _recording_predicate(box)
+    xs = np.array([[0.2, 0.4, 0.6], [0.1, 0.9, 0.3], [0.5, 0.5, 0.5]])
+    assert box.first_outside(xs) is None and all(np.shares_memory(a, xs) for a in calls[0])
+    xs[1, 2] = 1.5
+    assert box.first_outside(xs) == 2 and box.first_outside(tuple(xs)) == 2
 
 
 # ---------------------------------------------------------------------------

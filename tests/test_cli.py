@@ -306,6 +306,19 @@ def test_darboux_hypothesis_violation_is_exit_2(capsys, tmp_path):
     assert "hypothesis" in err or "sign" in err
 
 
+def test_canonical_check_names_the_point_where_its_replay_fails(capsys, tmp_path):
+    # the chart's C_k gradient overflows under kappa = (1e300, -1e300), though the structure verifies
+    axis = {"phi": "1", "psi": "u", "zeta": "u"}
+    path = tmp_path / "huge_kappa.json"
+    path.write_text(json.dumps({"eta": "1", "axes": [axis, axis, axis], "kappa": [1e300, -1e300],
+                                "domain": {"box": [[0.1, 1], [1.2, 2], [2.5, 3]]}}))
+    assert run_cli(capsys, "verify", "--spec", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "darboux", "--spec", str(path), "--seed", "1")
+    assert (code, out) == (2, "")
+    # the first sample point at seed 1, drawn at index 0
+    assert err == "error: math range error at (0.3422172876314087, 1.8554706108811623, 2.987643665108491)\n"
+
+
 def test_simulate_writes_csv(capsys, tmp_path, wide_spec_file):
     out_csv = tmp_path / "traj.csv"
     code, out, _ = run_cli(
@@ -602,6 +615,18 @@ def test_eta_vanishing_message_names_floats(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == (
         "error: eta vanishes at sampled point (0.13870941014555427, 2.1296456182997474, 4.47141042966848)\n"
+    )
+
+
+@pytest.mark.parametrize("command", [("verify",), ("darboux",), ("casimir", "--k", "3", "--point", "0.5,2.5,4.5")])
+def test_eta_certificate_names_eta_and_the_point_where_it_cannot_evaluate(capsys, tmp_path, command):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_identity_spec("1e300*1e300")))
+    code, out, err = run_cli(capsys, command[0], "--spec", str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: eta must be nonvanishing on the domain: evaluation failed: non-finite result inf"
+        " (x = (0.13870941014555427, 2.1296456182997474, 4.47141042966848))\n"
     )
 
 

@@ -214,6 +214,13 @@ class TestRescale:
         with pytest.raises(FamilyValidationError):
             rescale(halphen_unit, ex.parse("x1 - x1"))
 
+    def test_a_factor_that_cannot_evaluate_is_named_with_its_point(self, halphen_unit):
+        x = tuple(halphen_unit.domain.sample(1, seed=0)[0].tolist())
+        want = f"rescale factor must be nonvanishing on the domain: evaluation failed: non-finite result inf (x = {x})"
+        with pytest.raises(FamilyValidationError) as exc:
+            rescale(halphen_unit, ex.parse("1e300*1e300"))
+        assert str(exc.value) == want
+
 
 class TestSpecValidation:
     def test_interval_mismatch(self):
