@@ -24,13 +24,11 @@ import numpy as np
 
 from . import expr as ex
 from .builtin_systems import BUILTIN_NAMES, build_system
-from .casimir import annihilation_residual, casimir_gradient, casimir_value
-from .darboux import build_chart, canonical_check, forward_map, inverse_map, reparam_factor
-from .dynamics import integrate, integrate_reduced, invariant_drift
 from .errors import PoissonError
 from .family import make_family_spec, make_kappa
 from .scalar_fields import DomainBox, build_scalar_fields
-from .verification import MatrixField3, matrix_field_from_spec, verify_structure
+
+# A module that only some commands run is imported by the handler or branch that runs it (D21).
 
 DEFAULT_SEED = 42
 
@@ -103,6 +101,8 @@ def load_spec_file(path: str):
     hamiltonian = _expr(doc, "hamiltonian", required=False)
     domain = _load_domain(doc.get("domain", {}))
     if "matrix" in doc:
+        from .verification import MatrixField3
+
         entries = _object(doc["matrix"], "matrix")
         field = MatrixField3(*(_expr(entries, key) for key in ("j12", "j23", "j31")))
         return "raw", (field, domain), hamiltonian, name
@@ -189,6 +189,8 @@ def _check_sample_count(flag: str, n: int) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from .verification import matrix_field_from_spec, verify_structure
+
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     _check_sample_count("--samples", args.samples)
@@ -207,6 +209,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_casimir(args) -> int:
+    from .casimir import annihilation_residual, casimir_gradient, casimir_value
+
     _, spec, _, name = _resolve_system(args)
     point = _parse_point(args.point)
     value = casimir_value(spec, args.k, point)
@@ -225,6 +229,8 @@ def _cmd_casimir(args) -> int:
 
 
 def _cmd_darboux(args) -> int:
+    from .darboux import build_chart, canonical_check, forward_map, inverse_map, reparam_factor
+
     _check_sample_count("--check-samples", args.check_samples)
     _, spec, _, name = _resolve_system(args)
     chart = build_chart(spec, args.k, seed=args.seed)
@@ -250,6 +256,8 @@ def _cmd_darboux(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .dynamics import integrate, integrate_reduced, invariant_drift
+
     for flag, value in (("--t-end", args.t_end), ("--dt", args.dt)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value!r}")
@@ -262,6 +270,8 @@ def _cmd_simulate(args) -> int:
         raise ValueError("no Hamiltonian: pass --hamiltonian or put one in the spec file")
     x0 = _parse_point(args.x0)
     if args.reduced:
+        from .darboux import build_chart, forward_map
+
         chart = build_chart(spec, args.k, seed=args.seed)
         y0 = forward_map(chart, x0)
         traj = integrate_reduced(chart, h_expr, y0, args.t_end, args.dt, args.method)

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import expr as ex
 from .casimir import casimir_value, cyclic, default_casimir_index
-from .darboux import DarbouxChart, inverse_map, inverse_target, reparam_factor_from
 from .errors import (
     DomainEvalError,
     DomainExitError,
@@ -45,6 +45,9 @@ from .errors import (
 )
 from .family import PoissonFamilySpec, axis_exprs, structure_entries, structure_matrix_at
 from .scalar_fields import Field3
+
+if TYPE_CHECKING:  # the reduced integrator imports darboux where it runs, so a direct run never loads it (D21)
+    from .darboux import DarbouxChart
 
 METHODS = ("rk4", "midpoint")
 MAX_STEPS = 10**6  # every step is kept in memory
@@ -331,6 +334,8 @@ def integrate(
 
 def _reduced_hamiltonian(chart: DarbouxChart, H: Field3) -> Field3:
     """H(x(y)) as a field in y; symbolic when H and zeta_k are expressions."""
+    from .darboux import inverse_map, inverse_target
+
     i, j, k = cyclic(chart.k)
     zeta = chart.spec.field(k).zeta
     if H.expr is not None and zeta is not None:
@@ -393,6 +398,8 @@ def integrate_reduced(
     a trajectory, or a partial one, of fewer than 4 rows keeps the
     trapezoid rule (_recovered_t).
     """
+    from .darboux import inverse_map, reparam_factor_from
+
     if dtau <= 0.0:
         raise ValueError(f"dtau must be positive, got {dtau!r}")
     if tau_end == 0.0:

@@ -129,16 +129,21 @@ class PoissonFamilySpec:
 def _require_nonvanishing(fn, domain: DomainBox, what: str) -> None:
     """first_vanishing of fn at NONVANISHING_SAMPLES domain points (seed 0), with the sign rule on a plain box.
 
-    Where fn fails to evaluate, the error names what is certified and the first such point.
+    Where fn fails to evaluate, or its value is not finite (an eta chain's
+    product may overflow though each factor is finite), the error names
+    what is certified and the first such point.
     """
     points = domain.sample(NONVANISHING_SAMPLES, seed=0).T
 
     def fn_at(*x):
         try:
-            return fn(*x)
+            v = fn(*x)
         except DomainEvalError as exc:
             fails = f"{what} must be nonvanishing on the domain: evaluation failed"
             raise FamilyValidationError(f"{fails}: {exc} (x = {x})") from None
+        if not np.isfinite(v).all():  # on arrays, a package error sends first_vanishing to its in-order replay
+            raise FamilyValidationError(f"{what} is not finite at sampled point {x}")
+        return v
 
     failure = first_vanishing(fn_at, points, ZERO_FLOOR, domain.predicate is None)
     if failure is not None:
@@ -159,7 +164,7 @@ def make_family_spec(
     """Assemble and validate a family member.
 
     Checks that each axis interval matches the domain box, and certifies
-    eta on NONVANISHING_SAMPLES domain points drawn at seed 0.
+    eta (a chain's product) on NONVANISHING_SAMPLES domain points drawn at seed 0.
     """
     chain = tuple(eta) if isinstance(eta, tuple) else (eta,)
     for e in chain:
@@ -290,7 +295,8 @@ def rank_at(spec: PoissonFamilySpec, x) -> int:
 def rescale(spec: PoissonFamilySpec, factor: ex.Expr) -> PoissonFamilySpec:
     """New spec, same name, with eta multiplied by a nonvanishing factor.
 
-    The factor is certified on the sample make_family_spec uses for eta.
+    The factor, and then the product of the chain it joins, are certified
+    on the sample make_family_spec uses for eta.
     Entry values of the result are exactly factor(x) times the original
     entries (the factor is composed onto the evaluation chain, not folded
     into a new expression).
@@ -299,7 +305,9 @@ def rescale(spec: PoissonFamilySpec, factor: ex.Expr) -> PoissonFamilySpec:
     if extra:
         raise FamilyValidationError(f"factor may only use x1,x2,x3; found {sorted(extra)}")
     _require_nonvanishing(ex.compile_expr(factor, _XS), spec.domain, "rescale factor")
-    return PoissonFamilySpec(spec.eta_chain + (factor,), spec.fields, spec.kappa, spec.domain, spec.name)
+    rescaled = PoissonFamilySpec(spec.eta_chain + (factor,), spec.fields, spec.kappa, spec.domain, spec.name)
+    _require_nonvanishing(rescaled.eta_value, spec.domain, "rescaled eta")
+    return rescaled
 
 
 # ---------------------------------------------------------------------------

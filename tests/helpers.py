@@ -22,6 +22,23 @@ SRC_DIR = Path(ex.__file__).resolve().parent.parent  # the package under test, f
 
 EPS3 = float.fromhex("0x1.0p-52") ** (1 / 3)  # cbrt machine epsilon
 
+# halphen on the wide box as a spec file
+HALPHEN_WIDE_SPEC = {
+    "name": "halphen-wide",
+    "eta": "1 / (2*(x1 - x2)*(x2 - x3)*(x3 - x1))",
+    "axes": [
+        {"phi": "1", "psi": "u", "zeta": "u"},
+        {"phi": "1", "psi": "u", "zeta": "u"},
+        {"phi": "1", "psi": "u", "zeta": "u"},
+    ],
+    "kappa": [0.0, 0.0],
+    "domain": {
+        "box": [[0.0, 5.0], [0.0, 5.0], [0.0, 5.0]],
+        "predicate": "(x1 - x2)*(x2 - x3)*(x3 - x1)",
+    },
+    "hamiltonian": "x1 + x2 + x3",
+}
+
 
 def kappa_shifted(kappa: KappaMatrix, k1: float, k2: float, k3: float) -> KappaMatrix:
     """kappa's constants after replacing every psi_i by psi_i + k_i."""

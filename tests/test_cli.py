@@ -15,23 +15,7 @@ from hypothesis import given, settings, strategies as st
 from poisson3d import cli
 from poisson3d.cli import COMMANDS, build_parser, main
 from poisson3d.testing import random_family_spec
-from helpers import run_cli_subprocess
-
-HALPHEN_WIDE_SPEC = {
-    "name": "halphen-wide",
-    "eta": "1 / (2*(x1 - x2)*(x2 - x3)*(x3 - x1))",
-    "axes": [
-        {"phi": "1", "psi": "u", "zeta": "u"},
-        {"phi": "1", "psi": "u", "zeta": "u"},
-        {"phi": "1", "psi": "u", "zeta": "u"},
-    ],
-    "kappa": [0.0, 0.0],
-    "domain": {
-        "box": [[0.0, 5.0], [0.0, 5.0], [0.0, 5.0]],
-        "predicate": "(x1 - x2)*(x2 - x3)*(x3 - x1)",
-    },
-    "hamiltonian": "x1 + x2 + x3",
-}
+from helpers import HALPHEN_WIDE_SPEC, run_cli_subprocess
 
 BROKEN_SPEC = {
     "name": "broken",

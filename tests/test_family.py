@@ -221,6 +221,31 @@ class TestRescale:
             rescale(halphen_unit, ex.parse("1e300*1e300"))
         assert str(exc.value) == want
 
+    @pytest.mark.parametrize("factor, fault", [("1e300", "is not finite"), ("1e-11", "vanishes")])
+    def test_a_chain_is_certified_as_its_product(self, factor, fault):
+        # euler-top's eta is 9: each factor passes alone, and once, but twice the product is inf or 9e-22
+        top, _ = build_system("euler-top")
+        once = rescale(top, ex.parse(factor))
+        x = tuple(top.domain.sample(1, seed=0)[0].tolist())
+        with pytest.raises(FamilyValidationError) as exc:
+            rescale(once, ex.parse(factor))
+        assert str(exc.value) == f"rescaled eta {fault} at sampled point {x}"
+        with pytest.raises(FamilyValidationError) as exc:
+            make_family_spec(once.eta_chain + (ex.parse(factor),), top.fields, top.kappa, top.domain)
+        assert str(exc.value) == f"eta {fault} at sampled point {x}"
+
+    def test_a_chain_names_the_first_point_where_its_product_overflows(self):
+        top, _ = build_system("euler-top")
+        factor = ex.parse("3e153 * x1")  # 9 (3e153 x1)^2 overflows where x1 > 1.49 only
+        once, fn = rescale(top, factor), ex.compile_expr(factor, ("x1", "x2", "x3"))
+        points = top.domain.sample(256, seed=0).tolist()
+        finite = [np.isfinite(once.eta_value(*p) * fn(*p)) for p in points]
+        assert finite[0] and not all(finite)
+        x = tuple(points[finite.index(False)])
+        with pytest.raises(FamilyValidationError) as exc:
+            rescale(once, factor)
+        assert str(exc.value) == f"rescaled eta is not finite at sampled point {x}"
+
 
 class TestSpecValidation:
     def test_interval_mismatch(self):

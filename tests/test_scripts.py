@@ -1,4 +1,4 @@
-"""Smoke tests: the scripts documented in the README run against the current API."""
+"""Smoke tests: the scripts and the library example documented in the README run against the current API."""
 
 import json
 
@@ -60,3 +60,16 @@ def test_output_digest_src_names_the_package_it_runs():
     default = run_python_subprocess(argv).stdout.decode()
     assert len(default.splitlines()) == 7
     assert run_python_subprocess(argv + ["--src", str(REPO_ROOT / "src")]).stdout.decode() == default
+
+
+def test_readme_library_example_runs():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    # the values its comments give
+    code += (
+        "assert p3.casimir_value(spec, 3, (1, 2, 4)) == 2.0\n"
+        "assert p3.forward_map(chart, (1, 2, 4)).tolist() == [1, 2, -2]\n"
+        "drift = p3.invariant_drift(traj)\n"
+        "assert drift.max_abs_dH < 1e-12 and drift.max_abs_dC < 1e-12\n"
+    )
+    run_python_subprocess(["-c", code])
