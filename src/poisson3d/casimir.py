@@ -7,12 +7,12 @@ on the domain, the ratio
 
 is a Casimir: J grad(C_k) = 0, so it is conserved by every Hamiltonian
 flow of the structure.  The three choices satisfy C1 C2 C3 = 1 wherever
-all are defined.  The gradient has the closed form
-
-    grad(C_k) = -(eta * chi_ij^2)^(-1) * (J23, J31, J12)
-
-which is what casimir_gradient evaluates; finite differences are kept
-only as an independent oracle (casimir_gradient_fd).
+all are defined.  casimir_gradient gives the symbolic partials of C_k,
+the formula the global chart differentiates; finite differences are kept
+only as an independent oracle (casimir_gradient_fd).  The gradient reads
+neither eta nor J, so the annihilation residual J grad(C_k) is a check:
+it is roundoff where psi' = phi holds on every axis, and it measures the
+defect where a psi is not a primitive of its phi.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from . import expr as ex
 from .errors import DomainEvalError, InvalidAxisError, UndefinedAtPointError
 from .family import PoissonFamilySpec, axis_exprs, chi, chi_triple, structure_matrix_at
-from .scalar_fields import central_difference, coordinates, element, fd_step, first_flagged, point_at
+from .scalar_fields import Field3, central_difference, coordinates, element, fd_step, first_flagged, point_at
 
 
 def cyclic(k: int) -> tuple[int, int, int]:
@@ -79,24 +79,13 @@ def casimir_expr(spec: PoissonFamilySpec, k: int) -> ex.Expr:
     return chis[j - 1] / chis[i - 1]
 
 
-def _finite(values, what: str, x):
-    """values, or DomainEvalError naming x where any of them is not finite."""
-    if not np.isfinite(values).all():
-        raise DomainEvalError(f"{what} is not finite at {tuple(float(v) for v in x)}")
-    return values
-
-
 def casimir_gradient(spec: PoissonFamilySpec, k: int, x) -> np.ndarray:
-    """Closed-form gradient -(eta chi_ij^2)^(-1) (J23, J31, J12); DomainEvalError where undefined or not finite."""
-    denom, _ = _guarded_chis(spec, k, x)
+    """The symbolic partials of casimir_expr(spec, k) at x; DomainEvalError naming x where they are undefined."""
+    _guarded_chis(spec, k, x)
     try:
-        J = structure_matrix_at(spec, x, check_domain=False)
-        eta = spec.eta_value(float(x[0]), float(x[1]), float(x[2]))
+        return np.array(Field3(casimir_expr(spec, k)).gradient(*coordinates(x)))
     except DomainEvalError as exc:
         raise DomainEvalError(f"grad C_{k} is undefined at {tuple(float(v) for v in x)}: {exc}") from None
-    with np.errstate(all="ignore"):  # eta chi_ij^2 may underflow to 0.0: _finite names the point instead
-        gradient = np.float64(-1.0) / (eta * denom * denom) * np.array([J.j23, J.j31, J.j12])
-    return _finite(gradient, f"grad C_{k}", x)
 
 
 def casimir_gradient_fd(spec: PoissonFamilySpec, k: int, x) -> np.ndarray:
@@ -122,13 +111,21 @@ def casimir_gradient_fd(spec: PoissonFamilySpec, k: int, x) -> np.ndarray:
 
 
 def annihilation_residual(spec: PoissonFamilySpec, k: int, x, gradient: np.ndarray | None = None) -> float:
-    """Max-norm of J(x) grad(C_k)(x); ~0 certifies the Casimir property.  DomainEvalError where it is not finite."""
+    """Max-norm of J(x) grad(C_k)(x); roundoff certifies psi' = phi at x.  DomainEvalError naming x where it is
+    undefined or not finite."""
     if gradient is None:
         gradient = casimir_gradient(spec, k, x)
-    J = structure_matrix_at(spec, x, check_domain=False).as_matrix()
+    what = f"the annihilation residual of C_{k}"
+    at = tuple(float(v) for v in x)
+    try:
+        J = structure_matrix_at(spec, x, check_domain=False).as_matrix()
+    except DomainEvalError as exc:
+        raise DomainEvalError(f"{what} is undefined at {at}: {exc}") from None
     with np.errstate(all="ignore"):
         residual = float(np.max(np.abs(J @ gradient)))
-    return _finite(residual, f"the annihilation residual of C_{k}", x)
+    if not np.isfinite(residual):
+        raise DomainEvalError(f"{what} is not finite at {at}")
+    return residual
 
 
 CHART_SAMPLES = 512

@@ -416,7 +416,10 @@ def free_vars(e: Expr) -> set[str]:
 
 
 def eval_expr(e: Expr, env: dict[str, float]) -> float:
-    """Reference tree-walking evaluator (compile_expr is the fast path)."""
+    """Reference tree-walking evaluator: compile_expr's value and error text on floats (its fast path).
+
+    As in compiled code, an intermediate may be inf or NaN; only the result must be finite.
+    """
     v = _eval(e, env)
     if not math.isfinite(v):
         raise DomainEvalError(f"non-finite result {v!r}")
@@ -435,19 +438,15 @@ def _eval(e: Expr, env) -> float:
         return -_eval(e.operand, env)
     if isinstance(e, Call):
         try:
-            v = _FN_IMPL[e.fn](_eval(e.arg, env))
+            return _FN_IMPL[e.fn](_eval(e.arg, env))
         except (ValueError, OverflowError) as exc:
             raise DomainEvalError(str(exc)) from None
-        return v
     a = _eval(e.left, env)
     b = _eval(e.right, env)
     try:
-        v = _apply_bin(e.op, a, b)
+        return _apply_bin(e.op, a, b)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise DomainEvalError(str(exc)) from None
-    if not math.isfinite(v):
-        raise DomainEvalError(f"non-finite intermediate {v!r}")
-    return v
 
 
 def _gen(e: Expr, operand) -> str:

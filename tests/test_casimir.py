@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from poisson3d.builtin_systems import BUILTIN_NAMES, build_system
 from poisson3d.dynamics import integrate
 from poisson3d.errors import InvalidAxisError, UndefinedAtPointError
 from poisson3d.family import PoissonFamilySpec, chi, structure_matrix_at
+from poisson3d.scalar_fields import ScalarField1D
 from poisson3d.testing import random_family_spec
 from conftest import make_flat_spec
 
@@ -136,6 +139,24 @@ def test_annihilation_with_fd_gradient(halphen_wide):
         J = structure_matrix_at(halphen_wide, x)
         scale = 1.0 + np.max(np.abs(J.as_matrix())) * np.max(np.abs(fd))
         assert annihilation_residual(halphen_wide, 3, x, fd) <= 1e-5 * scale
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_residual_sees_a_psi_that_is_not_a_primitive(k):
+    # psi_1 -> s psi_1 with phi_1 kept: grad C_k = D h with D = diag(s phi_1, phi_2, phi_3) and h = dC_k / dpsi.
+    # J diag(phi) h vanishes identically, so J grad C_k = (s - 1) phi_1 h_1 J e_1 = (s - 1) / s (grad C_k)_1 J e_1
+    s = 1.01
+    spec = build_system("euler-top")[0]
+    f = spec.fields[0]
+    spec = dataclasses.replace(spec, fields=(ScalarField1D(f.phi, ex.lit(s) * f.psi, None, f.interval), *spec.fields[1:]))
+    for x in [(1.3, 1.7, 1.1), *spec.domain.sample(20, seed=k)]:
+        J = structure_matrix_at(spec, x).as_matrix()
+        grad = casimir_gradient(spec, k, x)
+        residual = annihilation_residual(spec, k, x)
+        assert residual == pytest.approx((s - 1) / s * abs(grad[0]) * np.max(np.abs(J[:, 0])), rel=1e-12)
+        # the fd gradient is within test_gradient_matches_finite_differences's 1e-6 of the symbolic one
+        fd_residual = annihilation_residual(spec, k, x, casimir_gradient_fd(spec, k, x))
+        assert abs(fd_residual - residual) <= 3e-6 * max(1.0, np.max(np.abs(grad))) * np.max(np.abs(J))
 
 
 def test_undefined_at_point():

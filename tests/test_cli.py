@@ -231,11 +231,34 @@ def test_casimir_undefined_point_is_exit_2(capsys):
     assert "undefined" in err
 
 
-def test_casimir_names_the_point_where_its_gradient_is_undefined(capsys):
-    # eta = 1/(2 (x1-x2)(x2-x3)(x3-x1)) divides by zero at x1 = x2, where C_1's denominator chi_23 is not 0
+def test_casimir_names_the_point_where_its_gradient_is_undefined(capsys, tmp_path):
+    # axis 1's psi = sqrt(u) is 0 at x1 = 0, outside the box, but its partial 1/(2 sqrt(u)) divides by zero there
+    path = tmp_path / "sqrt.json"
+    path.write_text(json.dumps({**HALPHEN_WIDE_SPEC, "eta": "1", "kappa": [1.0, 2.0],
+                                "axes": [{"phi": "0.5/sqrt(u)", "psi": "sqrt(u)"}] + HALPHEN_WIDE_SPEC["axes"][1:],
+                                "domain": {"box": [[0.5, 2.0], [0.0, 1.0], [0.0, 1.0]]}}))
+    code, out, err = run_cli(capsys, "casimir", "--spec", str(path), "--k", "3", "--point", "0,0.5,0.2")
+    assert (code, out) == (2, "")
+    assert err == "error: grad C_3 is undefined at (0.0, 0.5, 0.2): float division by zero\n"
+
+
+def test_casimir_names_the_point_where_its_annihilation_residual_is_undefined(capsys):
+    # eta = 1/(2 (x1-x2)(x2-x3)(x3-x1)) divides by zero at x1 = x2, so J is undefined there; C_1 = chi_31 / chi_23
+    # and its gradient are not, as they do not read eta
     code, out, err = run_cli(capsys, "casimir", "--system", "halphen", "--k", "1", "--point", "0.1,0.1,0.3")
     assert (code, out) == (2, "")
-    assert err == "error: grad C_1 is undefined at (0.1, 0.1, 0.3): float division by zero\n"
+    assert err == "error: the annihilation residual of C_1 is undefined at (0.1, 0.1, 0.3): float division by zero\n"
+
+
+@pytest.mark.parametrize("point", HUGE_POINTS, ids=["1e155", "1.1e154"])
+def test_casimir_at_a_point_where_eta_underflows(capsys, point):
+    # grad C_3 = (-(x2-x3)/(x1-x2)^2, (x1-x3)/(x1-x2)^2, -1/(x1-x2)) reads no eta: finite where eta underflows
+    code, out, _ = run_cli(capsys, "casimir", "--system", "halphen", "--k", "3", "--point", point)
+    assert code == 0
+    doc = json.loads(out)
+    x1, x2, x3 = doc["point"]
+    assert doc["value"] == (x2 - x3) / (x1 - x2)
+    assert doc["gradient"] == pytest.approx([-(x2 - x3) / (x1 - x2) ** 2, (x1 - x3) / (x1 - x2) ** 2, -1 / (x1 - x2)])
 
 
 def test_casimir_names_the_point_where_its_value_is_undefined(capsys, tmp_path):
@@ -702,17 +725,18 @@ def test_random_argv_exit_codes(capsys, tmp_path, wide_spec_file, broken_spec_fi
      "reparametrization factor inf is not finite at y = ("),
     (("simulate", "--spec", "BIG", "--x0", "1.5,3.5,5.5", "--t-end", "0.01", "--dt", "0.001", "--reduced"),
      "reparametrization factor "),
-    (("casimir", "--spec", "BIG", "--k", "3", "--point", "1.5,3.5,5.5"), "grad C_3 is not finite at (1.5, 3.5, 5.5)"),
-    (("casimir", "--system", "halphen", "--k", "3", "--point", HUGE_POINTS[0]),
-     "grad C_3 is not finite at (0.1, 0.5, 1e+155)"),
-    (("casimir", "--system", "halphen", "--k", "3", "--point", HUGE_POINTS[1]),
-     "grad C_3 is not finite at (0.1, 0.5, 1.1e+154)"),
+    (("casimir", "--spec", "BIG", "--k", "3", "--point", "1.5,3.5,5.5"),
+     "the annihilation residual of C_3 is not finite at (1.5, 3.5, 5.5)\n"),
+    (("casimir", "--system", "halphen", "--k", "3", "--point", "0.1,0.5,1e308"),
+     "grad C_3 is undefined at (0.1, 0.5, 1e+308): non-finite result inf\n"),
+    (("casimir", "--system", "halphen", "--k", "1", "--point", "1e308,0.5,0.1"),
+     "grad C_1 is undefined at (1e+308, 0.5, 0.1): non-finite result inf\n"),
     (("verify", "--spec", "BIG", "--samples", "20"), "non-finite result -inf in j12 at ("),
     (("verify", "--spec", "BIG", "--samples", "20", "--scheme", "fd"), "non-finite result -inf in j12 at ("),
     (("casimir", "--system", "halphen", "--k", "3", "--point", "0.1,0.5,nan"),
      "expected three finite numbers, got '0.1,0.5,nan'\n"),
-], ids=["darboux", "darboux-point", "simulate-reduced", "casimir-big", "casimir-1e155", "casimir-1.1e154", "verify",
-        "verify-fd", "casimir-nan-point"])
+], ids=["darboux", "darboux-point", "simulate-reduced", "casimir-big", "casimir-grad-1e308", "casimir-grad-k1-1e308",
+        "verify", "verify-fd", "casimir-nan-point"])
 def test_values_that_are_not_finite_are_bad_input(capsys, tmp_path, big_spec_file, argv, message):
     argv = [big_spec_file if a == "BIG" else a for a in argv]
     if argv[0] == "simulate":

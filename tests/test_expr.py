@@ -99,6 +99,18 @@ def test_eval_domain_errors():
         ex.eval_expr(ex.parse("x1 ^ -2"), {"x1": 0.0})
 
 
+def test_eval_takes_the_compiled_float_rule():
+    # an intermediate may overflow, as in compiled code; only the result must be finite
+    for source, x1, want in (("1/(x1*1e308*10)", 1.0, 0.0), ("x1*1e308*10 - x1*1e308*10", 1.0, "non-finite result nan")):
+        got = []
+        for fn in (ex.compile_expr(ex.parse(source), ("x1",)), lambda x1: ex.eval_expr(ex.parse(source), {"x1": x1})):
+            try:
+                got.append(fn(x1))
+            except DomainEvalError as exc:
+                got.append(str(exc))
+        assert got == [want, want]
+
+
 def test_negative_base_integer_power_allowed():
     assert ex.eval_expr(ex.parse("x1^3"), {"x1": -2.0}) == -8.0
 

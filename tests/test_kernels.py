@@ -84,28 +84,6 @@ def test_kernel_equals_the_per_expression_path(forest, x):
         assert replay_error == want_error
 
 
-def _inline(e):
-    return ex._gen(e, _inline)
-
-
-def _walked(e):
-    """A walk of the tree: its inline text as one lambda, with compile_expr's error mapping."""
-    fn = eval(compile(f"lambda x1, x2, x3: {_inline(e)}", "<walk>", "eval"), dict(ex._SCALAR_NS))
-
-    def run(*x):
-        try:
-            v = fn(*x)
-        except ex.DomainEvalError:
-            raise
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise ex.DomainEvalError(str(exc)) from None
-        if not math.isfinite(v):
-            raise ex.DomainEvalError(f"non-finite result {v!r}")
-        return v
-
-    return run
-
-
 def _outcome(fn, x):
     """The value's float.hex, or the exception's type and text."""
     try:
@@ -125,7 +103,7 @@ def test_one_output_kernels_raise_the_first_error_of_a_walk(forest, points):
     outputs, checked = forest
     total = functools.reduce(ex.Expr.__add__, (*checked, *outputs, *outputs))
     for e in {id(e): e for e in (*outputs, *checked, total)}.values():
-        fn, walked = ex.compile_expr(e, XS), _walked(e)
+        fn, walked = ex.compile_expr(e, XS), lambda *x: ex.eval_expr(e, dict(zip(XS, x)))
         assert fn.source == ex.compile_kernel((e,)).source  # one writer
         for x in (*_DIAGONAL, *points):
             assert _outcome(fn, x) == _outcome(walked, x)
@@ -341,15 +319,21 @@ def test_a_runtime_exponent_takes_the_square_rule_per_element():
 # The register plan: array calls that compile nothing (docs/decisions.md, D13)
 
 
+def _subtrees(e):
+    """e and each of its subtrees."""
+    return [e, *(n for c in vars(e).values() if isinstance(c, ex.Expr) for n in _subtrees(c))]
+
+
 def _assert_plan_is_the_scalar_kernel(outputs, checked, points):
     """The plan's outputs are the compiled scalar kernel's at each point, by float.hex.  It faults exactly
-    when a point's kernel call raises, or a walk of a tree there (eval_expr) meets a value that is not
-    finite: the array arithmetic raises on every overflow, where float arithmetic may carry an inf on."""
+    when a point's kernel call raises, or a subtree there has a value that is not finite (eval_expr raises
+    on it): the array arithmetic raises on every overflow, where float arithmetic may carry an inf on."""
     xs = tuple(np.array(c, dtype=float) for c in zip(*points))
     kernel = ex.compile_kernel(outputs, checked)
     got, error = _first_error(lambda: ex.plan_kernel(outputs, checked).batch(*xs))
     scalar = [_first_error(lambda: kernel(*x)) for x in points]
-    walks = [_first_error(lambda: [ex.eval_expr(e, dict(zip(XS, x))) for e in (*outputs, *checked)]) for x in points]
+    subtrees = [n for e in (*outputs, *checked) for n in _subtrees(e)]
+    walks = [_first_error(lambda: [ex.eval_expr(n, dict(zip(XS, x))) for n in subtrees]) for x in points]
     assert (error is not None) == any(e is not None for _, e in scalar + walks)
     if error is None:
         assert len(got) == len(outputs)
@@ -372,6 +356,8 @@ def test_plan_cases():
     liveness = ex.Neg(two) / ex.Call("sqrt", x2) + ex.Neg(ex.Neg(two)) / ex.Neg(ex.Neg(two))
     _assert_plan_is_the_scalar_kernel((liveness,), (), [(0.7, 0.2, 1.3), (-1.5, 2.0, 0.25)])
     _assert_plan_is_the_scalar_kernel((liveness,), (), [(0.7, 0.2, 1.3), (0.7, -0.2, 1.3)])  # sqrt faults
+    # an intermediate that overflows: the float value is 0.0, the array arithmetic faults
+    _assert_plan_is_the_scalar_kernel((ex.parse("1/(x1*x1)"),), (), [(2.0, 0.0, 0.0), (1e300, 0.0, 0.0)])
     # constant trees, broadcast to the input shape
     constants = (ex.Lit(2.5), ex.Call("exp", ex.Lit(1.0)), ex.Lit(1.0) - ex.Lit(3.0), ex.Lit(-0.0))
     _assert_plan_is_the_scalar_kernel(constants, (), [(0.1, 0.2, 0.3), (1.0, 2.0, 3.0), (-1.0, 0.0, 5.0)])

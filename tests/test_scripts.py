@@ -2,6 +2,10 @@
 
 import json
 
+import numpy as np
+
+from poisson3d.builtin_systems import build_system
+from poisson3d.family import structure_matrix_at
 from helpers import REPO_ROOT, run_python_subprocess
 
 SCRIPTS = REPO_ROOT / "scripts"
@@ -14,6 +18,11 @@ def test_darboux_demo_all_checks_pass():
     for s in systems:
         assert s["jacobi"]["verdict"] == "pass", s["system"]
         assert s["canonical_check"]["verdict"] == "pass", s["system"]
+        # psi' = phi, so J grad C_3 is 0 and the residual is rounding: each term J_ab (grad C_3)_b carries a
+        # relative error of a few ulps, from J's three factors, the partial's operations, the product and the sum
+        J = structure_matrix_at(build_system(s["system"])[0], s["reference_point"], check_domain=False).as_matrix()
+        scale = np.max(np.abs(J) @ np.abs(s["gradient_C3"]))
+        assert s["annihilation_residual"] <= 8 * np.finfo(float).eps * scale, s["system"]
 
 
 def test_drift_study_runs():
