@@ -97,6 +97,10 @@ def circle_maps_structure(domain: DomainBox | None = None) -> PoissonFamilySpec:
     return _difference_structure(_CIRCLE_ETA, "circle-maps", domain)
 
 
+def _finite_nonzero(v: float) -> bool:
+    return math.isfinite(v) and v != 0.0
+
+
 @dataclass(frozen=True)
 class EulerTopParams:
     """Principal moments of inertia with the derived structure constants."""
@@ -106,13 +110,21 @@ class EulerTopParams:
     I3: float
 
     def __post_init__(self):
-        for v in (self.I1, self.I2, self.I3):
+        moments = (self.I1, self.I2, self.I3)
+        for v in moments:
             if not (math.isfinite(v) and v > 0.0):
                 raise DegenerateParametersError(f"moments of inertia must be positive, got {v!r}")
-        if min(map(abs, self.alphas)) <= 1e-12:
-            raise DegenerateParametersError(
-                f"moments {self.I1, self.I2, self.I3} are not pairwise distinct (symmetric top)"
-            )
+        # each constant the structure and the Hamiltonian are built from is a finite nonzero float, as they compute it
+        out_of_range = DegenerateParametersError(f"moments {moments} put a structure constant out of float range")
+        if not all(map(_finite_nonzero, (self.I2 * self.I3, self.I1 * self.I3, self.I1 * self.I2))):
+            raise out_of_range
+        a1, a2, a3 = self.alphas
+        if min(map(abs, (a1, a2, a3))) <= 1e-12:
+            raise DegenerateParametersError(f"moments {moments} are not pairwise distinct (symmetric top)")
+        psi, scale = self.psi_coefficients, 2.0 * a1 * a2 * a3
+        constants = (*psi, *(2.0 * c for c in psi), *(2.0 * v for v in moments), scale)
+        if not all(map(_finite_nonzero, constants)) or not _finite_nonzero(1.0 / scale):
+            raise out_of_range
 
     @property
     def alphas(self) -> tuple[float, float, float]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainEvalError, InvalidAxisError, UndefinedAtPointError
-from .family import PoissonFamilySpec, axis_exprs, chi, chi_triple, structure_matrix_at
+from .family import PoissonFamilySpec, axis_exprs, chi, chi_triple, j_grad, structure_matrix_at
 from .scalar_fields import Field3, central_difference, coordinates, element, fd_step, first_flagged, point_at
 
 
@@ -118,11 +118,11 @@ def annihilation_residual(spec: PoissonFamilySpec, k: int, x, gradient: np.ndarr
     what = f"the annihilation residual of C_{k}"
     at = tuple(float(v) for v in x)
     try:
-        J = structure_matrix_at(spec, x, check_domain=False).as_matrix()
+        J = structure_matrix_at(spec, x, check_domain=False)
     except DomainEvalError as exc:
         raise DomainEvalError(f"{what} is undefined at {at}: {exc}") from None
     with np.errstate(all="ignore"):
-        residual = float(np.max(np.abs(J @ gradient)))
+        residual = float(np.max(np.abs(j_grad(*J.entries(), *gradient))))
     if not np.isfinite(residual):
         raise DomainEvalError(f"{what} is not finite at {at}")
     return residual

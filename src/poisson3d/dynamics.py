@@ -43,7 +43,7 @@ from .errors import (
     ReparametrizationBreakdownError,
     UndefinedAtPointError,
 )
-from .family import PoissonFamilySpec, axis_exprs, structure_entries, structure_matrix_at
+from .family import PoissonFamilySpec, axis_exprs, j_grad, structure_entries, structure_matrix_at
 from .scalar_fields import Field3
 
 if TYPE_CHECKING:  # the reduced integrator imports darboux where it runs, so a direct run never loads it (D21)
@@ -105,18 +105,9 @@ def invariant_drift(traj: Trajectory) -> DriftReport:
     return DriftReport(dH, None if traj.C is None else float(np.max(np.abs(traj.C - traj.C[0]))))
 
 
-def _flow(j12, j23, j31, g1, g2, g3) -> tuple:
-    """J grad H from the entries and the gradient: floats, or the tree of these operations for trees."""
-    return (
-        j12 * g2 - j31 * g3,
-        -j12 * g1 + j23 * g3,
-        j31 * g1 - j23 * g2,
-    )
-
-
 def _j_grad_h(spec: PoissonFamilySpec, H: Field3, x1: float, x2: float, x3: float) -> tuple:
     J = structure_matrix_at(spec, (x1, x2, x3), check_domain=False)
-    return _flow(*J.entries(), *H.gradient(x1, x2, x3))
+    return j_grad(*J.entries(), *H.gradient(x1, x2, x3))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +138,7 @@ def _rhs_kernel(spec: PoissonFamilySpec, H: Field3):
     psis, phis = axis_exprs(spec)
     grad = tuple(H.partial_expr(axis) for axis in (1, 2, 3))
     entries = structure_entries(spec.kappa.triple, psis, phis, spec.eta_chain)
-    return ex.compile_kernel(_flow(*entries, *grad), (*psis, *phis, *spec.eta_chain, *grad))
+    return ex.compile_kernel(j_grad(*entries, *grad), (*psis, *phis, *spec.eta_chain, *grad))
 
 
 def hamiltonian_vector_field(spec: PoissonFamilySpec, h, x) -> np.ndarray:

@@ -449,19 +449,19 @@ def _eval(e: Expr, env) -> float:
         raise DomainEvalError(str(exc)) from None
 
 
-def _gen(e: Expr, operand) -> str:
-    """Python source of one node; operand(child) renders each child."""
+def _gen(e: Expr, a=None, b=None) -> str:
+    """Python source of one node, given its operands' texts a and b."""
     if isinstance(e, Bin):
         if e.op == "^":
-            return f"_pow({operand(e.left)}, {operand(e.right)})"
-        return f"({operand(e.left)} {e.op} {operand(e.right)})"
+            return f"_pow({a}, {b})"
+        return f"({a} {e.op} {b})"
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Lit):
         return f"({e.value!r})"
     if isinstance(e, Call):
-        return f"{e.fn}({operand(e.arg)})"
-    return f"(-{operand(e.operand)})"
+        return f"{e.fn}({a})"
+    return f"(-{a})"
 
 
 # --------------------------------------------------------------------------
@@ -588,7 +588,8 @@ def _run_on_arrays(run, xs):
     return values
 
 
-_SCALAR_NS = {**_FN_IMPL, "_pow": _pow, "isfinite": math.isfinite, "BatchFault": BatchFault, "__builtins__": {}}
+_SCALAR_NS = {**_FN_IMPL, "_pow": _pow, "isfinite": math.isfinite, "BatchFault": BatchFault, "__builtins__": {},
+              "inf": math.inf, "nan": math.nan}  # a literal's text is its repr, so inf and nan name their values
 _BATCH_NS = {  # a plan step's function, by its node's operator, "neg" for negation, or function name
     "+": operator.add,
     "-": operator.sub,
@@ -665,11 +666,12 @@ def compile_kernel(outputs, checked=()):
     """Compile trees in x1, x2, x3 into one function f(x1, x2, x3) -> tuple of their values.
 
     Each value is compile_expr's of its tree on floats, each distinct subtree computed once
-    (_kernel_source).  It raises BatchFault when the sum of the checked trees' values is not finite, and
-    the primitives' errors in walk order; either way the caller replays the call on its per-expression
-    path (docs/decisions.md, D6).  None for a tree deeper than _MAX_DEPTH: the caller keeps its
-    per-expression path.  UnboundVariableError for a variable other than x1, x2, x3.  The same trees on
-    float arrays are plan_kernel's, which compiles nothing.
+    (_kernel_source).  It raises the first of the primitives' errors that a walk of the outputs, then of
+    the checked trees, raises, since each operation that can raise has its own line, in post-order; and
+    BatchFault when the sum of the checked trees' values is not finite.  Either way the caller replays
+    the call on its per-expression path (docs/decisions.md, D6).  None for a tree deeper than _MAX_DEPTH:
+    the caller keeps its per-expression path.  UnboundVariableError for a variable other than x1, x2,
+    x3.  The same trees on float arrays are plan_kernel's, which compiles nothing.
     """
     return _kernel_of(_kernel_source(outputs, checked, _XS))
 
@@ -678,10 +680,9 @@ def _kernel_source(outputs, checked, varnames):
     """Source of def kernel(*varnames) returning the outputs' values; None for a tree deeper than _MAX_DEPTH.
 
     It renders the trees' layout (plan.layout), whose keys, read counts, depth test and unbound
-    variables it takes as they are.  A subtree read once, by another or by the return, is written into
-    its reader; every other one, and each checked tree, gets a line, in post-order.  Before a line that
-    can raise, each pending inline text that can raise gets its own line, so the kernel raises the first
-    error a walk of the trees raises (docs/decisions.md, D6, D10 and D16).
+    variables it takes as they are.  A subtree that cannot raise (+ - *, negation, abs) and is read once,
+    by another or by the return, is written into its reader; every other one gets a line, in post-order,
+    so the kernel raises the first error a walk of the trees raises (docs/decisions.md, D6, D16 and D23).
     """
     laid = layout(outputs, checked, varnames)
     if laid is None:
@@ -689,35 +690,14 @@ def _kernel_source(outputs, checked, varnames):
     nodes, reads, consts, roots = laid
     text = [*varnames, *[None] * (len(reads) - len(varnames))]  # number -> what a reader writes for it
     for n, value in consts:
-        text[n] = _gen(Lit(value), None)
-    tested = set(roots[len(outputs):])
-    pending, lines = {}, []  # inline number -> (text, raises)
-
-    def operand(c):  # the text of the node's next operand
-        nonlocal raises
-        k = next(operands)
-        if k not in pending:
-            return text[k]
-        src, its = pending.pop(k)
-        raises = raises or its
-        return src
-
-    def emit(k, src):
-        text[k] = f"_t{len(lines)}"
-        lines.append(f"    {text[k]} = {src}")
-
+        text[n] = _gen(Lit(value))
+    lines = []
     for n, key, e in nodes:
-        operands, raises = iter(key[1:]), False  # _gen renders the operands in key order
-        src = _gen(e, operand)
-        raises = raises or key[0] not in ("+", "-", "*", "neg", "abs")  # IEEE gives these inf or NaN
-        if reads[n] == 1 and n not in tested:
-            pending[n] = (src, raises)
-            continue
-        if raises:  # the order rule
-            for p in [p for p, entry in pending.items() if entry[1]]:
-                emit(p, pending.pop(p)[0])
-        emit(n, src)
-    values = [pending[n][0] if n in pending else text[n] for n in roots]  # the return reads what is pending
+        text[n] = _gen(e, *[text[k] for k in key[1:]])
+        if reads[n] > 1 or key[0] not in ("+", "-", "*", "neg", "abs"):  # IEEE gives these inf or NaN
+            lines.append(f"    _t{len(lines)} = {text[n]}")
+            text[n] = f"_t{len(lines) - 1}"
+    values = [text[n] for n in roots]
     if len(values) > len(outputs):
         lines.append(f"    if not isfinite({' + '.join(dict.fromkeys(values[len(outputs):]))}):")
         lines.append('        raise BatchFault("non-finite value")')

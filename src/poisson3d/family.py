@@ -288,6 +288,16 @@ def structure_entries(kappa: tuple[float, float, float], psis, phis, etas):
     return j12, j23, j31
 
 
+def j_grad(j12, j23, j31, g1, g2, g3) -> tuple:
+    """J grad f from the entries (J12, J23, J31) and the gradient of f: floats, arrays, or the tree of these
+    operations for trees (docs/decisions.md, D6)."""
+    return (
+        j12 * g2 - j31 * g3,
+        -j12 * g1 + j23 * g3,
+        j31 * g1 - j23 * g2,
+    )
+
+
 def rank_at(spec: PoissonFamilySpec, x) -> int:
     return structure_matrix_at(spec, x).rank()
 

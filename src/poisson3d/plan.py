@@ -1,9 +1,10 @@
 """The layout of generated trees, and register plans: their array binding, as steps over a register file.
 
 layout keys, counts and checks the trees once for both bindings: expr._kernel_source renders it as
-the float kernel's source, and plan_kernel as a plan, each of whose steps calls the primitive or array
-operator of its node (expr._BATCH_NS) on the registers of its operands, so no source is written or
-compiled (docs/decisions.md, D13, D15 and D16).  A plan ends through expr._run_on_arrays, under D12's
+the float kernel's source, a line for each subtree that can raise or is read more than once, and
+plan_kernel as a plan, each of whose steps calls the primitive or array operator of its node
+(expr._BATCH_NS) on the registers of its operands, so no source is written or compiled
+(docs/decisions.md, D13, D15, D16 and D23).  A plan ends through expr._run_on_arrays, under D12's
 fault rule.
 """
 

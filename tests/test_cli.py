@@ -455,6 +455,12 @@ def test_bad_inputs_exit_2(capsys, tmp_path, wide_spec_file):
     for source in (("--system", "halphen"), ("--system", "circle-maps"), ("--spec", wide_spec_file)):
         code, out, err = run_cli(capsys, "verify", *source, "--I", "1,2,3", "--samples", "10")
         assert (code, out, err) == (2, "", "error: --I applies to --system euler-top only\n")
+    # moments whose products, alphas, psi coefficients or eta overflow or underflow, named as such
+    for moments in ("1e-200,2e-200,3e-200", "5e-324,1e-323,2e-323", "1e-160,2e-160,3e-160", "1e-154,2e-154,3e-154",
+                    "1,2,1e308", "1,1.5,1e308", "1e200,2e200,3e200"):
+        code, out, err = run_cli(capsys, "verify", "--system", "euler-top", "--I", moments, "--samples", "10")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: moments (") and err.endswith(") put a structure constant out of float range\n")
 
 
 def test_non_finite_literal_is_bad_input(capsys, tmp_path):

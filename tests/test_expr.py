@@ -192,8 +192,22 @@ def test_source_is_compiled_once_on_first_call(monkeypatch):
     fn(1.0, 2.0, 3.0)
     fn(np.ones(4), np.ones(4), np.ones(4))
     fn(1.0, 2.0, 3.0)
-    # the tree's one-output kernel, compiled once for both bindings
-    assert compiled == ["def kernel(x1, x2, x3):\n    return ((x1 * x2) + sin(x3)),"]
+    # the tree's one-output kernel, compiled once for both bindings: sin can raise, so it gets a line
+    assert compiled == ["def kernel(x1, x2, x3):\n    _t0 = sin(x3)\n    return ((x1 * x2) + _t0),"]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_literals_compile_as_they_evaluate(value):
+    # a built tree may hold a literal the parser refuses: its text names a value, as its repr does
+    e = ex.Lit(value) * ex.Var("x1")
+    message = f"^non-finite result {value!r}$"
+    with pytest.raises(ex.DomainEvalError, match=message):
+        ex.eval_expr(e, {"x1": 2.0})
+    with pytest.raises(ex.DomainEvalError, match=message):
+        ex.compile_expr(e)(2.0, 0.0, 0.0)
+    with pytest.raises(ex.BatchFault):
+        ex.compile_expr(e)(np.full(2, 2.0), np.zeros(2), np.zeros(2))
+    assert repr(ex.compile_kernel((e, ex.Var("x2")))(2.0, 3.0, 0.0)) == f"({value!r}, 3.0)"
 
 
 def test_unbound_variable_is_raised_before_any_call():
@@ -203,7 +217,8 @@ def test_unbound_variable_is_raised_before_any_call():
 
 def test_callable_carries_source_and_varnames():
     fn = ex.compile_expr(ex.parse("u^2 - 1"), ("u",))
-    assert fn.source == "def kernel(u):\n    return (_pow(u, (2.0)) - (1.0)),"
+    assert fn.source == "def kernel(u):\n    _t0 = _pow(u, (2.0))\n    return (_t0 - (1.0)),"
+    assert fn(3.0) == 8.0
     assert fn.varnames == ("u",)
     constant = ex.compile_expr(ex.parse("2.5"), ())
     assert (constant.source, constant.varnames, constant()) == ("def kernel():\n    return (2.5),", (), 2.5)

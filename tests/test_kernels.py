@@ -5,6 +5,7 @@ step it cannot take must replay through that path, so runs end with the
 same trajectory, or the same error and partial trajectory, either way.
 """
 
+import ast
 import dataclasses
 import functools
 import math
@@ -98,8 +99,8 @@ _DIAGONAL = [(c, c, c) for c in _COORDS]
 @settings(max_examples=1500, deadline=None)
 @given(forests(), st.lists(st.tuples(*(st.sampled_from(_COORDS) | st.floats(-4.0, 4.0),) * 3), max_size=4))
 def test_one_output_kernels_raise_the_first_error_of_a_walk(forest, points):
-    # shared subtrees get lines and single reads are written inline, yet every outcome, error text included, is
-    # a walk's; the sum reads each checked tree once and each output twice, after them
+    # shared subtrees and those that can raise get lines, the rest is written inline: every outcome, error text
+    # included, is a walk's; the sum reads each checked tree once and each output twice, after them
     outputs, checked = forest
     total = functools.reduce(ex.Expr.__add__, (*checked, *outputs, *outputs))
     for e in {id(e): e for e in (*outputs, *checked, total)}.values():
@@ -107,6 +108,50 @@ def test_one_output_kernels_raise_the_first_error_of_a_walk(forest, points):
         assert fn.source == ex.compile_kernel((e,)).source  # one writer
         for x in (*_DIAGONAL, *points):
             assert _outcome(fn, x) == _outcome(walked, x)
+
+
+def _inlined_raises(source):
+    """The kernel's statements that hold a call or a division, which can raise, other than as a line's whole value."""
+    inlined = []
+    for stmt in ast.parse(source).body[0].body:
+        own = stmt.value if isinstance(stmt, ast.Assign) else None
+        for node in ast.walk(stmt):
+            call = isinstance(node, ast.Call) and node.func.id not in ("abs", "isfinite", "BatchFault")
+            if node is not own and (call or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+                inlined.append(ast.unparse(stmt))
+                break
+    return inlined
+
+
+def _walk(outputs, checked, x):
+    """What a kernel of the trees gives at x, from a walk of the outputs, then of the checked trees: the outputs'
+    float.hex, the text of the first error, or BatchFault for a checked value that is not finite."""
+    try:
+        values = [ex._eval(e, dict(zip(XS, x))) for e in (*outputs, *checked)]
+    except ex.DomainEvalError as exc:
+        return str(exc)
+    return "BatchFault" if not all(map(math.isfinite, values[len(outputs):])) else _hex(values[: len(outputs)])
+
+
+def _kernel_outcome(kernel, x):
+    try:
+        return _hex(kernel(*x))
+    except ex.BatchFault:
+        return "BatchFault"
+    except Exception as exc:  # the text is what the test compares
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(forests(), st.lists(st.tuples(*(st.sampled_from(_COORDS) | st.floats(-4.0, 4.0),) * 3), max_size=4))
+def test_a_subtree_that_can_raise_gets_its_own_line(forest, points):
+    outputs, checked = forest
+    trees = (*outputs, *checked)
+    sources = [ex.compile_kernel(outputs, checked).source, *(ex.compile_expr(e, XS).source for e in trees)]
+    assert [_inlined_raises(src) for src in sources] == [[]] * len(sources)
+    kernel = ex.compile_kernel(trees)
+    for x in (*_DIAGONAL, *points):
+        assert _kernel_outcome(kernel, x) == _walk(trees, (), x)
 
 
 def test_an_inline_text_that_can_raise_runs_before_a_later_line_that_can():
@@ -223,14 +268,15 @@ def test_scalar_binding_is_the_generated_function_itself():
 
 
 def test_single_reads_are_inlined_and_twice_read_levels_get_lines():
-    # each level is read twice by the next, so it gets a line; its sin, read once, is written inline,
-    # and the last level, read by the return alone, into the return: eleven lines
+    # each level is read twice by the next, so it gets a line, and so does each sin, which can raise; the
+    # product, read once, is written into its level, and the last level into the return: 23 lines
     e = ex.Var("x1")
     for n in range(12):
         e = ex.Call("sin", e) * e + float(n)
     kernel = ex.compile_kernel((e,))
     body = kernel.source.splitlines()[1:-1]
-    assert len(body) == 11 and kernel.source.count("sin(") == 12
+    assert len(body) == 23 and sum(line.split(" = ")[1].startswith("sin(") for line in body) == 12
+    assert kernel.source.splitlines()[-1] == "    return ((_t22 * _t21) + (11.0)),"
     x = 0.3
     for n in range(12):
         x = math.sin(x) * x + float(n)
@@ -242,14 +288,15 @@ def test_a_local_read_by_an_inlined_subtree_lives_until_that_subtree_is_read():
     s, two = x1 - x2, ex.Lit(2.0)
     d = (s * x3) * (s + x3)
     cases = (
-        # exp(s / 2) is read once, so it is written into the return: s must keep its value until then
+        # exp(s / 2) can raise, so it gets a line; d * d, read once, is written into the return and reads d's line
         ("exp", ex.Call("exp", s * 0.5) + d * d),
-        # -(2.0) is read by -(-(2.0)), whose line runs before the return reads -(2.0) / sqrt(x2)
+        # -(2.0) is read twice, sqrt and each division can raise: all get lines, and the return reads two of them
         ("sqrt", ex.Neg(two) / ex.Call("sqrt", x2) + ex.Neg(ex.Neg(two)) / ex.Neg(ex.Neg(two))),
     )
     for fn_name, out in cases:
         kernel = ex.compile_kernel((out,))
-        assert kernel.source.splitlines()[-1].count(f"{fn_name}(") == 1  # the return
+        ret = kernel.source.splitlines()[-1]
+        assert kernel.source.count(f"{fn_name}(") == 1 and f"{fn_name}(" not in ret and "_t" in ret
         for x in ((0.7, 0.2, 1.3), (-1.5, 2.0, 0.25)):
             assert _hex(kernel(*x)) == _hex([ex.eval_expr(out, dict(zip(XS, x)))])
 
@@ -475,6 +522,25 @@ def test_job_kernels_equal_the_per_expression_jobs(case):
         ys = [tuple(map(float, forward_map(chart, x))) for x in points]
         want = [_hex((H_y.partial(j, *y), -H_y.partial(i, *y))) for y in ys]
         assert [_hex(reduced(*y)) for y in ys] == want, chart.k
+
+
+@pytest.mark.parametrize("case", CASES[:2], ids=[c[0] for c in CASES[:2]])
+def test_job_kernels_raise_on_their_own_lines(monkeypatch, case):
+    # halphen's and euler-top's direct and reduced kernels: a walk's outcome at each point
+    _, spec, h, _, _ = case
+    H = dynamics.as_hamiltonian(h)
+    written, compile_kernel = [], ex.compile_kernel
+    monkeypatch.setattr(ex, "compile_kernel", lambda *trees: written.append(trees) or compile_kernel(*trees))
+    points = [tuple(map(float, x)) for x in spec.domain.sample(100, 6)]
+    jobs = [(dynamics._rhs_kernel(spec, H), points)]
+    for chart in _charts(spec):
+        i, j, _ = cyclic(chart.k)
+        jobs.append((dynamics._reduced_kernel(dynamics._reduced_hamiltonian(chart, H), i, j),
+                     [tuple(map(float, forward_map(chart, x))) for x in points]))
+    assert len(written) == len(jobs) > 1
+    for (kernel, at), trees in zip(jobs, written):
+        assert _inlined_raises(kernel.source) == []
+        assert [_kernel_outcome(kernel, x) for x in at] == [_walk(*trees, x) for x in at]
 
 
 @pytest.mark.parametrize("method", ["rk4", "midpoint"])
