@@ -119,7 +119,7 @@ class EulerTopParams:
         if not all(map(_finite_nonzero, (self.I2 * self.I3, self.I1 * self.I3, self.I1 * self.I2))):
             raise out_of_range
         a1, a2, a3 = self.alphas
-        if min(map(abs, (a1, a2, a3))) <= 1e-12:
+        if any(abs(b - c) <= 1e-12 * max(b, c) for b, c in zip(moments, moments[1:] + moments[:1])):  # unit-free
             raise DegenerateParametersError(f"moments {moments} are not pairwise distinct (symmetric top)")
         psi, scale = self.psi_coefficients, 2.0 * a1 * a2 * a3
         constants = (*psi, *(2.0 * c for c in psi), *(2.0 * v for v in moments), scale)

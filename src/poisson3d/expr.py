@@ -33,7 +33,7 @@ from .errors import (
 VARIABLES = ("x1", "x2", "x3", "u")
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt", "abs", "sign")
 _TOO_DEEP = "expression is nested too deeply"
-_MAX_DEPTH = 200  # compile_expr compiles every tree of at most this many levels
+_MAX_DEPTH = 200  # compile_expr and compile_kernel take every tree of at most this many levels
 
 
 # --------------------------------------------------------------------------
@@ -465,9 +465,10 @@ def _gen(e: Expr, a=None, b=None) -> str:
 
 
 # --------------------------------------------------------------------------
-# Bindings.  The scalar binding runs _gen's source on floats with the
-# primitives above.  The batch binding is the register plan (plan.py), which
-# runs the same operations over numpy arrays, bit-identical to the scalar
+# Bindings.  The scalar binding is the primitives above, on floats: a
+# compile_expr callable runs its register plan (plan.py) over them, and the
+# integrators' job kernels compile _gen's source against them.  The batch
+# binding runs the same plans over numpy arrays, bit-identical to the scalar
 # binding wherever it does not fault: + - * / and negation are IEEE-exact
 # array operators, and sqrt and abs are correctly rounded, so they stay
 # numpy, and so does ^2, which _pow takes as one multiplication; exp, ln,
@@ -576,13 +577,13 @@ def _shaped(v, shape):
 
 
 def _run_on_arrays(run, xs):
-    """run(*xs) on float arrays of one shape under batch_arithmetic, each value broadcast to that shape.
+    """run(xs) on float arrays of one shape under batch_arithmetic, each value broadcast to that shape.
 
     The register plan's ending (plan.py), here with D12's fault rule: BatchFault on any fault, or where a
     value has an element that is not finite.
     """
     with batch_arithmetic():
-        values = tuple(map(_shaped, run(*xs), repeat(np.shape(xs[0]))))
+        values = tuple(map(_shaped, run(xs), repeat(np.shape(xs[0]))))
     if not all(map(_all_finite, values)):
         raise BatchFault("non-finite result")
     return values
@@ -603,19 +604,20 @@ _BATCH_NS = {  # a plan step's function, by its node's operator, "neg" for negat
     "abs": np.abs,
     "sign": _batch_sign,
 }
+_FLOAT_OPS = {**_BATCH_NS, "^": _pow, **_FN_IMPL}  # a plan step's function on floats: the scalar primitives
 _XS = ("x1", "x2", "x3")
 
 
 def compile_expr(e: Expr, varnames: tuple[str, ...] = _XS):
     """Compile a tree into one positional callable f(*varnames) for floats or arrays.
 
-    Floats (np.float64 included) run the tree's one-output kernel (compile_kernel's writer's for (e,)),
-    written and compiled on the first float call, on the scalar binding, which raises DomainEvalError, with
-    the text of the first error a walk of the tree raises, on out-of-domain input or a non-finite result.
-    Float arrays of one shape run the tree's register plan (plan_kernel), built on the first array call,
-    which writes no source: an array of that shape, elementwise equal, or BatchFault on any fault, after
-    which the caller replays the points on floats.  UnboundVariableError is raised here, ParseError on the
-    first call for a tree deeper than _MAX_DEPTH.
+    Both run the tree's register plan (plan_kernel), built on the first call of either kind, which writes
+    and compiles no source.  Floats (np.float64 included) run its steps over _FLOAT_OPS, the scalar
+    primitives, and raise DomainEvalError, with the text of the first error a walk of the tree raises, on
+    out-of-domain input or a non-finite result.  Float arrays of one shape run them over _BATCH_NS: an
+    array of that shape, elementwise equal, or BatchFault on any fault, after which the caller replays the
+    points on floats.  UnboundVariableError is raised here, ParseError on the first call for a tree deeper
+    than _MAX_DEPTH.
     """
     missing = free_vars(e) - set(varnames)
     if missing:
@@ -624,37 +626,30 @@ def compile_expr(e: Expr, varnames: tuple[str, ...] = _XS):
 
 
 class _OneOutput:
-    """compile_expr's callable."""
+    """compile_expr's callable: one register plan, run on floats as on arrays (docs/decisions.md, D24)."""
 
-    __slots__ = ("tree", "varnames", "_kernel", "_plan")
+    __slots__ = ("tree", "varnames", "_plan")
 
     def __init__(self, tree: Expr, varnames: tuple[str, ...]):
-        self.tree, self.varnames, self._kernel, self._plan = tree, varnames, None, None
+        self.tree, self.varnames, self._plan = tree, varnames, None
 
     @property
     def source(self):
-        """The kernel's source; None for a tree deeper than _MAX_DEPTH."""
-        return self._kernel.source if self._kernel else _kernel_source((self.tree,), (), self.varnames)
+        """The tree's one-output kernel source (_kernel_source), never compiled; None deeper than _MAX_DEPTH."""
+        return _kernel_source((self.tree,), (), self.varnames)
 
     def __call__(self, *args):
-        a = args[0] if args else 0.0  # a tree without variables takes no arguments
-        # exact floats, the integrators' per-step case, skip the slower isinstance test
-        if a.__class__ is not float and isinstance(a, np.ndarray):
-            plan = self._plan
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _plan_of((self.tree,), (), self.varnames)
             if plan is None:
-                plan = self._plan = _plan_of((self.tree,), (), self.varnames)
-                if plan is None:
-                    raise ParseError(_TOO_DEEP, 0)
-            return plan.batch(*args)[0]
-        kernel = self._kernel
-        if kernel is None:
-            kernel = self._kernel = _kernel_of(_kernel_source((self.tree,), (), self.varnames))
-            if kernel is None:
                 raise ParseError(_TOO_DEEP, 0)
+        a = args[0] if args else 0.0  # a tree without variables takes no arguments
+        # exact floats, the per-point case, skip the slower isinstance test
+        if a.__class__ is not float and isinstance(a, np.ndarray):
+            return plan.batch(*args)[0]
         try:
-            (v,) = kernel(*args)
-        except DomainEvalError:
-            raise
+            (v,) = plan.run(_FLOAT_OPS, args)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise DomainEvalError(str(exc)) from None
         if not math.isfinite(v):
@@ -671,7 +666,8 @@ def compile_kernel(outputs, checked=()):
     BatchFault when the sum of the checked trees' values is not finite.  Either way the caller replays
     the call on its per-expression path (docs/decisions.md, D6).  None for a tree deeper than _MAX_DEPTH:
     the caller keeps its per-expression path.  UnboundVariableError for a variable other than x1, x2,
-    x3.  The same trees on float arrays are plan_kernel's, which compiles nothing.
+    x3.  These are the integrators' job kernels, the only code compiled (D24): compile_expr's callables
+    and plan_kernel's plans run the same trees as register plans, which compile nothing.
     """
     return _kernel_of(_kernel_source(outputs, checked, _XS))
 

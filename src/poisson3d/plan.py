@@ -1,11 +1,11 @@
-"""The layout of generated trees, and register plans: their array binding, as steps over a register file.
+"""The layout of generated trees, and register plans: one binding of a tree, as steps over a register file.
 
-layout keys, counts and checks the trees once for both bindings: expr._kernel_source renders it as
-the float kernel's source, a line for each subtree that can raise or is read more than once, and
-plan_kernel as a plan, each of whose steps calls the primitive or array operator of its node
-(expr._BATCH_NS) on the registers of its operands, so no source is written or compiled
-(docs/decisions.md, D13, D15, D16 and D23).  A plan ends through expr._run_on_arrays, under D12's
-fault rule.
+layout keys, counts and checks the trees once for every binding: expr._kernel_source renders it as the
+source of the integrators' compiled job kernels, a line for each subtree that can raise or is read more
+than once, and plan_kernel as a plan, each of whose steps names its node's operator.  _Plan.run calls
+that operator's function in a table on its operands' registers: expr._BATCH_NS on arrays, through batch
+and expr._run_on_arrays under D12's fault rule, and expr._FLOAT_OPS on a compile_expr callable's floats.
+No plan writes or compiles source (docs/decisions.md, D13, D15, D16, D23 and D24).
 """
 
 from __future__ import annotations
@@ -88,10 +88,10 @@ def plan_kernel(outputs, checked=(), varnames=_XS):
     deeper than _MAX_DEPTH: the caller keeps its per-expression path.  UnboundVariableError for a variable
     not in varnames.
 
-    Each distinct subtree of the layout is one step, in post-order, which calls the _BATCH_NS function of
-    its operator on its operands' registers; a literal's register holds its Python float.  A step takes a
-    register whose value has no read left; a root's reads never run out, so the registers of the outputs
-    and checked trees are never given away.
+    Each distinct subtree of the layout is one step, in post-order, which applies its operator's function
+    (_BATCH_NS's in batch) to its operands' registers; a literal's register holds its Python float.  A
+    step takes a register whose value has no read left; a root's reads never run out, so the registers of
+    the outputs and checked trees are never given away.
     """
     laid = layout(outputs, checked, varnames)
     if laid is None:
@@ -121,7 +121,7 @@ def plan_kernel(outputs, checked=(), varnames=_XS):
             registers.append(None)
         reg[n] = r
         # where both operands die, the register the step does not take is emptied after it
-        steps.append((_BATCH_NS[key[0]], r, reg[a], reg[b] if len(key) == 3 else -1, free[-1] if died == 2 else -1))
+        steps.append((key[0], r, reg[a], reg[b] if len(key) == 3 else -1, free[-1] if died == 2 else -1))
     n_out = len(outputs)
     return _Plan(len(varnames), registers, steps, [reg[n] for n in roots[:n_out]],
                  [reg[n] for n in dict.fromkeys(roots[n_out:])])
@@ -138,14 +138,16 @@ class _Plan:
     def batch(self, *xs):
         """The outputs' values on float arrays of one shape, each broadcast to that shape, and its faults:
         BatchFault on any fault, non-finite output or non-finite sum of the distinct checked values."""
+        return _run_on_arrays(lambda xs: self.run(_BATCH_NS, xs), xs)
+
+    def run(self, ops, xs):
+        """The outputs' values on xs, each step calling ops[its operator] (expr._BATCH_NS on arrays,
+        expr._FLOAT_OPS on floats); DomainEvalError where the sum of the checked values is not finite."""
         if len(xs) != self.arity:
             raise TypeError(f"kernel() takes {self.arity} positional arguments but {len(xs)} were given")
-        return _run_on_arrays(self._run, xs)
-
-    def _run(self, *xs):
         regs = [*xs, *self.registers]
-        for fn, r, a, b, dead in self.steps:
-            regs[r] = fn(regs[a]) if b < 0 else fn(regs[a], regs[b])
+        for op, r, a, b, dead in self.steps:
+            regs[r] = ops[op](regs[a]) if b < 0 else ops[op](regs[a], regs[b])
             if dead >= 0:
                 regs[dead] = None
         if self.checked:

@@ -201,15 +201,32 @@ def _function_type_namespaces(path):
     return [ast.unparse(call.args[1]) for call in calls if ast.unparse(call.func).endswith("FunctionType")]
 
 
+def _callers(path, name):
+    """(module, function) per call of name in path, the function being the innermost def around the call."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == name:
+                found.append((path.name, owner))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return found
+
+
 def test_generated_code_is_bound_to_the_scalar_namespace_alone():
-    # arrays run register plans, so the code the writer generates is bound once, for floats
+    # arrays and compile_expr's float calls run register plans, so the code the writer generates is bound
+    # once, for floats, and compiled only for the job kernels: compile() is reached through compile_kernel
     modules = sorted((Path(__file__).resolve().parents[1] / "src" / "poisson3d").glob("*.py"))
     bindings = {path.name: _function_type_namespaces(path) for path in modules}
     assert {name: found for name, found in bindings.items() if found} == {"expr.py": ["_SCALAR_NS"]}
+    assert [c for path in modules for c in _callers(path, "compile")] == [("expr.py", "_kernel_of")]
+    assert [c for path in modules for c in _callers(path, "_kernel_of")] == [("expr.py", "compile_kernel")]
     x1 = ex.Var("x1")
     fn = ex.compile_expr(ex.Call("sin", x1) * x1, ("x1", "x2", "x3"))
-    assert fn(0.5, 0.0, 0.0) == math.sin(0.5) * 0.5  # compiles fn's kernel
-    assert not hasattr(fn._kernel, "batch") and not hasattr(ex.compile_kernel((x1 * x1,)), "batch")
+    assert fn(0.5, 0.0, 0.0) == math.sin(0.5) * 0.5  # runs fn's plan
+    assert not hasattr(fn, "_kernel") and not hasattr(ex.compile_kernel((x1 * x1,)), "batch")
 
 
 @pytest.mark.parametrize("source", EXACT_CASES)

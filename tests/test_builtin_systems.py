@@ -135,6 +135,11 @@ class TestEulerTop:
             EulerTopParams(1.0, 1.0, 3.0)
         with pytest.raises(DegenerateParametersError):
             EulerTopParams(1.0, -2.0, 3.0)
+        # two moments within 1e-12 of the larger, in any unit; distinct ones pass, however large
+        for moments in ((1.0, 1.0000000000001, 2.0), (1e-3, 1.00000000000001e-3, 2e-3)):
+            with pytest.raises(DegenerateParametersError, match="not pairwise distinct"):
+                EulerTopParams(*moments)
+        EulerTopParams(1e13, 2e13, 3e13)
 
     def test_raw_matrix_values(self):
         params = EulerTopParams(1.0, 2.0, 3.0)

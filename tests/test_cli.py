@@ -461,6 +461,13 @@ def test_bad_inputs_exit_2(capsys, tmp_path, wide_spec_file):
         code, out, err = run_cli(capsys, "verify", "--system", "euler-top", "--I", moments, "--samples", "10")
         assert (code, out) == (2, "")
         assert err.startswith("error: moments (") and err.endswith(") put a structure constant out of float range\n")
+    # the symmetric-top test is relative: distinct large moments reach phi's own check, and near-equal
+    # small ones are a symmetric top
+    code, out, err = run_cli(capsys, "verify", "--system", "euler-top", "--I", "1e13,2e13,3e13", "--samples", "10")
+    assert (code, out) == (2, "") and err.startswith("error: phi must be nonvanishing on the interval: ")
+    for moments in ("1e-3,1.00000000000001e-3,2e-3", "1,1.0000000000001,2", "1,1,3"):
+        code, out, err = run_cli(capsys, "verify", "--system", "euler-top", "--I", moments, "--samples", "10")
+        assert (code, out) == (2, "") and err.endswith(") are not pairwise distinct (symmetric top)\n")
 
 
 def test_non_finite_literal_is_bad_input(capsys, tmp_path):

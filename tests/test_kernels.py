@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poisson3d import dynamics, expr as ex, plan
-from poisson3d.builtin_systems import build_system
+from poisson3d.builtin_systems import build_system, default_halphen_domain, halphen_structure
 from poisson3d.casimir import casimir_value, cyclic
 from poisson3d.cli import main
 from poisson3d.darboux import build_chart, forward_map, inverse_map
@@ -420,17 +420,30 @@ def test_plan_cases():
 
 
 def test_an_array_call_runs_the_plan_before_and_after_a_float_call(monkeypatch):
-    sources, plans = [], []
+    sources, built, ran = [], [], []
     monkeypatch.setattr(ex, "compile", lambda src, *args: sources.append(src) or compile(src, *args), raising=False)
-    batch = plan._Plan.batch
-    monkeypatch.setattr(plan._Plan, "batch", lambda p, *xs: plans.append(p) or batch(p, *xs))
+    plan_of, run = ex._plan_of, plan._Plan.run
+    monkeypatch.setattr(ex, "_plan_of", lambda *args: built.append(plan_of(*args)) or built[-1])
+    monkeypatch.setattr(plan._Plan, "run", lambda p, ops, xs: ran.append(p) or run(p, ops, xs))
     fn = ex.compile_expr(ex.parse("x1^2 + sin(x2)"), XS)
     xs = (np.array([0.5, 1.5]), np.array([1.0, 2.0]), np.zeros(2))
     first = fn(*xs)
-    assert (len(sources), len(plans)) == (0, 1)
-    assert fn(0.5, 1.0, 0.0) == first[0] and len(sources) == 1  # compiled on its first float call
-    assert _hex(fn(*xs)) == _hex(first) and len(sources) == 1  # arrays still run the same plan
-    assert len(plans) == 2 and plans[1] is plans[0]
+    assert _hex(first) == _hex([0.5 * 0.5 + math.sin(1.0), 1.5 * 1.5 + math.sin(2.0)])
+    assert fn(0.5, 1.0, 0.0) == first[0]  # a float call runs the same plan
+    assert _hex(fn(*xs)) == _hex(first)
+    assert fn(1.5, 2.0, 0.0) == first[1]
+    assert sources == [] and len(built) == 1 and len(ran) == 4 and all(p is built[0] for p in ran)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_callable_takes_exactly_its_variables(n):
+    # a float run reads its arguments into the plan's first registers, so a wrong count must not reach it
+    fn = ex.compile_expr(ex.parse("x1 * x2 + x3"), XS)
+    message = re.escape(f"kernel() takes 3 positional arguments but {n} were given")
+    for args in ([1.0] * n, [np.ones(2)] * n):
+        with pytest.raises(TypeError, match=message):
+            fn(*args)
+    assert fn(2.0, 3.0, 4.0) == 10.0 and fn(*[np.full(2, 2.0)] * 3).tolist() == [6.0, 6.0]
 
 
 def test_plan_depth_and_variables_follow_the_writer():
@@ -663,6 +676,27 @@ def test_integrators_take_the_kernels(monkeypatch):
     traj = integrate(halphen, ex.parse("x1*x2 + x3"), (1.0, 2.0, 4.0), 0.1, 0.01, casimir_k=3)
     assert calls == [] and len(kernels) == 1 and len(traj) == 11
     assert ledger == [float, np.ndarray, np.ndarray, np.ndarray]  # the ten steps in blocks of 4, 4 and 2
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["integrate", "integrate_reduced"])
+def test_a_wide_box_run_compiles_its_job_kernel_alone(monkeypatch, reduced):
+    # compile_expr's callables run register plans on floats too (H and C_k at row 0, the chart's maps), so
+    # the one source a run compiles is its right-hand side's job kernel
+    spec = halphen_structure(default_halphen_domain(((-4.0, 6.0),) * 3))
+    h = ex.parse("(x1^2 + x2^2 + x3^2)/2")
+    sources = []
+    monkeypatch.setattr(ex, "compile", lambda src, *args: sources.append(src) or compile(src, *args), raising=False)
+    if reduced:
+        chart = build_chart(spec, 3)
+        traj = integrate_reduced(chart, h, tuple(map(float, forward_map(chart, (1.0, 2.0, 4.0)))), -0.05, 1e-3)
+        compiled = sources[:]
+        kernel = dynamics._reduced_kernel(dynamics._reduced_hamiltonian(chart, dynamics.as_hamiltonian(h)), 1, 2)
+    else:
+        traj = integrate(spec, h, (1.0, 2.0, 4.0), 0.5, 0.01, casimir_k=3)
+        compiled = sources[:]
+        kernel = dynamics._rhs_kernel(spec, dynamics.as_hamiltonian(h))
+    assert compiled == [kernel.source]
+    assert len(traj) == 51
 
 
 def test_halphen_run_into_a_coincidence_plane(monkeypatch):
