@@ -44,7 +44,7 @@ from .errors import (
     UndefinedAtPointError,
 )
 from .family import PoissonFamilySpec, axis_exprs, j_grad, structure_entries, structure_matrix_at
-from .scalar_fields import Field3
+from .scalar_fields import Field3, psi_inverse
 
 if TYPE_CHECKING:  # the reduced integrator imports darboux where it runs, so a direct run never loads it (D21)
     from .darboux import DarbouxChart
@@ -323,30 +323,33 @@ def integrate(
 # Reduced dynamics in Darboux coordinates
 
 
-def _reduced_hamiltonian(chart: DarbouxChart, H: Field3) -> Field3:
-    """H(x(y)) as a field in y; symbolic when H and zeta_k are expressions."""
-    from .darboux import inverse_map, inverse_target
-
-    i, j, k = cyclic(chart.k)
-    zeta = chart.spec.field(k).zeta
-    if H.expr is not None and zeta is not None:
-        psis, _ = axis_exprs(chart.spec)
-        xk_of_y = ex.substitute(zeta, "u", inverse_target(chart, psis[i - 1], psis[j - 1], ex.Var(f"x{k}")))
-        return Field3(ex.substitute(H.expr, f"x{k}", xk_of_y))
-
-    def value(y1, y2, y3):
-        x = inverse_map(chart, (y1, y2, y3))
-        return H.value(float(x[0]), float(x[1]), float(x[2]))
-
-    return Field3(value)
+def _reduced_flow(grad, phi_i, phi_j, phi_k, y_k: float, i: int, j: int, k: int) -> tuple:
+    """(dH_y/dy_j, -dH_y/dy_i), H_y = H(x(y)), from grad H and the phis at x(y).  x_k solves psi_k(x_k) = T(y)
+    (darboux.inverse_target): dH_y/dy_a = dH/dx_a + dH/dx_k dT/dy_a / phi_k(x_k), dT/dy_i = phi_i(y_i) y_k and
+    dT/dy_j = phi_j(y_j) (1 - y_k).  Floats, or the tree of these operations for trees (docs/decisions.md, D6, D25)."""
+    g_k = grad[k - 1]
+    d_i = grad[i - 1] + g_k * (phi_i * y_k) / phi_k
+    d_j = grad[j - 1] + g_k * (phi_j * (1.0 - y_k)) / phi_k
+    return d_j, -d_i
 
 
-def _reduced_kernel(H_y: Field3, i: int, j: int):
-    """(dH_y/dy_j, -dH_y/dy_i) at (y1, y2, y3); checks both partials, as their callables do."""
-    if H_y.expr is None:
+def _reduced_kernel(chart: DarbouxChart, H: Field3, y_k: float):
+    """_reduced_flow at (x1, x2, x3) = x(y), y_k held as a literal; checks psi_i, psi_j, zeta_k, each grad H
+    value and each phi, as the replay's callables do.  Where zeta_k exists, x_k is zeta_k(inverse_target(...))
+    and the kernel's k-th argument goes unread; else the stage passes the root-finder's x_k."""
+    from .darboux import inverse_target
+
+    if H.expr is None:
         return None
-    d_i, d_j = H_y.partial_expr(i), H_y.partial_expr(j)
-    return ex.compile_kernel((d_j, -d_i), (d_i, d_j))
+    i, j, k = cyclic(chart.k)
+    psis, phis = axis_exprs(chart.spec)
+    zeta, x_k = chart.spec.field(k).zeta, ex.Var(f"x{k}")
+    if zeta is not None:
+        x_k = ex.substitute(zeta, "u", inverse_target(chart, psis[i - 1], psis[j - 1], y_k))
+    grad = [H.partial_expr(axis) for axis in (1, 2, 3)]
+    grad, phis = ([ex.substitute(e, f"x{k}", x_k) for e in trees] for trees in (grad, phis))
+    flow = _reduced_flow(grad, phis[i - 1], phis[j - 1], phis[k - 1], y_k, i, j, k)
+    return ex.compile_kernel(flow, (psis[j - 1], psis[i - 1], x_k, *grad, *phis))
 
 
 def _recovered_t(g: np.ndarray, dtau: float) -> np.ndarray:
@@ -389,7 +392,7 @@ def integrate_reduced(
     a trajectory, or a partial one, of fewer than 4 rows keeps the
     trapezoid rule (_recovered_t).
     """
-    from .darboux import inverse_map, reparam_factor_from
+    from .darboux import inverse_map, inverse_target, reparam_factor_from
 
     if dtau <= 0.0:
         raise ValueError(f"dtau must be positive, got {dtau!r}")
@@ -400,31 +403,39 @@ def integrate_reduced(
     spec = chart.spec
     i, j, k = cyclic(chart.k)
     y0 = [float(v) for v in y0]
-    x_start = inverse_map(chart, y0)
+    y_k, field_k = y0[k - 1], spec.field(k)
+    x_start = [float(v) for v in inverse_map(chart, y0)]
     if not spec.domain.contains(x_start):
-        raise DomainMembershipError(
-            f"y0 = {tuple(y0)} maps to {tuple(float(v) for v in x_start)} outside the domain"
-        )
+        raise DomainMembershipError(f"y0 = {tuple(y0)} maps to {tuple(x_start)} outside the domain")
 
     dtau_eff = math.copysign(abs(tau_end) / n_steps, tau_end)
-    H_y = _reduced_hamiltonian(chart, H)
 
     def assemble(pair) -> list[float]:
         y = [0.0, 0.0, 0.0]
         y[i - 1], y[j - 1] = pair
-        y[k - 1] = y0[k - 1]
+        y[k - 1] = y_k
         return y
 
-    def canonical(*y):
-        gi = H_y.partial(i, *y)
-        return (H_y.partial(j, *y), -gi)  # dy_i/dtau = +dH/dy_j, dy_j/dtau = -dH/dy_i
+    def at_x(f):  # f(x1, x2, x3) as a function of (y_i, y_j, y_k) at the stage's x(y): x_k is zeta_k's value
+        def stage(p, q, c):  # unpolished, as the kernel takes it, or else one root solve
+            x = assemble((p, q))
+            psi_j = spec.psi(j, q)  # before psi_i, as inverse_map computes them
+            target = inverse_target(chart, spec.psi(i, p), psi_j, y_k)
+            x[k - 1] = psi_inverse(field_k, target) if field_k.zeta is None else field_k.zeta_fn(target)
+            return f(*x)
 
-    def pair_first(f):  # f(y1, y2, y3) as a function of (y_i, y_j, y_k); None stays None
-        if k == 3 or f is None:
-            return f
-        return (lambda p, q, c: f(c, p, q)) if k == 1 else (lambda p, q, c: f(q, c, p))
+        return stage
 
-    step = _stepper(method, dtau_eff, pair_first(_reduced_kernel(H_y, i, j)), pair_first(canonical), y0[k - 1])
+    def flow(*x):  # dy_i/dtau = +dH_y/dy_j, dy_j/dtau = -dH_y/dy_i
+        return _reduced_flow(H.gradient(*x), *(spec.phi(a, x[a - 1]) for a in (i, j, k)), y_k, i, j, k)
+
+    def pair_first(f):  # f(x1, x2, x3) as a function of (y_i, y_j, y_k), y_k in x_k's place
+        return f if k == 3 else (lambda p, q, c: f(c, p, q)) if k == 1 else (lambda p, q, c: f(q, c, p))
+
+    kernel = _reduced_kernel(chart, H, y_k)
+    if kernel is not None:  # with zeta_k the kernel computes x_k(y) itself, and reads no k-th argument
+        kernel = at_x(kernel) if field_k.zeta is None else pair_first(kernel)
+    step = _stepper(method, dtau_eff, kernel, at_x(flow), y_k)
 
     def factor_at(y, x) -> float:
         try:
@@ -436,7 +447,7 @@ def integrate_reduced(
         """The reference bookkeeping of the state at tau: raise where the run ends, else its row."""
         y = assemble(pair)
         try:
-            x = inverse_map(chart, y)
+            x = [float(v) for v in inverse_map(chart, y)]
             g = 1.0 / factor_at(y, x)  # breakdown outranks domain exit
             inside = spec.domain.contains(x)
         except OutOfRangeError:  # x_k(y) lies beyond the box edge
@@ -444,25 +455,23 @@ def integrate_reduced(
         if not inside:
             raise DomainExitError(f"reduced trajectory left the domain at tau = {tau}", tau, tuple(y))
         try:
-            h = H_y.value(*y)
+            h = H.value(*x)
         except DomainEvalError as exc:
             raise DomainExitError(f"H(x(y)) failed at tau = {tau}: {exc}", tau, tuple(y)) from None
         return (g, *y, *x, h)
 
     def block_pass(pairs):
-        """The rows (1/factor, y1, y2, y3, x1, x2, x3, H) of the states in one array pass; None on any flag.
-
-        None also where H(x(y)) has no array binding (no zeta_k): the block then replays per row.
-        """
-        if H_y.expr is None:
+        """The rows (1/factor, y1, y2, y3, x1, x2, x3, H) of the states in one array pass; None on any flag, or
+        for a callable H."""
+        if H.expr is None:
             return None
         y = np.empty((len(pairs), 3))
         y[:, [i - 1, j - 1]] = pairs
-        y[:, k - 1] = y0[k - 1]
+        y[:, k - 1] = y_k
         cols = tuple(y.T)
         x = inverse_map(chart, cols)
         g = 1.0 / reparam_factor_from(chart, cols, x)
-        h = H_y.value(*cols)
+        h = H.value(*x)
         if not spec.domain.admissible(x.T).all():
             return None
         return np.column_stack((g, y, x.T, h))
@@ -476,7 +485,7 @@ def integrate_reduced(
             tau,
             rows[:, 1:4],
             rows[:, 7],
-            np.full(len(rows), -y0[k - 1]),
+            np.full(len(rows), -y_k),
             chart.k,
             dtau_eff,
             method,
@@ -486,7 +495,7 @@ def integrate_reduced(
 
     pair = (y0[i - 1], y0[j - 1])
     y = assemble(pair)
-    first_row = (1.0 / factor_at(y, x_start), *y, *x_start, H_y.value(*y))
+    first_row = (1.0 / factor_at(y, x_start), *y, *x_start, H.value(*x_start))
     step_errors = {
         (DomainEvalError, UndefinedAtPointError): "reduced step failed at tau",
         OutOfRangeError: "reduced step left the domain at tau",  # a stage's x(y) lies beyond the box edge

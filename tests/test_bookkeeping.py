@@ -160,12 +160,12 @@ def _reduced_cases():
         # the orbit of x1 runs x2 down from 0.8 past 0.629, where H(x(y)) overflows
         ("h-fault", strip, ZERO_EXP, (0.2, 0.8, 0.5), 0.5, 1e-3,
          DomainExitError, r"H\(x\(y\)\) failed at tau = 0\.171: math range error$"),
-        # without zeta_3, H(x(y)) is a callable and x_k(y) the root-finder's
+        # without zeta_3, every stage and every row solve for x_k(y) with the root-finder
         ("no-zeta-step", no_zeta, ex.parse("x1 + x2 + x3"), (0.25, 0.75, 1.25), 0.5, 2e-4,
          DomainExitError, "reduced step left the domain"),
         ("no-zeta-exit", no_zeta, QUADRATIC, (0.25, 0.75, 1.25), 0.5, 2e-4,
          DomainExitError, "reduced trajectory left the domain"),
-        # the orbit of x1 runs x2 down to 0.7, where a stage's (x2 - 0.7)^0.5 in dH_y/dy_2 faults
+        # the orbit of x1 runs x2 down to 0.7, where a stage's (x2 - 0.7)^0.5 in dH/dx2 faults
         ("step-fault", strip, ex.parse("x1 + (x2 - 0.7)^1.5"), (0.2, 0.8, 0.5), 0.5, 1e-3,
          DomainExitError, r"reduced step failed at tau = 0\.1: negative base "),
         ("clean", wide, QUADRATIC, (1.0, 2.0, 4.0), -0.5, 1e-3, None, ""),

@@ -388,7 +388,7 @@ def test_simulate_ledger_abort_is_exit_2(capsys, tmp_path):
 
 
 def test_simulate_reduced_step_fault_is_exit_2(capsys, tmp_path):
-    # the orbit of x1 runs x2 down to 0.7, where a stage's (x2 - 0.7)^0.5 in dH_y/dy_2 faults at tau = 0.1
+    # the orbit of x1 runs x2 down to 0.7, where a stage's (x2 - 0.7)^0.5 in dH/dx2 faults at tau = 0.1
     path, out_csv = tmp_path / "strip.json", tmp_path / "fault.csv"
     path.write_text(json.dumps(dict(_identity_spec("1"), domain={"box": [[0.0, 0.4], [0.6, 1.0], [-1.0, 1.0]]})))
     code, out, err = run_cli(

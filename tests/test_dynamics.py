@@ -1,11 +1,14 @@
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
-from poisson3d import expr as ex
-from poisson3d.casimir import casimir_expr
-from poisson3d.darboux import build_chart, forward_map, inverse_map
+from poisson3d import dynamics, expr as ex, scalar_fields
+from poisson3d.builtin_systems import default_halphen_domain, halphen_structure
+from poisson3d.casimir import casimir_expr, cyclic
+from poisson3d.darboux import build_chart, forward_map, inverse_map, inverse_target
 from poisson3d.dynamics import (
     Trajectory,
     hamiltonian_vector_field,
@@ -16,12 +19,14 @@ from poisson3d.dynamics import (
 from poisson3d.errors import (
     DomainExitError,
     DomainMembershipError,
+    HypothesisViolationError,
     ReparametrizationBreakdownError,
 )
-from poisson3d.family import make_family_spec, make_kappa
+from poisson3d.family import axis_exprs, make_family_spec, make_kappa
 from poisson3d.scalar_fields import DomainBox, Field3, build_scalar_field
-from poisson3d.testing import hermite_resample
+from poisson3d.testing import hermite_resample, random_family_spec
 from conftest import make_euler_top, make_flat_spec, make_halphen, ORDERED_BOX, WIDE_BOX
+from helpers import without_zeta
 
 H_SUM = ex.parse("x1 + x2 + x3")
 X0 = (1.0, 2.0, 4.0)
@@ -238,8 +243,8 @@ class TestReduced:
             integrate_reduced(chart, H_SUM, y0, 0.0, 1e-3)
 
     def test_numeric_fallback_without_zeta(self):
-        # drop zeta from axis 3: the reduced Hamiltonian goes through the
-        # root-finder and finite differences instead of symbols
+        # drop zeta from axis 3: each stage solves for x_3(y) with the
+        # root-finder instead of taking zeta_3's tree
         box = ORDERED_BOX
         domain = DomainBox(box, ex.parse("(x1 - x2)*(x2 - x3)*(x3 - x1)"))
         fields = (
@@ -262,6 +267,88 @@ class TestReduced:
         b = integrate_reduced(symbolic_chart, H_SUM, y0, 0.02, 1e-3)
         assert np.max(np.abs(a.states - b.states)) <= 1e-8
         assert np.max(np.abs(a.t - b.t)) <= 1e-8
+
+
+# long-trajectory's reduced run: halphen on the wide box, tau 0 -> -0.5 at dtau 0.0004 from its seed-42 x0
+WIDE_H = ex.parse("(x1^2 + x2^2 + x3^2)/2")
+
+
+def _wide_reduced_run(spec):
+    rng = random.Random(42)
+    x0 = tuple(v + rng.uniform(-0.02, 0.02) for v in X0)
+    chart = build_chart(spec, k=3, seed=42)
+    return integrate_reduced(chart, WIDE_H, forward_map(chart, x0), -0.5, 0.0004)
+
+
+def _wide_halphen():
+    return halphen_structure(default_halphen_domain(((-4.0, 6.0),) * 3))
+
+
+def test_a_spec_without_zeta_takes_the_reduced_flow_and_the_array_rows(monkeypatch):
+    # without zeta_k a stage solves for x_k(y) once and applies the implicit-function gradient: no central
+    # differences, the energy at roundoff, the zeta run's states, and every block of rows from the array pass
+    with_zeta = _wide_reduced_run(_wide_halphen())
+
+    def no_differences(*args, **kwargs):
+        raise AssertionError("central differences taken")
+
+    passes, run = [], dynamics._run
+
+    def recording(*args):
+        def noted(states):
+            rows = args[5](states)
+            passes.append(rows is not None)
+            return rows
+
+        return run(*args[:5], noted, *args[6:])
+
+    monkeypatch.setattr(scalar_fields, "central_difference", no_differences)
+    monkeypatch.setattr(dynamics, "_run", recording)
+    traj = _wide_reduced_run(without_zeta(_wide_halphen()))
+    assert len(traj) == len(with_zeta) == 1251
+    assert invariant_drift(traj).max_abs_dH <= 1e-12
+    assert np.max(np.abs(traj.states - with_zeta.states)) <= 1e-12
+    assert passes == [True] * math.ceil(1250 / dynamics.BLOCK)
+
+
+def test_the_reduced_flow_is_the_partials_of_the_composed_zeta_tree():
+    # the implicit-function gradient at inverse_map(y) against the symbolic partials of H(x_i, x_j, zeta_k(T(y)))
+    H = Field3(ex.parse("x1*x2*x3 + x1^2 - x2/3 + x3^2"))
+    charts = 0
+    for index in range(100):
+        spec = random_family_spec(index, 42)
+        psis, _ = axis_exprs(spec)
+        for k in (1, 2, 3):
+            zeta = spec.field(k).zeta
+            if zeta is None:
+                continue
+            try:
+                chart = build_chart(spec, k=k)
+            except HypothesisViolationError:
+                continue
+            i, j, _ = cyclic(k)
+            x_k = ex.substitute(zeta, "u", inverse_target(chart, psis[i - 1], psis[j - 1], ex.Var(f"x{k}")))
+            composed = Field3(ex.substitute(H.expr, f"x{k}", x_k))  # a field of y, named x1, x2, x3
+            for y in forward_map(chart, chart.points[:40].T).T.tolist():
+                x = inverse_map(chart, y).tolist()
+                phis = [spec.phi(a, x[a - 1]) for a in (i, j, k)]
+                got = dynamics._reduced_flow(H.gradient(*x), *phis, y[k - 1], i, j, k)
+                want = (composed.partial(j, *y), -composed.partial(i, *y))
+                assert all(abs(g - w) <= 1e-12 * max(1.0, abs(w)) for g, w in zip(got, want)), (spec.name, k, y)
+            charts += 1
+    assert charts > 100
+
+
+def test_the_h_column_is_h_at_states_x():
+    # a zeta_3 that passes the round trip but needs polishing: a stage takes its value as it is, while a row
+    # takes inverse_map's polished x, and its H must be H at that x
+    spec = _wide_halphen()
+    f3 = spec.fields[2]
+    sloppy = build_scalar_field(f3.phi, f3.psi, ex.parse("u * (1.0 + 1e-10)"), f3.interval)
+    traj = _wide_reduced_run(dataclasses.replace(spec, fields=(*spec.fields[:2], sloppy)))
+    assert len(traj) == 1251
+    H = Field3(WIDE_H)
+    assert traj.H.tolist() == [H.value(*x) for x in traj.states_x.tolist()]
 
 
 def test_hermite_resample_reproduces_grid_and_midpoints(halphen):

@@ -19,13 +19,14 @@ from poisson3d import dynamics, expr as ex, plan
 from poisson3d.builtin_systems import build_system, default_halphen_domain, halphen_structure
 from poisson3d.casimir import casimir_value, cyclic
 from poisson3d.cli import main
-from poisson3d.darboux import build_chart, forward_map, inverse_map
+from poisson3d.darboux import build_chart, forward_map, inverse_map, inverse_target
 from poisson3d.dynamics import integrate, integrate_reduced
 from poisson3d.errors import HypothesisViolationError
 from poisson3d.family import rescale
+from poisson3d.scalar_fields import psi_inverse
 from poisson3d.testing import random_family_spec
 from conftest import WIDE_BOX, make_flat_spec, make_halphen
-from helpers import assert_same_error, assert_same_trajectory, run_outcome
+from helpers import assert_same_error, assert_same_trajectory, run_outcome, without_zeta
 
 XS = ("x1", "x2", "x3")
 _LITERALS = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, -2.5)
@@ -516,6 +517,30 @@ def _charts(spec):
     return charts
 
 
+def _stage_x(chart, y):
+    """x(y) as a reduced stage takes it: zeta_k's value, unpolished, where zeta_k exists, else one root solve."""
+    i, j, k = cyclic(chart.k)
+    spec, x = chart.spec, list(y)
+    psi_j = spec.psi(j, y[j - 1])
+    target = inverse_target(chart, spec.psi(i, y[i - 1]), psi_j, y[k - 1])
+    field = spec.field(k)
+    x[k - 1] = psi_inverse(field, target) if field.zeta is None else field.zeta_fn(target)
+    return x
+
+
+def _reduced_replay(chart, H, y):
+    """The reduced right-hand side's per-expression path at y: _reduced_flow on floats at the stage's x."""
+    i, j, k = cyclic(chart.k)
+    x = _stage_x(chart, y)
+    phis = [chart.spec.phi(a, x[a - 1]) for a in (i, j, k)]
+    return dynamics._reduced_flow(H.gradient(*x), *phis, y[k - 1], i, j, k)
+
+
+def _kernel_arguments(chart, y):
+    """What a reduced stage passes its kernel: y itself where zeta_k makes x_k(y) in the kernel, else x(y)."""
+    return y if chart.spec.field(chart.k).zeta is not None else _stage_x(chart, y)
+
+
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_job_kernels_equal_the_per_expression_jobs(case):
     # bit for bit at sampled points: a one-ulp change in the RHS often rounds
@@ -525,16 +550,10 @@ def test_job_kernels_equal_the_per_expression_jobs(case):
     points = [tuple(map(float, x)) for x in spec.domain.sample(300, 6)]
     rhs = dynamics._rhs_kernel(spec, H)
     assert [_hex(rhs(*x)) for x in points] == [_hex(dynamics._j_grad_h(spec, H, *x)) for x in points]
-    for chart in _charts(spec):
-        i, j, _ = cyclic(chart.k)
-        H_y = dynamics._reduced_hamiltonian(chart, H)
-        reduced = dynamics._reduced_kernel(H_y, i, j)
-        if reduced is None:  # an axis without zeta: H(x(y)) is a callable, and the run keeps the per-point path
-            assert H_y.expr is None
-            continue
-        ys = [tuple(map(float, forward_map(chart, x))) for x in points]
-        want = [_hex((H_y.partial(j, *y), -H_y.partial(i, *y))) for y in ys]
-        assert [_hex(reduced(*y)) for y in ys] == want, chart.k
+    for chart in _charts(spec):  # charts without zeta_k too: their stages pass the root-finder's x_k
+        ys = [tuple(map(float, forward_map(chart, x))) for x in points]  # y_k is each kernel's literal
+        got = [_hex(dynamics._reduced_kernel(chart, H, y[chart.k - 1])(*_kernel_arguments(chart, y))) for y in ys]
+        assert got == [_hex(_reduced_replay(chart, H, y)) for y in ys], chart.k
 
 
 @pytest.mark.parametrize("case", CASES[:2], ids=[c[0] for c in CASES[:2]])
@@ -546,10 +565,8 @@ def test_job_kernels_raise_on_their_own_lines(monkeypatch, case):
     monkeypatch.setattr(ex, "compile_kernel", lambda *trees: written.append(trees) or compile_kernel(*trees))
     points = [tuple(map(float, x)) for x in spec.domain.sample(100, 6)]
     jobs = [(dynamics._rhs_kernel(spec, H), points)]
-    for chart in _charts(spec):
-        i, j, _ = cyclic(chart.k)
-        jobs.append((dynamics._reduced_kernel(dynamics._reduced_hamiltonian(chart, H), i, j),
-                     [tuple(map(float, forward_map(chart, x))) for x in points]))
+    for chart in _charts(spec):  # y_k of the first point's image; the walk reads each tree at the point itself
+        jobs.append((dynamics._reduced_kernel(chart, H, float(forward_map(chart, points[0])[chart.k - 1])), points))
     assert len(written) == len(jobs) > 1
     for (kernel, at), trees in zip(jobs, written):
         assert _inlined_raises(kernel.source) == []
@@ -601,12 +618,11 @@ def test_steps_are_the_formula_bit_for_bit(method, k):
         i, j, _ = cyclic(k)
         y0 = [float(v) for v in forward_map(chart, x0)]
         traj = integrate_reduced(chart, h, y0, 0.03, 1e-3, method)
-        H_y = dynamics._reduced_hamiltonian(chart, H)
 
         def rhs(pair):
             y = list(y0)
             y[i - 1], y[j - 1] = pair
-            return (H_y.partial(j, *y), -H_y.partial(i, *y))
+            return _reduced_replay(chart, H, y)
 
         rows, got = [[y0[i - 1], y0[j - 1]]], traj.states[:, [i - 1, j - 1]]
         assert _hex(traj.states[:, k - 1]) == _hex([y0[k - 1]] * len(traj))
@@ -678,23 +694,26 @@ def test_integrators_take_the_kernels(monkeypatch):
     assert ledger == [float, np.ndarray, np.ndarray, np.ndarray]  # the ten steps in blocks of 4, 4 and 2
 
 
-@pytest.mark.parametrize("reduced", [False, True], ids=["integrate", "integrate_reduced"])
-def test_a_wide_box_run_compiles_its_job_kernel_alone(monkeypatch, reduced):
+@pytest.mark.parametrize("kind", ["integrate", "integrate_reduced", "integrate_reduced-no-zeta"])
+def test_a_wide_box_run_compiles_its_job_kernel_alone(monkeypatch, kind):
     # compile_expr's callables run register plans on floats too (H and C_k at row 0, the chart's maps), so
-    # the one source a run compiles is its right-hand side's job kernel
+    # the one source a run compiles is its right-hand side's job kernel, with or without zeta_k
     spec = halphen_structure(default_halphen_domain(((-4.0, 6.0),) * 3))
     h = ex.parse("(x1^2 + x2^2 + x3^2)/2")
+    if kind == "integrate_reduced-no-zeta":
+        spec = without_zeta(spec)
     sources = []
     monkeypatch.setattr(ex, "compile", lambda src, *args: sources.append(src) or compile(src, *args), raising=False)
-    if reduced:
-        chart = build_chart(spec, 3)
-        traj = integrate_reduced(chart, h, tuple(map(float, forward_map(chart, (1.0, 2.0, 4.0)))), -0.05, 1e-3)
-        compiled = sources[:]
-        kernel = dynamics._reduced_kernel(dynamics._reduced_hamiltonian(chart, dynamics.as_hamiltonian(h)), 1, 2)
-    else:
+    if kind == "integrate":
         traj = integrate(spec, h, (1.0, 2.0, 4.0), 0.5, 0.01, casimir_k=3)
         compiled = sources[:]
         kernel = dynamics._rhs_kernel(spec, dynamics.as_hamiltonian(h))
+    else:
+        chart = build_chart(spec, 3)
+        y0 = tuple(map(float, forward_map(chart, (1.0, 2.0, 4.0))))
+        traj = integrate_reduced(chart, h, y0, -0.05, 1e-3)
+        compiled = sources[:]
+        kernel = dynamics._reduced_kernel(chart, dynamics.as_hamiltonian(h), y0[2])
     assert compiled == [kernel.source]
     assert len(traj) == 51
 
